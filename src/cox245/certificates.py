@@ -194,13 +194,6 @@ def family_implication(family: str, n: int):
     raise ValueError(f"unknown family {family!r}")
 
 
-def _family_step(family, n, state_keys, target_key, slab, space):
-    """Search a witness for one family instance against the given side set."""
-    state = ImplicationState.initial(state_keys)
-    witness = find_witness(state, target_key, slab, space=space)
-    return witness
-
-
 def verify_family(family: str, n: int, radius: int = 10,
                   slab: GraphSlab | None = None,
                   space: _SearchSpace | None = None) -> dict:
@@ -218,7 +211,8 @@ def verify_family(family: str, n: int, radius: int = 10,
     sources, target = family_implication(family, n)
     source_keys = [string_key(s) for s in sources]
     target_key = string_key(target)
-    witness = _family_step(family, n, source_keys, target_key, slab, space)
+    witness = find_witness(ImplicationState.initial(source_keys), target_key, slab,
+                           space=space)
     step = {
         "family": family,
         "n": n,
@@ -281,7 +275,8 @@ def verify_d8_chain(max_n: int, radius: int = 10,
                           "status": "failed",
                           "note": f"bookkeeping violated; sources not yet derived: {missing}"})
             break
-        witness = _family_step(family, k, source_keys, target_key, slab, space)
+        witness = find_witness(ImplicationState.initial(source_keys), target_key, slab,
+                               space=space)
         if witness is None:
             status = "inconclusive"
             steps.append({"stage": stage, "family": family, "k": k,
@@ -427,6 +422,17 @@ def parse_point(text: str, mode: str) -> Vertex:
     return make_vertex(PARABOLICS[parab], element_of_word(word))
 
 
+def _orbit_points(line) -> list[Vertex]:
+    """The Cayley orbit named by an orbit-clique line: its base point under
+    the dihedral parabolic spanned by its two generators."""
+    gens = line["orbit_generators"]
+    parab = next((p for p in PARABOLICS.values() if set(p.gens) == set(gens)), None)
+    if parab is None:
+        raise ValueError(f"orbit generators {gens} span no dihedral parabolic subgroup")
+    base = element_of_word(line["orbit_base"])
+    return [cayley_vertex(d * base) for d in parabolic_elements(parab)]
+
+
 def _scan_minimal_seed(lines) -> list[str]:
     """Side types the listed cycles consume before deriving them; the
     mechanical version of the ambient-clique hypothesis, printed for audit."""
@@ -434,10 +440,7 @@ def _scan_minimal_seed(lines) -> list[str]:
     needed: list[EdgeTypeKey] = []
     for line in lines:
         if line.get("rule", "implication") == "orbit-clique":
-            parab = next(p for p in PARABOLICS.values()
-                         if set(p.gens) == set(line["orbit_generators"]))
-            base = element_of_word(line["orbit_base"])
-            points = [cayley_vertex(d * base) for d in parabolic_elements(parab)]
+            points = _orbit_points(line)
             for i, u in enumerate(points):
                 for v in points[i + 1:]:
                     derived.add(pair_key(u, v))
@@ -508,10 +511,7 @@ def verify_connecting_list(path: str | None = None) -> dict:
             last_derived = derived
             steps.append(record)
         elif rule == "orbit-clique":
-            gens = tuple(line["orbit_generators"])
-            parab = next(p for p in PARABOLICS.values() if set(p.gens) == set(gens))
-            base = element_of_word(line["orbit_base"])
-            points = [cayley_vertex(d * base) for d in parabolic_elements(parab)]
+            points = _orbit_points(line)
             record = {"index": idx, "rule": rule, "orbit": [p.label() for p in points]}
             state = close_orbit(state, points, note=f"orbit clique step {idx}")
             missing = sorted({pair_key(u, v).serialize()

@@ -10,11 +10,21 @@ Cycle vertices are hypothetical: they need not be adjacent in any graph,
 and repeats are permitted (a pair (v, v) counts as contained), though any
 witness using them is flagged as degenerate in the log.
 
-``find_witness`` searches a slab for a cycle realizing a wanted implication
-deterministically: 4-cycles before 5-cycles, lexicographically in BFS
-vertex indices.  ``dihedral_closure`` runs the same calculus inside an
-abstract dihedral orbit, which is how the diagonal-implies-clique
-closures of the 8-gon and 10-gon are checked.
+One generator, ``_cycles``, enumerates every such cycle: it places the
+points in order, each one a known-type partner of its predecessor and a
+target-type partner of every earlier point it shares a diagonal with, and
+the last one a known-type partner of the first.  The caller supplies the
+two partner oracles, so the same search serves three settings:
+
+* ``find_witness`` runs it over a slab's vertex indices and returns the
+  first cycle: 4-cycles before 5-cycles, lexicographic in BFS vertex
+  indices.
+* Before each slab sweep, an abstract precheck runs it with no radius
+  bound from one fixed anchor per vertex type, with the known types taken
+  newest first; when no cycle exists there, none exists in the slab.
+* ``close_orbit`` and ``dihedral_closure`` run it over the pair table of a
+  finite orbit until no new type is forced; the latter is how the
+  diagonal-implies-clique closures of the 8-gon and 10-gon are checked.
 """
 
 from __future__ import annotations
@@ -123,11 +133,7 @@ def _sides(points):
     return [(i, (i + 1) % n) for i in range(n)]
 
 
-def _diagonals(points):
-    n = len(points)
-    if n == 4:
-        return [(0, 2), (1, 3)]
-    return [(i, (i + 2) % 5) for i in range(5)]
+_DIAGONALS = {4: ((0, 2), (1, 3)), 5: ((0, 2), (1, 3), (2, 4), (3, 0), (4, 1))}
 
 
 def check_elementary(state: ImplicationState, cycle: CycleWitness) -> EdgeTypeKey:
@@ -141,7 +147,7 @@ def check_elementary(state: ImplicationState, cycle: CycleWitness) -> EdgeTypeKe
         k = pair_key(pts[i], pts[j])
         if not state.has(k):
             raise SideNotKnown(idx, k)
-    diag_keys = [pair_key(pts[i], pts[j]) for i, j in _diagonals(pts)]
+    diag_keys = [pair_key(pts[i], pts[j]) for i, j in _DIAGONALS[len(pts)]]
     first = diag_keys[0]
     if any(k != first for k in diag_keys[1:]):
         raise DiagonalsNotUniform(diag_keys)
@@ -168,6 +174,50 @@ def close_chain(state: ImplicationState, cycles) -> ImplicationState:
 
 
 # --- witness search --------------------------------------------------------
+
+def _cycles(starts, length, known, target):
+    """Every ``length``-cycle whose sides are known and whose diagonals are
+    all target pairs, in the order of ``starts`` and of the ``known`` lists.
+
+    ``known(p)`` lists the points that may follow p along a side (p itself
+    included where a degenerate side is allowed); ``target(p)`` holds the
+    points forming a target pair with p.  Points are placed in order: each
+    one follows its predecessor, pairs with every earlier point it shares a
+    diagonal with, and the last one closes back onto the first.
+    """
+    tails = [[min(d) for d in _DIAGONALS[length] if max(d) == pos]
+             for pos in range(length)]
+    for p0 in starts:
+        t0 = set(target(p0))
+        if t0:
+            yield from _extend([p0], [t0], set(known(p0)), tails, known, target)
+
+
+def _extend(path, tsets, close, tails, known, target):
+    """The cycles of ``_cycles`` that begin with ``path``.
+
+    ``tsets[j]`` is the target set of ``path[j]``, computed when a later
+    diagonal first needs it (positions up to len(path) - 2), so a point
+    with no candidate successor never costs a target lookup.
+    """
+    pos = len(path)
+    while len(tsets) < pos - 1:
+        tsets.append(set(target(path[len(tsets)])))
+    need = [tsets[j] for j in tails[pos]]
+    last = pos == len(tails) - 1
+    if last:
+        need.append(close)
+    for p in known(path[-1]):
+        for s in need:
+            if p not in s:
+                break
+        else:
+            if last:
+                yield (*path, p)
+            else:
+                yield from _extend(path + [p], tsets, close, tails, known, target)
+                del tsets[pos:]
+
 
 class _SearchSpace:
     """Partner-set machinery over one slab, memoised across queries."""
@@ -241,52 +291,31 @@ def _abstract_cycle_exists(keys, target: EdgeTypeKey, mode: str, length: int) ->
     Cycle existence is invariant under the left action, so every witness
     translates to one through a fixed anchor of its own vertex type; the
     check runs with no radius bound, hence a negative here proves the slab
-    sweep would come up empty and can be skipped.
+    sweep would come up empty and can be skipped.  ``keys`` is an ordered
+    sequence, so the work done does not depend on hash order.
     """
-    memo: dict[tuple[Vertex, EdgeTypeKey], tuple[Vertex, ...]] = {}
+    partners: dict[tuple[Vertex, EdgeTypeKey], list[Vertex]] = {}
+    sides: dict[Vertex, list[Vertex]] = {}
 
-    def partners(v, key):
-        mk = (v, key)
-        got = memo.get(mk)
+    def key_partners_of(v, key):
+        got = partners.get((v, key))
         if got is None:
-            got = tuple(key_partners(v, key))
-            memo[mk] = got
+            got = partners[(v, key)] = key_partners(v, key)
         return got
 
-    def known_partners(v):
-        out = {v}
-        for k in keys:
-            if not k.is_degenerate:
-                out.update(partners(v, k))
-        return out
+    def known(v):
+        got = sides.get(v)
+        if got is None:
+            got = [v]  # a repeated vertex is a degenerate side, always allowed
+            for k in keys:
+                if not k.is_degenerate:
+                    got.extend(key_partners_of(v, k))
+            got = sides[v] = list(dict.fromkeys(got))
+        return got
 
-    for u0 in _abstract_anchors(mode):
-        t0 = set(partners(u0, target))
-        if not t0:
-            continue
-        kp0 = known_partners(u0)
-        if length == 4:
-            for u1 in kp0:
-                hits = known_partners(u1) & t0
-                if not hits:
-                    continue
-                t1 = set(partners(u1, target))
-                for u2 in hits:
-                    for u3 in known_partners(u2):
-                        if u3 in t1 and u3 in kp0:
-                            return True
-        else:
-            for u1 in kp0:
-                t1 = set(partners(u1, target))
-                if not t1:
-                    continue
-                for u2 in known_partners(u1) & t0:
-                    t2 = set(partners(u2, target))
-                    for u3 in known_partners(u2) & t1 & t0:
-                        for u4 in known_partners(u3):
-                            if u4 in kp0 and u4 in t2 and u4 in t1:
-                                return True
-    return False
+    cycles = _cycles(_abstract_anchors(mode), length, known,
+                     lambda v: key_partners_of(v, target))
+    return next(cycles, None) is not None
 
 
 def find_witness(state: ImplicationState, target: EdgeTypeKey, slab: GraphSlab,
@@ -301,50 +330,46 @@ def find_witness(state: ImplicationState, target: EdgeTypeKey, slab: GraphSlab,
     """
     if space is None:
         space = _SearchSpace(slab, anchor, radius)
-    keys = frozenset(state.known_set)
-    verts = slab.vertices
-
-    def witness(*idxs):
-        return CycleWitness(tuple(verts[i] for i in idxs), target)
-
-    eligible_4 = space.eligible if _abstract_cycle_exists(keys, target, slab.mode, 4) else ()
-    for i0 in eligible_4:
-        t0 = set(space.partners(i0, target))
-        if not t0:
+    keys = state.known_set
+    newest_first = state.known[::-1]
+    for length in (4, 5):
+        if not _abstract_cycle_exists(newest_first, target, slab.mode, length):
             continue
-        kp0 = None
-        for i1 in space.known_partners(i0, keys):
-            c2 = [j for j in space.known_partners(i1, keys) if j in t0]
-            if not c2:
-                continue
-            if kp0 is None:
-                kp0 = set(space.known_partners(i0, keys))
-            t1 = set(space.partners(i1, target))
-            for i2 in c2:
-                for i3 in space.known_partners(i2, keys):
-                    if i3 in t1 and i3 in kp0:
-                        return witness(i0, i1, i2, i3)
-    eligible_5 = space.eligible if _abstract_cycle_exists(keys, target, slab.mode, 5) else ()
-    for i0 in eligible_5:
-        t0 = set(space.partners(i0, target))
-        if not t0:
-            continue
-        kp0 = set(space.known_partners(i0, keys))
-        for i1 in space.known_partners(i0, keys):
-            t1 = set(space.partners(i1, target))
-            if not t1:
-                continue
-            for i2 in space.known_partners(i1, keys):
-                if i2 not in t0:
-                    continue
-                t2 = set(space.partners(i2, target))
-                for i3 in space.known_partners(i2, keys):
-                    if i3 not in t1 or i3 not in t0:
-                        continue
-                    for i4 in space.known_partners(i3, keys):
-                        if i4 in kp0 and i4 in t2 and i4 in t1:
-                            return witness(i0, i1, i2, i3, i4)
+        cycle = next(_cycles(space.eligible, length,
+                             lambda i: space.known_partners(i, keys),
+                             lambda i: space.partners(i, target)), None)
+        if cycle is not None:
+            return CycleWitness(tuple(slab.vertices[i] for i in cycle), target)
     return None
+
+
+def _closure(table, has, starts):
+    """Derive labels of a finite pair table to a fixpoint.
+
+    ``table[i][j]`` labels the pair (i, j); a label is known initially when
+    ``has`` accepts it.  Yields (cycle, label) for each label forced by a
+    cycle of indices that begins in ``starts`` (4-cycles before 5-cycles),
+    and treats it as known from then on.
+    """
+    rows = range(len(table))
+    labels = list(dict.fromkeys(x for row in table for x in row))
+    known = {x for x in labels if has(x)}
+    progress = True
+    while progress:
+        progress = False
+        for label in labels:
+            if label in known:
+                continue
+            for length in (4, 5):
+                cycle = next(_cycles(starts, length,
+                                     lambda i: [j for j in rows if table[i][j] in known],
+                                     lambda i: [j for j in rows if table[i][j] == label]),
+                             None)
+                if cycle is not None:
+                    known.add(label)
+                    progress = True
+                    yield cycle, label
+                    break
 
 
 def close_orbit(state: ImplicationState, points: list[Vertex],
@@ -354,55 +379,11 @@ def close_orbit(state: ImplicationState, points: list[Vertex],
     Used for dihedral orbits (finitely many vertices) where the claim is
     that the whole orbit becomes a clique; the caller checks that.
     """
-    keys = {}
-    n = len(points)
-    for i in range(n):
-        for j in range(n):
-            keys[(i, j)] = pair_key(points[i], points[j])
-
-    def scan(current):
-        known = current.known_set
-        def ok(i, j):
-            k = keys[(i, j)]
-            return k.is_degenerate or k in known
-        for i0 in range(n):
-            for i1 in range(n):
-                if not ok(i0, i1):
-                    continue
-                for i2 in range(n):
-                    if not ok(i1, i2):
-                        continue
-                    d1 = keys[(i0, i2)]
-                    for i3 in range(n):
-                        if ok(i2, i3) and ok(i3, i0) and keys[(i1, i3)] == d1 \
-                                and not current.has(d1):
-                            return CycleWitness((points[i0], points[i1], points[i2], points[i3]), d1)
-        for i0 in range(n):
-            for i1 in range(n):
-                if not ok(i0, i1):
-                    continue
-                for i2 in range(n):
-                    if not ok(i1, i2):
-                        continue
-                    d1 = keys[(i0, i2)]
-                    if current.has(d1):
-                        continue
-                    for i3 in range(n):
-                        if not ok(i2, i3) or keys[(i1, i3)] != d1:
-                            continue
-                        for i4 in range(n):
-                            if ok(i3, i4) and ok(i4, i0) and keys[(i2, i4)] == d1 \
-                                    and keys[(i3, i0)] == d1 and keys[(i4, i1)] == d1:
-                                return CycleWitness(
-                                    (points[i0], points[i1], points[i2], points[i3], points[i4]), d1)
-        return None
-
-    current = state
-    while True:
-        cyc = scan(current)
-        if cyc is None:
-            return current
-        current, _ = apply_elementary(current, cyc, note)
+    table = [[pair_key(u, v) for v in points] for u in points]
+    for cycle, label in _closure(table, state.has, range(len(points))):
+        witness = CycleWitness(tuple(points[i] for i in cycle), label)
+        state, _ = apply_elementary(state, witness, note)
+    return state
 
 
 # --- abstract dihedral model ------------------------------------------------
@@ -447,38 +428,6 @@ def _dihedral_tables(m: int):
     return table
 
 
-def _dihedral_signatures(m: int):
-    """All distinct (sides, diagonals) label signatures of 4- and 5-tuples
-    through the basepoint; the group acts transitively on the orbit, so
-    anchoring one vertex loses no implications."""
-    table = _dihedral_tables(m)
-    n = 2 * m
-    sigs = set()
-    rng = range(n)
-    for x in rng:
-        for y in rng:
-            for z in rng:
-                sides = frozenset((table[0][x], table[x][y], table[y][z], table[z][0]))
-                d1, d2 = table[0][y], table[x][z]
-                if d1 == d2:
-                    sigs.add((sides, d1))
-    for x in rng:
-        for y in rng:
-            for z in rng:
-                d1, d2 = table[0][y], table[x][z]
-                if d1 != d2:
-                    continue
-                for u in rng:
-                    if table[y][u] == d1 and table[z][0] == d1 and table[u][x] == d1:
-                        sides = frozenset(
-                            (table[0][x], table[x][y], table[y][z], table[z][u], table[u][0]))
-                        sigs.add((sides, d1))
-    return tuple(sorted(sigs, key=lambda s: (s[1], sorted(s[0]))))
-
-
-_SIG_CACHE: dict[int, tuple] = {}
-
-
 def dihedral_closure(m: int, seed: str) -> set[str]:
     """Chord classes derivable from the orbit sides plus one seeded chord.
 
@@ -490,16 +439,8 @@ def dihedral_closure(m: int, seed: str) -> set[str]:
         raise ValueError("m must be 4 or 5")
     if seed not in DIHEDRAL_CHORD_LABELS[m]:
         raise ValueError(f"invalid seed {seed!r}; chord classes are {DIHEDRAL_CHORD_LABELS[m]}")
-    sigs = _SIG_CACHE.get(m)
-    if sigs is None:
-        sigs = _dihedral_signatures(m)
-        _SIG_CACHE[m] = sigs
-    known = {"0", "1a", "1b", seed}
-    changed = True
-    while changed:
-        changed = False
-        for sides, diag in sigs:
-            if diag not in known and sides <= known:
-                known.add(diag)
-                changed = True
-    return known & set(DIHEDRAL_CHORD_LABELS[m])
+    seeds = {"0", "1a", "1b", seed}
+    # the group acts transitively on the orbit, so cycles through point 0
+    # carry every implication
+    derived = {label for _, label in _closure(_dihedral_tables(m), seeds.__contains__, (0,))}
+    return (seeds | derived) & set(DIHEDRAL_CHORD_LABELS[m])

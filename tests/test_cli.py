@@ -106,3 +106,12 @@ def test_external_certificate_file(tmp_path, capsys):
     rep = Report.from_json(capsys.readouterr().out.strip())
     assert rep.steps[0]["status"] == "verified"
     assert rep.status == "failed"
+
+
+def test_orbit_clique_with_unknown_generators_is_a_clean_error(tmp_path, capsys):
+    path = tmp_path / "certs.jsonl"
+    path.write_text(json.dumps({"rule": "orbit-clique", "orbit_generators": ["r", "x"],
+                                "orbit_base": "r"}) + "\n")
+    assert main(["verify", "cayley-certs", "--certs", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "['r', 'x']" in err

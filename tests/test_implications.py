@@ -1,12 +1,19 @@
 """The implication calculus: elementary steps, chains, witness search,
 dihedral clique closures."""
 
+import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import cox245
 from cox245.certificates import StringSpec, string_key
 from cox245.complexgraph import build_ball, cayley_vertex, fix_vertex
-from cox245.coxeter import D8, element_of_word, identity
-from cox245.edgetypes import type_key_cayley
+from cox245.coxeter import D8, D10, element_of_word, identity
+from cox245.edgetypes import type_key_cayley, type_key_complex
 from cox245.implications import (
     ChainStepError,
     CycleWitness,
@@ -14,6 +21,11 @@ from cox245.implications import (
     DiagonalsNotUniform,
     ImplicationState,
     SideNotKnown,
+    _SearchSpace,
+    _abstract_cycle_exists,
+    _closure,
+    _cycles,
+    _dihedral_tables,
     check_elementary,
     close_chain,
     dihedral_closure,
@@ -58,6 +70,11 @@ def test_diagonals_not_uniform_error():
     with pytest.raises(DiagonalsNotUniform):
         # diagonals carry the distinct types rs and st
         check_elementary(state, cycle("", "r", "rs", "rst"))
+    # a 5-cycle whose first four diagonals carry rs; the fifth joins
+    # srsr = rsrs to itself, so only a check of every diagonal rejects it
+    state = ImplicationState.initial([ckey("rs"), ckey("rsrs")])
+    with pytest.raises(DiagonalsNotUniform):
+        check_elementary(state, cycle("", "srsr", "rs", "sr", "rsrs"))
 
 
 def test_degenerate_sides_allowed_and_flagged():
@@ -237,3 +254,100 @@ def test_find_witness_respects_anchor_and_radius():
     got = find_witness(state, target, slab, anchor=anchor, radius=3)
     assert got is not None
     assert check_elementary(state, got) == target
+
+
+def _signature_closure(m, known):
+    """Reference closure: collect every (sides, diagonal) label signature of
+    4- and 5-tuples through point 0 of the dihedral table, then apply them
+    until nothing changes."""
+    table = _dihedral_tables(m)
+    rng = range(2 * m)
+    sigs = set()
+    for x, y, z in itertools.product(rng, repeat=3):
+        d1, d2 = table[0][y], table[x][z]
+        if d1 != d2:
+            continue
+        sigs.add((frozenset((table[0][x], table[x][y], table[y][z], table[z][0])), d1))
+        for u in rng:
+            if table[y][u] == d1 and table[z][0] == d1 and table[u][x] == d1:
+                sides = frozenset((table[0][x], table[x][y], table[y][z], table[z][u], table[u][0]))
+                sigs.add((sides, d1))
+    known = set(known)
+    changed = True
+    while changed:
+        changed = False
+        for sides, diag in sigs:
+            if diag not in known and sides <= known:
+                known.add(diag)
+                changed = True
+    return known
+
+
+def test_closure_matches_signature_oracle_on_every_label_subset():
+    for m in (4, 5):
+        table = _dihedral_tables(m)
+        labels = sorted({x for row in table for x in row})
+        assert len(labels) == m + 3
+        for size in range(len(labels) + 1):
+            for subset in itertools.combinations(labels, size):
+                start = set(subset)
+                derived = {label for _, label in _closure(table, start.__contains__, (0,))}
+                assert start | derived == _signature_closure(m, start), (m, subset)
+    # the orbit sides alone force nothing
+    for m in (4, 5):
+        assert list(_closure(_dihedral_tables(m), {"0", "1a", "1b"}.__contains__, (0,))) == []
+
+
+def test_abstract_precheck_never_rules_out_a_slab_cycle():
+    pent = build_ball(fix_vertex(D8), 3, "pentagon-subcomplex")
+    base = string_key(StringSpec(()))
+    pent_cases = [([base], string_key(StringSpec.parse(t)))
+                  for t in ("R", "S", "SS", "RR", "LR", "SSSSSS")]
+    pent_cases.append(([base, string_key(StringSpec.parse("R"))], string_key(StringSpec.parse("S"))))
+    pent_cases.append(([base], base))  # only degenerate cycles (v, v, u, u) exist
+    center = fix_vertex(D10)
+    d10 = build_ball(center, 4, "d10-orbit")
+    seed = type_key_complex(center, d10.vertices[d10.depth.index(1)])
+    far = list(dict.fromkeys(type_key_complex(center, v)
+                             for i, v in enumerate(d10.vertices) if 1 < d10.depth[i] <= 3))
+    d10_cases = [([seed], key) for key in far[:6]]
+    ruled_out = 0
+    for slab, cases in ((pent, pent_cases), (d10, d10_cases)):
+        space = _SearchSpace(slab, None, None)
+        for known, target in cases:
+            keys = frozenset(known)
+            for length in (4, 5):
+                if _abstract_cycle_exists(known[::-1], target, slab.mode, length):
+                    continue
+                ruled_out += 1
+                found = _cycles(space.eligible, length,
+                                lambda i: space.known_partners(i, keys),
+                                lambda i: space.partners(i, target))
+                assert next(found, None) is None, (slab.mode, target, length)
+    assert ruled_out >= 4
+
+
+def test_search_work_does_not_depend_on_hash_seed():
+    # the abstract precheck stops at its first cycle, so its work depends on
+    # the order it explores partners in; that order must not come from sets
+    src = str(Path(cox245.__file__).resolve().parents[1])
+    code = (
+        "import cox245.implications as imp\n"
+        "from cox245.certificates import auto_search_d10\n"
+        "calls = [0]\n"
+        "inner = imp.key_partners\n"
+        "def counted(v, key):\n"
+        "    calls[0] += 1\n"
+        "    return inner(v, key)\n"
+        "imp.key_partners = counted\n"
+        "auto_search_d10(10, 4)\n"
+        "print(calls[0])\n"
+    )
+    counts = []
+    for seed in (1, 2, 3, 4):
+        env = dict(os.environ, PYTHONHASHSEED=str(seed), PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, timeout=120, check=True)
+        counts.append(int(out.stdout.strip()))
+    assert counts[0] > 0
+    assert len(set(counts)) == 1, counts
