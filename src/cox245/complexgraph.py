@@ -16,8 +16,12 @@ edge universes are wired and never mixed silently:
 ``"cayley"``
     group elements, edges = right multiplication by a generator.
 
-Balls are built by BFS; vertex order is BFS depth with canonical-word
-tie-break inside each level, which makes slab dumps reproducible.
+Neighbors in the tiling modes come from walking the representative's
+matrix through the rotation's generators, one add-only generator product
+per letter (see :mod:`cox245.coxeter`).  Balls are built by BFS; vertex
+order is BFS depth with canonical-word tie-break inside each level, which
+makes slab dumps reproducible.  A ball keeps one ``Vertex`` per coset and
+records neighbors as slab indices.
 Distances inside a slab are certified: a value is marked exact only when no
 shorter path could leave the ball, otherwise a lower bound is reported.
 """
@@ -31,14 +35,15 @@ from .coxeter import (
     D4,
     D8,
     D10,
+    GENERATORS,
     GroupElement,
     PARABOLICS,
     ParabolicId,
-    element_of_word,
     identity,
     min_coset_rep,
     parabolic_elements,
-    _mat_mul,  # internal fast path for coset enumeration
+    _mat_mul,  # internal fast paths for coset enumeration
+    _mat_mul_gen_right,
 )
 
 __all__ = [
@@ -111,44 +116,36 @@ def translate(w: GroupElement, v: Vertex) -> Vertex:
 
 # --- neighbor oracles ------------------------------------------------------
 
-def _orbit_steps(rot_word: str, order: int, edge_word: str):
-    """Matrices rot^k * edge for k = 0..order-1, both chiralities."""
-    rot = element_of_word(rot_word)
-    rot_inv = rot.inverse()
-    edge = element_of_word(edge_word)
-    even, odd = [], []
-    acc_e, acc_o = identity(), identity()
-    for _ in range(order):
-        even.append(_mat_mul(acc_e.mat, edge.mat))
-        odd.append(_mat_mul(acc_o.mat, edge.mat))
-        acc_e = acc_e * rot
-        acc_o = acc_o * rot_inv
-    return even, odd
+def _cyclic_neighbors(v: Vertex, parabolic: ParabolicId, rot: str, order: int,
+                      edge: str) -> list[Vertex]:
+    """Cosets of v * rot^k * edge for k = 0..order-1, in rotation order.
 
-
-_PENT_STEPS = _orbit_steps("rs", 4, "t")
-_D10_STEPS = _orbit_steps("st", 5, "r")
-
-
-def pentagon_cyclic_neighbors(v: Vertex) -> list[Vertex]:
-    """The four pentagon neighbors of a D8-vertex, in rotation order.
-
-    The order is the orbit of the quarter-turn rs conjugated to the vertex;
-    the chirality is corrected by the parity of the representative so that
+    The rotation is reversed at representatives of odd length, so that
     "clockwise" means the same thing at every vertex of the tiling (up to
     one global flip, which only exchanges the two lateral turn letters).
     """
-    if v.parabolic != D8:
-        raise ValueError("pentagon neighbors are defined for D8-vertices")
-    steps = _PENT_STEPS[v.rep.length() % 2]
-    return [make_vertex(D8, GroupElement(_mat_mul(v.rep.mat, m))) for m in steps]
+    if v.parabolic != parabolic:
+        raise ValueError(f"cyclic neighbors need a {parabolic.name}-vertex, got {v.label()}")
+    if v.rep.length() % 2:
+        rot = rot[::-1]
+    out = []
+    acc = v.rep.mat
+    for k in range(order):
+        out.append(make_vertex(parabolic, GroupElement(_mat_mul_gen_right(acc, edge))))
+        if k + 1 < order:
+            for x in rot:
+                acc = _mat_mul_gen_right(acc, x)
+    return out
+
+
+def pentagon_cyclic_neighbors(v: Vertex) -> list[Vertex]:
+    """The four pentagon neighbors of a D8-vertex: the orbit of the
+    quarter-turn rs conjugated to the vertex, in rotation order."""
+    return _cyclic_neighbors(v, D8, "rs", 4, "t")
 
 
 def _d10_cyclic_neighbors(v: Vertex) -> list[Vertex]:
-    if v.parabolic != D10:
-        raise ValueError("square-tiling neighbors are defined for D10-vertices")
-    steps = _D10_STEPS[v.rep.length() % 2]
-    return [make_vertex(D10, GroupElement(_mat_mul(v.rep.mat, m))) for m in steps]
+    return _cyclic_neighbors(v, D10, "st", 5, "r")
 
 
 def _dedup(seq):
@@ -172,13 +169,10 @@ def _intersection_neighbors(v: Vertex) -> list[Vertex]:
     return _dedup(out)
 
 
-_CAYLEY_GENS = tuple(element_of_word(x) for x in "rst")
-
-
 def neighbors(v: Vertex, mode: str) -> list[Vertex]:
     """Deterministically ordered neighbor list in the given universe."""
     if mode == "cayley":
-        return [Vertex(None, v.rep * g) for g in _CAYLEY_GENS]
+        return [Vertex(None, GroupElement(_mat_mul_gen_right(v.rep.mat, x))) for x in GENERATORS]
     if mode == "pentagon-subcomplex":
         return pentagon_cyclic_neighbors(v)
     if mode == "d10-orbit":
@@ -323,16 +317,18 @@ def build_ball(center: Vertex, radius: int, mode: str,
     vertices = [center]
     depth = [0]
     index = {center: 0}
-    nbr_lists: list[list[Vertex] | None] = [None]
+    # per vertex, its neighbors as slab indices; while a level is expanded a
+    # new neighbor is held as the one Vertex object kept for its coset
+    nbr_lists: list[list | None] = [None]
     level = [0]
     for d in range(radius):
-        discovered: dict[Vertex, None] = {}
+        discovered: dict[Vertex, Vertex] = {}
         for i in level:
-            nbrs = neighbors(vertices[i], mode)
-            nbr_lists[i] = nbrs
-            for nb in nbrs:
-                if nb not in index and nb not in discovered:
-                    discovered[nb] = None
+            row = []
+            for nb in neighbors(vertices[i], mode):
+                j = index.get(nb)
+                row.append(discovered.setdefault(nb, nb) if j is None else j)
+            nbr_lists[i] = row
         if not discovered:
             level = []
             break
@@ -348,11 +344,13 @@ def build_ball(center: Vertex, radius: int, mode: str,
             depth.append(d + 1)
             nbr_lists.append(None)
     for i in level:  # frontier still needs its in-slab edges
-        nbr_lists[i] = neighbors(vertices[i], mode)
+        nbr_lists[i] = [index.get(nb) for nb in neighbors(vertices[i], mode)]
     adj: list[tuple[int, ...]] = []
-    for i, nbrs in enumerate(nbr_lists):
-        hits = sorted({index[nb] for nb in nbrs if nb in index} - {i})
-        adj.append(tuple(hits))
+    for i, row in enumerate(nbr_lists):
+        hits = {index[j] if isinstance(j, Vertex) else j for j in row}
+        hits.discard(None)
+        hits.discard(i)
+        adj.append(tuple(sorted(hits)))
     return GraphSlab(mode, center, radius, tuple(vertices), tuple(depth), tuple(adj))
 
 

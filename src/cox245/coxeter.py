@@ -9,7 +9,10 @@ matrices, and the word problem costs nothing beyond exact arithmetic.
 Matrices are flat 9-tuples (row major) of integral quartic vectors from
 :mod:`cox245.numberfield`.  Everything downstream identifies an element with
 its matrix; canonical (ShortLex-least reduced) words are derived from the
-matrix on demand and cached.
+matrix on demand and memoised by matrix, so a word costs one peeled letter
+per suffix not seen before.  Multiplying by a generator, on either side,
+needs only negations, additions and the shifts that multiply by sqrt2 and
+phi in the integral basis; general products go through ``iq_mul``.
 
 Descent tests are root-sign tests: x is a right descent of g iff g sends
 the simple root of x to a negative root.  Minimal coset and double-coset
@@ -107,39 +110,65 @@ def _mat_mul(m, n):
 
 
 def _mat_mul_gen_right(m, x: str):
-    """m * M_x, exploiting that M_x = I - e_x * c with c = 2B(a_x, -).
+    """m * M_x by additions: row x of M_x is e_x - 2B(a_x, -), so each row
+    u of m goes to (-u0, u1 + sqrt2 u0, u2) for r, (u0 + sqrt2 u1, -u1,
+    u2 + phi u1) for s and (u0, u1 + phi u2, -u2) for t.
 
-    Column j of the product is col_j(m) - c_j * col_x(m).
+    Over the integral basis, sqrt2 * (a, b, c, d) = (2b, a, 2d, c) and
+    phi * (a, b, c, d) = (c, d, a + c, b + d).
     """
-    i = _INDEX[x]
-    c = _TWOB[x]
-    cols = [[m[j], m[3 + j], m[6 + j]] for j in range(3)]
-    cx = cols[i]
-    out = [None] * 9
-    for j in range(3):
-        cj = c[j]
-        if cj == IQ_ZERO:
-            new = cols[j]
-        else:
-            new = [iq_sub(cols[j][k], iq_mul(cj, cx[k])) for k in range(3)]
-        out[j], out[3 + j], out[6 + j] = new
-    return tuple(out)
+    ((a00, b00, c00, d00), (a01, b01, c01, d01), (a02, b02, c02, d02),
+     (a10, b10, c10, d10), (a11, b11, c11, d11), (a12, b12, c12, d12),
+     (a20, b20, c20, d20), (a21, b21, c21, d21), (a22, b22, c22, d22)) = m
+    if x == "r":
+        return (
+            (-a00, -b00, -c00, -d00), (a01 + 2 * b00, b01 + a00, c01 + 2 * d00, d01 + c00), m[2],
+            (-a10, -b10, -c10, -d10), (a11 + 2 * b10, b11 + a10, c11 + 2 * d10, d11 + c10), m[5],
+            (-a20, -b20, -c20, -d20), (a21 + 2 * b20, b21 + a20, c21 + 2 * d20, d21 + c20), m[8],
+        )
+    if x == "s":
+        return (
+            (a00 + 2 * b01, b00 + a01, c00 + 2 * d01, d00 + c01), (-a01, -b01, -c01, -d01),
+            (a02 + c01, b02 + d01, c02 + a01 + c01, d02 + b01 + d01),
+            (a10 + 2 * b11, b10 + a11, c10 + 2 * d11, d10 + c11), (-a11, -b11, -c11, -d11),
+            (a12 + c11, b12 + d11, c12 + a11 + c11, d12 + b11 + d11),
+            (a20 + 2 * b21, b20 + a21, c20 + 2 * d21, d20 + c21), (-a21, -b21, -c21, -d21),
+            (a22 + c21, b22 + d21, c22 + a21 + c21, d22 + b21 + d21),
+        )
+    if x == "t":
+        return (
+            m[0], (a01 + c02, b01 + d02, c01 + a02 + c02, d01 + b02 + d02), (-a02, -b02, -c02, -d02),
+            m[3], (a11 + c12, b11 + d12, c11 + a12 + c12, d11 + b12 + d12), (-a12, -b12, -c12, -d12),
+            m[6], (a21 + c22, b21 + d22, c21 + a22 + c22, d21 + b22 + d22), (-a22, -b22, -c22, -d22),
+        )
+    raise ValueError(f"bad generator {x!r}")
 
 
 def _mat_mul_gen_left(m, x: str):
-    """M_x * m: row x of the product is row_x(m) - sum_k c_k row_k(m)."""
-    i = _INDEX[x]
-    c = _TWOB[x]
-    out = list(m)
-    for j in range(3):
-        acc = m[3 * i + j]
-        for k in range(3):
-            ck = c[k]
-            if ck != IQ_ZERO:
-                prod = iq_mul(ck, m[3 * k + j])
-                acc = (acc[0] - prod[0], acc[1] - prod[1], acc[2] - prod[2], acc[3] - prod[3])
-        out[3 * i + j] = acc
-    return tuple(out)
+    """M_x * m by additions: only row x changes, to -row0 + sqrt2 row1 for
+    r, sqrt2 row0 - row1 + phi row2 for s and phi row1 - row2 for t."""
+    ((a00, b00, c00, d00), (a01, b01, c01, d01), (a02, b02, c02, d02),
+     (a10, b10, c10, d10), (a11, b11, c11, d11), (a12, b12, c12, d12),
+     (a20, b20, c20, d20), (a21, b21, c21, d21), (a22, b22, c22, d22)) = m
+    if x == "r":
+        return (
+            (2 * b10 - a00, a10 - b00, 2 * d10 - c00, c10 - d00),
+            (2 * b11 - a01, a11 - b01, 2 * d11 - c01, c11 - d01),
+            (2 * b12 - a02, a12 - b02, 2 * d12 - c02, c12 - d02),
+        ) + m[3:]
+    if x == "s":
+        return m[:3] + (
+            (2 * b00 - a10 + c20, a00 - b10 + d20, 2 * d00 - c10 + a20 + c20, c00 - d10 + b20 + d20),
+            (2 * b01 - a11 + c21, a01 - b11 + d21, 2 * d01 - c11 + a21 + c21, c01 - d11 + b21 + d21),
+            (2 * b02 - a12 + c22, a02 - b12 + d22, 2 * d02 - c12 + a22 + c22, c02 - d12 + b22 + d22),
+        ) + m[6:]
+    if x == "t":
+        return m[:6] + (
+            (c10 - a20, d10 - b20, a10 + c10 - c20, b10 + d10 - d20),
+            (c11 - a21, d11 - b21, a11 + c11 - c21, b11 + d11 - d21),
+            (c12 - a22, d12 - b22, a12 + c12 - c22, b12 + d12 - d22),
+        )
+    raise ValueError(f"bad generator {x!r}")
 
 
 def _mat_det(m):
@@ -191,6 +220,37 @@ def _column_root_sign(m, x: str) -> int:
     return sign
 
 
+# ShortLex-least words by matrix.  A suffix of a ShortLex-least word is
+# ShortLex-least, so a word is found by peeling least left descents off
+# until a known matrix is reached; every matrix passed on the way is stored.
+# Keys are the elements' own matrix tuples, so an entry holds no new matrix
+# when the suffixes are already in use (as in a BFS ball).  The memo grows
+# for the life of the process.
+_WORDS: dict[tuple, str] = {_IDENTITY_MAT: ""}
+
+
+def _shortlex_word(mat) -> str:
+    word = _WORDS.get(mat)
+    if word is not None:
+        return word
+    passed = []
+    inv = _mat_inv(mat)  # x is a left descent of g iff g^-1(a_x) < 0
+    while word is None:
+        for x in GENERATORS:
+            if _column_root_sign(inv, x) < 0:
+                break
+        else:
+            raise ArithmeticError("non-identity element with no descent")
+        passed.append((mat, x))
+        mat = _mat_mul_gen_left(mat, x)
+        inv = _mat_mul_gen_right(inv, x)
+        word = _WORDS.get(mat)
+    for mat, x in reversed(passed):
+        word = x + word
+        _WORDS[mat] = word
+    return word
+
+
 class GroupElement:
     """Element of W, identified with its reflection-representation matrix.
 
@@ -229,17 +289,7 @@ class GroupElement:
     def canonical_word(self) -> str:
         """ShortLex-least (r < s < t) reduced word for this element."""
         if self._word is None:
-            letters = []
-            h = _mat_inv(self.mat)  # x is a left descent of g iff h(a_x) < 0
-            while h != _IDENTITY_MAT:
-                for x in GENERATORS:
-                    if _column_root_sign(h, x) < 0:
-                        letters.append(x)
-                        h = _mat_mul_gen_right(h, x)
-                        break
-                else:
-                    raise ArithmeticError("non-identity element with no descent")
-            self._word = "".join(letters)
+            self._word = _shortlex_word(self.mat)
         return self._word
 
     def length(self) -> int:

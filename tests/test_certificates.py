@@ -281,3 +281,25 @@ def test_pentagon_suite_threaded_matches_sequential():
     par = verify_pentagon_suite(1, 6, threads=2)
     assert par["status"] == "verified"
     assert [s["witness"] for s in par["steps"]] == [s["witness"] for s in seq["steps"]]
+
+
+def test_pentagon_suite_distance_audit_verdicts(monkeypatch):
+    """A distance past the BFS cap leaves the audit undecided; known
+    distances that do not increase fail it."""
+    import cox245.certificates as certificates
+
+    monkeypatch.setattr(certificates, "graph_distance", lambda u, v, mode: None)
+    rep = verify_pentagon_suite(2, 6)
+    assert all(s["status"] == "verified" for s in rep["steps"])
+    assert rep["status"] == "inconclusive"
+    monkeypatch.setattr(certificates, "graph_distance", lambda u, v, mode: 3)
+    assert verify_pentagon_suite(2, 6)["status"] == "failed"
+
+
+def test_distance_audit_gaps():
+    from cox245.certificates import _can_increase
+
+    assert _can_increase([2, None, 4])
+    assert _can_increase([None, None])
+    assert not _can_increase([2, None, 3])  # no integer fits between
+    assert not _can_increase([5, None, 4])

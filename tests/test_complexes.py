@@ -1,10 +1,14 @@
 """Coset-complex and Cayley balls: adjacency, degrees, distances, dumps."""
 
+import hashlib
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cox245.complexgraph import (
     ResourceLimitExceeded,
     VertexNotInSlab,
+    _d10_cyclic_neighbors,
     adjacent,
     build_ball,
     cayley_vertex,
@@ -175,3 +179,35 @@ def test_mode_center_validation():
         build_ball(cayley_vertex(identity()), 2, "full-Y")
     with pytest.raises(ValueError):
         build_ball(C8, 2, "no-such-mode")
+
+
+@given(st.text(alphabet="rst", max_size=20))
+@settings(max_examples=60, deadline=None)
+def test_cyclic_neighbors_match_rotation_products(w):
+    """Neighbor k is the coset of rep * rot^k * edge, with the rotation
+    reversed at odd-length representatives."""
+    g = element_of_word(w)
+    for parabolic, cyclic, rot, order, edge in ((D8, pentagon_cyclic_neighbors, "rs", 4, "t"),
+                                                (D10, _d10_cyclic_neighbors, "st", 5, "r")):
+        v = make_vertex(parabolic, g)
+        if v.rep.length() % 2:
+            rot = rot[::-1]
+        assert cyclic(v) == [make_vertex(parabolic, v.rep * element_of_word(rot * k + edge))
+                             for k in range(order)]
+
+
+@pytest.mark.parametrize("center, radius, mode, size, digest", [
+    (C8, 6, "pentagon-subcomplex", 597,
+     "cd2bd8e2bf3f2cdb0e6af366b5ba77c17b47425eaf7798d9508c13273947ef56"),
+    (C10, 5, "d10-orbit", 441,
+     "a10a5aab44d4da4aa393a1b4b5df6b2d621e872787c8d9573f41ae148b830366"),
+    (C8, 4, "full-Y", 329,
+     "794cb0887366b51280a8a1b99d4253a6d3ed265aafcf8fd922d5b363c6e7250c"),
+    (cayley_vertex(identity()), 12, "cayley", 411,
+     "f691aeef588cda141be262aa66d9dcb3257292e1bc748350740cea5e35291eb9"),
+])
+def test_slab_dump_fingerprints(center, radius, mode, size, digest):
+    """Vertex order, canonical words and edges of four balls, byte for byte."""
+    slab = build_ball(center, radius, mode)
+    assert len(slab) == size
+    assert hashlib.sha256(slab.dump().encode()).hexdigest() == digest

@@ -3,10 +3,13 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import cox245.coxeter as coxeter
+from cox245.complexgraph import build_ball, fix_vertex
 from cox245.coxeter import (
     D4,
     D8,
     D10,
+    GroupElement,
     bilinear_form_matrix,
     canonical_word,
     element_of_word,
@@ -190,3 +193,87 @@ def test_faithfulness_on_ball():
 def test_bad_letter_rejected():
     with pytest.raises(ValueError):
         element_of_word("rsx")
+
+
+def shortlex_first_words(max_length):
+    """Independent ShortLex oracle: extend each least word of length n by
+    r, s, t in that order, least words in lex order; the first word to reach
+    a matrix is its ShortLex-least word.  Products use the generic matrix
+    multiply only."""
+    gens = [(x, coxeter._GEN_MATS[x]) for x in "rst"]
+    first = {coxeter._IDENTITY_MAT: ""}
+    level = [("", coxeter._IDENTITY_MAT)]
+    for _ in range(max_length):
+        nxt = []
+        for word, mat in level:
+            for x, gen in gens:
+                prod = coxeter._mat_mul(mat, gen)
+                if prod not in first:
+                    first[prod] = word + x
+                    nxt.append((word + x, prod))
+        level = nxt
+    return first
+
+
+SHORTLEX_12 = shortlex_first_words(12)
+
+
+def growth_series(terms):
+    """Coefficients of W(x) = (1+x)^2 (1+x^2) (1+x+x^2+x^3+x^4) /
+    (1 - x^3 - x^4 - x^5 + x^8), in plain ints."""
+    num = [1]
+    for factor in ([1, 1], [1, 1], [1, 0, 1], [1, 1, 1, 1, 1]):
+        prod = [0] * (len(num) + len(factor) - 1)
+        for i, a in enumerate(num):
+            for j, b in enumerate(factor):
+                prod[i + j] += a * b
+        num = prod
+    out = []
+    for n in range(terms):
+        a = num[n] if n < len(num) else 0
+        a += sum(out[n - k] for k in (3, 4, 5) if n >= k)
+        a -= out[n - 8] if n >= 8 else 0
+        out.append(a)
+    return out
+
+
+def test_growth_series_matches_shortlex_spheres():
+    sizes = [0] * 13
+    for word in SHORTLEX_12.values():
+        sizes[len(word)] += 1
+    expected = [1, 3, 5, 8, 12, 16, 21, 28, 36, 46, 60, 77, 98]
+    assert growth_series(13) == expected
+    assert sizes == expected
+    assert len(SHORTLEX_12) == 411
+    for n in range(9, 13):  # past the numerator's degree the recurrence is pure
+        assert expected[n] == expected[n - 3] + expected[n - 4] + expected[n - 5] - expected[n - 8]
+
+
+def test_canonical_word_is_shortlex_least(monkeypatch):
+    def check():
+        # longest first, so a fresh memo is filled by multi-letter peels
+        for mat, word in reversed(list(SHORTLEX_12.items())):
+            assert GroupElement(mat).canonical_word() == word
+
+    monkeypatch.setattr(coxeter, "_WORDS", {coxeter._IDENTITY_MAT: ""})
+    check()
+    # the memo filled in ball order must give the same words
+    monkeypatch.setattr(coxeter, "_WORDS", {coxeter._IDENTITY_MAT: ""})
+    build_ball(fix_vertex(D8), 7, "pentagon-subcomplex")
+    check()
+
+
+def generic_product(word):
+    mat = coxeter._IDENTITY_MAT
+    for x in word:
+        mat = coxeter._mat_mul(mat, coxeter._GEN_MATS[x])
+    return mat
+
+
+@given(st.text(alphabet="rst", max_size=40), st.sampled_from("rst"))
+@settings(max_examples=150, deadline=None)
+def test_generator_kernel_matches_generic_multiply(w, x):
+    m = generic_product(w)
+    gen = coxeter._GEN_MATS[x]
+    assert coxeter._mat_mul_gen_right(m, x) == coxeter._mat_mul(m, gen)
+    assert coxeter._mat_mul_gen_left(m, x) == coxeter._mat_mul(gen, m)
