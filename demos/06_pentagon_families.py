@@ -35,11 +35,11 @@ print()
 slab = build_ball(fix_vertex(D8), 8, "pentagon-subcomplex")
 print(f"searching witnesses in a radius-8 ball ({len(slab)} vertices):")
 for family in FAMILIES:
-    step = verify_family(family, 1, 8, slab)
+    step = verify_family(family, 1, slab)
     print(f"  {family:>6} n=1: {step['status']}; witness through {step['witness'][0]}")
 
 print()
-chain = verify_d8_chain(3, 8, slab)
+chain = verify_d8_chain(3, slab)
 print("chain to stage 3:", chain["status"])
 for row in chain["distances"]:
     print(f"  stage {row['stage']}: d-string {row['d_string']:>6} "

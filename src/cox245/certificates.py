@@ -21,6 +21,7 @@ display-index n-1 row of all six sequences.
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass
 from importlib import resources
 
@@ -194,20 +195,17 @@ def family_implication(family: str, n: int):
     raise ValueError(f"unknown family {family!r}")
 
 
-def verify_family(family: str, n: int, radius: int = 10,
-                  slab: GraphSlab | None = None,
+def verify_family(family: str, n: int, slab: GraphSlab,
                   space: _SearchSpace | None = None) -> dict:
     """Locate a cycle realizing the family's implication at index n >= 1.
 
     The witness must use sides from the stated source strings only; failure
-    to find one inside the radius is reported as inconclusive, never false.
+    to find one inside the slab is reported as inconclusive, never false.
     """
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}")
     if n < 1:
         raise ValueError("family verification starts at n = 1")
-    if slab is None:
-        slab = build_ball(fix_vertex(D8), radius, "pentagon-subcomplex")
     sources, target = family_implication(family, n)
     source_keys = [string_key(s) for s in sources]
     target_key = string_key(target)
@@ -226,7 +224,7 @@ def verify_family(family: str, n: int, radius: int = 10,
         step["witness"] = list(witness.labels())
         step["witness_degenerate"] = witness.degenerate
     else:
-        step["note"] = f"no witness within radius {radius}; not a refutation"
+        step["note"] = f"no witness within radius {slab.radius}; not a refutation"
     return step
 
 
@@ -246,8 +244,7 @@ def _chain_schedule(max_n: int):
     return out
 
 
-def verify_d8_chain(max_n: int, radius: int = 10,
-                    slab: GraphSlab | None = None,
+def verify_d8_chain(max_n: int, slab: GraphSlab,
                     space: _SearchSpace | None = None) -> dict:
     """Replay the chain from the bare pentagon edge type up to stage max_n.
 
@@ -257,10 +254,8 @@ def verify_d8_chain(max_n: int, radius: int = 10,
     """
     if max_n < 1:
         raise ValueError("max_n must be at least 1")
-    if slab is None:
-        slab = build_ball(fix_vertex(D8), radius, "pentagon-subcomplex")
     if space is None:
-        space = _SearchSpace(slab, None, radius)
+        space = _SearchSpace(slab)
     state = ImplicationState.initial([string_key(StringSpec(()))])
     steps = []
     status = "verified"
@@ -281,7 +276,7 @@ def verify_d8_chain(max_n: int, radius: int = 10,
             status = "inconclusive"
             steps.append({"stage": stage, "family": family, "k": k,
                           "status": "inconclusive",
-                          "note": f"no witness within radius {radius}"})
+                          "note": f"no witness within radius {slab.radius}"})
             break
         state, derived = apply_elementary(state, witness, note=f"{family}_{k}")
         steps.append({"stage": stage, "family": family, "k": k,
@@ -331,25 +326,14 @@ def _can_increase(values: list[int | None]) -> bool:
     return all(d2 - d1 >= i2 - i1 for (i1, d1), (i2, d2) in zip(known, known[1:]))
 
 
-def verify_pentagon_suite(max_n: int = 3, radius: int = 10, threads: int = 1) -> dict:
-    """Families at 1..max_n plus the chain plus the distance audit."""
+def verify_pentagon_suite(max_n: int = 3, radius: int = 10) -> dict:
+    """Families at 1..max_n plus the chain plus the distance audit, all
+    searched in one ball with one shared partner memo."""
     slab = build_ball(fix_vertex(D8), radius, "pentagon-subcomplex")
-    jobs = [(family, n) for family in FAMILIES for n in range(1, max_n + 1)]
-    family_steps = []
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        def run(job):
-            family, n = job
-            return verify_family(family, n, radius, slab, _SearchSpace(slab, None, radius))
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            family_steps = list(pool.map(run, jobs))
-    else:
-        space = _SearchSpace(slab, None, radius)
-        for family, n in jobs:
-            family_steps.append(verify_family(family, n, radius, slab, space))
-    chain = verify_d8_chain(max_n, radius, slab, _SearchSpace(slab, None, radius))
+    space = _SearchSpace(slab)
+    family_steps = [verify_family(family, n, slab, space)
+                    for family in FAMILIES for n in range(1, max_n + 1)]
+    chain = verify_d8_chain(max_n, slab, space)
     ok = all(s["status"] == "verified" for s in family_steps) \
         and chain["status"] == "verified" \
         and all(chain["distances_strictly_increasing"].values())
@@ -404,20 +388,49 @@ def parse_key(text: str) -> EdgeTypeKey:
     parts = text.split(":")
     if parts[0] == "CAY" and len(parts) == 2:
         return _cayley_key(parts[1])
-    if parts[0] == "CPLX" and len(parts) == 4:
+    if parts[0] == "CPLX" and len(parts) == 4 and {parts[1], parts[2]} <= PARABOLICS.keys():
         p, q, w = parts[1], parts[2], parts[3]
         return type_key_complex(fix_vertex(PARABOLICS[p]),
                                 make_vertex(PARABOLICS[q], element_of_word(w)))
     raise ValueError(f"bad key serialization {text!r}")
 
 
-def load_certificate_lines(path: str | None = None) -> list[dict]:
+def _numbered_lines(path: str | None) -> list[tuple[int, dict]]:
+    """(file line number, object) for each nonblank line; lines count from
+    1, blank ones included."""
     if path is None:
         text = resources.files("cox245.data").joinpath("cayley_certificates.jsonl").read_text()
     else:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    return [json.loads(line) for line in text.splitlines() if line.strip()]
+    out = []
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        if not raw.strip():
+            continue
+        try:
+            line = json.loads(raw)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"line {lineno}: bad JSON: {exc.msg} at column {exc.colno}") from None
+        if not isinstance(line, dict):
+            raise ValueError(f"line {lineno}: expected a JSON object, got {type(line).__name__}")
+        out.append((lineno, line))
+    return out
+
+
+def load_certificate_lines(path: str | None = None) -> list[dict]:
+    return [line for _, line in _numbered_lines(path)]
+
+
+@contextmanager
+def _naming_line(lineno: int):
+    """Re-raise an error from a malformed certificate line as a ValueError
+    that names the line."""
+    try:
+        yield
+    except KeyError as exc:
+        raise ValueError(f"line {lineno}: missing field {exc}") from None
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise ValueError(f"line {lineno}: {exc}") from None
 
 
 def parse_point(text: str, mode: str) -> Vertex:
@@ -428,6 +441,8 @@ def parse_point(text: str, mode: str) -> Vertex:
         word = "" if text == "e" else text
         return cayley_vertex(element_of_word(word))
     parab, _, word = text.partition(":")
+    if parab not in PARABOLICS:
+        raise ValueError(f"bad point {text!r}; write P:word with P one of D8, D10, D4")
     word = "" if word == "e" else word
     return make_vertex(PARABOLICS[parab], element_of_word(word))
 
@@ -448,22 +463,23 @@ def _scan_minimal_seed(lines) -> list[str]:
     mechanical version of the ambient-clique hypothesis, printed for audit."""
     derived: set[EdgeTypeKey] = set()
     needed: list[EdgeTypeKey] = []
-    for line in lines:
-        if line.get("rule", "implication") == "orbit-clique":
-            points = _orbit_points(line)
-            for i, u in enumerate(points):
-                for v in points[i + 1:]:
-                    derived.add(pair_key(u, v))
-            continue
-        if line.get("rule", "implication") != "implication":
-            continue
-        pts = [parse_point(w, line.get("mode", "cayley")) for w in line["cycle"]]
-        npts = len(pts)
-        for i in range(npts):
-            k = pair_key(pts[i], pts[(i + 1) % npts])
-            if not k.is_degenerate and k not in derived and k not in needed:
-                needed.append(k)
-        derived.add(parse_key(line["target"]))
+    for lineno, line in lines:
+        with _naming_line(lineno):
+            if line.get("rule", "implication") == "orbit-clique":
+                points = _orbit_points(line)
+                for i, u in enumerate(points):
+                    for v in points[i + 1:]:
+                        derived.add(pair_key(u, v))
+                continue
+            if line.get("rule", "implication") != "implication":
+                continue
+            pts = [parse_point(w, line.get("mode", "cayley")) for w in line["cycle"]]
+            npts = len(pts)
+            for i in range(npts):
+                k = pair_key(pts[i], pts[(i + 1) % npts])
+                if not k.is_degenerate and k not in derived and k not in needed:
+                    needed.append(k)
+            derived.add(parse_key(line["target"]))
     return [k.serialize() for k in needed]
 
 
@@ -476,7 +492,7 @@ def verify_connecting_list(path: str | None = None) -> dict:
     clique-closure step runs the orbit closure and requires the whole orbit
     to become pairwise contained.
     """
-    lines = load_certificate_lines(path)
+    lines = _numbered_lines(path)
     seed_keys = []
     for w in CONNECTING_SEED_WORDS:
         k = _cayley_key(w)
@@ -486,68 +502,70 @@ def verify_connecting_list(path: str | None = None) -> dict:
     steps = []
     status = "verified"
     last_derived = None
-    for idx, line in enumerate(lines):
-        rule = line.get("rule", "implication")
-        mode = line.get("mode", "cayley")
-        if rule == "implication":
-            pts = tuple(parse_point(w, mode) for w in line["cycle"])
-            expected = parse_key(line["target"])
-            listed = {parse_key(s) for s in line["sources"]}
-            record = {"index": idx, "rule": rule, "cycle": line["cycle"],
-                      "target": line["target"], "expected": expected.serialize()}
-            try:
-                cyc = CycleWitness(pts, expected)
-                state, derived = apply_elementary(state, cyc, note=f"list step {idx}")
-            except (SideNotKnown, DiagonalsNotUniform) as exc:
-                record["status"] = "failed"
-                record["error"] = str(exc)
+    for idx, (lineno, line) in enumerate(lines):
+        with _naming_line(lineno):
+            rule = line.get("rule", "implication")
+            mode = line.get("mode", "cayley")
+            if rule == "implication":
+                pts = tuple(parse_point(w, mode) for w in line["cycle"])
+                expected = parse_key(line["target"])
+                listed = {parse_key(s) for s in line["sources"]}
+                record = {"index": idx, "rule": rule, "cycle": line["cycle"],
+                          "target": line["target"], "expected": expected.serialize()}
+                try:
+                    cyc = CycleWitness(pts, expected)
+                    state, derived = apply_elementary(state, cyc, note=f"list step {idx}")
+                except (SideNotKnown, DiagonalsNotUniform) as exc:
+                    record["status"] = "failed"
+                    record["error"] = str(exc)
+                    steps.append(record)
+                    status = "failed"
+                    break
+                record["derived"] = derived.serialize()
+                if derived != expected:
+                    record["status"] = "failed"
+                    record["error"] = "derived type differs from the listed target"
+                    steps.append(record)
+                    status = "failed"
+                    break
+                stray = sorted({pair_key(pts[i], pts[(i + 1) % len(pts)]).serialize()
+                                for i in range(len(pts))
+                                if not pair_key(pts[i], pts[(i + 1) % len(pts)]).is_degenerate
+                                and pair_key(pts[i], pts[(i + 1) % len(pts)]) not in listed})
+                if stray:
+                    record["sides_not_in_listed_sources"] = stray
+                record["status"] = "verified"
+                last_derived = derived
                 steps.append(record)
-                status = "failed"
-                break
-            record["derived"] = derived.serialize()
-            if derived != expected:
-                record["status"] = "failed"
-                record["error"] = "derived type differs from the listed target"
+            elif rule == "orbit-clique":
+                points = _orbit_points(line)
+                record = {"index": idx, "rule": rule, "orbit": [p.label() for p in points]}
+                state = close_orbit(state, points, note=f"orbit clique step {idx}")
+                missing = sorted({pair_key(u, v).serialize()
+                                  for i, u in enumerate(points) for v in points[i + 1:]
+                                  if not state.has(pair_key(u, v))})
+                expect_missing = [t for t in line.get("expect", ())
+                                  if not state.has(parse_key(t))]
+                if missing or expect_missing:
+                    record["status"] = "failed"
+                    record["error"] = ("orbit not closed to a clique; "
+                                       f"missing {missing or expect_missing}")
+                    steps.append(record)
+                    status = "failed"
+                    break
+                record["status"] = "verified"
+                record["derived"] = sorted({e.derived for e in state.log
+                                            if e.note == f"orbit clique step {idx}"})
                 steps.append(record)
-                status = "failed"
-                break
-            stray = sorted({pair_key(pts[i], pts[(i + 1) % len(pts)]).serialize()
-                            for i in range(len(pts))
-                            if not pair_key(pts[i], pts[(i + 1) % len(pts)]).is_degenerate
-                            and pair_key(pts[i], pts[(i + 1) % len(pts)]) not in listed})
-            if stray:
-                record["sides_not_in_listed_sources"] = stray
-            record["status"] = "verified"
-            last_derived = derived
-            steps.append(record)
-        elif rule == "orbit-clique":
-            points = _orbit_points(line)
-            record = {"index": idx, "rule": rule, "orbit": [p.label() for p in points]}
-            state = close_orbit(state, points, note=f"orbit clique step {idx}")
-            missing = sorted({pair_key(u, v).serialize()
-                              for i, u in enumerate(points) for v in points[i + 1:]
-                              if not state.has(pair_key(u, v))})
-            expect_missing = [t for t in line.get("expect", ())
-                              if not state.has(parse_key(t))]
-            if missing or expect_missing:
-                record["status"] = "failed"
-                record["error"] = f"orbit not closed to a clique; missing {missing or expect_missing}"
-                steps.append(record)
-                status = "failed"
-                break
-            record["status"] = "verified"
-            record["derived"] = sorted({e.derived for e in state.log
-                                        if e.note == f"orbit clique step {idx}"})
-            steps.append(record)
-        elif rule == "assume":
-            # external files may declare their own hypothesis types
-            added = tuple(k for k in (parse_key(t) for t in line["keys"])
-                          if not state.has(k))
-            state = ImplicationState(state.known + added, state.log)
-            steps.append({"index": idx, "rule": rule, "status": "verified",
-                          "keys": [k.serialize() for k in added]})
-        else:
-            raise ValueError(f"unknown certificate rule {rule!r}")
+            elif rule == "assume":
+                # external files may declare their own hypothesis types
+                added = tuple(k for k in (parse_key(t) for t in line["keys"])
+                              if not state.has(k))
+                state = ImplicationState(state.known + added, state.log)
+                steps.append({"index": idx, "rule": rule, "status": "verified",
+                              "keys": [k.serialize() for k in added]})
+            else:
+                raise ValueError(f"unknown certificate rule {rule!r}")
     final_missing = []
     if status == "verified":
         final_missing = [w for w in CONNECTING_FINAL_WORDS if not state.has(_cayley_key(w))]
@@ -605,7 +623,7 @@ def auto_search_d10(max_depth: int = 3, radius: int = 5,
     """
     center = fix_vertex(D10)
     slab = build_ball(center, radius, "d10-orbit", max_vertices=max_vertices)
-    space = _SearchSpace(slab, None, radius)
+    space = _SearchSpace(slab)
     seed = type_key_complex(center, make_vertex(D10, element_of_word("r")))
     state = ImplicationState.initial([seed])
     cap = candidate_distance if candidate_distance is not None else max(2, radius - 2)

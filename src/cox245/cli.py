@@ -9,16 +9,18 @@ Subcommands mirror the certificate suites:
            [--locally-6-large] [--min-angle K] [--no-chords]
     cox245 search d10 [--depth D] [--radius R]
 
+Each subcommand runs one suite function of :mod:`cox245.certificates` or
+:mod:`cox245.discs`; this module only parses arguments and prints reports.
 Output is a human summary, or with --json one JSON report per line on
 stdout (summary moves to stderr).  Exit code 0 means every selected suite
 reported "verified"; inconclusive results exit nonzero by design, so the
-exploratory d10 search never returns 0.
+exploratory d10 search never returns 0.  Bad arguments and malformed
+certificate files exit 2; a certificate error names its file line.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 from .certificates import (
@@ -27,58 +29,10 @@ from .certificates import (
     verify_dihedral_suite,
     verify_pentagon_suite,
 )
-from .discs import canonical_form, curvature_profile, enumerate_discs, p8_disc, p10_disc, wheel_disc
+from .discs import discs_suite
 from .reports import Report, timed_suite
 
-__all__ = ["main", "run_args", "discs_suite"]
-
-
-def _default_threads() -> int:
-    try:
-        return max(1, int(os.environ.get("COX245_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
-def discs_suite(boundary: int, max_triangles: int, locally_6_large: bool,
-                min_angle: int, no_chords: bool) -> dict:
-    """Enumerate and audit; flags any disc outside the classified families
-    when the configuration matches one of the classified settings."""
-    discs = enumerate_discs(boundary, max_triangles,
-                            locally_6_large=locally_6_large,
-                            min_boundary_angle=min_angle,
-                            forbid_boundary_chords=no_chords)
-    steps = []
-    for d in discs:
-        profile = curvature_profile(d)  # asserts the Gauss-Bonnet identity
-        steps.append({
-            "triangles": len(d.triangles),
-            "counts": list(d.counts()),
-            "interior_curvature_total": sum(profile.interior.values()),
-            "boundary_curvature_total": sum(profile.boundary.values()),
-            "text": d.to_text(),
-        })
-    status = "verified"
-    red_flags = []
-    expected = None
-    if locally_6_large and no_chords and boundary == 6:
-        expected = [wheel_disc(6)]
-    elif locally_6_large and no_chords and boundary == 8 and min_angle >= 2:
-        expected = [p8_disc(), p10_disc()]
-    if expected is not None:
-        allowed = {canonical_form(d) for d in expected}
-        for d in discs:
-            if canonical_form(d) not in allowed:
-                red_flags.append(d.to_text())
-        if red_flags:
-            status = "failed"
-    return {
-        "suite": "discs",
-        "status": status,
-        "steps": steps,
-        "count": len(discs),
-        "red_flags": red_flags,
-    }
+__all__ = ["main", "run_args"]
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -87,17 +41,13 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", default=argparse.SUPPRESS,
                         help="emit one JSON report per line on stdout")
-    common.add_argument("--threads", type=int, default=argparse.SUPPRESS,
-                        help="worker threads for independent searches "
-                             "(default: COX245_THREADS or 1)")
     parser = argparse.ArgumentParser(
         prog="cox245",
         description="verify the finite combinatorial certificates of the "
                     "(2,4,5) triangle Coxeter group")
-    parser.set_defaults(json=False, threads=_default_threads())
+    parser.set_defaults(json=False)
     parser.add_argument("--json", action="store_true", default=argparse.SUPPRESS,
                         help="emit one JSON report per line on stdout")
-    parser.add_argument("--threads", type=int, default=argparse.SUPPRESS)
     top = parser.add_subparsers(dest="command", required=True)
 
     verify = top.add_parser("verify", help="run a certificate suite")
@@ -145,10 +95,10 @@ def run_args(args: argparse.Namespace) -> list[Report]:
         config = {"suite": "dihedral", "order": args.order}
         return [timed_suite(config, verify_dihedral_suite, args.order)]
     if args.command == "verify" and args.suite == "pentagon":
+        # "threads" is kept: perfbench/golden.json pins the --json schema
         config = {"suite": "pentagon", "max_n": args.max_n,
-                  "radius": args.radius, "threads": args.threads}
-        return [timed_suite(config, verify_pentagon_suite,
-                            args.max_n, args.radius, args.threads)]
+                  "radius": args.radius, "threads": 1}
+        return [timed_suite(config, verify_pentagon_suite, args.max_n, args.radius)]
     if args.command == "discs":
         config = {"suite": "discs", "boundary": args.boundary,
                   "max_triangles": args.max_triangles,

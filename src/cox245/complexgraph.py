@@ -64,7 +64,10 @@ __all__ = [
     "VertexNotInSlab",
 ]
 
-MODES = ("full-Y", "pentagon-subcomplex", "cayley", "d10-orbit")
+# the vertex types of each universe, in the order the witness precheck
+# anchors them (None: a bare group element)
+MODES = {"full-Y": (D8, D10, D4), "pentagon-subcomplex": (D8,),
+         "cayley": (None,), "d10-orbit": (D10,)}
 
 
 class ResourceLimitExceeded(RuntimeError):
@@ -274,11 +277,11 @@ class GraphSlab:
                 if j not in dist:
                     dist[j] = dist[i] + 1
                     queue.append(j)
-        du, dv = self.depth[iu], self.depth[iv]
-        escape = (self.radius + 1 - du) + (self.radius + 1 - dv)
+        # a path that leaves the ball runs out to depth radius + 1 and back,
+        # so it is at least ``escape`` long
+        escape = (self.radius + 1 - self.depth[iu]) + (self.radius + 1 - self.depth[iv])
         if found >= 0:
-            exact = min(du, dv) + found <= self.radius + 1
-            return Distance(found, exact, found if exact else min(found, escape))
+            return Distance(found, found <= escape, min(found, escape))
         return Distance(escape, False, escape)
 
     def dump(self) -> str:
@@ -293,27 +296,15 @@ class GraphSlab:
         return "\n".join(lines) + "\n"
 
 
-def _check_center(center: Vertex, mode: str):
-    if mode == "cayley":
-        ok = center.parabolic is None
-    elif mode == "pentagon-subcomplex":
-        ok = center.parabolic == D8
-    elif mode == "d10-orbit":
-        ok = center.parabolic == D10
-    elif mode == "full-Y":
-        ok = center.parabolic is not None
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-    if not ok:
-        raise ValueError(f"center {center.label()} does not fit mode {mode!r}")
-
-
 def build_ball(center: Vertex, radius: int, mode: str,
                max_vertices: int = 500_000) -> GraphSlab:
     """BFS-complete ball of the given radius around ``center``."""
     if radius < 0:
         raise ValueError("radius must be nonnegative")
-    _check_center(center, mode)
+    if mode not in MODES:
+        raise ValueError(f"unknown mode {mode!r}")
+    if center.parabolic not in MODES[mode]:
+        raise ValueError(f"center {center.label()} does not fit mode {mode!r}")
     vertices = [center]
     depth = [0]
     index = {center: 0}

@@ -30,6 +30,7 @@ __all__ = [
     "CapExceeded",
     "curvature_profile",
     "enumerate_discs",
+    "discs_suite",
     "canonical_form",
     "is_isomorphic",
     "wheel_disc",
@@ -393,3 +394,44 @@ def enumerate_discs(boundary_len: int, max_triangles: int,
 
     step(start)
     return sorted(results.values(), key=lambda d: (len(d.triangles), canonical_form(d)))
+
+
+def discs_suite(boundary: int, max_triangles: int, locally_6_large: bool,
+                min_angle: int, no_chords: bool) -> dict:
+    """Enumerate and audit; flags any disc outside the classified families
+    when the configuration matches one of the classified settings."""
+    discs = enumerate_discs(boundary, max_triangles,
+                            locally_6_large=locally_6_large,
+                            min_boundary_angle=min_angle,
+                            forbid_boundary_chords=no_chords)
+    steps = []
+    for d in discs:
+        profile = curvature_profile(d)  # asserts the Gauss-Bonnet identity
+        steps.append({
+            "triangles": len(d.triangles),
+            "counts": list(d.counts()),
+            "interior_curvature_total": sum(profile.interior.values()),
+            "boundary_curvature_total": sum(profile.boundary.values()),
+            "text": d.to_text(),
+        })
+    status = "verified"
+    red_flags = []
+    expected = None
+    if locally_6_large and no_chords and boundary == 6:
+        expected = [wheel_disc(6)]
+    elif locally_6_large and no_chords and boundary == 8 and min_angle >= 2:
+        expected = [p8_disc(), p10_disc()]
+    if expected is not None:
+        allowed = {canonical_form(d) for d in expected}
+        for d in discs:
+            if canonical_form(d) not in allowed:
+                red_flags.append(d.to_text())
+        if red_flags:
+            status = "failed"
+    return {
+        "suite": "discs",
+        "status": status,
+        "steps": steps,
+        "count": len(discs),
+        "red_flags": red_flags,
+    }

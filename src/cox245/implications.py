@@ -29,12 +29,11 @@ two partner oracles, so the same search serves three settings:
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 
-from .complexgraph import GraphSlab, Vertex, fix_vertex
-from .coxeter import D4, D8, D10, identity
+from .complexgraph import MODES, GraphSlab, Vertex
+from .coxeter import identity
 from .edgetypes import EdgeTypeKey, key_partners, pair_key
 
 __all__ = [
@@ -222,42 +221,18 @@ def _extend(path, tsets, close, tails, known, target):
 class _SearchSpace:
     """Partner-set machinery over one slab, memoised across queries."""
 
-    def __init__(self, slab: GraphSlab, anchor: Vertex | None, radius: int | None):
+    def __init__(self, slab: GraphSlab):
         self.slab = slab
-        anchor = anchor if anchor is not None else slab.center
-        radius = radius if radius is not None else slab.radius
-        if anchor == slab.center:
-            dist = slab.depth
-        else:
-            dist = self._bfs_from(slab.index_of(anchor))
-        self.eligible = tuple(i for i in range(len(slab.vertices))
-                              if dist[i] is not None and dist[i] <= radius)
-        self.eligible_set = frozenset(self.eligible)
         self._partners: dict[tuple[int, EdgeTypeKey], tuple[int, ...]] = {}
         self._known: dict[tuple[int, frozenset], tuple[int, ...]] = {}
-
-    def _bfs_from(self, start: int):
-        dist: list[int | None] = [None] * len(self.slab.vertices)
-        dist[start] = 0
-        queue = deque([start])
-        while queue:
-            i = queue.popleft()
-            for j in self.slab.adj[i]:
-                if dist[j] is None:
-                    dist[j] = dist[i] + 1
-                    queue.append(j)
-        return dist
 
     def partners(self, i: int, key: EdgeTypeKey) -> tuple[int, ...]:
         memo_key = (i, key)
         got = self._partners.get(memo_key)
         if got is None:
             idx = self.slab.index
-            hits = set()
-            for cand in key_partners(self.slab.vertices[i], key):
-                j = idx.get(cand)
-                if j is not None and j in self.eligible_set:
-                    hits.add(j)
+            hits = {idx.get(cand) for cand in key_partners(self.slab.vertices[i], key)}
+            hits.discard(None)
             got = tuple(sorted(hits))
             self._partners[memo_key] = got
         return got
@@ -273,16 +248,6 @@ class _SearchSpace:
             got = tuple(sorted(hits))
             self._known[memo_key] = got
         return got
-
-
-def _abstract_anchors(mode: str) -> tuple[Vertex, ...]:
-    if mode == "cayley":
-        return (Vertex(None, identity()),)
-    if mode == "pentagon-subcomplex":
-        return (fix_vertex(D8),)
-    if mode == "d10-orbit":
-        return (fix_vertex(D10),)
-    return (fix_vertex(D8), fix_vertex(D10), fix_vertex(D4))
 
 
 def _abstract_cycle_exists(keys, target: EdgeTypeKey, mode: str, length: int) -> bool:
@@ -313,29 +278,30 @@ def _abstract_cycle_exists(keys, target: EdgeTypeKey, mode: str, length: int) ->
             got = sides[v] = list(dict.fromkeys(got))
         return got
 
-    cycles = _cycles(_abstract_anchors(mode), length, known,
+    anchors = [Vertex(p, identity()) for p in MODES[mode]]
+    cycles = _cycles(anchors, length, known,
                      lambda v: key_partners_of(v, target))
     return next(cycles, None) is not None
 
 
 def find_witness(state: ImplicationState, target: EdgeTypeKey, slab: GraphSlab,
-                 anchor: Vertex | None = None, radius: int | None = None,
                  space: _SearchSpace | None = None) -> CycleWitness | None:
     """First cycle (4-cycles first, then 5-cycles, lexicographic in slab
     indices) with sides in ``state.known`` and all diagonals in ``target``.
 
-    Returns None when no witness lies within ``radius`` of ``anchor``; that
-    is an "inconclusive", never a refutation.  Deterministic by search
-    order.  Pass a shared ``space`` to reuse partner sets across calls.
+    Returns None when no witness lies in the slab; that is an
+    "inconclusive", never a refutation.  Deterministic by search order.
+    Pass a shared ``space`` of the same slab to reuse partner sets across
+    calls.
     """
     if space is None:
-        space = _SearchSpace(slab, anchor, radius)
+        space = _SearchSpace(slab)
     keys = state.known_set
     newest_first = state.known[::-1]
     for length in (4, 5):
         if not _abstract_cycle_exists(newest_first, target, slab.mode, length):
             continue
-        cycle = next(_cycles(space.eligible, length,
+        cycle = next(_cycles(range(len(slab)), length,
                              lambda i: space.known_partners(i, keys),
                              lambda i: space.partners(i, target)), None)
         if cycle is not None:

@@ -105,24 +105,24 @@ SLAB8 = build_ball(fix_vertex(D8), 8, "pentagon-subcomplex")
 
 def test_verify_family_small():
     for family in FAMILIES:
-        step = verify_family(family, 1, 8, SLAB8)
+        step = verify_family(family, 1, SLAB8)
         assert step["status"] == "verified", step
         assert step["witness"]
 
 
 def test_verify_family_requires_positive_index():
     with pytest.raises(ValueError):
-        verify_family("Pent", 0, 8, SLAB8)
+        verify_family("Pent", 0, SLAB8)
 
 
 def test_verify_family_inconclusive_in_tiny_radius():
     tiny = build_ball(fix_vertex(D8), 2, "pentagon-subcomplex")
-    step = verify_family("Sq", 2, 2, tiny)
+    step = verify_family("Sq", 2, tiny)
     assert step["status"] == "inconclusive"
 
 
 def test_chain_stage_one():
-    rep = verify_d8_chain(1, 8, SLAB8)
+    rep = verify_d8_chain(1, SLAB8)
     assert rep["status"] == "verified"
     # base case derives the quarter-turn and straight types (b_0 = c_0, d_0)
     derived = {s["derived"] for s in rep["steps"]}
@@ -132,7 +132,7 @@ def test_chain_stage_one():
 
 
 def test_chain_distances_increase():
-    rep = verify_d8_chain(2, 8, SLAB8)
+    rep = verify_d8_chain(2, SLAB8)
     assert rep["status"] == "verified"
     assert rep["distances_strictly_increasing"] == {
         "pentagon-subcomplex": True, "full-Y": True}
@@ -142,7 +142,7 @@ def test_chain_distances_increase():
 
 def test_chain_inconclusive_when_radius_too_small():
     tiny = build_ball(fix_vertex(D8), 1, "pentagon-subcomplex")
-    rep = verify_d8_chain(1, 1, tiny)
+    rep = verify_d8_chain(1, tiny)
     assert rep["status"] == "inconclusive"  # never a false verdict
 
 
@@ -276,11 +276,14 @@ def test_pentagon_suite_small():
     assert len(rep["steps"]) == len(FAMILIES)
 
 
-def test_pentagon_suite_threaded_matches_sequential():
-    seq = verify_pentagon_suite(1, 6)
-    par = verify_pentagon_suite(1, 6, threads=2)
-    assert par["status"] == "verified"
-    assert [s["witness"] for s in par["steps"]] == [s["witness"] for s in seq["steps"]]
+def test_pentagon_suite_shared_memo_matches_fresh_spaces():
+    # the suite runs every family and the chain through one partner memo;
+    # each search on its own must find the same witnesses
+    rep = verify_pentagon_suite(2, 6)
+    slab = build_ball(fix_vertex(D8), 6, "pentagon-subcomplex")
+    fresh = [verify_family(family, n, slab) for family in FAMILIES for n in (1, 2)]
+    assert fresh == rep["steps"]
+    assert verify_d8_chain(2, slab)["steps"] == rep["chain"]["steps"]
 
 
 def test_pentagon_suite_distance_audit_verdicts(monkeypatch):

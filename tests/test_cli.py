@@ -75,17 +75,6 @@ def test_config_error_exit_code(capsys):
     assert "error" in capsys.readouterr().err
 
 
-def test_threads_env_var(monkeypatch):
-    from cox245.cli import _default_threads
-
-    monkeypatch.setenv("COX245_THREADS", "3")
-    assert _default_threads() == 3
-    monkeypatch.setenv("COX245_THREADS", "bogus")
-    assert _default_threads() == 1
-    monkeypatch.delenv("COX245_THREADS")
-    assert _default_threads() == 1
-
-
 def test_report_rejects_bad_status():
     with pytest.raises(ValueError):
         Report(suite="x", status="maybe", steps=(), elapsed_ms=0,
@@ -115,3 +104,22 @@ def test_orbit_clique_with_unknown_generators_is_a_clean_error(tmp_path, capsys)
     assert main(["verify", "cayley-certs", "--certs", str(path)]) == 2
     err = capsys.readouterr().err
     assert "['r', 'x']" in err
+
+
+_GOOD_LINE = {"mode": "cayley", "sources": ["CAY:tr", "CAY:tst", "CAY:rsr"],
+              "cycle": ["", "tr", "tsr", "tst"], "target": "CAY:tsr"}
+
+
+@pytest.mark.parametrize("lines, message", [
+    ([json.dumps({k: v for k, v in _GOOD_LINE.items() if k != "target"})],
+     "line 1: missing field 'target'"),
+    ([json.dumps(_GOOD_LINE), "{not json"], "line 2: bad JSON"),
+    ([json.dumps(_GOOD_LINE), "", json.dumps({**_GOOD_LINE, "cycle": ["", "tq", "tsr", "tst"]})],
+     "line 3: bad generator 'q'"),
+    (["", "[1, 2]"], "line 2: expected a JSON object, got list"),
+])
+def test_malformed_certificate_line_is_named(tmp_path, capsys, lines, message):
+    path = tmp_path / "certs.jsonl"
+    path.write_text("\n".join(lines) + "\n")
+    assert main(["verify", "cayley-certs", "--certs", str(path)]) == 2
+    assert message in capsys.readouterr().err

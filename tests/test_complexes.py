@@ -98,6 +98,7 @@ def test_distance_metric_axioms_spot_check():
 def test_frontier_distances_not_overclaimed():
     small = build_ball(C8, 2, "pentagon-subcomplex")
     big = build_ball(C8, 6, "pentagon-subcomplex")
+    exact = 0
     for i in range(len(small)):
         for j in range(i + 1, len(small)):
             u, v = small.vertices[i], small.vertices[j]
@@ -105,9 +106,13 @@ def test_frontier_distances_not_overclaimed():
             truth = big.distance(u, v)
             assert truth.exact
             if d_small.exact:
+                exact += 1
                 assert d_small.value == truth.value
             else:
                 assert d_small.lower_bound <= truth.value
+    # a path that leaves the ball is at least the escape length, so every
+    # in-slab distance up to it is exact
+    assert (exact, len(small) * (len(small) - 1) // 2) == (86, 136)
 
 
 def test_graph_distance_matches_slab():

@@ -243,19 +243,6 @@ def test_find_witness_matches_naive_lexicographic_scan():
             assert tuple(slab.index_of(p) for p in got.points) == expect
 
 
-def test_find_witness_respects_anchor_and_radius():
-    slab = build_ball(fix_vertex(D8), 4, "pentagon-subcomplex")
-    anchor = slab.vertices[3]  # off-center anchor
-    state = ImplicationState.initial([string_key(StringSpec(()))])
-    target = string_key(StringSpec.parse("R"))
-    # a pentagon face spans vertices two steps apart, so radius 1 around
-    # any anchor cannot host one, radius 3 comfortably can
-    assert find_witness(state, target, slab, anchor=anchor, radius=1) is None
-    got = find_witness(state, target, slab, anchor=anchor, radius=3)
-    assert got is not None
-    assert check_elementary(state, got) == target
-
-
 def _signature_closure(m, known):
     """Reference closure: collect every (sides, diagonal) label signature of
     4- and 5-tuples through point 0 of the dihedral table, then apply them
@@ -313,14 +300,14 @@ def test_abstract_precheck_never_rules_out_a_slab_cycle():
     d10_cases = [([seed], key) for key in far[:6]]
     ruled_out = 0
     for slab, cases in ((pent, pent_cases), (d10, d10_cases)):
-        space = _SearchSpace(slab, None, None)
+        space = _SearchSpace(slab)
         for known, target in cases:
             keys = frozenset(known)
             for length in (4, 5):
                 if _abstract_cycle_exists(known[::-1], target, slab.mode, length):
                     continue
                 ruled_out += 1
-                found = _cycles(space.eligible, length,
+                found = _cycles(range(len(slab)), length,
                                 lambda i: space.known_partners(i, keys),
                                 lambda i: space.partners(i, target))
                 assert next(found, None) is None, (slab.mode, target, length)
