@@ -38,13 +38,14 @@ from .complexgraph import (
 from .coxeter import D8, D10, PARABOLICS, element_of_word, identity, parabolic_elements
 from .edgetypes import EdgeTypeKey, pair_key, type_key_cayley, type_key_complex
 from .implications import (
+    DIHEDRAL_CHORD_LABELS,
     CycleWitness,
     DiagonalsNotUniform,
     ImplicationState,
     SideNotKnown,
-    _SearchSpace,
     apply_elementary,
     close_orbit,
+    dihedral_closure,
     find_witness,
 )
 
@@ -195,8 +196,7 @@ def family_implication(family: str, n: int):
     raise ValueError(f"unknown family {family!r}")
 
 
-def verify_family(family: str, n: int, slab: GraphSlab,
-                  space: _SearchSpace | None = None) -> dict:
+def verify_family(family: str, n: int, slab: GraphSlab) -> dict:
     """Locate a cycle realizing the family's implication at index n >= 1.
 
     The witness must use sides from the stated source strings only; failure
@@ -209,8 +209,7 @@ def verify_family(family: str, n: int, slab: GraphSlab,
     sources, target = family_implication(family, n)
     source_keys = [string_key(s) for s in sources]
     target_key = string_key(target)
-    witness = find_witness(ImplicationState.initial(source_keys), target_key, slab,
-                           space=space)
+    witness = find_witness(ImplicationState.initial(source_keys), target_key, slab)
     step = {
         "family": family,
         "n": n,
@@ -244,8 +243,7 @@ def _chain_schedule(max_n: int):
     return out
 
 
-def verify_d8_chain(max_n: int, slab: GraphSlab,
-                    space: _SearchSpace | None = None) -> dict:
+def verify_d8_chain(max_n: int, slab: GraphSlab) -> dict:
     """Replay the chain from the bare pentagon edge type up to stage max_n.
 
     After stage n the keys of a..f at display index n-1 must all be known;
@@ -254,8 +252,6 @@ def verify_d8_chain(max_n: int, slab: GraphSlab,
     """
     if max_n < 1:
         raise ValueError("max_n must be at least 1")
-    if space is None:
-        space = _SearchSpace(slab)
     state = ImplicationState.initial([string_key(StringSpec(()))])
     steps = []
     status = "verified"
@@ -270,8 +266,7 @@ def verify_d8_chain(max_n: int, slab: GraphSlab,
                           "status": "failed",
                           "note": f"bookkeeping violated; sources not yet derived: {missing}"})
             break
-        witness = find_witness(ImplicationState.initial(source_keys), target_key, slab,
-                               space=space)
+        witness = find_witness(ImplicationState.initial(source_keys), target_key, slab)
         if witness is None:
             status = "inconclusive"
             steps.append({"stage": stage, "family": family, "k": k,
@@ -330,10 +325,9 @@ def verify_pentagon_suite(max_n: int = 3, radius: int = 10) -> dict:
     """Families at 1..max_n plus the chain plus the distance audit, all
     searched in one ball with one shared partner memo."""
     slab = build_ball(fix_vertex(D8), radius, "pentagon-subcomplex")
-    space = _SearchSpace(slab)
-    family_steps = [verify_family(family, n, slab, space)
+    family_steps = [verify_family(family, n, slab)
                     for family in FAMILIES for n in range(1, max_n + 1)]
-    chain = verify_d8_chain(max_n, slab, space)
+    chain = verify_d8_chain(max_n, slab)
     ok = all(s["status"] == "verified" for s in family_steps) \
         and chain["status"] == "verified" \
         and all(chain["distances_strictly_increasing"].values())
@@ -589,8 +583,6 @@ def verify_connecting_list(path: str | None = None) -> dict:
 
 def verify_dihedral_suite(order: int) -> dict:
     """Closure from every single chord seed must reach all chord classes."""
-    from .implications import DIHEDRAL_CHORD_LABELS, dihedral_closure
-
     m = {4: 4, 5: 5, 8: 4, 10: 5}.get(order)
     if m is None:
         raise ValueError("order must be 4 or 5 (rotation order), or 8/10 (group order)")
@@ -612,21 +604,19 @@ def verify_dihedral_suite(order: int) -> dict:
 
 # --- exploratory search from the dual-tiling seed ---------------------------
 
-def auto_search_d10(max_depth: int = 3, radius: int = 5,
-                    candidate_distance: int | None = None,
-                    max_vertices: int = 500_000) -> dict:
+def auto_search_d10(max_depth: int = 3, radius: int = 5) -> dict:
     """Breadth-first implication closure from the edge (FixD10, r FixD10).
 
     Exploratory only: the report carries whatever was derived within the
-    caps and the largest endpoint distance reached.  No completeness claim
-    is made and the status is always "inconclusive".
+    caps (``max_depth`` derived types, candidate endpoints at depth at most
+    max(2, radius - 2)) and the largest endpoint distance reached.  No
+    completeness claim is made and the status is always "inconclusive".
     """
     center = fix_vertex(D10)
-    slab = build_ball(center, radius, "d10-orbit", max_vertices=max_vertices)
-    space = _SearchSpace(slab)
+    slab = build_ball(center, radius, "d10-orbit")
     seed = type_key_complex(center, make_vertex(D10, element_of_word("r")))
     state = ImplicationState.initial([seed])
-    cap = candidate_distance if candidate_distance is not None else max(2, radius - 2)
+    cap = max(2, radius - 2)
     candidates: list[tuple[int, EdgeTypeKey]] = []
     seen = {seed}
     for i, v in enumerate(slab.vertices):
@@ -644,7 +634,7 @@ def auto_search_d10(max_depth: int = 3, radius: int = 5,
         for depth, key in candidates:
             if state.has(key):
                 continue
-            witness = find_witness(state, key, slab, space=space)
+            witness = find_witness(state, key, slab)
             if witness is None:
                 continue
             state, got = apply_elementary(state, witness, note="d10 search")

@@ -393,7 +393,8 @@ def enumerate_discs(boundary_len: int, max_triangles: int,
             step(nxt)
 
     step(start)
-    return sorted(results.values(), key=lambda d: (len(d.triangles), canonical_form(d)))
+    ordered = sorted(results.items(), key=lambda kv: (len(kv[1].triangles), kv[0]))
+    return [disc for _, disc in ordered]
 
 
 def discs_suite(boundary: int, max_triangles: int, locally_6_large: bool,

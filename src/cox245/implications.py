@@ -25,12 +25,18 @@ two partner oracles, so the same search serves three settings:
 * ``close_orbit`` and ``dihedral_closure`` run it over the pair table of a
   finite orbit until no new type is forced; the latter is how the
   diagonal-implies-clique closures of the 8-gon and 10-gon are checked.
+
+The precheck and the sweep draw their partner sets from one memo per slab
+(a ``_SearchSpace`` in ``_SPACES``, kept while the slab lives), so every
+search on a slab shares every ``key_partners`` result.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 
 from .complexgraph import MODES, GraphSlab, Vertex
 from .coxeter import identity
@@ -219,22 +225,38 @@ def _extend(path, tsets, close, tails, known, target):
 
 
 class _SearchSpace:
-    """Partner-set machinery over one slab, memoised across queries."""
+    """The partner sets of one slab, kept for the slab's lifetime.
+
+    ``vertex_partners`` is the one memo of ``key_partners``, keyed by
+    (vertex, key), with every in-slab partner stored as the slab's own
+    ``Vertex``.  The precheck reads it directly, the slab sweep through
+    ``partners`` and ``known_partners`` as sorted slab indices.  A space
+    keeps the slab's vertices and index but not the slab, so its
+    ``_SPACES`` entry goes with the slab.
+    """
 
     def __init__(self, slab: GraphSlab):
-        self.slab = slab
+        self.anchors = [Vertex(p, identity()) for p in MODES[slab.mode]]
+        self.vertices = slab.vertices
+        self.index = slab.index
+        self._memo: dict[tuple[Vertex, EdgeTypeKey], tuple[Vertex, ...]] = {}
         self._partners: dict[tuple[int, EdgeTypeKey], tuple[int, ...]] = {}
         self._known: dict[tuple[int, frozenset], tuple[int, ...]] = {}
 
-    def partners(self, i: int, key: EdgeTypeKey) -> tuple[int, ...]:
-        memo_key = (i, key)
-        got = self._partners.get(memo_key)
+    def vertex_partners(self, v: Vertex, key: EdgeTypeKey) -> tuple[Vertex, ...]:
+        got = self._memo.get((v, key))
         if got is None:
-            idx = self.slab.index
-            hits = {idx.get(cand) for cand in key_partners(self.slab.vertices[i], key)}
+            idx = self.index
+            got = self._memo[(v, key)] = tuple(
+                self.vertices[idx[u]] if u in idx else u for u in key_partners(v, key))
+        return got
+
+    def partners(self, i: int, key: EdgeTypeKey) -> tuple[int, ...]:
+        got = self._partners.get((i, key))
+        if got is None:
+            hits = {self.index.get(u) for u in self.vertex_partners(self.vertices[i], key)}
             hits.discard(None)
-            got = tuple(sorted(hits))
-            self._partners[memo_key] = got
+            got = self._partners[(i, key)] = tuple(sorted(hits))
         return got
 
     def known_partners(self, i: int, keys: frozenset[EdgeTypeKey]) -> tuple[int, ...]:
@@ -249,57 +271,43 @@ class _SearchSpace:
             self._known[memo_key] = got
         return got
 
+    def known_vertices(self, v: Vertex, keys) -> dict[Vertex, None]:
+        """``v`` (a degenerate side) then its partners for the ordered ``keys``."""
+        parts = [self.vertex_partners(v, k) for k in keys if not k.is_degenerate]
+        return dict.fromkeys(chain((v,), *parts))
 
-def _abstract_cycle_exists(keys, target: EdgeTypeKey, mode: str, length: int) -> bool:
-    """Whether ANY cycle with the wanted side/diagonal types exists.
+    def abstract_cycle_exists(self, keys, target: EdgeTypeKey, length: int) -> bool:
+        """Whether ANY cycle with the wanted side/diagonal types exists.
 
-    Cycle existence is invariant under the left action, so every witness
-    translates to one through a fixed anchor of its own vertex type; the
-    check runs with no radius bound, hence a negative here proves the slab
-    sweep would come up empty and can be skipped.  ``keys`` is an ordered
-    sequence, so the work done does not depend on hash order.
-    """
-    partners: dict[tuple[Vertex, EdgeTypeKey], list[Vertex]] = {}
-    sides: dict[Vertex, list[Vertex]] = {}
-
-    def key_partners_of(v, key):
-        got = partners.get((v, key))
-        if got is None:
-            got = partners[(v, key)] = key_partners(v, key)
-        return got
-
-    def known(v):
-        got = sides.get(v)
-        if got is None:
-            got = [v]  # a repeated vertex is a degenerate side, always allowed
-            for k in keys:
-                if not k.is_degenerate:
-                    got.extend(key_partners_of(v, k))
-            got = sides[v] = list(dict.fromkeys(got))
-        return got
-
-    anchors = [Vertex(p, identity()) for p in MODES[mode]]
-    cycles = _cycles(anchors, length, known,
-                     lambda v: key_partners_of(v, target))
-    return next(cycles, None) is not None
+        Cycle existence is invariant under the left action, so every witness
+        translates to one through a fixed anchor of its own vertex type; the
+        check runs with no radius bound, hence a negative here proves the slab
+        sweep would come up empty and can be skipped.  ``keys`` is an ordered
+        sequence, so the work done does not depend on hash order.
+        """
+        cycles = _cycles(self.anchors, length, lambda v: self.known_vertices(v, keys),
+                         lambda v: self.vertex_partners(v, target))
+        return next(cycles, None) is not None
 
 
-def find_witness(state: ImplicationState, target: EdgeTypeKey, slab: GraphSlab,
-                 space: _SearchSpace | None = None) -> CycleWitness | None:
+_SPACES: weakref.WeakKeyDictionary[GraphSlab, _SearchSpace] = weakref.WeakKeyDictionary()
+
+
+def find_witness(state: ImplicationState, target: EdgeTypeKey,
+                 slab: GraphSlab) -> CycleWitness | None:
     """First cycle (4-cycles first, then 5-cycles, lexicographic in slab
     indices) with sides in ``state.known`` and all diagonals in ``target``.
 
     Returns None when no witness lies in the slab; that is an
     "inconclusive", never a refutation.  Deterministic by search order.
-    Pass a shared ``space`` of the same slab to reuse partner sets across
-    calls.
+    The precheck and the sweep read the slab's one partner memo, which
+    lives as long as the slab, so every search on a slab shares it.
     """
-    if space is None:
-        space = _SearchSpace(slab)
+    space = _SPACES.get(slab) or _SPACES.setdefault(slab, _SearchSpace(slab))
     keys = state.known_set
     newest_first = state.known[::-1]
     for length in (4, 5):
-        if not _abstract_cycle_exists(newest_first, target, slab.mode, length):
+        if not space.abstract_cycle_exists(newest_first, target, length):
             continue
         cycle = next(_cycles(range(len(slab)), length,
                              lambda i: space.known_partners(i, keys),

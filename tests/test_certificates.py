@@ -277,13 +277,17 @@ def test_pentagon_suite_small():
 
 
 def test_pentagon_suite_shared_memo_matches_fresh_spaces():
-    # the suite runs every family and the chain through one partner memo;
-    # each search on its own must find the same witnesses
+    # the suite runs every family and the chain through its slab's one
+    # partner memo; each search on a fresh, identical slab (so with a fresh
+    # memo) must find the same witnesses
     rep = verify_pentagon_suite(2, 6)
-    slab = build_ball(fix_vertex(D8), 6, "pentagon-subcomplex")
-    fresh = [verify_family(family, n, slab) for family in FAMILIES for n in (1, 2)]
+
+    def fresh_slab():
+        return build_ball(fix_vertex(D8), 6, "pentagon-subcomplex")
+
+    fresh = [verify_family(family, n, fresh_slab()) for family in FAMILIES for n in (1, 2)]
     assert fresh == rep["steps"]
-    assert verify_d8_chain(2, slab)["steps"] == rep["chain"]["steps"]
+    assert verify_d8_chain(2, fresh_slab())["steps"] == rep["chain"]["steps"]
 
 
 def test_pentagon_suite_distance_audit_verdicts(monkeypatch):

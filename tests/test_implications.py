@@ -1,10 +1,12 @@
 """The implication calculus: elementary steps, chains, witness search,
 dihedral clique closures."""
 
+import gc
 import itertools
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
@@ -21,8 +23,8 @@ from cox245.implications import (
     DiagonalsNotUniform,
     ImplicationState,
     SideNotKnown,
+    _SPACES,
     _SearchSpace,
-    _abstract_cycle_exists,
     _closure,
     _cycles,
     _dihedral_tables,
@@ -304,7 +306,7 @@ def test_abstract_precheck_never_rules_out_a_slab_cycle():
         for known, target in cases:
             keys = frozenset(known)
             for length in (4, 5):
-                if _abstract_cycle_exists(known[::-1], target, slab.mode, length):
+                if space.abstract_cycle_exists(known[::-1], target, length):
                     continue
                 ruled_out += 1
                 found = _cycles(range(len(slab)), length,
@@ -312,6 +314,46 @@ def test_abstract_precheck_never_rules_out_a_slab_cycle():
                                 lambda i: space.partners(i, target))
                 assert next(found, None) is None, (slab.mode, target, length)
     assert ruled_out >= 4
+
+
+def test_second_search_on_a_slab_makes_no_partner_calls(monkeypatch):
+    # the precheck and the sweep share the slab's memo, kept across calls
+    import cox245.implications as implications
+
+    slab = build_ball(fix_vertex(D8), 3, "pentagon-subcomplex")
+    state = ImplicationState.initial([string_key(StringSpec(()))])
+    target = string_key(StringSpec.parse("R"))
+    first = find_witness(state, target, slab)
+    assert first is not None
+    calls = []
+    inner = implications.key_partners
+
+    def counted(v, key):
+        calls.append((v, key))
+        return inner(v, key)
+
+    monkeypatch.setattr(implications, "key_partners", counted)
+    assert find_witness(state, target, slab) == first
+    assert calls == []
+
+
+def test_memo_partners_are_the_slab_vertices():
+    slab = build_ball(fix_vertex(D8), 3, "pentagon-subcomplex")
+    base = string_key(StringSpec(()))
+    for t in ("R", "S", "SS", "LR"):
+        find_witness(ImplicationState.initial([base]), string_key(StringSpec.parse(t)), slab)
+    space = _SPACES[slab]
+    memo = space._memo.values()
+    inside = [u for got in memo for u in got if u in slab]
+    assert len(inside) > 100
+    assert all(u is slab.vertices[slab.index[u]] for u in inside)
+    # the precheck runs with no radius bound, so it also meets outside vertices
+    assert any(u not in slab for got in memo for u in got)
+    # the memo does not keep its slab alive
+    ref = weakref.ref(slab)
+    del slab, space, memo, inside
+    gc.collect()
+    assert ref() is None
 
 
 def test_search_work_does_not_depend_on_hash_seed():
