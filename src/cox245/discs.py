@@ -10,7 +10,15 @@ assuming it, so a malformed disc fails loudly.
 Enumeration grows discs inward from the boundary, always filling a
 deterministic frontier edge, so every labeled triangulation is generated
 exactly once; results are deduplicated up to rotation/reflection of the
-marked boundary (boundary and interior never exchange roles).
+marked boundary (boundary and interior never exchange roles).  The search
+mutates one fill state and undoes each move after recursing into it.  A
+class turns up once per distinct labeling of its boundary, so at up to 2B
+leaves; each leaf is first reduced to a cheap complete invariant
+(``_leaf_key``), and only a leaf whose key is new becomes a ``TriDisc``:
+one validation and one canonical form per class (a skipped leaf is a
+relabeling of a validated one, and validity does not depend on labels).
+The first leaf of a class is its representative, and the output is sorted
+by triangle count and canonical form.
 
 The two octagon fillings with one resp. two interior hubs (the degree-8
 wheel and its split companion) are provided as reference discs; under the
@@ -21,6 +29,7 @@ those two, and a hexagon must produce only the wheel.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache, cached_property
 from itertools import permutations
 
 __all__ = [
@@ -105,9 +114,14 @@ class TriDisc:
         """(V, E, F, B)"""
         return (len(self.vertices), len(self.edges()), len(self.triangles), len(self.boundary))
 
+    @cached_property
+    def canonical(self) -> tuple:
+        """``canonical_form(self)``, computed once per disc."""
+        return canonical_form(self)
+
     def to_text(self) -> str:
         """Canonical serialization: counts line, boundary line, triangles."""
-        tris = canonical_form(self)
+        tris = self.canonical
         bnd = len(self.boundary)
         edges = len(self.edges())
         lines = [f"{len(self.vertices)} {edges} {len(self.triangles)} {bnd}",
@@ -217,6 +231,18 @@ def p10_disc() -> TriDisc:
 
 # --- isomorphism -------------------------------------------------------------
 
+@cache
+def _dihedral_orders(n: int) -> tuple[tuple[int, ...], ...]:
+    """The 2n cyclic orders of a marked n-cycle: every rotation of 0..n-1,
+    each followed by its reversal."""
+    orders = []
+    for off in range(n):
+        rot = tuple((off + i) % n for i in range(n))
+        orders.append(rot)
+        orders.append(rot[::-1])
+    return tuple(orders)
+
+
 def canonical_form(d: TriDisc) -> tuple:
     """Minimum relabeled triangle list over boundary rotations/reflections.
 
@@ -230,14 +256,8 @@ def canonical_form(d: TriDisc) -> tuple:
     if len(interior) > MAX_INTERIOR:
         raise CapExceeded(f"more than {MAX_INTERIOR} interior vertices")
     best = None
-    orders = []
-    seq = list(bnd)
-    for off in range(n):
-        rot = seq[off:] + seq[:off]
-        orders.append(rot)
-        orders.append(rot[::-1])
-    for order in orders:
-        bmap = {v: i for i, v in enumerate(order)}
+    for order in _dihedral_orders(n):
+        bmap = {bnd[j]: i for i, j in enumerate(order)}
         for perm in permutations(range(n, n + len(interior))):
             m = dict(bmap)
             m.update(zip(interior, perm))
@@ -251,28 +271,41 @@ def is_isomorphic(d1: TriDisc, d2: TriDisc) -> bool:
     """Isomorphism of marked discs (boundary rotations/reflections only)."""
     if len(d1.boundary) != len(d2.boundary) or len(d1.triangles) != len(d2.triangles):
         return False
-    return canonical_form(d1) == canonical_form(d2)
+    return d1.canonical == d2.canonical
+
+
+def _leaf_key(boundary_len: int, nverts: int, tris, angle) -> bytes:
+    """A complete isomorphism invariant of a filled disc on boundary
+    0..boundary_len-1 and interior boundary_len..nverts-1.
+
+    The least boundary-angle sequence over the dihedral orders, then the
+    least relabeled triangle list over just the orders that reach it
+    (interior labels by brute force, as in ``canonical_form``).  Angles and
+    labels stay below 20 under the module caps, so for one boundary length
+    the bytes of the sequence followed by the flattened triangles are
+    unambiguous.  Equal keys mean one disc is a relabeling of the other.
+    """
+    orders = _dihedral_orders(boundary_len)
+    seqs = [[angle[v] for v in order] for order in orders]
+    least = min(seqs)
+    interior = range(boundary_len, nverts)
+    label = list(range(nverts))
+    best = None
+    for order, seq in zip(orders, seqs):
+        if seq != least:
+            continue
+        for i, v in enumerate(order):
+            label[v] = i
+        for perm in permutations(interior):
+            for v, p in zip(interior, perm):
+                label[v] = p
+            rel = sorted(_tri(label[a], label[b], label[c]) for a, b, c in tris)
+            if best is None or rel < best:
+                best = rel
+    return bytes(least) + bytes(x for t in best for x in t)
 
 
 # --- enumeration -------------------------------------------------------------
-
-class _FillState:
-    __slots__ = ("nverts", "edges", "tris", "tri_set", "angle", "regions", "on_regions")
-
-    def __init__(self, nverts, edges, tris, tri_set, angle, regions, on_regions):
-        self.nverts = nverts
-        self.edges = edges
-        self.tris = tris
-        self.tri_set = tri_set
-        self.angle = angle
-        self.regions = regions
-        self.on_regions = on_regions
-
-    def clone(self) -> "_FillState":
-        return _FillState(self.nverts, dict(self.edges), list(self.tris),
-                          set(self.tri_set), list(self.angle),
-                          [list(r) for r in self.regions], list(self.on_regions))
-
 
 def enumerate_discs(boundary_len: int, max_triangles: int,
                     locally_6_large: bool = False,
@@ -293,80 +326,81 @@ def enumerate_discs(boundary_len: int, max_triangles: int,
         raise CapExceeded(
             f"caps are boundary <= {MAX_BOUNDARY}, triangles <= {MAX_TRIANGLES}")
     B = boundary_len
-    results: dict[tuple, TriDisc] = {}
+    seen: set[bytes] = set()
+    results: list[TriDisc] = []
 
-    start = _FillState(
-        nverts=B,
-        edges={_edge(i, (i + 1) % B): 1 for i in range(B)},
-        tris=[],
-        tri_set=set(),
-        angle=[0] * B,
-        regions=[list(range(B))],
-        on_regions=[1] * B,
-    )
+    # the one fill state, mutated by each move and restored after it
+    nverts = B
+    edges = {_edge(i, (i + 1) % B): 1 for i in range(B)}
+    tris: list[tuple[int, int, int]] = []
+    tri_set: set[tuple[int, int, int]] = set()
+    angle = [0] * B
+    regions = [list(range(B))]
+    on_regions = [1] * B
 
-    def finalize_vertex(st, v) -> bool:
+    def finalize_vertex(v) -> bool:
         if v < B:
-            return st.angle[v] >= min_boundary_angle
-        return (not locally_6_large) or st.angle[v] >= 6
+            return angle[v] >= min_boundary_angle
+        return (not locally_6_large) or angle[v] >= 6
 
-    def lower_bound(st) -> int:
-        return sum(len(r) - 2 for r in st.regions)
+    def emit():
+        key = _leaf_key(B, nverts, tris, angle)
+        if key not in seen:
+            seen.add(key)
+            results.append(TriDisc(tuple(range(B)), tuple(tris)))
 
-    def emit(st):
-        disc = TriDisc(tuple(range(B)), tuple(st.tris))
-        key = canonical_form(disc)
-        if key not in results:
-            results[key] = disc
-
-    def step(st: _FillState):
-        if not st.regions:
-            emit(st)
+    def step():
+        nonlocal nverts
+        if not regions:
+            emit()
             return
-        region = st.regions[-1]
+        region = regions[-1]
         a, b = region[0], region[1]
+        e_ab = _edge(a, b)
         m = len(region)
         # apex choices: splitting vertices of the active region, then a new one
         for k in list(range(2, m)) + [None]:
             new_vertex = k is None
-            w = st.nverts if new_vertex else region[k]
+            w = nverts if new_vertex else region[k]
             tri = _tri(a, b, w)
-            if tri in st.tri_set:
+            if tri in tri_set:
                 continue
             e_bw, e_wa = _edge(b, w), _edge(w, a)
             if not new_vertex:
-                if (e_bw in st.edges) != (k == 2):
+                if (e_bw in edges) != (k == 2):
                     continue  # reuse only the region-consecutive edge
-                if (e_wa in st.edges) != (k == m - 1):
+                if (e_wa in edges) != (k == m - 1):
                     continue
-                if k == 2 and st.edges[e_bw] < 1:
+                if k == 2 and edges[e_bw] < 1:
                     continue
-                if k == m - 1 and st.edges[e_wa] < 1:
+                if k == m - 1 and edges[e_wa] < 1:
                     continue
             if forbid_boundary_chords and not new_vertex:
                 # only newly created edges can introduce a chord
                 if any(x < B and y < B and (x - y) % B not in (1, B - 1)
-                       and _edge(x, y) not in st.edges
+                       and _edge(x, y) not in edges
                        for (x, y) in ((b, w), (w, a))):
                     continue
-            nxt = st.clone()
+            # apply the move
             if new_vertex:
-                nxt.nverts += 1
-                nxt.angle.append(0)
-                nxt.on_regions.append(0)
-            nxt.tris.append(tri)
-            nxt.tri_set.add(tri)
+                nverts += 1
+                angle.append(0)
+                on_regions.append(0)
+            tris.append(tri)
+            tri_set.add(tri)
             for v in tri:
-                nxt.angle[v] += 1
-            nxt.edges[_edge(a, b)] -= 1
+                angle[v] += 1
+            edges[e_ab] -= 1
+            created = []
             for e in (e_bw, e_wa):
-                if e in nxt.edges:
-                    nxt.edges[e] -= 1
+                created.append(e not in edges)
+                if created[-1]:
+                    edges[e] = 1
                 else:
-                    nxt.edges[e] = 1
-            old = nxt.regions.pop()
+                    edges[e] -= 1
+            old = regions.pop()
             for v in old:
-                nxt.on_regions[v] -= 1
+                on_regions[v] -= 1
             if new_vertex:
                 new_regions = [[a, w] + old[1:]]
             elif k == 2 and m == 3:
@@ -380,21 +414,39 @@ def enumerate_discs(boundary_len: int, max_triangles: int,
             for r in new_regions:
                 if len(r) < 3:
                     raise AssertionError("degenerate region")
-                nxt.regions.append(r)
+                regions.append(r)
                 for v in r:
-                    nxt.on_regions[v] += 1
-            closed = [v for v in set(old) if nxt.on_regions[v] == 0]
-            if any(not finalize_vertex(nxt, v) for v in closed):
-                continue
-            if len(nxt.tris) + lower_bound(nxt) > max_triangles:
-                continue
-            if nxt.nverts - B > MAX_INTERIOR:
-                continue
-            step(nxt)
+                    on_regions[v] += 1
+            closed = [v for v in set(old) if on_regions[v] == 0]
+            if (all(finalize_vertex(v) for v in closed)
+                    and len(tris) + sum(len(r) - 2 for r in regions) <= max_triangles
+                    and nverts - B <= MAX_INTERIOR):
+                step()
+            # undo the move, in reverse order
+            for r in reversed(new_regions):
+                regions.pop()
+                for v in r:
+                    on_regions[v] -= 1
+            regions.append(old)
+            for v in old:
+                on_regions[v] += 1
+            for e, fresh in zip((e_wa, e_bw), reversed(created)):
+                if fresh:
+                    del edges[e]
+                else:
+                    edges[e] += 1
+            edges[e_ab] += 1
+            for v in tri:
+                angle[v] -= 1
+            tri_set.remove(tri)
+            tris.pop()
+            if new_vertex:
+                nverts -= 1
+                angle.pop()
+                on_regions.pop()
 
-    step(start)
-    ordered = sorted(results.items(), key=lambda kv: (len(kv[1].triangles), kv[0]))
-    return [disc for _, disc in ordered]
+    step()
+    return sorted(results, key=lambda d: (len(d.triangles), d.canonical))
 
 
 def discs_suite(boundary: int, max_triangles: int, locally_6_large: bool,
@@ -423,9 +475,9 @@ def discs_suite(boundary: int, max_triangles: int, locally_6_large: bool,
     elif locally_6_large and no_chords and boundary == 8 and min_angle >= 2:
         expected = [p8_disc(), p10_disc()]
     if expected is not None:
-        allowed = {canonical_form(d) for d in expected}
+        allowed = {d.canonical for d in expected}
         for d in discs:
-            if canonical_form(d) not in allowed:
+            if d.canonical not in allowed:
                 red_flags.append(d.to_text())
         if red_flags:
             status = "failed"

@@ -253,6 +253,23 @@ def test_complex_mode_certificate_line(tmp_path):
     assert impl[0]["derived"] == target.serialize()
 
 
+def test_assumed_types_never_verify(tmp_path):
+    # assume every final type but the last plus the last step's sources,
+    # then replay only the built-in list's last line: every check passes,
+    # yet the result rests on the assumption
+    last = load_certificate_lines()[-1]
+    assumed = [f"CAY:{w}" for w in CONNECTING_FINAL_WORDS if w != "rstrstst"]
+    lines = [{"rule": "assume", "keys": assumed + last["sources"]}, last]
+    path = tmp_path / "assumed.jsonl"
+    path.write_text("\n".join(json.dumps(l) for l in lines) + "\n")
+    rep = verify_connecting_list(str(path))
+    assert rep["steps"][0]["keys"]
+    assert all(s["status"] == "verified" for s in rep["steps"])
+    assert rep["final_missing"] == []
+    assert rep["last_derived"] == "CAY:rsrststs"
+    assert rep["status"] == "inconclusive"
+
+
 def test_dihedral_suites():
     for order in (4, 5):
         rep = verify_dihedral_suite(order)

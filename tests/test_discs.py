@@ -1,11 +1,15 @@
 """Triangulated discs: curvature audit, enumeration, isomorphism."""
 
+from itertools import permutations, product
+
 import pytest
 
 from cox245.discs import (
+    MAX_INTERIOR,
     CapExceeded,
     InvalidDisc,
     TriDisc,
+    _leaf_key,
     canonical_form,
     curvature_profile,
     enumerate_discs,
@@ -147,3 +151,189 @@ def test_serialization_golden_wheel():
     # serialization is canonical: any rotation prints identically
     rotated = TriDisc(tuple(range(6)), tuple(((i + 2) % 6, (i + 3) % 6, 6) for i in range(6)))
     assert rotated.to_text() == text
+
+
+# --- the clone-based enumerator, kept as the oracle ---------------------------
+# It builds a TriDisc (so runs the full validation) and its canonical form at
+# every leaf, and copies the whole fill state at every move.
+
+class _RefFillState:
+    __slots__ = ("nverts", "edges", "tris", "tri_set", "angle", "regions", "on_regions")
+
+    def __init__(self, nverts, edges, tris, tri_set, angle, regions, on_regions):
+        self.nverts = nverts
+        self.edges = edges
+        self.tris = tris
+        self.tri_set = tri_set
+        self.angle = angle
+        self.regions = regions
+        self.on_regions = on_regions
+
+    def clone(self):
+        return _RefFillState(self.nverts, dict(self.edges), list(self.tris),
+                             set(self.tri_set), list(self.angle),
+                             [list(r) for r in self.regions], list(self.on_regions))
+
+
+def _ref_tri(a, b, c):
+    return tuple(sorted((a, b, c)))
+
+
+def _ref_edge(a, b):
+    return (a, b) if a < b else (b, a)
+
+
+def reference_enumerate_discs(boundary_len, max_triangles, locally_6_large=False,
+                              min_boundary_angle=0, forbid_boundary_chords=False):
+    B = boundary_len
+    results = {}
+    start = _RefFillState(
+        nverts=B,
+        edges={_ref_edge(i, (i + 1) % B): 1 for i in range(B)},
+        tris=[],
+        tri_set=set(),
+        angle=[0] * B,
+        regions=[list(range(B))],
+        on_regions=[1] * B,
+    )
+
+    def finalize_vertex(st, v):
+        if v < B:
+            return st.angle[v] >= min_boundary_angle
+        return (not locally_6_large) or st.angle[v] >= 6
+
+    def lower_bound(st):
+        return sum(len(r) - 2 for r in st.regions)
+
+    def emit(st):
+        disc = TriDisc(tuple(range(B)), tuple(st.tris))
+        key = canonical_form(disc)
+        if key not in results:
+            results[key] = disc
+
+    def step(st):
+        if not st.regions:
+            emit(st)
+            return
+        region = st.regions[-1]
+        a, b = region[0], region[1]
+        m = len(region)
+        for k in list(range(2, m)) + [None]:
+            new_vertex = k is None
+            w = st.nverts if new_vertex else region[k]
+            tri = _ref_tri(a, b, w)
+            if tri in st.tri_set:
+                continue
+            e_bw, e_wa = _ref_edge(b, w), _ref_edge(w, a)
+            if not new_vertex:
+                if (e_bw in st.edges) != (k == 2):
+                    continue
+                if (e_wa in st.edges) != (k == m - 1):
+                    continue
+                if k == 2 and st.edges[e_bw] < 1:
+                    continue
+                if k == m - 1 and st.edges[e_wa] < 1:
+                    continue
+            if forbid_boundary_chords and not new_vertex:
+                if any(x < B and y < B and (x - y) % B not in (1, B - 1)
+                       and _ref_edge(x, y) not in st.edges
+                       for (x, y) in ((b, w), (w, a))):
+                    continue
+            nxt = st.clone()
+            if new_vertex:
+                nxt.nverts += 1
+                nxt.angle.append(0)
+                nxt.on_regions.append(0)
+            nxt.tris.append(tri)
+            nxt.tri_set.add(tri)
+            for v in tri:
+                nxt.angle[v] += 1
+            nxt.edges[_ref_edge(a, b)] -= 1
+            for e in (e_bw, e_wa):
+                if e in nxt.edges:
+                    nxt.edges[e] -= 1
+                else:
+                    nxt.edges[e] = 1
+            old = nxt.regions.pop()
+            for v in old:
+                nxt.on_regions[v] -= 1
+            if new_vertex:
+                new_regions = [[a, w] + old[1:]]
+            elif k == 2 and m == 3:
+                new_regions = []
+            elif k == 2:
+                new_regions = [old[2:] + [a]]
+            elif k == m - 1:
+                new_regions = [old[1:]]
+            else:
+                new_regions = [old[k:] + [a], old[1:k + 1]]
+            for r in new_regions:
+                assert len(r) >= 3, "degenerate region"
+                nxt.regions.append(r)
+                for v in r:
+                    nxt.on_regions[v] += 1
+            closed = [v for v in set(old) if nxt.on_regions[v] == 0]
+            if any(not finalize_vertex(nxt, v) for v in closed):
+                continue
+            if len(nxt.tris) + lower_bound(nxt) > max_triangles:
+                continue
+            if nxt.nverts - B > MAX_INTERIOR:
+                continue
+            step(nxt)
+
+    step(start)
+    ordered = sorted(results.items(), key=lambda kv: (len(kv[1].triangles), kv[0]))
+    return [disc for _, disc in ordered]
+
+
+def test_enumeration_matches_clone_based_oracle():
+    total = 0
+    for boundary in range(3, 9):
+        for cap in range(boundary - 2, min(boundary + 2, 9) + 1):
+            for flags in product((False, True), (0, 2), (False, True)):
+                l6, min_angle, no_chords = flags
+                kwargs = dict(locally_6_large=l6, min_boundary_angle=min_angle,
+                              forbid_boundary_chords=no_chords)
+                want = [d.to_text() for d in reference_enumerate_discs(boundary, cap, **kwargs)]
+                got = [d.to_text() for d in enumerate_discs(boundary, cap, **kwargs)]
+                assert got == want, (boundary, cap, flags)
+                total += len(got)
+    assert total == 923
+
+
+# --- the leaf key --------------------------------------------------------------
+
+def _key_of(boundary_len, triangles):
+    nverts = 1 + max(max(t) for t in triangles)
+    angle = [0] * nverts
+    for t in triangles:
+        for v in t:
+            angle[v] += 1
+    return _leaf_key(boundary_len, nverts, triangles, angle)
+
+
+def _relabelings(d):
+    """Every boundary rotation/reflection combined with every interior
+    relabeling of ``d``, as triangle lists."""
+    n = len(d.boundary)
+    interior = d.interior_vertices
+    for off in range(n):
+        for sign in (1, -1):
+            for perm in permutations(interior):
+                label = {(off + sign * i) % n: i for i in range(n)}
+                label.update(zip(interior, perm))
+                yield [tuple(sorted(label[v] for v in t)) for t in d.triangles]
+
+
+@pytest.mark.parametrize("boundary,cap", [(7, 9), (4, 8)])
+def test_leaf_key_is_a_complete_invariant(boundary, cap):
+    discs = enumerate_discs(boundary, cap)
+    keys = []
+    for d in discs:
+        key = _key_of(boundary, d.triangles)
+        assert all(_key_of(boundary, tris) == key for tris in _relabelings(d))
+        keys.append(key)
+    assert len(set(keys)) == len(discs)
+    if (boundary, cap) == (4, 8):
+        # here the boundary-angle sequence alone does not separate the classes
+        assert len({k[:boundary] for k in keys}) < len(discs)
