@@ -448,8 +448,7 @@ def _orbit_points(line) -> list[Vertex]:
     parab = next((p for p in PARABOLICS.values() if set(p.gens) == set(gens)), None)
     if parab is None:
         raise ValueError(f"orbit generators {gens} span no dihedral parabolic subgroup")
-    base = element_of_word(line["orbit_base"])
-    return [cayley_vertex(d * base) for d in parabolic_elements(parab)]
+    return [cayley_vertex(d.times(line["orbit_base"])) for d in parabolic_elements(parab)]
 
 
 def _scan_minimal_seed(lines) -> list[str]:

@@ -16,12 +16,14 @@ edge universes are wired and never mixed silently:
 ``"cayley"``
     group elements, edges = right multiplication by a generator.
 
-Neighbors in the tiling modes come from walking the representative's
-matrix through the rotation's generators, one add-only generator product
-per letter (see :mod:`cox245.coxeter`).  Balls are built by BFS; vertex
-order is BFS depth with canonical-word tie-break inside each level, which
-makes slab dumps reproducible.  A ball keeps one ``Vertex`` per coset and
-records neighbors as slab indices.
+Neighbors in every mode are word walks: the representative times a
+generator (Cayley), the rotation's and the edge's letters (pentagon and
+d10 tilings) or the words of its parabolic's elements (coset
+intersection), each through ``GroupElement.times`` (see
+:mod:`cox245.coxeter`); ``adjacent`` reads the intersection neighbors.
+Balls are built by BFS; vertex order is BFS depth with canonical-word
+tie-break inside each level, which makes slab dumps reproducible.  A ball
+keeps one ``Vertex`` per coset and records neighbors as slab indices.
 Distances inside a slab are certified: a value is marked exact only when no
 shorter path could leave the ball, otherwise a lower bound is reported.
 """
@@ -42,8 +44,6 @@ from .coxeter import (
     identity,
     min_coset_rep,
     parabolic_elements,
-    _mat_mul,  # internal fast paths for coset enumeration
-    _mat_mul_gen_right,
 )
 
 __all__ = [
@@ -132,12 +132,11 @@ def _cyclic_neighbors(v: Vertex, parabolic: ParabolicId, rot: str, order: int,
     if v.rep.length() % 2:
         rot = rot[::-1]
     out = []
-    acc = v.rep.mat
+    acc = v.rep
     for k in range(order):
-        out.append(make_vertex(parabolic, GroupElement(_mat_mul_gen_right(acc, edge))))
+        out.append(make_vertex(parabolic, acc.times(edge)))
         if k + 1 < order:
-            for x in rot:
-                acc = _mat_mul_gen_right(acc, x)
+            acc = acc.times(rot)
     return out
 
 
@@ -162,20 +161,17 @@ def _dedup(seq):
 
 
 def _intersection_neighbors(v: Vertex) -> list[Vertex]:
-    out = []
-    for qname in ("D8", "D10", "D4"):
-        q = PARABOLICS[qname]
-        if q == v.parabolic:
-            continue
-        out.extend(make_vertex(q, GroupElement(_mat_mul(v.rep.mat, p.mat)))
-                   for p in parabolic_elements(v.parabolic))
-    return _dedup(out)
+    """The cosets of the other two types that meet v, i.e. that contain
+    some v.rep * p with p in v's parabolic."""
+    members = [v.rep.times(p.canonical_word()) for p in parabolic_elements(v.parabolic)]
+    return _dedup(make_vertex(q, g) for q in PARABOLICS.values() if q != v.parabolic
+                  for g in members)
 
 
 def neighbors(v: Vertex, mode: str) -> list[Vertex]:
     """Deterministically ordered neighbor list in the given universe."""
     if mode == "cayley":
-        return [Vertex(None, GroupElement(_mat_mul_gen_right(v.rep.mat, x))) for x in GENERATORS]
+        return [Vertex(None, v.rep.times(x)) for x in GENERATORS]
     if mode == "pentagon-subcomplex":
         return pentagon_cyclic_neighbors(v)
     if mode == "d10-orbit":
@@ -188,17 +184,6 @@ def neighbors(v: Vertex, mode: str) -> list[Vertex]:
     raise ValueError(f"unknown mode {mode!r}")
 
 
-_MEMBER_CACHE: dict[str, frozenset] = {}
-
-
-def _member_mats(p: ParabolicId) -> frozenset:
-    cached = _MEMBER_CACHE.get(p.name)
-    if cached is None:
-        cached = frozenset(g.mat for g in parabolic_elements(p))
-        _MEMBER_CACHE[p.name] = cached
-    return cached
-
-
 def adjacent(u: Vertex, v: Vertex) -> bool:
     """Coxeter-complex adjacency: the two cosets intersect.
 
@@ -208,12 +193,7 @@ def adjacent(u: Vertex, v: Vertex) -> bool:
     """
     if u.parabolic is None or v.parabolic is None:
         raise ValueError("coset adjacency needs parabolic vertices")
-    if u == v or u.parabolic == v.parabolic:
-        return False
-    diff = u.rep.inverse() * v.rep
-    q_mats = _member_mats(v.parabolic)
-    return any(_mat_mul(p.mat, diff.mat) in q_mats
-               for p in parabolic_elements(u.parabolic))
+    return u.parabolic != v.parabolic and v in _intersection_neighbors(u)
 
 
 # --- slabs -----------------------------------------------------------------

@@ -12,7 +12,9 @@ its matrix; canonical (ShortLex-least reduced) words are derived from the
 matrix on demand and memoised by matrix, so a word costs one peeled letter
 per suffix not seen before.  Multiplying by a generator, on either side,
 needs only negations, additions and the shifts that multiply by sqrt2 and
-phi in the integral basis; general products go through ``iq_mul``.
+phi in the integral basis.  Every product by a known word goes through
+``GroupElement.times``, one such generator product per letter; the generic
+``iq_mul`` product of two matrices exists only behind ``GroupElement.__mul__``.
 
 Descent tests are root-sign tests: x is a right descent of g iff g sends
 the simple root of x to a negative root.  Minimal coset and double-coset
@@ -141,7 +143,7 @@ def _mat_mul_gen_right(m, x: str):
             m[3], (a11 + c12, b11 + d12, c11 + a12 + c12, d11 + b12 + d12), (-a12, -b12, -c12, -d12),
             m[6], (a21 + c22, b21 + d22, c21 + a22 + c22, d21 + b22 + d22), (-a22, -b22, -c22, -d22),
         )
-    raise ValueError(f"bad generator {x!r}")
+    raise ValueError(f"bad generator {x!r}; alphabet is 'r', 's', 't'")
 
 
 def _mat_mul_gen_left(m, x: str):
@@ -280,6 +282,14 @@ class GroupElement:
             return GroupElement(_mat_mul(self.mat, other.mat))
         return NotImplemented
 
+    def times(self, word: str) -> "GroupElement":
+        """This element times the product of the letters of ``word``, one
+        add-only generator product per letter."""
+        mat = self.mat
+        for x in word:
+            mat = _mat_mul_gen_right(mat, x)
+        return GroupElement(mat)
+
     def inverse(self) -> "GroupElement":
         return GroupElement(_mat_inv(self.mat))
 
@@ -321,12 +331,7 @@ def identity() -> GroupElement:
 
 def element_of_word(word: str) -> GroupElement:
     """Product of generator matrices; the empty word is the identity."""
-    mat = _IDENTITY_MAT
-    for ch in word:
-        if ch not in _INDEX:
-            raise ValueError(f"bad generator {ch!r}; alphabet is 'r', 's', 't'")
-        mat = _mat_mul_gen_right(mat, ch)
-    return GroupElement(mat)
+    return _IDENT.times(word)
 
 
 def word_inverse(word: str) -> str:

@@ -18,13 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .complexgraph import GraphSlab, Vertex, make_vertex, translate
-from .coxeter import (
-    GroupElement,
-    PARABOLICS,
-    element_of_word,
-    min_double_coset_rep,
-    parabolic_elements,
-)
+from .coxeter import GroupElement, PARABOLICS, min_double_coset_rep, parabolic_elements
 
 __all__ = [
     "EdgeTypeKey",
@@ -59,9 +53,9 @@ class EdgeTypeKey:
 
 
 def type_key_cayley(g: GroupElement, h: GroupElement) -> EdgeTypeKey:
-    w1 = (g.inverse() * h).canonical_word()
-    w2 = (h.inverse() * g).canonical_word()
-    return EdgeTypeKey("cayley", None, None, min(w1, w2))
+    d = g.inverse() * h  # h^-1 g is its inverse
+    w = min(d.canonical_word(), d.inverse().canonical_word())
+    return EdgeTypeKey("cayley", None, None, w)
 
 
 def type_key_complex(u: Vertex, v: Vertex) -> EdgeTypeKey:
@@ -87,26 +81,26 @@ def key_partners(v: Vertex, key: EdgeTypeKey) -> list[Vertex]:
 
     In complex mode the partners of a P-side vertex for key (P, Q, w) are
     the cosets v.rep * p * w * Q with p in P; the mirrored orientation uses
-    w^-1.  Both directions are generated, deduplicated in order.
+    w^-1, the reversed word (generators are involutions).  Both directions
+    are generated, deduplicated in order.  Each candidate is a word walk
+    from v.rep through the add-only generator kernel.
     """
     if key.mode == "cayley":
-        g = element_of_word(key.word)
-        out = [Vertex(None, v.rep * g)]
-        back = Vertex(None, v.rep * g.inverse())
+        out = [Vertex(None, v.rep.times(key.word))]
+        back = Vertex(None, v.rep.times(key.word[::-1]))
         if back != out[0]:
             out.append(back)
         return out
-    w = element_of_word(key.word)
     variants = []
     if v.parabolic.name == key.p:
-        variants.append((w, PARABOLICS[key.q]))
+        variants.append((key.word, PARABOLICS[key.q]))
     if v.parabolic.name == key.q:
-        variants.append((w.inverse(), PARABOLICS[key.p]))
+        variants.append((key.word[::-1], PARABOLICS[key.p]))
     out = []
     seen = set()
     for step, target_parab in variants:
         for p in parabolic_elements(v.parabolic):
-            cand = make_vertex(target_parab, v.rep * p * step)
+            cand = make_vertex(target_parab, v.rep.times(p.canonical_word() + step))
             if cand not in seen:
                 seen.add(cand)
                 out.append(cand)

@@ -28,7 +28,9 @@ two partner oracles, so the same search serves three settings:
 
 The precheck and the sweep draw their partner sets from one memo per slab
 (a ``_SearchSpace`` in ``_SPACES``, kept while the slab lives), so every
-search on a slab shares every ``key_partners`` result.
+search on a slab shares every ``key_partners`` result.  That memo, keyed by
+(vertex, key), is the space's only one; the sweep's slab-index views of it
+are recomputed on each call.
 """
 
 from __future__ import annotations
@@ -230,9 +232,8 @@ class _SearchSpace:
     ``vertex_partners`` is the one memo of ``key_partners``, keyed by
     (vertex, key), with every in-slab partner stored as the slab's own
     ``Vertex``.  The precheck reads it directly, the slab sweep through
-    ``partners`` and ``known_partners`` as sorted slab indices.  A space
-    keeps the slab's vertices and index but not the slab, so its
-    ``_SPACES`` entry goes with the slab.
+    ``partners`` as sorted slab indices.  A space keeps the slab's vertices
+    and index but not the slab, so its ``_SPACES`` entry goes with the slab.
     """
 
     def __init__(self, slab: GraphSlab):
@@ -240,8 +241,6 @@ class _SearchSpace:
         self.vertices = slab.vertices
         self.index = slab.index
         self._memo: dict[tuple[Vertex, EdgeTypeKey], tuple[Vertex, ...]] = {}
-        self._partners: dict[tuple[int, EdgeTypeKey], tuple[int, ...]] = {}
-        self._known: dict[tuple[int, frozenset], tuple[int, ...]] = {}
 
     def vertex_partners(self, v: Vertex, key: EdgeTypeKey) -> tuple[Vertex, ...]:
         got = self._memo.get((v, key))
@@ -251,25 +250,11 @@ class _SearchSpace:
                 self.vertices[idx[u]] if u in idx else u for u in key_partners(v, key))
         return got
 
-    def partners(self, i: int, key: EdgeTypeKey) -> tuple[int, ...]:
-        got = self._partners.get((i, key))
-        if got is None:
-            hits = {self.index.get(u) for u in self.vertex_partners(self.vertices[i], key)}
-            hits.discard(None)
-            got = self._partners[(i, key)] = tuple(sorted(hits))
-        return got
-
-    def known_partners(self, i: int, keys: frozenset[EdgeTypeKey]) -> tuple[int, ...]:
-        memo_key = (i, keys)
-        got = self._known.get(memo_key)
-        if got is None:
-            hits = {i}  # a repeated vertex is a degenerate side, always allowed
-            for k in keys:
-                if not k.is_degenerate:
-                    hits.update(self.partners(i, k))
-            got = tuple(sorted(hits))
-            self._known[memo_key] = got
-        return got
+    def partners(self, i: int, keys) -> list[int]:
+        """Sorted slab indices of vertex i's in-slab partners for any of ``keys``."""
+        idx = self.index
+        v = self.vertices[i]
+        return sorted({idx[u] for k in keys for u in self.vertex_partners(v, k) if u in idx})
 
     def known_vertices(self, v: Vertex, keys) -> dict[Vertex, None]:
         """``v`` (a degenerate side) then its partners for the ordered ``keys``."""
@@ -304,14 +289,14 @@ def find_witness(state: ImplicationState, target: EdgeTypeKey,
     lives as long as the slab, so every search on a slab shares it.
     """
     space = _SPACES.get(slab) or _SPACES.setdefault(slab, _SearchSpace(slab))
-    keys = state.known_set
     newest_first = state.known[::-1]
     for length in (4, 5):
         if not space.abstract_cycle_exists(newest_first, target, length):
             continue
+        # a repeated vertex is a degenerate side, always allowed
         cycle = next(_cycles(range(len(slab)), length,
-                             lambda i: space.known_partners(i, keys),
-                             lambda i: space.partners(i, target)), None)
+                             lambda i: sorted({i, *space.partners(i, state.known)}),
+                             lambda i: space.partners(i, (target,))), None)
         if cycle is not None:
             return CycleWitness(tuple(slab.vertices[i] for i in cycle), target)
     return None

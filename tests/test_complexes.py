@@ -216,3 +216,24 @@ def test_slab_dump_fingerprints(center, radius, mode, size, digest):
     slab = build_ball(center, radius, mode)
     assert len(slab) == size
     assert hashlib.sha256(slab.dump().encode()).hexdigest() == digest
+
+
+def reference_adjacent(u, v):
+    """Coset intersection by generic products against the members of v's
+    parabolic (the oracle for ``adjacent``)."""
+    if u == v or u.parabolic == v.parabolic:
+        return False
+    diff = u.rep.inverse() * v.rep
+    members = {g.mat for g in parabolic_elements(v.parabolic)}
+    return any((p * diff).mat in members for p in parabolic_elements(u.parabolic))
+
+
+def test_adjacent_matches_generic_coset_intersection():
+    slab = build_ball(C8, 2, "full-Y")
+    hits = 0
+    for u in slab.vertices:
+        for v in slab.vertices:
+            got = adjacent(u, v)
+            assert got == reference_adjacent(u, v), (u.label(), v.label())
+            hits += got
+    assert (hits, len(slab) ** 2) == (240, 2401)

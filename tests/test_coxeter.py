@@ -277,3 +277,5 @@ def test_generator_kernel_matches_generic_multiply(w, x):
     gen = coxeter._GEN_MATS[x]
     assert coxeter._mat_mul_gen_right(m, x) == coxeter._mat_mul(m, gen)
     assert coxeter._mat_mul_gen_left(m, x) == coxeter._mat_mul(gen, m)
+    # a word walk equals the generic product by the word's matrix
+    assert GroupElement(m).times(x + w).mat == coxeter._mat_mul(m, generic_product(x + w))

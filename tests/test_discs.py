@@ -112,7 +112,8 @@ def test_enumeration_closed_under_refilter():
     out = enumerate_discs(6, 8, locally_6_large=True, forbid_boundary_chords=True)
     for d in out:
         prof = curvature_profile(d)
-        assert all(6 - k >= 0 or True for k in prof.interior.values())
+        # locally 6-large: every interior curvature 6 - angle is <= 0
+        assert all(k <= 0 for k in prof.interior.values())
         assert all(d.angle(v) >= 6 for v in d.interior_vertices)
         edges = d.edges()
         b = len(d.boundary)

@@ -4,8 +4,25 @@ import random
 
 from hypothesis import given, settings, strategies as st
 
-from cox245.complexgraph import build_ball, fix_vertex, make_vertex, translate
-from cox245.coxeter import D8, D10, element_of_word, identity
+import cox245.coxeter as coxeter
+from cox245.complexgraph import (
+    Vertex,
+    build_ball,
+    cayley_vertex,
+    fix_vertex,
+    make_vertex,
+    translate,
+)
+from cox245.coxeter import (
+    D4,
+    D8,
+    D10,
+    PARABOLICS,
+    GroupElement,
+    element_of_word,
+    identity,
+    parabolic_elements,
+)
 from cox245.edgetypes import (
     find_pair_transport,
     key_partners,
@@ -117,3 +134,52 @@ def test_equal_key_pairs_are_connected_by_group_element():
             assert w is not None
             checked += 1
     assert checked >= 3
+
+
+def generic_element(word):
+    mat = coxeter._IDENTITY_MAT
+    for x in word:
+        mat = coxeter._mat_mul(mat, coxeter._GEN_MATS[x])
+    return GroupElement(mat)
+
+
+def reference_key_partners(v, key):
+    """key_partners by generic matrix products and inverses (the oracle)."""
+    if key.mode == "cayley":
+        g = generic_element(key.word)
+        out = [Vertex(None, v.rep * g)]
+        back = Vertex(None, v.rep * g.inverse())
+        return out if back == out[0] else out + [back]
+    w = generic_element(key.word)
+    variants = []
+    if v.parabolic.name == key.p:
+        variants.append((w, PARABOLICS[key.q]))
+    if v.parabolic.name == key.q:
+        variants.append((w.inverse(), PARABOLICS[key.p]))
+    out = []
+    for step, target in variants:
+        for p in parabolic_elements(v.parabolic):
+            cand = make_vertex(target, v.rep * p * step)
+            if cand not in out:
+                out.append(cand)
+    return out
+
+
+def test_key_partners_match_generic_products():
+    full = build_ball(C8, 2, "full-Y")
+    keys = dict.fromkeys(pair_key(fix_vertex(p), v) for p in (D8, D10, D4) for v in full.vertices)
+    checked = 0
+    for v in full.vertices:
+        for key in keys:
+            got = key_partners(v, key)
+            assert got == reference_key_partners(v, key), (v.label(), key)
+            checked += bool(got)
+    assert checked == 921
+    cayley = build_ball(cayley_vertex(identity()), 5, "cayley")
+    keys = dict.fromkeys(pair_key(cayley.center, v) for v in cayley.vertices)
+    checked = 0
+    for v in cayley.vertices:
+        for key in keys:
+            assert key_partners(v, key) == reference_key_partners(v, key), (v.label(), key)
+            checked += 1
+    assert checked == 1350
