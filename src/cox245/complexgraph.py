@@ -20,8 +20,14 @@ Neighbors in every mode are word walks: the representative times a
 generator (Cayley), the rotation's and the edge's letters (pentagon and
 d10 tilings) or the words of its parabolic's elements (coset
 intersection), each through ``GroupElement.times`` (see
-:mod:`cox245.coxeter`); ``adjacent`` reads the intersection neighbors.
-Balls are built by BFS; vertex order is BFS depth with canonical-word
+:mod:`cox245.coxeter`).  The walk yields unstripped elements,
+deduplicated by key: ``coxeter.coset_key`` for a coset, the matrix itself
+for a Cayley vertex.  ``neighbors`` strips each distinct key once and
+``adjacent`` compares keys of the intersection walk.  Balls are built by
+BFS and strip a coset only the first time its key is met: the ball and
+the level being expanded are indexed by key hash (a hit is confirmed by
+recomputing the stored vertex's key), so each vertex but the center is
+stripped exactly once.  Vertex order is BFS depth with canonical-word
 tie-break inside each level, which makes slab dumps reproducible.  A ball
 keeps one ``Vertex`` per coset and records neighbors as slab indices.
 Distances inside a slab are certified: a value is marked exact only when no
@@ -41,6 +47,7 @@ from .coxeter import (
     GroupElement,
     PARABOLICS,
     ParabolicId,
+    coset_key,
     identity,
     min_coset_rep,
     parabolic_elements,
@@ -78,7 +85,7 @@ class VertexNotInSlab(KeyError):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Vertex:
     """A coset of a maximal parabolic (or a bare group element in Cayley mode).
 
@@ -119,9 +126,29 @@ def translate(w: GroupElement, v: Vertex) -> Vertex:
 
 # --- neighbor oracles ------------------------------------------------------
 
-def _cyclic_neighbors(v: Vertex, parabolic: ParabolicId, rot: str, order: int,
-                      edge: str) -> list[Vertex]:
-    """Cosets of v * rot^k * edge for k = 0..order-1, in rotation order.
+def _key(parabolic: ParabolicId | None, g: GroupElement):
+    """Exact identity of the vertex of g (its coset g*P, or g itself in
+    Cayley mode), read off g without stripping."""
+    return g.mat if parabolic is None else coset_key(g, parabolic)
+
+
+def _vertex_key(v: Vertex):
+    return _key(v.parabolic, v.rep)
+
+
+def _vertex(parabolic: ParabolicId | None, g: GroupElement) -> Vertex:
+    """The vertex of g: one strip to the minimal coset representative."""
+    return Vertex(None, g) if parabolic is None else make_vertex(parabolic, g)
+
+
+# (parabolic, rotation, order, edge letter) of the two tilings
+_PENTAGONS = (D8, "rs", 4, "t")
+_SQUARES = (D10, "st", 5, "r")
+
+
+def _cyclic_walk(v: Vertex, parabolic: ParabolicId, rot: str, order: int,
+                 edge: str) -> list[GroupElement]:
+    """v.rep * rot^k * edge for k = 0..order-1, in rotation order.
 
     The rotation is reversed at representatives of odd length, so that
     "clockwise" means the same thing at every vertex of the tiling (up to
@@ -134,7 +161,7 @@ def _cyclic_neighbors(v: Vertex, parabolic: ParabolicId, rot: str, order: int,
     out = []
     acc = v.rep
     for k in range(order):
-        out.append(make_vertex(parabolic, acc.times(edge)))
+        out.append(acc.times(edge))
         if k + 1 < order:
             acc = acc.times(rot)
     return out
@@ -143,45 +170,41 @@ def _cyclic_neighbors(v: Vertex, parabolic: ParabolicId, rot: str, order: int,
 def pentagon_cyclic_neighbors(v: Vertex) -> list[Vertex]:
     """The four pentagon neighbors of a D8-vertex: the orbit of the
     quarter-turn rs conjugated to the vertex, in rotation order."""
-    return _cyclic_neighbors(v, D8, "rs", 4, "t")
+    return [make_vertex(D8, g) for g in _cyclic_walk(v, *_PENTAGONS)]
 
 
-def _d10_cyclic_neighbors(v: Vertex) -> list[Vertex]:
-    return _cyclic_neighbors(v, D10, "st", 5, "r")
+def _intersection_walk(v: Vertex) -> list[tuple[ParabolicId, GroupElement]]:
+    """(Q, g) for the other two types Q and the members g = v.rep * p, p in
+    v's parabolic: the cosets g*Q are those that meet v."""
+    members = [v.rep.times(p.canonical_word()) for p in parabolic_elements(v.parabolic)]
+    return [(q, g) for q in PARABOLICS.values() if q != v.parabolic for g in members]
 
 
-def _dedup(seq):
-    seen = set()
-    out = []
-    for v in seq:
-        if v not in seen:
-            seen.add(v)
-            out.append(v)
+def _candidates(v: Vertex, mode: str) -> dict:
+    """The neighbors of v, unstripped: a dict from each neighbor's key to
+    one (parabolic, element) of it, in order of first occurrence."""
+    if mode == "cayley":
+        walk = [(None, v.rep.times(x)) for x in GENERATORS]
+    elif mode == "pentagon-subcomplex":
+        walk = [(D8, g) for g in _cyclic_walk(v, *_PENTAGONS)]
+    elif mode == "d10-orbit":
+        walk = [(D10, g) for g in _cyclic_walk(v, *_SQUARES)]
+    elif mode == "full-Y":
+        walk = _intersection_walk(v)
+        if v.parabolic == D8:
+            walk += [(D8, g) for g in _cyclic_walk(v, *_PENTAGONS)]
+    else:
+        raise ValueError(f"unknown mode {mode!r}")
+    out = {}
+    for parabolic, g in walk:
+        out.setdefault(_key(parabolic, g), (parabolic, g))
     return out
 
 
-def _intersection_neighbors(v: Vertex) -> list[Vertex]:
-    """The cosets of the other two types that meet v, i.e. that contain
-    some v.rep * p with p in v's parabolic."""
-    members = [v.rep.times(p.canonical_word()) for p in parabolic_elements(v.parabolic)]
-    return _dedup(make_vertex(q, g) for q in PARABOLICS.values() if q != v.parabolic
-                  for g in members)
-
-
 def neighbors(v: Vertex, mode: str) -> list[Vertex]:
-    """Deterministically ordered neighbor list in the given universe."""
-    if mode == "cayley":
-        return [Vertex(None, v.rep.times(x)) for x in GENERATORS]
-    if mode == "pentagon-subcomplex":
-        return pentagon_cyclic_neighbors(v)
-    if mode == "d10-orbit":
-        return _d10_cyclic_neighbors(v)
-    if mode == "full-Y":
-        out = _intersection_neighbors(v)
-        if v.parabolic == D8:
-            out.extend(pentagon_cyclic_neighbors(v))
-        return _dedup(out)
-    raise ValueError(f"unknown mode {mode!r}")
+    """Deterministically ordered neighbor list in the given universe; each
+    distinct neighbor is stripped once."""
+    return [_vertex(p, g) for p, g in _candidates(v, mode).values()]
 
 
 def adjacent(u: Vertex, v: Vertex) -> bool:
@@ -193,7 +216,10 @@ def adjacent(u: Vertex, v: Vertex) -> bool:
     """
     if u.parabolic is None or v.parabolic is None:
         raise ValueError("coset adjacency needs parabolic vertices")
-    return u.parabolic != v.parabolic and v in _intersection_neighbors(u)
+    if u.parabolic == v.parabolic:
+        return False
+    key = _vertex_key(v)
+    return any(_key(q, g) == key for q, g in _intersection_walk(u))
 
 
 # --- slabs -----------------------------------------------------------------
@@ -276,6 +302,20 @@ class GraphSlab:
         return "\n".join(lines) + "\n"
 
 
+def _find(table: dict[int, int], key, stored: list[Vertex]) -> tuple[int, int | None]:
+    """Look ``key`` up in ``table``, which maps key hashes to positions in
+    ``stored``; a slot taken by another key passes the probe on to the next
+    integer.  A hit is confirmed by recomputing the stored vertex's key, so
+    a hash collision never merges two vertices.  Returns the slot reached
+    and the position, or None and the free slot where ``key`` would go."""
+    slot = hash(key)
+    while True:
+        j = table.get(slot)
+        if j is None or _vertex_key(stored[j]) == key:
+            return slot, j
+        slot += 1
+
+
 def build_ball(center: Vertex, radius: int, mode: str,
                max_vertices: int = 500_000) -> GraphSlab:
     """BFS-complete ball of the given radius around ``center``."""
@@ -287,38 +327,55 @@ def build_ball(center: Vertex, radius: int, mode: str,
         raise ValueError(f"center {center.label()} does not fit mode {mode!r}")
     vertices = [center]
     depth = [0]
-    index = {center: 0}
-    # per vertex, its neighbors as slab indices; while a level is expanded a
-    # new neighbor is held as the one Vertex object kept for its coset
+    index = {hash(_vertex_key(center)): 0}
+    # per vertex, its neighbors as slab indices (None: outside the ball)
     nbr_lists: list[list | None] = [None]
     level = [0]
     for d in range(radius):
-        discovered: dict[Vertex, Vertex] = {}
+        found: list[Vertex] = []  # the level's new vertices, in discovery order
+        slots: list[int] = []  # where each one's probe in ``index`` ended
+        discovered: dict[int, int] = {}  # positions in ``found``, keyed like ``index``
         for i in level:
             row = []
-            for nb in neighbors(vertices[i], mode):
-                j = index.get(nb)
-                row.append(discovered.setdefault(nb, nb) if j is None else j)
+            for key, (p, g) in _candidates(vertices[i], mode).items():
+                slot, j = _find(index, key, vertices)
+                if j is None:
+                    free, k = _find(discovered, key, found)
+                    if k is None:
+                        k = discovered[free] = len(found)
+                        found.append(_vertex(p, g))
+                        slots.append(slot)
+                    j = ~k  # resolved once the level is sorted
+                row.append(j)
             nbr_lists[i] = row
-        if not discovered:
+        if not found:
             level = []
             break
-        fresh = sorted(discovered, key=lambda v: (v.word(), v.parabolic.name if v.parabolic else ""))
-        if len(vertices) + len(fresh) > max_vertices:
+        if len(vertices) + len(found) > max_vertices:
             raise ResourceLimitExceeded(
                 f"ball exceeds {max_vertices} vertices at depth {d + 1}")
-        level = []
-        for v in fresh:
-            index[v] = len(vertices)
+        order = sorted(range(len(found)), key=lambda k: (
+            found[k].word(), found[k].parabolic.name if found[k].parabolic else ""))
+        placed = [0] * len(found)
+        expanded, level = level, []
+        for k in order:
+            # the slots passed on the way to ``slots[k]`` stay taken
+            slot = slots[k]
+            while slot in index:
+                slot += 1
+            index[slot] = placed[k] = len(vertices)
             level.append(len(vertices))
-            vertices.append(v)
+            vertices.append(found[k])
             depth.append(d + 1)
             nbr_lists.append(None)
+        for i in expanded:
+            nbr_lists[i] = [j if j >= 0 else placed[~j] for j in nbr_lists[i]]
     for i in level:  # frontier still needs its in-slab edges
-        nbr_lists[i] = [index.get(nb) for nb in neighbors(vertices[i], mode)]
+        nbr_lists[i] = [_find(index, key, vertices)[1] for key in _candidates(vertices[i], mode)]
+    del index  # the slab indexes its vertices itself
     adj: list[tuple[int, ...]] = []
     for i, row in enumerate(nbr_lists):
-        hits = {index[j] if isinstance(j, Vertex) else j for j in row}
+        hits = set(row)
         hits.discard(None)
         hits.discard(i)
         adj.append(tuple(sorted(hits)))

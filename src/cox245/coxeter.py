@@ -20,6 +20,11 @@ Descent tests are root-sign tests: x is a right descent of g iff g sends
 the simple root of x to a negative root.  Minimal coset and double-coset
 representatives are computed by descent stripping, which for standard
 parabolic subgroups lands on the unique shortest element.
+
+A coset g*P also has an identity that needs no stripping: ``coset_key``
+is the image M_g u_P of a vector u_P whose stabiliser is exactly P, read
+with the same shifts and additions as a generator product.  Callers that
+meet one coset many times compare keys and strip each coset once.
 """
 
 from __future__ import annotations
@@ -56,6 +61,7 @@ __all__ = [
     "canonical_word",
     "coxeter_length",
     "min_coset_rep",
+    "coset_key",
     "min_double_coset_rep",
     "parabolic_elements",
     "bilinear_form_matrix",
@@ -409,6 +415,55 @@ def min_coset_rep(g: GroupElement, p: ParabolicId) -> GroupElement:
                 mat = _mat_mul_gen_right(mat, x)
                 changed = True
     return GroupElement(mat)
+
+
+def coset_key(g: GroupElement, p: ParabolicId) -> tuple:
+    """Exact identity of the coset g*P without stripping: P's name and the
+    image M_g u_P as 12 ints over the integral basis.
+
+    u_P is fixed by exactly the two generators of P (2B(a_x, u_P) = 0 for x
+    in P): u_D8 = (sqrt2 phi, 2 phi, 2), u_D10 = (sqrt2 (3 - phi), 4, 2 phi)
+    and u_D4 = (sqrt2, 2, phi) in simple-root coordinates.  Each lies in the
+    closed (negated) fundamental chamber, whose points have as stabiliser
+    the standard parabolic fixing them (Tits), so g u_P = h u_P iff
+    g*P = h*P.  Coordinate i of the image is sum_j u_P[j] m_ij: the sqrt2
+    and phi shifts of ``_mat_mul_gen_right``, so no ``iq_mul``.
+    """
+    ((a00, b00, c00, d00), (a01, b01, c01, d01), (a02, b02, c02, d02),
+     (a10, b10, c10, d10), (a11, b11, c11, d11), (a12, b12, c12, d12),
+     (a20, b20, c20, d20), (a21, b21, c21, d21), (a22, b22, c22, d22)) = g.mat
+    name = p.name
+    if name == "D8":
+        return (
+            name,
+            2 * (d00 + c01 + a02), c00 + 2 * (d01 + b02),
+            2 * (b00 + d00 + a01 + c01 + c02), a00 + c00 + 2 * (b01 + d01 + d02),
+            2 * (d10 + c11 + a12), c10 + 2 * (d11 + b12),
+            2 * (b10 + d10 + a11 + c11 + c12), a10 + c10 + 2 * (b11 + d11 + d12),
+            2 * (d20 + c21 + a22), c20 + 2 * (d21 + b22),
+            2 * (b20 + d20 + a21 + c21 + c22), a20 + c20 + 2 * (b21 + d21 + d22),
+        )
+    if name == "D10":
+        return (
+            name,
+            6 * b00 - 2 * d00 + 4 * a01 + 2 * c02, 3 * a00 - c00 + 4 * b01 + 2 * d02,
+            4 * d00 - 2 * b00 + 4 * c01 + 2 * (a02 + c02), 2 * c00 - a00 + 4 * d01 + 2 * (b02 + d02),
+            6 * b10 - 2 * d10 + 4 * a11 + 2 * c12, 3 * a10 - c10 + 4 * b11 + 2 * d12,
+            4 * d10 - 2 * b10 + 4 * c11 + 2 * (a12 + c12), 2 * c10 - a10 + 4 * d11 + 2 * (b12 + d12),
+            6 * b20 - 2 * d20 + 4 * a21 + 2 * c22, 3 * a20 - c20 + 4 * b21 + 2 * d22,
+            4 * d20 - 2 * b20 + 4 * c21 + 2 * (a22 + c22), 2 * c20 - a20 + 4 * d21 + 2 * (b22 + d22),
+        )
+    if name == "D4":
+        return (
+            name,
+            2 * (b00 + a01) + c02, a00 + 2 * b01 + d02,
+            2 * (d00 + c01) + a02 + c02, c00 + 2 * d01 + b02 + d02,
+            2 * (b10 + a11) + c12, a10 + 2 * b11 + d12,
+            2 * (d10 + c11) + a12 + c12, c10 + 2 * d11 + b12 + d12,
+            2 * (b20 + a21) + c22, a20 + 2 * b21 + d22,
+            2 * (d20 + c21) + a22 + c22, c20 + 2 * d21 + b22 + d22,
+        )
+    raise ValueError(f"unknown parabolic {name!r}")
 
 
 def min_double_coset_rep(g: GroupElement, p: ParabolicId, q: ParabolicId) -> GroupElement:

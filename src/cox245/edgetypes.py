@@ -18,7 +18,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .complexgraph import GraphSlab, Vertex, make_vertex, translate
-from .coxeter import GroupElement, PARABOLICS, min_double_coset_rep, parabolic_elements
+from .coxeter import (
+    GroupElement,
+    PARABOLICS,
+    coset_key,
+    min_double_coset_rep,
+    parabolic_elements,
+)
 
 __all__ = [
     "EdgeTypeKey",
@@ -82,8 +88,9 @@ def key_partners(v: Vertex, key: EdgeTypeKey) -> list[Vertex]:
     In complex mode the partners of a P-side vertex for key (P, Q, w) are
     the cosets v.rep * p * w * Q with p in P; the mirrored orientation uses
     w^-1, the reversed word (generators are involutions).  Both directions
-    are generated, deduplicated in order.  Each candidate is a word walk
-    from v.rep through the add-only generator kernel.
+    are generated.  Each candidate is a word walk from v.rep through the
+    add-only generator kernel; candidates are deduplicated by coset key in
+    order, and each distinct coset is stripped once.
     """
     if key.mode == "cayley":
         out = [Vertex(None, v.rep.times(key.word))]
@@ -96,15 +103,12 @@ def key_partners(v: Vertex, key: EdgeTypeKey) -> list[Vertex]:
         variants.append((key.word, PARABOLICS[key.q]))
     if v.parabolic.name == key.q:
         variants.append((key.word[::-1], PARABOLICS[key.p]))
-    out = []
-    seen = set()
+    cands = {}
     for step, target_parab in variants:
         for p in parabolic_elements(v.parabolic):
-            cand = make_vertex(target_parab, v.rep.times(p.canonical_word() + step))
-            if cand not in seen:
-                seen.add(cand)
-                out.append(cand)
-    return out
+            g = v.rep.times(p.canonical_word() + step)
+            cands.setdefault(coset_key(g, target_parab), (target_parab, g))
+    return [make_vertex(q, g) for q, g in cands.values()]
 
 
 def orbit_sample(key: EdgeTypeKey, slab: GraphSlab, count: int) -> list[tuple[Vertex, Vertex]]:

@@ -5,10 +5,10 @@ import hashlib
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import cox245.complexgraph as complexgraph
 from cox245.complexgraph import (
     ResourceLimitExceeded,
     VertexNotInSlab,
-    _d10_cyclic_neighbors,
     adjacent,
     build_ball,
     cayley_vertex,
@@ -19,7 +19,15 @@ from cox245.complexgraph import (
     pentagon_cyclic_neighbors,
     translate,
 )
-from cox245.coxeter import D4, D8, D10, element_of_word, identity, parabolic_elements
+from cox245.coxeter import (
+    D4,
+    D8,
+    D10,
+    element_of_word,
+    identity,
+    min_coset_rep,
+    parabolic_elements,
+)
 
 C8 = fix_vertex(D8)
 C10 = fix_vertex(D10)
@@ -192,13 +200,15 @@ def test_cyclic_neighbors_match_rotation_products(w):
     """Neighbor k is the coset of rep * rot^k * edge, with the rotation
     reversed at odd-length representatives."""
     g = element_of_word(w)
-    for parabolic, cyclic, rot, order, edge in ((D8, pentagon_cyclic_neighbors, "rs", 4, "t"),
-                                                (D10, _d10_cyclic_neighbors, "st", 5, "r")):
+    for parabolic, mode, rot, order, edge in ((D8, "pentagon-subcomplex", "rs", 4, "t"),
+                                              (D10, "d10-orbit", "st", 5, "r")):
         v = make_vertex(parabolic, g)
         if v.rep.length() % 2:
             rot = rot[::-1]
-        assert cyclic(v) == [make_vertex(parabolic, v.rep * element_of_word(rot * k + edge))
-                             for k in range(order)]
+        want = [make_vertex(parabolic, v.rep * element_of_word(rot * k + edge)) for k in range(order)]
+        assert neighbors(v, mode) == want
+        if parabolic == D8:
+            assert pentagon_cyclic_neighbors(v) == want
 
 
 @pytest.mark.parametrize("center, radius, mode, size, digest", [
@@ -237,3 +247,29 @@ def test_adjacent_matches_generic_coset_intersection():
             assert got == reference_adjacent(u, v), (u.label(), v.label())
             hits += got
     assert (hits, len(slab) ** 2) == (240, 2401)
+
+
+def test_ball_strips_each_coset_once(monkeypatch):
+    """A coset already in the ball or the level is found by its key, so
+    only the center is never stripped."""
+    calls = []
+
+    def counted(g, p):
+        calls.append(p)
+        return min_coset_rep(g, p)
+    monkeypatch.setattr(complexgraph, "min_coset_rep", counted)
+    slab = build_ball(C8, 6, "pentagon-subcomplex")
+    assert len(slab) == 597
+    assert len(calls) <= 596
+
+
+@pytest.mark.parametrize("center, radius, mode", [
+    (C8, 4, "pentagon-subcomplex"), (C10, 3, "d10-orbit"), (C8, 2, "full-Y"),
+    (cayley_vertex(identity()), 6, "cayley"),
+])
+def test_ball_exact_under_hash_collisions(monkeypatch, center, radius, mode):
+    """With every key hashing alike, probing and the exact key check still
+    give the same ball."""
+    want = build_ball(center, radius, mode).dump()
+    monkeypatch.setattr(complexgraph, "hash", lambda key: 7, raising=False)
+    assert build_ball(center, radius, mode).dump() == want

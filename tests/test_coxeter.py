@@ -12,6 +12,7 @@ from cox245.coxeter import (
     GroupElement,
     bilinear_form_matrix,
     canonical_word,
+    coset_key,
     element_of_word,
     generator_matrix_field,
     identity,
@@ -22,7 +23,7 @@ from cox245.coxeter import (
     right_descents,
     word_inverse,
 )
-from cox245.numberfield import ZERO
+from cox245.numberfield import ZERO, iq_mul
 
 words = st.text(alphabet="rst", max_size=12)
 
@@ -279,3 +280,48 @@ def test_generator_kernel_matches_generic_multiply(w, x):
     assert coxeter._mat_mul_gen_left(m, x) == coxeter._mat_mul(gen, m)
     # a word walk equals the generic product by the word's matrix
     assert GroupElement(m).times(x + w).mat == coxeter._mat_mul(m, generic_product(x + w))
+
+
+def test_coset_key_fixed_by_exactly_the_parabolic():
+    """u_P is fixed by P's two generators and moved by the third."""
+    for p in (D8, D10, D4):
+        base = coset_key(identity(), p)
+        for x in "rst":
+            assert (coset_key(element_of_word(x), p) == base) == (x in p.gens), (p, x)
+
+
+# u_P in simple-root coordinates over the integral basis {1, sqrt2, phi, sqrt2 phi}
+U_P = {
+    "D8": ((0, 0, 0, 1), (0, 0, 2, 0), (2, 0, 0, 0)),
+    "D10": ((0, 3, 0, -1), (4, 0, 0, 0), (0, 0, 2, 0)),
+    "D4": ((0, 1, 0, 0), (2, 0, 0, 0), (0, 0, 1, 0)),
+}
+
+
+def reference_coset_key(g, p):
+    """M_g u_P by generic iq_mul products (the oracle for the shifts)."""
+    out = [p.name]
+    for i in range(3):
+        terms = [iq_mul(g.mat[3 * i + j], U_P[p.name][j]) for j in range(3)]
+        out.extend(sum(t[c] for t in terms) for c in range(4))
+    return tuple(out)
+
+
+@given(st.text(alphabet="rst", max_size=20), st.text(alphabet="rst", max_size=20),
+       st.sampled_from([D8, D10, D4]))
+@settings(max_examples=100, deadline=None)
+def test_coset_key_identifies_cosets(w, v, p):
+    """Equal keys iff equal minimal coset representatives, for h = g * p
+    with every p in P and for an independent h."""
+    g = element_of_word(w)
+    key = coset_key(g, p)
+    assert key == reference_coset_key(g, p)
+    rep = min_coset_rep(g, p)
+    for h in [g * member for member in parabolic_elements(p)] + [element_of_word(v)]:
+        assert (coset_key(h, p) == key) == (min_coset_rep(h, p) == rep)
+
+
+def test_coset_key_injective_on_full_y_ball():
+    slab = build_ball(fix_vertex(D8), 7, "full-Y")
+    keys = {coset_key(v.rep, v.parabolic) for v in slab.vertices}
+    assert (len(slab), len(keys)) == (4197, 4197)
