@@ -8,22 +8,48 @@ characteristic 1); the profile computation asserts the identity instead of
 assuming it, so a malformed disc fails loudly.
 
 Enumeration grows discs inward from the boundary, always filling a
-deterministic frontier edge, so every labeled triangulation is generated
-exactly once; results are deduplicated up to rotation/reflection of the
-marked boundary (boundary and interior never exchange roles).  The search
-mutates one fill state and undoes each move after recursing into it.  A
-class turns up once per distinct labeling of its boundary, so at up to 2B
-leaves; each leaf is first reduced to a cheap complete invariant
-(``_leaf_key``), and only a leaf whose key is new becomes a ``TriDisc``:
-one validation and one canonical form per class (a skipped leaf is a
-relabeling of a validated one, and validity does not depend on labels).
-The first leaf of a class is its representative, and the output is sorted
-by triangle count and canonical form.
+deterministic frontier edge, so every labeled triangulation of the marked
+boundary 0..B-1 is reachable exactly once; results are deduplicated up to
+rotation/reflection of the marked boundary (boundary and interior never
+exchange roles).  The search mutates one fill state and undoes each move
+after recursing into it.  Besides the triangle cap, two exact integer
+bounds prune it after every move:
+
+* Angle bound.  Every completion of the open regions needs at least
+  ``len(tris) + sum(|r| - 2)`` triangles, and each new vertex adds two to
+  that, so at most ``slack // 2`` new vertices remain, where ``slack`` is
+  the cap minus that least count.  In a valid disc the triangles at a
+  corner of an m-region filled with j new vertices form a fan whose
+  vertices are distinct, so they number at most m - 2 + j.  A vertex on
+  open regions therefore ends with at most ``angle + sum_{r on v}(|r| - 2)
+  + slack // 2`` triangles, and a closed vertex keeps its angle exactly.
+  A state is dropped when that bound is below what the vertex must reach
+  (6 inside under local 6-largeness, the minimum boundary angle on the
+  boundary).
+* Orderly boundary.  Every class has a labeling whose boundary-angle
+  sequence ``angle[0..B-1]`` is the least of its 2B dihedral images, and
+  that labeling is generated, so only such leaves are kept.  At an inner
+  node each boundary angle lies in [angle, bound]; for each non-identity
+  order the positions are scanned while they are certainly equal (the same
+  vertex, or two exact equal angles).  If at the first other position the
+  identity's least angle exceeds the bound of the vertex that order puts
+  there, every completion has a smaller image and is not kept, so the
+  state is dropped.
+
+A class still reaches several leaves when its least sequence is symmetric,
+so each kept leaf is reduced to a cheap complete invariant (``_leaf_key``),
+and only a leaf whose key is new becomes a ``TriDisc``: one validation and
+one canonical form per class (a skipped leaf is a relabeling of a validated
+one, and validity does not depend on labels).  The first leaf of a class is
+its representative, and the output is sorted by triangle count and
+canonical form.
 
 The two octagon fillings with one resp. two interior hubs (the degree-8
 wheel and its split companion) are provided as reference discs; under the
 local-largeness constraints the octagon enumeration must produce exactly
-those two, and a hexagon must produce only the wheel.
+those two, and a hexagon must produce only the wheel.  The suite flags a
+disc outside the family, and a family disc that fits the run's triangle
+cap and minimum boundary angle but was not enumerated.
 """
 
 from __future__ import annotations
@@ -31,6 +57,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import permutations
+from operator import lt
 
 __all__ = [
     "TriDisc",
@@ -322,12 +349,20 @@ def enumerate_discs(boundary_len: int, max_triangles: int,
     """
     if boundary_len < 3:
         raise ValueError("boundary_len must be at least 3")
+    if max_triangles < 0:
+        raise ValueError(f"max_triangles must be non-negative, got {max_triangles}")
+    if min_boundary_angle < 0:
+        raise ValueError(
+            f"min_boundary_angle must be non-negative, got {min_boundary_angle}")
     if boundary_len > MAX_BOUNDARY or max_triangles > MAX_TRIANGLES:
         raise CapExceeded(
             f"caps are boundary <= {MAX_BOUNDARY}, triangles <= {MAX_TRIANGLES}")
     B = boundary_len
     seen: set[bytes] = set()
     results: list[TriDisc] = []
+    # the angle each vertex must end with, by label (interior from B on)
+    need = [min_boundary_angle] * B + [6 if locally_6_large else 0] * MAX_INTERIOR
+    rivals = _dihedral_orders(B)[1:]  # orders[0] is the identity
 
     # the one fill state, mutated by each move and restored after it
     nverts = B
@@ -336,12 +371,29 @@ def enumerate_discs(boundary_len: int, max_triangles: int,
     tri_set: set[tuple[int, int, int]] = set()
     angle = [0] * B
     regions = [list(range(B))]
-    on_regions = [1] * B
+    # room[v] = angle[v] + sum of (|r| - 2) over the open regions r on v;
+    # every region has |r| >= 3, so v is still open iff room[v] > angle[v]
+    room = [B - 2] * B
+    # max_triangles minus the least triangle count of any completion
+    slack = max_triangles - (B - 2)
 
-    def finalize_vertex(v) -> bool:
-        if v < B:
-            return angle[v] >= min_boundary_angle
-        return (not locally_6_large) or angle[v] >= 6
+    def pruned() -> bool:
+        """True when no leaf below the current state is emitted: some vertex
+        cannot reach the angle it needs, or the boundary-angle sequence is
+        certainly not the least of its dihedral images."""
+        spare = slack // 2  # most new vertices any completion can add
+        hi = [r + spare if r > x else r for r, x in zip(room, angle)]
+        if any(map(lt, hi, need)):
+            return True
+        for order in rivals:
+            for i, j in enumerate(order):
+                if i == j:
+                    continue
+                if angle[i] > hi[j]:
+                    return True  # this order's sequence is certainly smaller
+                if not angle[i] == hi[i] == angle[j] == hi[j]:
+                    break
+        return False
 
     def emit():
         key = _leaf_key(B, nverts, tris, angle)
@@ -350,7 +402,7 @@ def enumerate_discs(boundary_len: int, max_triangles: int,
             results.append(TriDisc(tuple(range(B)), tuple(tris)))
 
     def step():
-        nonlocal nverts
+        nonlocal nverts, slack
         if not regions:
             emit()
             return
@@ -361,6 +413,8 @@ def enumerate_discs(boundary_len: int, max_triangles: int,
         # apex choices: splitting vertices of the active region, then a new one
         for k in list(range(2, m)) + [None]:
             new_vertex = k is None
+            if new_vertex and (slack < 2 or nverts - B == MAX_INTERIOR):
+                continue  # a new vertex adds two triangles to every completion
             w = nverts if new_vertex else region[k]
             tri = _tri(a, b, w)
             if tri in tri_set:
@@ -384,12 +438,14 @@ def enumerate_discs(boundary_len: int, max_triangles: int,
             # apply the move
             if new_vertex:
                 nverts += 1
+                slack -= 2
                 angle.append(0)
-                on_regions.append(0)
+                room.append(0)
             tris.append(tri)
             tri_set.add(tri)
             for v in tri:
                 angle[v] += 1
+                room[v] += 1
             edges[e_ab] -= 1
             created = []
             for e in (e_bw, e_wa):
@@ -400,7 +456,7 @@ def enumerate_discs(boundary_len: int, max_triangles: int,
                     edges[e] -= 1
             old = regions.pop()
             for v in old:
-                on_regions[v] -= 1
+                room[v] -= m - 2
             if new_vertex:
                 new_regions = [[a, w] + old[1:]]
             elif k == 2 and m == 3:
@@ -416,20 +472,17 @@ def enumerate_discs(boundary_len: int, max_triangles: int,
                     raise AssertionError("degenerate region")
                 regions.append(r)
                 for v in r:
-                    on_regions[v] += 1
-            closed = [v for v in set(old) if on_regions[v] == 0]
-            if (all(finalize_vertex(v) for v in closed)
-                    and len(tris) + sum(len(r) - 2 for r in regions) <= max_triangles
-                    and nverts - B <= MAX_INTERIOR):
+                    room[v] += len(r) - 2
+            if not pruned():
                 step()
             # undo the move, in reverse order
             for r in reversed(new_regions):
                 regions.pop()
                 for v in r:
-                    on_regions[v] -= 1
+                    room[v] -= len(r) - 2
             regions.append(old)
             for v in old:
-                on_regions[v] += 1
+                room[v] += m - 2
             for e, fresh in zip((e_wa, e_bw), reversed(created)):
                 if fresh:
                     del edges[e]
@@ -438,21 +491,26 @@ def enumerate_discs(boundary_len: int, max_triangles: int,
             edges[e_ab] += 1
             for v in tri:
                 angle[v] -= 1
+                room[v] -= 1
             tri_set.remove(tri)
             tris.pop()
             if new_vertex:
                 nverts -= 1
+                slack += 2
                 angle.pop()
-                on_regions.pop()
+                room.pop()
 
-    step()
+    if slack >= 0:
+        step()
     return sorted(results, key=lambda d: (len(d.triangles), d.canonical))
 
 
 def discs_suite(boundary: int, max_triangles: int, locally_6_large: bool,
                 min_angle: int, no_chords: bool) -> dict:
-    """Enumerate and audit; flags any disc outside the classified families
-    when the configuration matches one of the classified settings."""
+    """Enumerate and audit.  When the configuration matches one of the
+    classified settings, flags any disc outside the classified family, and
+    any disc of the family that meets the triangle cap and minimum boundary
+    angle but is missing from the enumeration."""
     discs = enumerate_discs(boundary, max_triangles,
                             locally_6_large=locally_6_large,
                             min_boundary_angle=min_angle,
@@ -476,9 +534,12 @@ def discs_suite(boundary: int, max_triangles: int, locally_6_large: bool,
         expected = [p8_disc(), p10_disc()]
     if expected is not None:
         allowed = {d.canonical for d in expected}
-        for d in discs:
-            if d.canonical not in allowed:
-                red_flags.append(d.to_text())
+        found = {d.canonical for d in discs}
+        red_flags = [d.to_text() for d in discs if d.canonical not in allowed]
+        # a classified disc that meets this run's constraints must turn up
+        red_flags += [d.to_text() for d in expected
+                      if d.canonical not in found and len(d.triangles) <= max_triangles
+                      and all(d.angle(v) >= min_angle for v in d.boundary)]
         if red_flags:
             status = "failed"
     return {

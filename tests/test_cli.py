@@ -75,6 +75,15 @@ def test_config_error_exit_code(capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("limits, name", [
+    (["--max-triangles", "-1"], "max_triangles"),
+    (["--max-triangles", "8", "--min-angle", "-1"], "min_boundary_angle"),
+])
+def test_negative_disc_constraint_exit_code(capsys, limits, name):
+    assert main(["discs", "enumerate", "--boundary", "6", *limits]) == 2
+    assert name in capsys.readouterr().err
+
+
 def test_report_rejects_bad_status():
     with pytest.raises(ValueError):
         Report(suite="x", status="maybe", steps=(), elapsed_ms=0,

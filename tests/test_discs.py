@@ -1,9 +1,11 @@
 """Triangulated discs: curvature audit, enumeration, isomorphism."""
 
+import hashlib
 from itertools import permutations, product
 
 import pytest
 
+from cox245 import discs
 from cox245.discs import (
     MAX_INTERIOR,
     CapExceeded,
@@ -12,6 +14,7 @@ from cox245.discs import (
     _leaf_key,
     canonical_form,
     curvature_profile,
+    discs_suite,
     enumerate_discs,
     is_isomorphic,
     p8_disc,
@@ -135,6 +138,52 @@ def test_caps_enforced():
         enumerate_discs(6, 20)
     with pytest.raises(ValueError):
         enumerate_discs(2, 4)
+
+
+def test_negative_constraints_rejected():
+    with pytest.raises(ValueError, match="max_triangles"):
+        enumerate_discs(6, -1)
+    with pytest.raises(ValueError, match="min_boundary_angle"):
+        enumerate_discs(6, 8, min_boundary_angle=-1)
+
+
+def test_suite_flags_missing_classified_discs(monkeypatch):
+    assert discs_suite(8, 9, True, 2, True)["status"] == "verified"  # P10 needs 10
+    monkeypatch.setattr(discs, "enumerate_discs", lambda *args, **kwargs: [])
+    octagon = discs_suite(8, 10, True, 2, True)
+    assert octagon["status"] == "failed"
+    assert octagon["red_flags"] == [p8_disc().to_text(), p10_disc().to_text()]
+    assert discs_suite(8, 9, True, 2, True)["red_flags"] == [p8_disc().to_text()]
+    hexagon = discs_suite(6, 8, True, 0, True)
+    assert hexagon["status"] == "failed"
+    assert hexagon["red_flags"] == [wheel_disc(6).to_text()]
+    # boundary angle 3 excludes every reference disc, so none is expected
+    assert discs_suite(8, 10, True, 3, True)["status"] == "verified"
+    assert discs_suite(6, 5, True, 0, True)["status"] == "verified"
+
+
+@pytest.mark.parametrize("args, kwargs, count, digest", [
+    ((8, 10), {}, 788, "ca6cce85e342cc9c"),
+    ((10, 12), {"locally_6_large": True}, 165, "957cb079f2edf34b"),
+])
+def test_benchmark_enumerations_pinned(args, kwargs, count, digest):
+    out = enumerate_discs(*args, **kwargs)
+    assert len(out) == count
+    text = "".join(d.to_text() for d in out)
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
+
+
+def test_orderly_boundary_keeps_about_one_leaf_per_class(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return _leaf_key(*args)
+
+    monkeypatch.setattr(discs, "_leaf_key", counted)
+    assert len(enumerate_discs(8, 10)) == 788
+    # 11,715 leaves reach the key without the orderly prune
+    assert len(calls) <= 1000
 
 
 def test_serialization_golden_wheel():
