@@ -2,7 +2,9 @@
 """The (2,4,5) triangle group through its reflection representation.
 
 Words multiply as exact 3x3 matrices; the representation is faithful, so
-matrix equality solves the word problem and ShortLex canonical words come
+matrix equality solves the word problem.  ShortLex canonical words and
+minimal coset representatives are peeled off the element's orbit point
+g*u, one least left descent at a time; double-coset representatives come
 out of descent stripping.
 """
 

@@ -615,6 +615,8 @@ def auto_search_d10(max_depth: int = 3, radius: int = 5) -> dict:
     max(2, radius - 2)) and the largest endpoint distance reached.  No
     completeness claim is made and the status is always "inconclusive".
     """
+    if max_depth < 0:
+        raise ValueError("max_depth must be nonnegative")
     center = fix_vertex(D10)
     slab = build_ball(center, radius, "d10-orbit")
     seed = type_key_complex(center, make_vertex(D10, element_of_word("r")))

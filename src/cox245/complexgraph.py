@@ -22,14 +22,16 @@ d10 tilings) or the words of its parabolic's elements (coset
 intersection), each through ``GroupElement.times`` (see
 :mod:`cox245.coxeter`).  The walk yields unstripped elements,
 deduplicated by key: ``coxeter.coset_key`` for a coset, the matrix itself
-for a Cayley vertex.  ``neighbors`` strips each distinct key once and
-``adjacent`` compares keys of the intersection walk.  Balls are built by
-BFS and strip a coset only the first time its key is met: the ball and
-the level being expanded are indexed by key hash (a hit is confirmed by
-recomputing the stored vertex's key), so each vertex but the center is
-stripped exactly once.  Vertex order is BFS depth with canonical-word
-tie-break inside each level, which makes slab dumps reproducible.  A ball
-keeps one ``Vertex`` per coset and records neighbors as slab indices.
+for a Cayley vertex.  ``neighbors`` peels each distinct key once to its
+minimal representative (``coxeter.coset_rep``) and ``adjacent`` compares
+keys of the intersection walk.  Balls are built by BFS and peel a coset
+only the first time its key is met: the ball and the level being expanded
+are indexed by key hash (a hit is confirmed by recomputing the stored
+vertex's key), so each vertex but the center is peeled exactly once.
+Vertex order is BFS depth with canonical-word tie-break inside each level,
+which makes slab dumps reproducible; a peeled representative carries its
+word, so the sort peels nothing more.  A ball keeps one ``Vertex`` per
+coset and records neighbors as slab indices.
 Distances inside a slab are certified: a value is marked exact only when no
 shorter path could leave the ball, otherwise a lower bound is reported.
 """
@@ -48,6 +50,7 @@ from .coxeter import (
     PARABOLICS,
     ParabolicId,
     coset_key,
+    coset_rep,
     identity,
     min_coset_rep,
     parabolic_elements,
@@ -136,9 +139,10 @@ def _vertex_key(v: Vertex):
     return _key(v.parabolic, v.rep)
 
 
-def _vertex(parabolic: ParabolicId | None, g: GroupElement) -> Vertex:
-    """The vertex of g: one strip to the minimal coset representative."""
-    return Vertex(None, g) if parabolic is None else make_vertex(parabolic, g)
+def _vertex(parabolic: ParabolicId | None, key, g: GroupElement) -> Vertex:
+    """The vertex of g, whose key is ``key``: a coset's minimal
+    representative is peeled off the key."""
+    return Vertex(None, g) if parabolic is None else Vertex(parabolic, coset_rep(key))
 
 
 # (parabolic, rotation, order, edge letter) of the two tilings
@@ -203,8 +207,8 @@ def _candidates(v: Vertex, mode: str) -> dict:
 
 def neighbors(v: Vertex, mode: str) -> list[Vertex]:
     """Deterministically ordered neighbor list in the given universe; each
-    distinct neighbor is stripped once."""
-    return [_vertex(p, g) for p, g in _candidates(v, mode).values()]
+    distinct neighbor is peeled once."""
+    return [_vertex(p, key, g) for key, (p, g) in _candidates(v, mode).items()]
 
 
 def adjacent(u: Vertex, v: Vertex) -> bool:
@@ -343,7 +347,7 @@ def build_ball(center: Vertex, radius: int, mode: str,
                     free, k = _find(discovered, key, found)
                     if k is None:
                         k = discovered[free] = len(found)
-                        found.append(_vertex(p, g))
+                        found.append(_vertex(p, key, g))
                         slots.append(slot)
                     j = ~k  # resolved once the level is sorted
                 row.append(j)

@@ -7,24 +7,29 @@ representation is faithful, so equality of group elements is equality of
 matrices, and the word problem costs nothing beyond exact arithmetic.
 
 Matrices are flat 9-tuples (row major) of integral quartic vectors from
-:mod:`cox245.numberfield`.  Everything downstream identifies an element with
-its matrix; canonical (ShortLex-least reduced) words are derived from the
-matrix on demand and memoised by matrix, so a word costs one peeled letter
-per suffix not seen before.  Multiplying by a generator, on either side,
+:mod:`cox245.numberfield`.  Multiplying by a generator, on either side,
 needs only negations, additions and the shifts that multiply by sqrt2 and
 phi in the integral basis.  Every product by a known word goes through
 ``GroupElement.times``, one such generator product per letter; the generic
 ``iq_mul`` product of two matrices exists only behind ``GroupElement.__mul__``.
 
-Descent tests are root-sign tests: x is a right descent of g iff g sends
-the simple root of x to a negative root.  Minimal coset and double-coset
-representatives are computed by descent stripping, which for standard
-parabolic subgroups lands on the unique shortest element.
+A coset g*P is identified without stripping by ``coset_key``: the image
+M_g u_P of a vector u_P whose stabiliser is exactly P, read with the same
+shifts and additions.  An element g is its coset of the trivial subgroup,
+keyed by the image of rho = u_D8 + u_D10 + u_D4, which has trivial
+stabiliser.  Words and minimal representatives are read off that orbit
+point (the numbers game, Bjorner & Brenti, *Combinatorics of Coxeter
+Groups*, 4.3): for g minimal in g*P, x is a left descent of g iff
+2B(a_x, g u_P) > 0, one exact sign of a shift-and-add form, and reflecting
+the point by x changes only its coordinate x.  Peeling the least such x
+until a known point is reached gives the ShortLex word, and the minimal
+representative is rebuilt from the known suffix by one add-only generator
+product per letter.  Representatives are memoised by point, so a coset
+costs one peeled letter per suffix not seen before.
 
-A coset g*P also has an identity that needs no stripping: ``coset_key``
-is the image M_g u_P of a vector u_P whose stabiliser is exactly P, read
-with the same shifts and additions as a generator product.  Callers that
-meet one coset many times compare keys and strip each coset once.
+Right descents and minimal double-coset representatives still use
+root-sign tests (x is a right descent of g iff g sends a_x to a negative
+root), which also check that each root is totally positive or negative.
 """
 
 from __future__ import annotations
@@ -62,6 +67,7 @@ __all__ = [
     "coxeter_length",
     "min_coset_rep",
     "coset_key",
+    "coset_rep",
     "min_double_coset_rep",
     "parabolic_elements",
     "bilinear_form_matrix",
@@ -228,35 +234,115 @@ def _column_root_sign(m, x: str) -> int:
     return sign
 
 
-# ShortLex-least words by matrix.  A suffix of a ShortLex-least word is
-# ShortLex-least, so a word is found by peeling least left descents off
-# until a known matrix is reached; every matrix passed on the way is stored.
-# Keys are the elements' own matrix tuples, so an entry holds no new matrix
-# when the suffixes are already in use (as in a BFS ball).  The memo grows
-# for the life of the process.
-_WORDS: dict[tuple, str] = {_IDENTITY_MAT: ""}
+# The name that keys an element's orbit point: its coset of the trivial
+# subgroup, whose base point is rho.
+_ELEMENT = "1"
 
 
-def _shortlex_word(mat) -> str:
-    word = _WORDS.get(mat)
-    if word is not None:
-        return word
+def _point(m, name: str) -> tuple:
+    """``name`` and M u as 12 ints over the integral basis: u = u_P for the
+    parabolic named ``name`` (see ``coset_key``), u = rho = (4 sqrt2,
+    6 + 2 phi, 2 + 3 phi) for ``_ELEMENT``.  Coordinate i is sum_j u[j] m_ij,
+    by the sqrt2 and phi shifts of ``_mat_mul_gen_right``, so no ``iq_mul``.
+    """
+    ((a00, b00, c00, d00), (a01, b01, c01, d01), (a02, b02, c02, d02),
+     (a10, b10, c10, d10), (a11, b11, c11, d11), (a12, b12, c12, d12),
+     (a20, b20, c20, d20), (a21, b21, c21, d21), (a22, b22, c22, d22)) = m
+    if name == "D8":
+        return (
+            name,
+            2 * (d00 + c01 + a02), c00 + 2 * (d01 + b02),
+            2 * (b00 + d00 + a01 + c01 + c02), a00 + c00 + 2 * (b01 + d01 + d02),
+            2 * (d10 + c11 + a12), c10 + 2 * (d11 + b12),
+            2 * (b10 + d10 + a11 + c11 + c12), a10 + c10 + 2 * (b11 + d11 + d12),
+            2 * (d20 + c21 + a22), c20 + 2 * (d21 + b22),
+            2 * (b20 + d20 + a21 + c21 + c22), a20 + c20 + 2 * (b21 + d21 + d22),
+        )
+    if name == "D10":
+        return (
+            name,
+            6 * b00 - 2 * d00 + 4 * a01 + 2 * c02, 3 * a00 - c00 + 4 * b01 + 2 * d02,
+            4 * d00 - 2 * b00 + 4 * c01 + 2 * (a02 + c02), 2 * c00 - a00 + 4 * d01 + 2 * (b02 + d02),
+            6 * b10 - 2 * d10 + 4 * a11 + 2 * c12, 3 * a10 - c10 + 4 * b11 + 2 * d12,
+            4 * d10 - 2 * b10 + 4 * c11 + 2 * (a12 + c12), 2 * c10 - a10 + 4 * d11 + 2 * (b12 + d12),
+            6 * b20 - 2 * d20 + 4 * a21 + 2 * c22, 3 * a20 - c20 + 4 * b21 + 2 * d22,
+            4 * d20 - 2 * b20 + 4 * c21 + 2 * (a22 + c22), 2 * c20 - a20 + 4 * d21 + 2 * (b22 + d22),
+        )
+    if name == "D4":
+        return (
+            name,
+            2 * (b00 + a01) + c02, a00 + 2 * b01 + d02,
+            2 * (d00 + c01) + a02 + c02, c00 + 2 * d01 + b02 + d02,
+            2 * (b10 + a11) + c12, a10 + 2 * b11 + d12,
+            2 * (d10 + c11) + a12 + c12, c10 + 2 * d11 + b12 + d12,
+            2 * (b20 + a21) + c22, a20 + 2 * b21 + d22,
+            2 * (d20 + c21) + a22 + c22, c20 + 2 * d21 + b22 + d22,
+        )
+    if name == _ELEMENT:
+        return (
+            name,
+            8 * b00 + 6 * a01 + 2 * (c01 + a02) + 3 * c02, 4 * a00 + 6 * b01 + 2 * (d01 + b02) + 3 * d02,
+            8 * (d00 + c01) + 2 * a01 + 3 * a02 + 5 * c02, 4 * c00 + 8 * d01 + 2 * b01 + 3 * b02 + 5 * d02,
+            8 * b10 + 6 * a11 + 2 * (c11 + a12) + 3 * c12, 4 * a10 + 6 * b11 + 2 * (d11 + b12) + 3 * d12,
+            8 * (d10 + c11) + 2 * a11 + 3 * a12 + 5 * c12, 4 * c10 + 8 * d11 + 2 * b11 + 3 * b12 + 5 * d12,
+            8 * b20 + 6 * a21 + 2 * (c21 + a22) + 3 * c22, 4 * a20 + 6 * b21 + 2 * (d21 + b22) + 3 * d22,
+            8 * (d20 + c21) + 2 * a21 + 3 * a22 + 5 * c22, 4 * c20 + 8 * d21 + 2 * b21 + 3 * b22 + 5 * d22,
+        )
+    raise ValueError(f"unknown parabolic {name!r}")
+
+
+def _twob(p, x: str):
+    """2B(a_x, v) for the point v of a key ``p``: row x of ``_TWOB`` against
+    v's coordinates, by the sqrt2 and phi shifts."""
+    _, a0, b0, c0, d0, a1, b1, c1, d1, a2, b2, c2, d2 = p
+    if x == "r":  # 2 v_r - sqrt2 v_s
+        return (2 * (a0 - b1), 2 * b0 - a1, 2 * (c0 - d1), 2 * d0 - c1)
+    if x == "s":  # -sqrt2 v_r + 2 v_s - phi v_t
+        return (2 * (a1 - b0) - c2, 2 * b1 - a0 - d2, 2 * (c1 - d0) - a2 - c2, 2 * d1 - c0 - b2 - d2)
+    return (2 * a2 - c1, 2 * b2 - d1, 2 * c2 - a1 - c1, 2 * d2 - b1 - d1)  # -phi v_s + 2 v_t
+
+
+def _least_descent(p):
+    """(x, key of s_x v) for the least x with 2B(a_x, v) > 0, v the point of
+    ``p``, or None when v lies in the closed negated chamber.  The
+    reflection s_x v = v - 2B(a_x, v) a_x changes coordinate x only."""
+    for x in GENERATORS:
+        v = _twob(p, x)
+        if iq_sign(v) > 0:
+            i = 1 + 4 * _INDEX[x]
+            return x, p[:i] + (p[i] - v[0], p[i + 1] - v[1], p[i + 2] - v[2], p[i + 3] - v[3]) + p[i + 4:]
+    return None
+
+
+def coset_rep(key: tuple) -> "GroupElement":
+    """The minimal representative of the coset with ``coset_key`` ``key``,
+    carrying its ShortLex-least word.
+
+    For g minimal in g*P, x is a left descent iff 2B(a_x, g u_P) > 0 (a
+    negative root g^-1 a_x pairs positively with u_P unless it is a root of
+    P, which minimality excludes), and s_x g is minimal in the coset of the
+    reflected point.  So least descents are peeled off the point until a
+    memoised one, and each representative passed is rebuilt as M_x times
+    its suffix's.  An orbit meets the closed negated chamber only in its
+    base point (Tits), so a point there that is not memoised raises.
+    """
+    rep = _REPS.get(key)
+    if rep is not None:
+        return rep
     passed = []
-    inv = _mat_inv(mat)  # x is a left descent of g iff g^-1(a_x) < 0
-    while word is None:
-        for x in GENERATORS:
-            if _column_root_sign(inv, x) < 0:
-                break
-        else:
-            raise ArithmeticError("non-identity element with no descent")
-        passed.append((mat, x))
-        mat = _mat_mul_gen_left(mat, x)
-        inv = _mat_mul_gen_right(inv, x)
-        word = _WORDS.get(mat)
-    for mat, x in reversed(passed):
-        word = x + word
-        _WORDS[mat] = word
-    return word
+    while rep is None:
+        step = _least_descent(key)
+        if step is None:
+            raise ArithmeticError("matrix is not in the reflection group "
+                                  "(its orbit point has no descent)")
+        passed.append((key, step[0]))
+        key = step[1]
+        rep = _REPS.get(key)
+    for key, x in reversed(passed):
+        up = GroupElement(_mat_mul_gen_left(rep.mat, x))
+        up._word = x + rep._word
+        _REPS[key] = rep = up
+    return rep
 
 
 class GroupElement:
@@ -303,9 +389,14 @@ class GroupElement:
         return self.mat == _IDENTITY_MAT
 
     def canonical_word(self) -> str:
-        """ShortLex-least (r < s < t) reduced word for this element."""
+        """ShortLex-least (r < s < t) reduced word for this element, peeled
+        off its point ``g rho``, which only this element maps rho to."""
         if self._word is None:
-            self._word = _shortlex_word(self.mat)
+            rep = coset_rep(_point(self.mat, _ELEMENT))
+            if rep.mat != self.mat:
+                raise ArithmeticError("matrix is not in the reflection group "
+                                      "(it moves rho like another element)")
+            self._word = rep._word
         return self._word
 
     def length(self) -> int:
@@ -330,6 +421,12 @@ for _x, _g in _GENS.items():
     _g._word = _x
 _IDENT._word = ""
 
+# Minimal coset representatives by orbit-point key, seeded with the base
+# points.  Representatives in use (as in a BFS ball) are the stored
+# objects themselves.  The memo grows for the life of the process.
+_REPS: dict[tuple, GroupElement] = {
+    _point(_IDENTITY_MAT, name): _IDENT for name in ("D8", "D10", "D4", _ELEMENT)}
+
 
 def identity() -> GroupElement:
     return _IDENT
@@ -351,8 +448,9 @@ def right_descents(g: GroupElement) -> set[str]:
 
 
 def left_descents(g: GroupElement) -> set[str]:
-    inv = _mat_inv(g.mat)
-    return {x for x in GENERATORS if _column_root_sign(inv, x) < 0}
+    """Generators x with length(x*g) < length(g): 2B(a_x, g rho) > 0."""
+    p = _point(g.mat, _ELEMENT)
+    return {x for x in GENERATORS if iq_sign(_twob(p, x)) > 0}
 
 
 def canonical_word(g: GroupElement) -> str:
@@ -405,16 +503,9 @@ def parabolic_elements(p: ParabolicId) -> tuple[GroupElement, ...]:
 
 
 def min_coset_rep(g: GroupElement, p: ParabolicId) -> GroupElement:
-    """Unique shortest element of the coset g*P (no right descent in P)."""
-    mat = g.mat
-    changed = True
-    while changed:
-        changed = False
-        for x in p.gens:
-            if _column_root_sign(mat, x) < 0:
-                mat = _mat_mul_gen_right(mat, x)
-                changed = True
-    return GroupElement(mat)
+    """Unique shortest element of the coset g*P (no right descent in P),
+    peeled off its key; callers holding the key call ``coset_rep``."""
+    return coset_rep(coset_key(g, p))
 
 
 def coset_key(g: GroupElement, p: ParabolicId) -> tuple:
@@ -426,44 +517,9 @@ def coset_key(g: GroupElement, p: ParabolicId) -> tuple:
     and u_D4 = (sqrt2, 2, phi) in simple-root coordinates.  Each lies in the
     closed (negated) fundamental chamber, whose points have as stabiliser
     the standard parabolic fixing them (Tits), so g u_P = h u_P iff
-    g*P = h*P.  Coordinate i of the image is sum_j u_P[j] m_ij: the sqrt2
-    and phi shifts of ``_mat_mul_gen_right``, so no ``iq_mul``.
+    g*P = h*P.
     """
-    ((a00, b00, c00, d00), (a01, b01, c01, d01), (a02, b02, c02, d02),
-     (a10, b10, c10, d10), (a11, b11, c11, d11), (a12, b12, c12, d12),
-     (a20, b20, c20, d20), (a21, b21, c21, d21), (a22, b22, c22, d22)) = g.mat
-    name = p.name
-    if name == "D8":
-        return (
-            name,
-            2 * (d00 + c01 + a02), c00 + 2 * (d01 + b02),
-            2 * (b00 + d00 + a01 + c01 + c02), a00 + c00 + 2 * (b01 + d01 + d02),
-            2 * (d10 + c11 + a12), c10 + 2 * (d11 + b12),
-            2 * (b10 + d10 + a11 + c11 + c12), a10 + c10 + 2 * (b11 + d11 + d12),
-            2 * (d20 + c21 + a22), c20 + 2 * (d21 + b22),
-            2 * (b20 + d20 + a21 + c21 + c22), a20 + c20 + 2 * (b21 + d21 + d22),
-        )
-    if name == "D10":
-        return (
-            name,
-            6 * b00 - 2 * d00 + 4 * a01 + 2 * c02, 3 * a00 - c00 + 4 * b01 + 2 * d02,
-            4 * d00 - 2 * b00 + 4 * c01 + 2 * (a02 + c02), 2 * c00 - a00 + 4 * d01 + 2 * (b02 + d02),
-            6 * b10 - 2 * d10 + 4 * a11 + 2 * c12, 3 * a10 - c10 + 4 * b11 + 2 * d12,
-            4 * d10 - 2 * b10 + 4 * c11 + 2 * (a12 + c12), 2 * c10 - a10 + 4 * d11 + 2 * (b12 + d12),
-            6 * b20 - 2 * d20 + 4 * a21 + 2 * c22, 3 * a20 - c20 + 4 * b21 + 2 * d22,
-            4 * d20 - 2 * b20 + 4 * c21 + 2 * (a22 + c22), 2 * c20 - a20 + 4 * d21 + 2 * (b22 + d22),
-        )
-    if name == "D4":
-        return (
-            name,
-            2 * (b00 + a01) + c02, a00 + 2 * b01 + d02,
-            2 * (d00 + c01) + a02 + c02, c00 + 2 * d01 + b02 + d02,
-            2 * (b10 + a11) + c12, a10 + 2 * b11 + d12,
-            2 * (d10 + c11) + a12 + c12, c10 + 2 * d11 + b12 + d12,
-            2 * (b20 + a21) + c22, a20 + 2 * b21 + d22,
-            2 * (d20 + c21) + a22 + c22, c20 + 2 * d21 + b22 + d22,
-        )
-    raise ValueError(f"unknown parabolic {name!r}")
+    return _point(g.mat, p.name)
 
 
 def min_double_coset_rep(g: GroupElement, p: ParabolicId, q: ParabolicId) -> GroupElement:

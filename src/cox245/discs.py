@@ -178,13 +178,17 @@ def _validate(d: TriDisc):
     for e in boundary_edges:
         if e not in counts:
             raise InvalidDisc(f"boundary edge {e} not covered by a triangle")
-    v_count = len(d.vertices)
-    euler = v_count - len(counts) + len(d.triangles)
+    vertices = d.vertices
+    euler = len(vertices) - len(counts) + len(d.triangles)
     if euler != 1:
         raise InvalidDisc(f"Euler characteristic {euler} != 1")
+    stars: dict[int, list[tuple[int, int, int]]] = {}
+    for t in d.triangles:
+        for v in t:
+            stars.setdefault(v, []).append(t)
     # vertex links: one fan per boundary vertex, one cycle per interior vertex
-    for v in d.vertices:
-        star = [t for t in d.triangles if v in t]
+    for v in vertices:
+        star = stars.get(v)
         if not star:
             raise InvalidDisc(f"isolated vertex {v}")
         opposite = [tuple(x for x in t if x != v) for t in star]

@@ -17,11 +17,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .complexgraph import GraphSlab, Vertex, make_vertex, translate
+from .complexgraph import GraphSlab, Vertex, translate
 from .coxeter import (
     GroupElement,
     PARABOLICS,
     coset_key,
+    coset_rep,
     min_double_coset_rep,
     parabolic_elements,
 )
@@ -90,7 +91,8 @@ def key_partners(v: Vertex, key: EdgeTypeKey) -> list[Vertex]:
     w^-1, the reversed word (generators are involutions).  Both directions
     are generated.  Each candidate is a word walk from v.rep through the
     add-only generator kernel; candidates are deduplicated by coset key in
-    order, and each distinct coset is stripped once.
+    order, and each distinct key is peeled once to its minimal
+    representative.
     """
     if key.mode == "cayley":
         out = [Vertex(None, v.rep.times(key.word))]
@@ -107,8 +109,8 @@ def key_partners(v: Vertex, key: EdgeTypeKey) -> list[Vertex]:
     for step, target_parab in variants:
         for p in parabolic_elements(v.parabolic):
             g = v.rep.times(p.canonical_word() + step)
-            cands.setdefault(coset_key(g, target_parab), (target_parab, g))
-    return [make_vertex(q, g) for q, g in cands.values()]
+            cands.setdefault(coset_key(g, target_parab), target_parab)
+    return [Vertex(q, coset_rep(k)) for k, q in cands.items()]
 
 
 def orbit_sample(key: EdgeTypeKey, slab: GraphSlab, count: int) -> list[tuple[Vertex, Vertex]]:

@@ -84,6 +84,16 @@ def test_negative_disc_constraint_exit_code(capsys, limits, name):
     assert name in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, name", [
+    (["search", "d10", "--depth", "-2", "--radius", "3"], "max_depth"),
+    (["search", "d10", "--depth", "1", "--radius", "-1"], "radius"),
+    (["verify", "pentagon", "--max-n", "0"], "max_n"),
+])
+def test_negative_search_and_suite_limits_exit_code(capsys, argv, name):
+    assert main(argv) == 2
+    assert name in capsys.readouterr().err
+
+
 def test_report_rejects_bad_status():
     with pytest.raises(ValueError):
         Report(suite="x", status="maybe", steps=(), elapsed_ms=0,

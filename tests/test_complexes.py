@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import cox245.complexgraph as complexgraph
+import cox245.coxeter as coxeter
 from cox245.complexgraph import (
     ResourceLimitExceeded,
     VertexNotInSlab,
@@ -24,10 +25,11 @@ from cox245.coxeter import (
     D8,
     D10,
     element_of_word,
+    coset_rep,
     identity,
-    min_coset_rep,
     parabolic_elements,
 )
+from cox245.edgetypes import key_partners, pair_key
 
 C8 = fix_vertex(D8)
 C10 = fix_vertex(D10)
@@ -251,16 +253,36 @@ def test_adjacent_matches_generic_coset_intersection():
 
 def test_ball_strips_each_coset_once(monkeypatch):
     """A coset already in the ball or the level is found by its key, so
-    only the center is never stripped."""
+    only the center is never peeled."""
     calls = []
 
-    def counted(g, p):
-        calls.append(p)
-        return min_coset_rep(g, p)
-    monkeypatch.setattr(complexgraph, "min_coset_rep", counted)
+    def counted(key):
+        calls.append(key[0])
+        return coset_rep(key)
+    monkeypatch.setattr(complexgraph, "coset_rep", counted)
     slab = build_ball(C8, 6, "pentagon-subcomplex")
     assert len(slab) == 597
     assert len(calls) <= 596
+
+
+def test_ball_and_partners_make_no_matrix_descent_tests(monkeypatch):
+    """Words and coset representatives on the ball path are peeled off orbit
+    points: no matrix inverse and no root-sign test, even with an empty
+    point memo."""
+    near = build_ball(C8, 2, "pentagon-subcomplex").vertices[1:]
+    keys = list(dict.fromkeys(pair_key(C8, v) for v in near))  # t, tst, tsrst
+    calls = {"_mat_inv": 0, "_column_root_sign": 0}
+    for name in calls:
+        def counted(*args, _name=name, _fn=getattr(coxeter, name)):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(coxeter, name, counted)
+    monkeypatch.setattr(coxeter, "_REPS", {
+        key: g for key, g in coxeter._REPS.items() if g is coxeter._IDENT})
+    slab = build_ball(C8, 6, "pentagon-subcomplex")
+    partners = sum(len(key_partners(v, key)) for v in slab.vertices for key in keys)
+    assert (len(slab), partners) == (597, 9552)
+    assert calls == {"_mat_inv": 0, "_column_root_sign": 0}
 
 
 @pytest.mark.parametrize("center, radius, mode", [

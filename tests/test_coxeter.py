@@ -10,6 +10,7 @@ from cox245.coxeter import (
     D8,
     D10,
     GroupElement,
+    PARABOLICS,
     bilinear_form_matrix,
     canonical_word,
     coset_key,
@@ -23,7 +24,7 @@ from cox245.coxeter import (
     right_descents,
     word_inverse,
 )
-from cox245.numberfield import ZERO, iq_mul
+from cox245.numberfield import IQ_ONE, ZERO, iq_add, iq_mul, iq_to_field
 
 words = st.text(alphabet="rst", max_size=12)
 
@@ -250,16 +251,21 @@ def test_growth_series_matches_shortlex_spheres():
         assert expected[n] == expected[n - 3] + expected[n - 4] + expected[n - 5] - expected[n - 8]
 
 
+def base_points():
+    """The point memo as at import: each base point keyed to the identity."""
+    return {key: g for key, g in coxeter._REPS.items() if g is coxeter._IDENT}
+
+
 def test_canonical_word_is_shortlex_least(monkeypatch):
     def check():
         # longest first, so a fresh memo is filled by multi-letter peels
         for mat, word in reversed(list(SHORTLEX_12.items())):
             assert GroupElement(mat).canonical_word() == word
 
-    monkeypatch.setattr(coxeter, "_WORDS", {coxeter._IDENTITY_MAT: ""})
+    monkeypatch.setattr(coxeter, "_REPS", base_points())
     check()
     # the memo filled in ball order must give the same words
-    monkeypatch.setattr(coxeter, "_WORDS", {coxeter._IDENTITY_MAT: ""})
+    monkeypatch.setattr(coxeter, "_REPS", base_points())
     build_ball(fix_vertex(D8), 7, "pentagon-subcomplex")
     check()
 
@@ -290,21 +296,28 @@ def test_coset_key_fixed_by_exactly_the_parabolic():
             assert (coset_key(element_of_word(x), p) == base) == (x in p.gens), (p, x)
 
 
-# u_P in simple-root coordinates over the integral basis {1, sqrt2, phi, sqrt2 phi}
+# u_P in simple-root coordinates over the integral basis {1, sqrt2, phi, sqrt2 phi},
+# and rho = u_D8 + u_D10 + u_D4 under the trivial subgroup's name
 U_P = {
     "D8": ((0, 0, 0, 1), (0, 0, 2, 0), (2, 0, 0, 0)),
     "D10": ((0, 3, 0, -1), (4, 0, 0, 0), (0, 0, 2, 0)),
     "D4": ((0, 1, 0, 0), (2, 0, 0, 0), (0, 0, 1, 0)),
+    coxeter._ELEMENT: ((0, 4, 0, 0), (6, 0, 2, 0), (2, 0, 3, 0)),
 }
 
 
-def reference_coset_key(g, p):
-    """M_g u_P by generic iq_mul products (the oracle for the shifts)."""
-    out = [p.name]
+def reference_point(mat, name):
+    """M u_P (or M rho) by generic iq_mul products (the oracle for the
+    shifts)."""
+    out = [name]
     for i in range(3):
-        terms = [iq_mul(g.mat[3 * i + j], U_P[p.name][j]) for j in range(3)]
+        terms = [iq_mul(mat[3 * i + j], U_P[name][j]) for j in range(3)]
         out.extend(sum(t[c] for t in terms) for c in range(4))
     return tuple(out)
+
+
+def reference_coset_key(g, p):
+    return reference_point(g.mat, p.name)
 
 
 @given(st.text(alphabet="rst", max_size=20), st.text(alphabet="rst", max_size=20),
@@ -316,6 +329,7 @@ def test_coset_key_identifies_cosets(w, v, p):
     g = element_of_word(w)
     key = coset_key(g, p)
     assert key == reference_coset_key(g, p)
+    assert coxeter._point(g.mat, coxeter._ELEMENT) == reference_point(g.mat, coxeter._ELEMENT)
     rep = min_coset_rep(g, p)
     for h in [g * member for member in parabolic_elements(p)] + [element_of_word(v)]:
         assert (coset_key(h, p) == key) == (min_coset_rep(h, p) == rep)
@@ -325,3 +339,136 @@ def test_coset_key_injective_on_full_y_ball():
     slab = build_ball(fix_vertex(D8), 7, "full-Y")
     keys = {coset_key(v.rep, v.parabolic) for v in slab.vertices}
     assert (len(slab), len(keys)) == (4197, 4197)
+
+
+# --- the matrix descent kernel, kept as the oracle for the point peel ------
+
+def matrix_shortlex_word(mat, memo):
+    """ShortLex word by root signs of the inverse: x is a left descent of g
+    iff g^-1 sends a_x to a negative root; peel the least one until a
+    matrix in ``memo`` (matrix -> word) is reached."""
+    passed = []
+    inv = coxeter._mat_inv(mat)
+    word = memo.get(mat)
+    while word is None:
+        x = next(x for x in "rst" if coxeter._column_root_sign(inv, x) < 0)
+        passed.append((mat, x))
+        mat = coxeter._mat_mul_gen_left(mat, x)
+        inv = coxeter._mat_mul_gen_right(inv, x)
+        word = memo.get(mat)
+    for mat, x in reversed(passed):
+        word = x + word
+        memo[mat] = word
+    return word
+
+
+def stripped_coset_rep(g, p):
+    """Minimal coset representative by stripping right descents in P."""
+    mat = g.mat
+    changed = True
+    while changed:
+        changed = False
+        for x in p.gens:
+            if coxeter._column_root_sign(mat, x) < 0:
+                mat = coxeter._mat_mul_gen_right(mat, x)
+                changed = True
+    return GroupElement(mat)
+
+
+def test_point_peel_matches_matrix_peel_on_shortlex_12(monkeypatch):
+    monkeypatch.setattr(coxeter, "_REPS", base_points())
+    memo = {coxeter._IDENTITY_MAT: ""}
+    for mat, word in SHORTLEX_12.items():
+        assert GroupElement(mat).canonical_word() == matrix_shortlex_word(mat, memo) == word
+
+
+@pytest.mark.parametrize("center, radius, mode, size", [
+    (fix_vertex(D8), 8, "pentagon-subcomplex", 3169), (fix_vertex(D8), 3, "full-Y", 133)])
+def test_ball_reps_match_matrix_kernel(monkeypatch, center, radius, mode, size):
+    """Every peeled representative of a ball is the stripped one, keys back
+    to its own coset and carries the matrix peel's word."""
+    monkeypatch.setattr(coxeter, "_REPS", base_points())
+    slab = build_ball(center, radius, mode)
+    assert len(slab) == size
+    memo = {coxeter._IDENTITY_MAT: ""}
+    for v in slab.vertices:
+        assert stripped_coset_rep(v.rep, v.parabolic) == v.rep
+        assert v.word() == matrix_shortlex_word(v.rep.mat, memo)
+        key = coset_key(v.rep, v.parabolic)
+        assert coxeter.coset_rep(key) is v.rep
+
+
+@given(words, st.sampled_from([D8, D10, D4]))
+@settings(max_examples=100, deadline=None)
+def test_min_coset_rep_matches_stripping(w, p):
+    g = element_of_word(w)
+    rep = min_coset_rep(g, p)
+    assert rep == stripped_coset_rep(g, p)
+    assert rep.canonical_word() == matrix_shortlex_word(rep.mat, {coxeter._IDENTITY_MAT: ""})
+    assert coset_key(rep, p) == coset_key(g, p)
+    inv = coxeter._mat_inv(g.mat)
+    assert left_descents(g) == {x for x in "rst" if coxeter._column_root_sign(inv, x) < 0}
+
+
+@given(words, st.sampled_from(sorted(U_P)))
+@settings(max_examples=60, deadline=None)
+def test_twob_forms_match_bilinear_form(w, name):
+    """2B(a_x, v) read off a key equals 2 sum_j B[x][j] v_j over the field."""
+    B = bilinear_form_matrix()
+    key = coxeter._point(element_of_word(w).mat, name)
+    coords = [iq_to_field(key[1 + 4 * j:5 + 4 * j]) for j in range(3)]
+    for i, x in enumerate("rst"):
+        want = sum((2 * B[i][j] * coords[j] for j in range(3)), ZERO)
+        assert iq_to_field(coxeter._twob(key, x)) == want
+
+
+def test_base_points_sit_in_the_negated_chamber():
+    """2B(a_x, rho) < 0 for every x; 2B(a_x, u_P) = 0 exactly for x in P and
+    < 0 otherwise; rho is the sum of the three u_P."""
+    points = {name: coxeter._point(coxeter._IDENTITY_MAT, name) for name in U_P}
+    for name, key in points.items():
+        gens = PARABOLICS[name].gens if name in PARABOLICS else ()
+        for x in "rst":
+            sign = iq_to_field(coxeter._twob(key, x)).sign()
+            assert sign == (0 if x in gens else -1), (name, x)
+        assert coxeter._least_descent(key) is None
+    rho = points[coxeter._ELEMENT][1:]
+    assert rho == tuple(sum(points[p.name][1 + c] for p in (D8, D10, D4)) for c in range(12))
+
+
+def shear(u, f):
+    """I + u f^T over the integral basis."""
+    return tuple(iq_add(IQ_ONE if i == j else (0, 0, 0, 0), iq_mul(u[i], f[j]))
+                 for i in range(3) for j in range(3))
+
+
+def test_non_group_matrices_raise():
+    """Matrices outside W: the peel ends at a point with no descent that is
+    no base point, or at a base point whose element is another matrix."""
+    two = GroupElement(tuple((2, 0, 0, 0) if i in (0, 4, 8) else (0, 0, 0, 0)
+                             for i in range(9)))
+    with pytest.raises(ArithmeticError):
+        min_coset_rep(two, D8)
+    with pytest.raises(ArithmeticError):
+        two.canonical_word()
+    u8, rho = U_P["D8"], U_P[coxeter._ELEMENT]
+
+    def dot(f, v):
+        return tuple(sum(c) for c in zip(*(iq_mul(a, b) for a, b in zip(f, v))))
+    # f(u_D8) = 0 and f(rho) = 3 phi - 3 > 0: rho goes to rho + f(rho) u_D8,
+    # deeper in the negated chamber
+    f = ((0, 0, 0, 0), (-1, 0, 0, 0), (0, 0, 1, 0))
+    pushed = GroupElement(shear(u8, f))
+    assert coxeter._mat_det(pushed.mat) == IQ_ONE
+    assert dot(f, u8) == (0, 0, 0, 0) and dot(f, rho) == (-3, 0, 3, 0)
+    with pytest.raises(ArithmeticError):
+        pushed.canonical_word()
+    with pytest.raises(ArithmeticError):
+        min_coset_rep(pushed, D10)
+    # f = rho x u_D8 fixes rho, so the peel stops at once on the identity
+    f = ((6, 0, -6, 0), (0, -5, 0, 5), (0, -2, 0, 0))
+    fixing = GroupElement(shear(u8, f))
+    assert coxeter._mat_det(fixing.mat) == IQ_ONE
+    assert dot(f, u8) == dot(f, rho) == (0, 0, 0, 0)
+    with pytest.raises(ArithmeticError):
+        fixing.canonical_word()
