@@ -10,8 +10,12 @@ Matrices are flat 9-tuples (row major) of integral quartic vectors from
 :mod:`cox245.numberfield`.  Multiplying by a generator, on either side,
 needs only negations, additions and the shifts that multiply by sqrt2 and
 phi in the integral basis.  Every product by a known word goes through
-``GroupElement.times``, one such generator product per letter; the generic
-``iq_mul`` product of two matrices exists only behind ``GroupElement.__mul__``.
+``GroupElement.times``, one such generator product per letter.  The generic
+``iq_mul`` product is used behind ``GroupElement.__mul__`` (matrix by
+matrix), by ``translate_key`` (a matrix times the constant vector of a coset
+key, which moves a known coset by g without a word walk), by the adjugate
+inverse and determinant, and by the orbit-point check of the raw-matrix
+entry points.
 
 A coset g*P is identified without stripping by ``coset_key``: the image
 M_g u_P of a vector u_P whose stabiliser is exactly P, read with the same
@@ -64,10 +68,10 @@ __all__ = [
     "right_descents",
     "left_descents",
     "canonical_word",
-    "coxeter_length",
     "min_coset_rep",
     "coset_key",
     "coset_rep",
+    "translate_key",
     "min_double_coset_rep",
     "parabolic_elements",
     "bilinear_form_matrix",
@@ -324,7 +328,10 @@ def coset_rep(key: tuple) -> "GroupElement":
     reflected point.  So least descents are peeled off the point until a
     memoised one, and each representative passed is rebuilt as M_x times
     its suffix's.  An orbit meets the closed negated chamber only in its
-    base point (Tits), so a point there that is not memoised raises.
+    base point (Tits), so a point there that is not memoised raises.  The
+    key must come from a group element: a point outside the cone of rho
+    never reaches the chamber, so keys read off raw matrices go through
+    ``_checked_rep``.
     """
     rep = _REPS.get(key)
     if rep is not None:
@@ -342,6 +349,75 @@ def coset_rep(key: tuple) -> "GroupElement":
         up = GroupElement(_mat_mul_gen_left(rep.mat, x))
         up._word = x + rep._word
         _REPS[key] = rep = up
+    return rep
+
+
+def translate_key(g: "GroupElement", key: tuple) -> tuple:
+    """g.k = (Q, M_g u) for a coset key k = (Q, u): the key of g*h*Q when k
+    keys h*Q.  Coordinate i is sum_j m_ij u_j by ``iq_mul`` unrolled over
+    the integral basis: iq_mul(x, u_j) is linear in x, with the
+    coefficients of u_j computed once per call."""
+    name, e0, f0, g0, h0, e1, f1, g1, h1, e2, f2, g2, h2 = key
+    F0, H0, EG0, FH0, D0 = 2 * f0, 2 * h0, e0 + g0, f0 + h0, 2 * (f0 + h0)
+    F1, H1, EG1, FH1, D1 = 2 * f1, 2 * h1, e1 + g1, f1 + h1, 2 * (f1 + h1)
+    F2, H2, EG2, FH2, D2 = 2 * f2, 2 * h2, e2 + g2, f2 + h2, 2 * (f2 + h2)
+    ((a0, b0, c0, d0), (a1, b1, c1, d1), (a2, b2, c2, d2),
+     (a3, b3, c3, d3), (a4, b4, c4, d4), (a5, b5, c5, d5),
+     (a6, b6, c6, d6), (a7, b7, c7, d7), (a8, b8, c8, d8)) = g.mat
+    return (
+        name,
+        a0 * e0 + b0 * F0 + c0 * g0 + d0 * H0 + a1 * e1 + b1 * F1 + c1 * g1 + d1 * H1
+        + a2 * e2 + b2 * F2 + c2 * g2 + d2 * H2,
+        a0 * f0 + b0 * e0 + c0 * h0 + d0 * g0 + a1 * f1 + b1 * e1 + c1 * h1 + d1 * g1
+        + a2 * f2 + b2 * e2 + c2 * h2 + d2 * g2,
+        a0 * g0 + b0 * H0 + c0 * EG0 + d0 * D0 + a1 * g1 + b1 * H1 + c1 * EG1 + d1 * D1
+        + a2 * g2 + b2 * H2 + c2 * EG2 + d2 * D2,
+        a0 * h0 + b0 * g0 + c0 * FH0 + d0 * EG0 + a1 * h1 + b1 * g1 + c1 * FH1 + d1 * EG1
+        + a2 * h2 + b2 * g2 + c2 * FH2 + d2 * EG2,
+        a3 * e0 + b3 * F0 + c3 * g0 + d3 * H0 + a4 * e1 + b4 * F1 + c4 * g1 + d4 * H1
+        + a5 * e2 + b5 * F2 + c5 * g2 + d5 * H2,
+        a3 * f0 + b3 * e0 + c3 * h0 + d3 * g0 + a4 * f1 + b4 * e1 + c4 * h1 + d4 * g1
+        + a5 * f2 + b5 * e2 + c5 * h2 + d5 * g2,
+        a3 * g0 + b3 * H0 + c3 * EG0 + d3 * D0 + a4 * g1 + b4 * H1 + c4 * EG1 + d4 * D1
+        + a5 * g2 + b5 * H2 + c5 * EG2 + d5 * D2,
+        a3 * h0 + b3 * g0 + c3 * FH0 + d3 * EG0 + a4 * h1 + b4 * g1 + c4 * FH1 + d4 * EG1
+        + a5 * h2 + b5 * g2 + c5 * FH2 + d5 * EG2,
+        a6 * e0 + b6 * F0 + c6 * g0 + d6 * H0 + a7 * e1 + b7 * F1 + c7 * g1 + d7 * H1
+        + a8 * e2 + b8 * F2 + c8 * g2 + d8 * H2,
+        a6 * f0 + b6 * e0 + c6 * h0 + d6 * g0 + a7 * f1 + b7 * e1 + c7 * h1 + d7 * g1
+        + a8 * f2 + b8 * e2 + c8 * h2 + d8 * g2,
+        a6 * g0 + b6 * H0 + c6 * EG0 + d6 * D0 + a7 * g1 + b7 * H1 + c7 * EG1 + d7 * D1
+        + a8 * g2 + b8 * H2 + c8 * EG2 + d8 * D2,
+        a6 * h0 + b6 * g0 + c6 * FH0 + d6 * EG0 + a7 * h1 + b7 * g1 + c7 * FH1 + d7 * EG1
+        + a8 * h2 + b8 * g2 + c8 * FH2 + d8 * EG2,
+    )
+
+
+def _form(p, q):
+    """2B(v, w) for the points v, w of keys ``p`` and ``q``."""
+    out = IQ_ZERO
+    for i, x in enumerate(GENERATORS):
+        t = iq_mul(_twob(p, x), q[1 + 4 * i:5 + 4 * i])
+        out = (out[0] + t[0], out[1] + t[1], out[2] + t[2], out[3] + t[3])
+    return out
+
+
+def _checked_rep(key: tuple) -> "GroupElement":
+    """``coset_rep`` for a key read off a matrix that may lie outside W.
+
+    A point not memoised is peeled only if 2B(v, v) equals its base point's
+    (W preserves B) and B(v, rho) < 0.  The form has signature (2, 1) and the
+    base points are timelike, so such a v lies in the open cone of rho, the
+    interior of the Tits cone of this cocompact group, and the peel reaches
+    the closed negated chamber in finitely many steps.  A point outside that
+    cone (the image under -I, say) would be peeled forever.
+    """
+    rep = _REPS.get(key)
+    if rep is None:
+        if _form(key, key) != _NORMS[key[0]] or iq_sign(_form(key, _RHO)) >= 0:
+            raise ArithmeticError("matrix is not in the reflection group "
+                                  "(it does not preserve the cone of rho)")
+        rep = coset_rep(key)
     return rep
 
 
@@ -392,7 +468,7 @@ class GroupElement:
         """ShortLex-least (r < s < t) reduced word for this element, peeled
         off its point ``g rho``, which only this element maps rho to."""
         if self._word is None:
-            rep = coset_rep(_point(self.mat, _ELEMENT))
+            rep = _checked_rep(_point(self.mat, _ELEMENT))
             if rep.mat != self.mat:
                 raise ArithmeticError("matrix is not in the reflection group "
                                       "(it moves rho like another element)")
@@ -426,6 +502,9 @@ _IDENT._word = ""
 # objects themselves.  The memo grows for the life of the process.
 _REPS: dict[tuple, GroupElement] = {
     _point(_IDENTITY_MAT, name): _IDENT for name in ("D8", "D10", "D4", _ELEMENT)}
+_RHO = _point(_IDENTITY_MAT, _ELEMENT)
+# 2B(u, u) for each base point u, keyed by name
+_NORMS = {key[0]: _form(key, key) for key in _REPS}
 
 
 def identity() -> GroupElement:
@@ -457,13 +536,14 @@ def canonical_word(g: GroupElement) -> str:
     return g.canonical_word()
 
 
-def coxeter_length(g: GroupElement) -> int:
-    return g.length()
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ParabolicId:
-    """A maximal standard parabolic subgroup, named by its dihedral type."""
+    """A maximal standard parabolic subgroup, named by its dihedral type.
+
+    D8, D10 and D4 are the only instances, so they compare and hash by
+    identity: hashing a ``Vertex`` makes no Python-level call for its
+    parabolic.
+    """
 
     name: str
     gens: tuple[str, str]
@@ -504,8 +584,9 @@ def parabolic_elements(p: ParabolicId) -> tuple[GroupElement, ...]:
 
 def min_coset_rep(g: GroupElement, p: ParabolicId) -> GroupElement:
     """Unique shortest element of the coset g*P (no right descent in P),
-    peeled off its key; callers holding the key call ``coset_rep``."""
-    return coset_rep(coset_key(g, p))
+    peeled off its key; callers holding the key call ``coset_rep``.  Raises
+    ``ArithmeticError`` for some matrices outside W (see ``_checked_rep``)."""
+    return _checked_rep(coset_key(g, p))
 
 
 def coset_key(g: GroupElement, p: ParabolicId) -> tuple:

@@ -21,10 +21,12 @@ from .complexgraph import GraphSlab, Vertex, translate
 from .coxeter import (
     GroupElement,
     PARABOLICS,
+    ParabolicId,
     coset_key,
     coset_rep,
     min_double_coset_rep,
     parabolic_elements,
+    translate_key,
 )
 
 __all__ = [
@@ -89,10 +91,14 @@ def key_partners(v: Vertex, key: EdgeTypeKey) -> list[Vertex]:
     In complex mode the partners of a P-side vertex for key (P, Q, w) are
     the cosets v.rep * p * w * Q with p in P; the mirrored orientation uses
     w^-1, the reversed word (generators are involutions).  Both directions
-    are generated.  Each candidate is a word walk from v.rep through the
-    add-only generator kernel; candidates are deduplicated by coset key in
-    order, and each distinct key is peeled once to its minimal
-    representative.
+    are generated.  Their coset keys at the anchor vertex (P, e) are built
+    once per (P, key) by word walks, in that order and deduplicated (see
+    ``_anchor_partners``); v's partners are their translates by v.rep, one
+    ``translate_key`` each, peeled to minimal representatives.  M_v is
+    invertible, so two candidates coincide at v exactly when they do at the
+    anchor, and the list is the one a walk from v.rep would give.
+
+    Cayley partners are the two word walks v.rep * w and v.rep * w^-1.
     """
     if key.mode == "cayley":
         out = [Vertex(None, v.rep.times(key.word))]
@@ -100,17 +106,33 @@ def key_partners(v: Vertex, key: EdgeTypeKey) -> list[Vertex]:
         if back != out[0]:
             out.append(back)
         return out
+    anchor = _ANCHOR_PARTNERS.get((v.parabolic, key))
+    if anchor is None:
+        anchor = _anchor_partners(v.parabolic, key)
+    g = v.rep
+    return [Vertex(q, coset_rep(translate_key(g, k))) for k, q in anchor]
+
+
+# Coset keys of the anchor's partners by (anchor parabolic, key); the memo
+# grows for the life of the process, one entry per complex key queried.
+_ANCHOR_PARTNERS: dict[tuple[ParabolicId, EdgeTypeKey], tuple] = {}
+
+
+def _anchor_partners(parabolic: ParabolicId, key: EdgeTypeKey):
+    """(coset key, parabolic) of each partner of the vertex (P, e) for
+    ``key``: both orientations, p in ``parabolic_elements`` order, first
+    occurrence of each coset kept."""
     variants = []
-    if v.parabolic.name == key.p:
+    if parabolic.name == key.p:
         variants.append((key.word, PARABOLICS[key.q]))
-    if v.parabolic.name == key.q:
+    if parabolic.name == key.q:
         variants.append((key.word[::-1], PARABOLICS[key.p]))
     cands = {}
-    for step, target_parab in variants:
-        for p in parabolic_elements(v.parabolic):
-            g = v.rep.times(p.canonical_word() + step)
-            cands.setdefault(coset_key(g, target_parab), target_parab)
-    return [Vertex(q, coset_rep(k)) for k, q in cands.items()]
+    for step, target in variants:
+        for p in parabolic_elements(parabolic):
+            cands.setdefault(coset_key(p.times(step), target), target)
+    anchor = _ANCHOR_PARTNERS[(parabolic, key)] = tuple(cands.items())
+    return anchor
 
 
 def orbit_sample(key: EdgeTypeKey, slab: GraphSlab, count: int) -> list[tuple[Vertex, Vertex]]:

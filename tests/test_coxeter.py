@@ -1,5 +1,7 @@
 """Kernel: relations, canonical words, descents, coset canonicalization."""
 
+import signal
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -22,9 +24,10 @@ from cox245.coxeter import (
     min_double_coset_rep,
     parabolic_elements,
     right_descents,
+    translate_key,
     word_inverse,
 )
-from cox245.numberfield import IQ_ONE, ZERO, iq_add, iq_mul, iq_to_field
+from cox245.numberfield import IQ_ONE, ZERO, iq_add, iq_mul, iq_neg, iq_to_field
 
 words = st.text(alphabet="rst", max_size=12)
 
@@ -320,6 +323,22 @@ def reference_coset_key(g, p):
     return reference_point(g.mat, p.name)
 
 
+@given(words, words, st.sampled_from(sorted(U_P)),
+       st.lists(st.integers(-50, 50), min_size=12, max_size=12))
+@settings(max_examples=100, deadline=None)
+def test_translate_key_is_the_generic_product(w, v, name, ints):
+    """g.(Q, u) = (Q, M_g u): on a coset key it is the key of g h, and on any
+    integer vector it is the row-by-row ``iq_mul`` sum."""
+    g, h = element_of_word(w), element_of_word(v)
+    assert translate_key(g, coxeter._point(h.mat, name)) == reference_point((g * h).mat, name)
+    u = [tuple(ints[4 * j:4 * j + 4]) for j in range(3)]
+    want = ["Q"]
+    for i in range(3):
+        terms = [iq_mul(g.mat[3 * i + j], u[j]) for j in range(3)]
+        want.extend(sum(t[c] for t in terms) for c in range(4))
+    assert translate_key(g, ("Q", *ints)) == tuple(want)
+
+
 @given(st.text(alphabet="rst", max_size=20), st.text(alphabet="rst", max_size=20),
        st.sampled_from([D8, D10, D4]))
 @settings(max_examples=100, deadline=None)
@@ -472,3 +491,34 @@ def test_non_group_matrices_raise():
     assert dot(f, u8) == dot(f, rho) == (0, 0, 0, 0)
     with pytest.raises(ArithmeticError):
         fixing.canonical_word()
+
+
+def raises_within_a_second(call):
+    """``call()`` raises ArithmeticError; a hang fails after one second."""
+    def expired(signum, frame):
+        raise TimeoutError("no ArithmeticError within a second")
+    old = signal.signal(signal.SIGALRM, expired)
+    signal.setitimer(signal.ITIMER_REAL, 1.0)
+    try:
+        with pytest.raises(ArithmeticError):
+            call()
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
+
+
+def test_points_off_the_orbit_cone_raise_before_the_peel():
+    """-I sends every point out of the cone of rho, where the peel never
+    ends; 2 I changes B(v, v); the det-1 shear I + u_D8 f, f = (0, -1, phi),
+    moves rho, u_D10 and u_D4 off their norms.  The raw-matrix entry points
+    check both before peeling a point that is not memoised."""
+    neg = GroupElement(tuple(iq_neg(x) for x in coxeter._IDENTITY_MAT))
+    two = GroupElement(tuple(iq_add(x, x) for x in coxeter._IDENTITY_MAT))
+    pushed = GroupElement(shear(U_P["D8"], ((0, 0, 0, 0), (-1, 0, 0, 0), (0, 0, 1, 0))))
+    assert coxeter._mat_det(pushed.mat) == IQ_ONE
+    for g, parabolics in ((neg, (D8, D10, D4)), (two, (D8, D10, D4)), (pushed, (D10, D4))):
+        raises_within_a_second(g.canonical_word)
+        for p in parabolics:
+            raises_within_a_second(lambda: min_coset_rep(g, p))
+    # the shear fixes u_D8, a memoised base point, so min_coset_rep(pushed,
+    # D8) is the identity: a point check cannot see it

@@ -1,10 +1,16 @@
 """Edge-type keys: orbit invariance, symmetry, partners, sampling."""
 
+import hashlib
+import json
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import cox245.coxeter as coxeter
+import cox245.edgetypes as edgetypes
+import cox245.implications as implications
+from cox245.certificates import verify_pentagon_suite
 from cox245.complexgraph import (
     Vertex,
     build_ball,
@@ -19,6 +25,8 @@ from cox245.coxeter import (
     D10,
     PARABOLICS,
     GroupElement,
+    coset_key,
+    coset_rep,
     element_of_word,
     identity,
     parabolic_elements,
@@ -183,3 +191,83 @@ def test_key_partners_match_generic_products():
             assert key_partners(v, key) == reference_key_partners(v, key), (v.label(), key)
             checked += 1
     assert checked == 1350
+
+
+def word_walk_key_partners(v, key):
+    """Complex-mode key_partners as one word walk from v.rep per candidate,
+    through p's word and the step (the oracle for the anchor translation)."""
+    assert key.mode == "complex"
+    variants = []
+    if v.parabolic.name == key.p:
+        variants.append((key.word, PARABOLICS[key.q]))
+    if v.parabolic.name == key.q:
+        variants.append((key.word[::-1], PARABOLICS[key.p]))
+    cands = {}
+    for step, target in variants:
+        for p in parabolic_elements(v.parabolic):
+            g = v.rep.times(p.canonical_word() + step)
+            cands.setdefault(coset_key(g, target), target)
+    return [Vertex(q, coset_rep(k)) for k, q in cands.items()]
+
+
+@pytest.fixture(scope="module")
+def pentagon_n5():
+    """The n <= 5, radius-10 pentagon suite and every (vertex, key) whose
+    partners its witness searches ask for."""
+    queried = []
+    inner = implications.key_partners
+
+    def recording(v, key):
+        queried.append((v, key))
+        return inner(v, key)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(implications, "key_partners", recording)
+        rep = verify_pentagon_suite(5, 10)
+    return rep, queried
+
+
+def test_pentagon_n5_verdict_and_witnesses(pentagon_n5):
+    rep, _ = pentagon_n5
+    assert rep["status"] == "verified"
+    trail = [[s["target_key"], s["witness"]] for s in rep["steps"]]
+    trail += [[s["derived"], s["witness"]] for s in rep["chain"]["steps"]]
+    assert len(trail) == 56 and sum(len(w) for _, w in trail) == 234
+    assert trail[0] == ["CPLX:D8:D8:tsrstsrtst", [
+        "D8:e", "D8:rsrstsrstst", "D8:srstsrstsrtst", "D8:srstsrtstsrst", "D8:srststsrst"]]
+    assert hashlib.sha256(json.dumps(trail).encode()).hexdigest() == (
+        "b0030e2e847e4a6e9eb29212b75aee1fc03b9f986c5cdd40e7cd58b83cf9d518")
+    assert hashlib.sha256(json.dumps(rep, sort_keys=True).encode()).hexdigest() == (
+        "a4c8f03482e92a85a643f189dd94525e7bc2f8a0f06303ccc1aa3065dc30793f")
+
+
+def test_key_partners_match_word_walks_on_pentagon_n5(pentagon_n5):
+    _, queried = pentagon_n5
+    assert len(queried) == len(set(queried)) > 500
+    for v, key in queried:
+        assert key_partners(v, key) == word_walk_key_partners(v, key), (v.label(), key)
+
+
+def test_warm_key_partners_walk_no_words(monkeypatch):
+    """Once a complex key's anchor partners are built, a vertex's partners
+    cost translations and peels only: no generator product on the right,
+    and the orbit-point check of the raw-matrix entry points stays off."""
+    calls = {"_mat_mul_gen_right": 0, "_form": 0}
+    full = build_ball(C8, 2, "full-Y")
+    keys = list(dict.fromkeys(pair_key(fix_vertex(p), v) for p in (D8, D10, D4)
+                              for v in full.vertices))
+    for name in calls:
+        def counted(*args, _name=name, _fn=getattr(coxeter, name)):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(coxeter, name, counted)
+    monkeypatch.setattr(edgetypes, "_ANCHOR_PARTNERS", {})
+    slab = build_ball(C8, 4, "full-Y")
+    assert calls["_form"] == 0
+    for key in keys:
+        for p in (D8, D10, D4):
+            key_partners(fix_vertex(p), key)
+    assert calls["_mat_mul_gen_right"] > 0
+    calls["_mat_mul_gen_right"] = 0
+    partners = sum(len(key_partners(v, key)) for v in slab.vertices for key in keys)
+    assert partners > 0
+    assert calls == {"_mat_mul_gen_right": 0, "_form": 0}
