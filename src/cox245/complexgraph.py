@@ -22,12 +22,15 @@ d10 tilings) or the words of its parabolic's elements (coset
 intersection), each through ``GroupElement.times`` (see
 :mod:`cox245.coxeter`).  The walk yields unstripped elements,
 deduplicated by key: ``coxeter.coset_key`` for a coset, the matrix itself
-for a Cayley vertex.  ``neighbors`` peels each distinct key once to its
-minimal representative (``coxeter.coset_rep``) and ``adjacent`` compares
-keys of the intersection walk.  Balls are built by BFS and peel a coset
-only the first time its key is met: the ball and the level being expanded
-are indexed by key hash (a hit is confirmed by recomputing the stored
-vertex's key), so each vertex but the center is peeled exactly once.
+for a Cayley vertex (``vertex_key``; ``key_vertex`` goes back).
+``neighbors`` peels each distinct key once to its minimal representative
+(``coxeter.coset_rep``) and ``adjacent`` compares keys of the intersection
+walk.  Balls are built by BFS and peel a coset only the first time its key
+is met: the ball and the level being expanded are plain dicts from key to
+position, so each vertex but the center is peeled exactly once, and the
+ball's dict is the slab's only index.  It holds the key tuples the walk
+built, which the peel memoises the representatives under, so the index
+costs no new tuples.
 Vertex order is BFS depth with canonical-word tie-break inside each level,
 which makes slab dumps reproducible; a peeled representative carries its
 word, so the sort peels nothing more.  A ball keeps one ``Vertex`` per
@@ -63,6 +66,8 @@ __all__ = [
     "cayley_vertex",
     "fix_vertex",
     "translate",
+    "vertex_key",
+    "key_vertex",
     "adjacent",
     "neighbors",
     "pentagon_cyclic_neighbors",
@@ -135,14 +140,19 @@ def _key(parabolic: ParabolicId | None, g: GroupElement):
     return g.mat if parabolic is None else coset_key(g, parabolic)
 
 
-def _vertex_key(v: Vertex):
+def vertex_key(v: Vertex):
+    """The key of v: its coset's ``coset_key``, or its matrix in Cayley
+    mode.  Two vertices are equal iff their keys are."""
     return _key(v.parabolic, v.rep)
 
 
-def _vertex(parabolic: ParabolicId | None, key, g: GroupElement) -> Vertex:
-    """The vertex of g, whose key is ``key``: a coset's minimal
-    representative is peeled off the key."""
-    return Vertex(None, g) if parabolic is None else Vertex(parabolic, coset_rep(key))
+def key_vertex(key) -> Vertex:
+    """The vertex whose key is ``key``: a coset key, which starts with its
+    parabolic's name, is peeled to its minimal representative; a Cayley key
+    is the element's matrix."""
+    if type(key[0]) is str:
+        return Vertex(PARABOLICS[key[0]], coset_rep(key))
+    return Vertex(None, GroupElement(key))
 
 
 # (parabolic, rotation, order, edge letter) of the two tilings
@@ -174,7 +184,7 @@ def _cyclic_walk(v: Vertex, parabolic: ParabolicId, rot: str, order: int,
 def pentagon_cyclic_neighbors(v: Vertex) -> list[Vertex]:
     """The four pentagon neighbors of a D8-vertex: the orbit of the
     quarter-turn rs conjugated to the vertex, in rotation order."""
-    return [make_vertex(D8, g) for g in _cyclic_walk(v, *_PENTAGONS)]
+    return [key_vertex(coset_key(g, D8)) for g in _cyclic_walk(v, *_PENTAGONS)]
 
 
 def _intersection_walk(v: Vertex) -> list[tuple[ParabolicId, GroupElement]]:
@@ -185,8 +195,8 @@ def _intersection_walk(v: Vertex) -> list[tuple[ParabolicId, GroupElement]]:
 
 
 def _candidates(v: Vertex, mode: str) -> dict:
-    """The neighbors of v, unstripped: a dict from each neighbor's key to
-    one (parabolic, element) of it, in order of first occurrence."""
+    """The keys of v's neighbors, in order of first occurrence (a dict with
+    no values)."""
     if mode == "cayley":
         walk = [(None, v.rep.times(x)) for x in GENERATORS]
     elif mode == "pentagon-subcomplex":
@@ -199,16 +209,13 @@ def _candidates(v: Vertex, mode: str) -> dict:
             walk += [(D8, g) for g in _cyclic_walk(v, *_PENTAGONS)]
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    out = {}
-    for parabolic, g in walk:
-        out.setdefault(_key(parabolic, g), (parabolic, g))
-    return out
+    return dict.fromkeys(_key(parabolic, g) for parabolic, g in walk)
 
 
 def neighbors(v: Vertex, mode: str) -> list[Vertex]:
     """Deterministically ordered neighbor list in the given universe; each
     distinct neighbor is peeled once."""
-    return [_vertex(p, key, g) for key, (p, g) in _candidates(v, mode).items()]
+    return [key_vertex(key) for key in _candidates(v, mode)]
 
 
 def adjacent(u: Vertex, v: Vertex) -> bool:
@@ -222,7 +229,7 @@ def adjacent(u: Vertex, v: Vertex) -> bool:
         raise ValueError("coset adjacency needs parabolic vertices")
     if u.parabolic == v.parabolic:
         return False
-    key = _vertex_key(v)
+    key = vertex_key(v)
     return any(_key(q, g) == key for q, g in _intersection_walk(u))
 
 
@@ -240,26 +247,27 @@ class Distance:
 
 class GraphSlab:
     """Immutable BFS ball.  Vertices are indexed in (depth, canonical word)
-    order; adjacency is symmetric and irreflexive."""
+    order; adjacency is symmetric and irreflexive.  ``key_index`` maps each
+    vertex's key (see ``vertex_key``) to its index, in index order."""
 
-    def __init__(self, mode, center, radius, vertices, depth, adj):
+    def __init__(self, mode, center, radius, vertices, depth, adj, key_index):
         self.mode = mode
         self.center = center
         self.radius = radius
         self.vertices = vertices
         self.depth = depth
         self.adj = adj
-        self.index = {v: i for i, v in enumerate(vertices)}
+        self.key_index = key_index
 
     def __len__(self):
         return len(self.vertices)
 
     def __contains__(self, v):
-        return v in self.index
+        return vertex_key(v) in self.key_index
 
     def index_of(self, v: Vertex) -> int:
         try:
-            return self.index[v]
+            return self.key_index[vertex_key(v)]
         except KeyError:
             raise VertexNotInSlab(v.label()) from None
 
@@ -306,20 +314,6 @@ class GraphSlab:
         return "\n".join(lines) + "\n"
 
 
-def _find(table: dict[int, int], key, stored: list[Vertex]) -> tuple[int, int | None]:
-    """Look ``key`` up in ``table``, which maps key hashes to positions in
-    ``stored``; a slot taken by another key passes the probe on to the next
-    integer.  A hit is confirmed by recomputing the stored vertex's key, so
-    a hash collision never merges two vertices.  Returns the slot reached
-    and the position, or None and the free slot where ``key`` would go."""
-    slot = hash(key)
-    while True:
-        j = table.get(slot)
-        if j is None or _vertex_key(stored[j]) == key:
-            return slot, j
-        slot += 1
-
-
 def build_ball(center: Vertex, radius: int, mode: str,
                max_vertices: int = 500_000) -> GraphSlab:
     """BFS-complete ball of the given radius around ``center``."""
@@ -331,24 +325,20 @@ def build_ball(center: Vertex, radius: int, mode: str,
         raise ValueError(f"center {center.label()} does not fit mode {mode!r}")
     vertices = [center]
     depth = [0]
-    index = {hash(_vertex_key(center)): 0}
+    index = {vertex_key(center): 0}
     # per vertex, its neighbors as slab indices (None: outside the ball)
     nbr_lists: list[list | None] = [None]
     level = [0]
     for d in range(radius):
-        found: list[Vertex] = []  # the level's new vertices, in discovery order
-        slots: list[int] = []  # where each one's probe in ``index`` ended
-        discovered: dict[int, int] = {}  # positions in ``found``, keyed like ``index``
+        found: dict = {}  # the level's new keys, to positions in discovery order
         for i in level:
             row = []
-            for key, (p, g) in _candidates(vertices[i], mode).items():
-                slot, j = _find(index, key, vertices)
+            for key in _candidates(vertices[i], mode):
+                j = index.get(key)
                 if j is None:
-                    free, k = _find(discovered, key, found)
+                    k = found.get(key)
                     if k is None:
-                        k = discovered[free] = len(found)
-                        found.append(_vertex(p, key, g))
-                        slots.append(slot)
+                        k = found[key] = len(found)
                     j = ~k  # resolved once the level is sorted
                 row.append(j)
             nbr_lists[i] = row
@@ -358,32 +348,28 @@ def build_ball(center: Vertex, radius: int, mode: str,
         if len(vertices) + len(found) > max_vertices:
             raise ResourceLimitExceeded(
                 f"ball exceeds {max_vertices} vertices at depth {d + 1}")
-        order = sorted(range(len(found)), key=lambda k: (
-            found[k].word(), found[k].parabolic.name if found[k].parabolic else ""))
+        new = [key_vertex(key) for key in found]
+        order = sorted(zip(new, found), key=lambda vk: (
+            vk[0].word(), vk[0].parabolic.name if vk[0].parabolic else ""))
         placed = [0] * len(found)
         expanded, level = level, []
-        for k in order:
-            # the slots passed on the way to ``slots[k]`` stay taken
-            slot = slots[k]
-            while slot in index:
-                slot += 1
-            index[slot] = placed[k] = len(vertices)
+        for v, key in order:
+            placed[found[key]] = index[key] = len(vertices)
             level.append(len(vertices))
-            vertices.append(found[k])
+            vertices.append(v)
             depth.append(d + 1)
             nbr_lists.append(None)
         for i in expanded:
             nbr_lists[i] = [j if j >= 0 else placed[~j] for j in nbr_lists[i]]
     for i in level:  # frontier still needs its in-slab edges
-        nbr_lists[i] = [_find(index, key, vertices)[1] for key in _candidates(vertices[i], mode)]
-    del index  # the slab indexes its vertices itself
+        nbr_lists[i] = [index.get(key) for key in _candidates(vertices[i], mode)]
     adj: list[tuple[int, ...]] = []
     for i, row in enumerate(nbr_lists):
         hits = set(row)
         hits.discard(None)
         hits.discard(i)
         adj.append(tuple(sorted(hits)))
-    return GraphSlab(mode, center, radius, tuple(vertices), tuple(depth), tuple(adj))
+    return GraphSlab(mode, center, radius, tuple(vertices), tuple(depth), tuple(adj), index)
 
 
 def graph_distance(u: Vertex, v: Vertex, mode: str, max_depth: int = 64) -> int | None:

@@ -584,9 +584,14 @@ def parabolic_elements(p: ParabolicId) -> tuple[GroupElement, ...]:
 
 def min_coset_rep(g: GroupElement, p: ParabolicId) -> GroupElement:
     """Unique shortest element of the coset g*P (no right descent in P),
-    peeled off its key; callers holding the key call ``coset_rep``.  Raises
-    ``ArithmeticError`` for some matrices outside W (see ``_checked_rep``)."""
-    return _checked_rep(coset_key(g, p))
+    peeled off its key; callers holding the key call ``coset_rep``.
+
+    g's own rho-point is checked first, as by ``canonical_word``, so a
+    matrix outside W raises ``ArithmeticError`` (see ``_checked_rep``) even
+    where it fixes u_P, whose key is a memoised base point.
+    """
+    g.canonical_word()
+    return coset_rep(coset_key(g, p))
 
 
 def coset_key(g: GroupElement, p: ParabolicId) -> tuple:

@@ -17,13 +17,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .complexgraph import GraphSlab, Vertex, translate
+from .complexgraph import GraphSlab, Vertex, key_vertex, translate
 from .coxeter import (
     GroupElement,
     PARABOLICS,
     ParabolicId,
     coset_key,
-    coset_rep,
     min_double_coset_rep,
     parabolic_elements,
     translate_key,
@@ -34,6 +33,7 @@ __all__ = [
     "type_key_cayley",
     "type_key_complex",
     "pair_key",
+    "partner_keys",
     "key_partners",
     "orbit_sample",
     "find_pair_transport",
@@ -85,24 +85,26 @@ def pair_key(u: Vertex, v: Vertex) -> EdgeTypeKey:
     return type_key_complex(u, v)
 
 
-def key_partners(v: Vertex, key: EdgeTypeKey) -> list[Vertex]:
-    """All vertices u with pair_key(v, u) == key, in deterministic order.
+def partner_keys(v: Vertex, key: EdgeTypeKey) -> list:
+    """The keys (see ``complexgraph.vertex_key``) of all vertices u with
+    pair_key(v, u) == key, in deterministic order; nothing is peeled.
 
     In complex mode the partners of a P-side vertex for key (P, Q, w) are
     the cosets v.rep * p * w * Q with p in P; the mirrored orientation uses
     w^-1, the reversed word (generators are involutions).  Both directions
     are generated.  Their coset keys at the anchor vertex (P, e) are built
     once per (P, key) by word walks, in that order and deduplicated (see
-    ``_anchor_partners``); v's partners are their translates by v.rep, one
-    ``translate_key`` each, peeled to minimal representatives.  M_v is
-    invertible, so two candidates coincide at v exactly when they do at the
-    anchor, and the list is the one a walk from v.rep would give.
+    ``_anchor_partners``); v's partner keys are their translates by v.rep,
+    one ``translate_key`` each.  M_v is invertible, so two candidates
+    coincide at v exactly when they do at the anchor, and the list is the
+    one a walk from v.rep would give.
 
-    Cayley partners are the two word walks v.rep * w and v.rep * w^-1.
+    Cayley partners are the matrices of the two word walks v.rep * w and
+    v.rep * w^-1.
     """
     if key.mode == "cayley":
-        out = [Vertex(None, v.rep.times(key.word))]
-        back = Vertex(None, v.rep.times(key.word[::-1]))
+        out = [v.rep.times(key.word).mat]
+        back = v.rep.times(key.word[::-1]).mat
         if back != out[0]:
             out.append(back)
         return out
@@ -110,7 +112,12 @@ def key_partners(v: Vertex, key: EdgeTypeKey) -> list[Vertex]:
     if anchor is None:
         anchor = _anchor_partners(v.parabolic, key)
     g = v.rep
-    return [Vertex(q, coset_rep(translate_key(g, k))) for k, q in anchor]
+    return [translate_key(g, k) for k in anchor]
+
+
+def key_partners(v: Vertex, key: EdgeTypeKey) -> list[Vertex]:
+    """The vertices of ``partner_keys(v, key)``, peeled, in its order."""
+    return [key_vertex(k) for k in partner_keys(v, key)]
 
 
 # Coset keys of the anchor's partners by (anchor parabolic, key); the memo
@@ -119,19 +126,17 @@ _ANCHOR_PARTNERS: dict[tuple[ParabolicId, EdgeTypeKey], tuple] = {}
 
 
 def _anchor_partners(parabolic: ParabolicId, key: EdgeTypeKey):
-    """(coset key, parabolic) of each partner of the vertex (P, e) for
-    ``key``: both orientations, p in ``parabolic_elements`` order, first
-    occurrence of each coset kept."""
+    """The coset key of each partner of the vertex (P, e) for ``key``: both
+    orientations, p in ``parabolic_elements`` order, first occurrence of
+    each coset kept."""
     variants = []
     if parabolic.name == key.p:
         variants.append((key.word, PARABOLICS[key.q]))
     if parabolic.name == key.q:
         variants.append((key.word[::-1], PARABOLICS[key.p]))
-    cands = {}
-    for step, target in variants:
-        for p in parabolic_elements(parabolic):
-            cands.setdefault(coset_key(p.times(step), target), target)
-    anchor = _ANCHOR_PARTNERS[(parabolic, key)] = tuple(cands.items())
+    anchor = _ANCHOR_PARTNERS[(parabolic, key)] = tuple(dict.fromkeys(
+        coset_key(p.times(step), target)
+        for step, target in variants for p in parabolic_elements(parabolic)))
     return anchor
 
 

@@ -28,9 +28,12 @@ two partner oracles, so the same search serves three settings:
 
 The precheck and the sweep draw their partner sets from one memo per slab
 (a ``_SearchSpace`` in ``_SPACES``, kept while the slab lives), so every
-search on a slab shares every ``key_partners`` result.  That memo, keyed by
-(vertex, key), is the space's only one; the sweep's slab-index views of it
-are recomputed on each call.
+search on a slab shares every ``partner_keys`` result.  That memo maps
+(vertex key, edge key) to the partners' vertex keys (see
+``complexgraph.vertex_key``) and is the space's only one: the precheck
+works on keys, the sweep reads them as slab indices through the slab's key
+index.  A vertex is peeled only when the precheck expands a point outside
+the slab; a witness is read off the slab's own vertices.
 """
 
 from __future__ import annotations
@@ -40,9 +43,9 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
 
-from .complexgraph import MODES, GraphSlab, Vertex
+from .complexgraph import MODES, GraphSlab, Vertex, key_vertex, vertex_key
 from .coxeter import identity
-from .edgetypes import EdgeTypeKey, key_partners, pair_key
+from .edgetypes import EdgeTypeKey, pair_key, partner_keys
 
 __all__ = [
     "SideNotKnown",
@@ -229,34 +232,46 @@ def _extend(path, tsets, close, tails, known, target):
 class _SearchSpace:
     """The partner sets of one slab, kept for the slab's lifetime.
 
-    ``vertex_partners`` is the one memo of ``key_partners``, keyed by
-    (vertex, key), with every in-slab partner stored as the slab's own
-    ``Vertex``.  The precheck reads it directly, the slab sweep through
+    ``vertex_partners`` is the one memo of ``partner_keys``, keyed by
+    (vertex key, edge key), with every in-slab partner stored as the slab's
+    own key object.  The precheck reads it directly, the slab sweep through
     ``partners`` as sorted slab indices.  A space keeps the slab's vertices
-    and index but not the slab, so its ``_SPACES`` entry goes with the slab.
+    and key index but not the slab, so its ``_SPACES`` entry goes with the
+    slab.
     """
 
     def __init__(self, slab: GraphSlab):
-        self.anchors = [Vertex(p, identity()) for p in MODES[slab.mode]]
+        self.anchors = [vertex_key(Vertex(p, identity())) for p in MODES[slab.mode]]
         self.vertices = slab.vertices
-        self.index = slab.index
-        self._memo: dict[tuple[Vertex, EdgeTypeKey], tuple[Vertex, ...]] = {}
+        self.index = slab.key_index
+        self.keys = tuple(slab.key_index)  # in slab index order
+        self._memo: dict[tuple[tuple, EdgeTypeKey], tuple[tuple, ...]] = {}
+        self._outside: dict[tuple, Vertex] = {}  # points expanded outside the slab
 
-    def vertex_partners(self, v: Vertex, key: EdgeTypeKey) -> tuple[Vertex, ...]:
+    def vertex_partners(self, v: tuple, key: EdgeTypeKey) -> tuple[tuple, ...]:
         got = self._memo.get((v, key))
         if got is None:
-            idx = self.index
+            idx, keys = self.index, self.keys
+            i = idx.get(v)
+            if i is not None:
+                vertex = self.vertices[i]
+            else:
+                vertex = self._outside.get(v)
+                if vertex is None:
+                    vertex = self._outside[v] = key_vertex(v)
             got = self._memo[(v, key)] = tuple(
-                self.vertices[idx[u]] if u in idx else u for u in key_partners(v, key))
+                keys[idx[u]] if u in idx else u for u in partner_keys(vertex, key))
         return got
 
     def partners(self, i: int, keys) -> list[int]:
         """Sorted slab indices of vertex i's in-slab partners for any of ``keys``."""
         idx = self.index
-        v = self.vertices[i]
-        return sorted({idx[u] for k in keys for u in self.vertex_partners(v, k) if u in idx})
+        v = self.keys[i]
+        got = {idx.get(u) for k in keys for u in self.vertex_partners(v, k)}
+        got.discard(None)
+        return sorted(got)
 
-    def known_vertices(self, v: Vertex, keys) -> dict[Vertex, None]:
+    def known_vertices(self, v: tuple, keys) -> dict[tuple, None]:
         """``v`` (a degenerate side) then its partners for the ordered ``keys``."""
         parts = [self.vertex_partners(v, k) for k in keys if not k.is_degenerate]
         return dict.fromkeys(chain((v,), *parts))

@@ -19,6 +19,7 @@ from cox245.complexgraph import (
     neighbors,
     pentagon_cyclic_neighbors,
     translate,
+    vertex_key,
 )
 from cox245.coxeter import (
     D4,
@@ -30,6 +31,7 @@ from cox245.coxeter import (
     parabolic_elements,
 )
 from cox245.edgetypes import key_partners, pair_key
+from cox245.numberfield import iq_mul
 
 C8 = fix_vertex(D8)
 C10 = fix_vertex(D10)
@@ -295,3 +297,49 @@ def test_ball_exact_under_hash_collisions(monkeypatch, center, radius, mode):
     want = build_ball(center, radius, mode).dump()
     monkeypatch.setattr(complexgraph, "hash", lambda key: 7, raising=False)
     assert build_ball(center, radius, mode).dump() == want
+
+
+# u_P in simple-root coordinates over the integral basis {1, sqrt2, phi, sqrt2 phi}
+U_P = {"D8": ((0, 0, 0, 1), (0, 0, 2, 0), (2, 0, 0, 0)),
+       "D10": ((0, 3, 0, -1), (4, 0, 0, 0), (0, 0, 2, 0)),
+       "D4": ((0, 1, 0, 0), (2, 0, 0, 0), (0, 0, 1, 0))}
+
+
+def reference_vertex_key(v):
+    """A vertex's key computed apart from the kernel: M u_P by generic
+    ``iq_mul`` products for a coset, and for a Cayley vertex the product of
+    its word's generator matrices by the generic matrix product."""
+    if v.parabolic is None:
+        mat = coxeter._IDENTITY_MAT
+        for x in v.word():
+            mat = coxeter._mat_mul(mat, coxeter._GEN_MATS[x])
+        return mat
+    out = [v.parabolic.name]
+    for i in range(3):
+        terms = [iq_mul(v.rep.mat[3 * i + j], U_P[v.parabolic.name][j]) for j in range(3)]
+        out.extend(sum(t[c] for t in terms) for c in range(4))
+    return tuple(out)
+
+
+@pytest.mark.parametrize("center, radius, mode", [
+    (C8, 6, "pentagon-subcomplex"), (C8, 4, "full-Y"), (C10, 5, "d10-orbit"),
+    (cayley_vertex(identity()), 12, "cayley"),
+])
+def test_key_index_oracle(center, radius, mode):
+    """The slab's key index sends each vertex's independently computed key
+    to its own index, the keys are pairwise distinct, and a vertex one step
+    beyond the ball is not in it."""
+    slab = build_ball(center, radius, mode)
+    keys = [reference_vertex_key(v) for v in slab.vertices]
+    assert len(set(keys)) == len(slab) == len(slab.key_index)
+    for i, (v, key) in enumerate(zip(slab.vertices, keys)):
+        assert slab.key_index[key] == i
+        assert vertex_key(v) == key
+        assert slab.index_of(v) == i and v in slab
+    bigger = build_ball(center, radius + 1, mode)
+    beyond = [v for i, v in enumerate(bigger.vertices) if bigger.depth[i] == radius + 1]
+    assert beyond
+    for v in beyond[:20]:
+        assert v not in slab
+        with pytest.raises(VertexNotInSlab):
+            slab.index_of(v)

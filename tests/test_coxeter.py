@@ -511,14 +511,16 @@ def test_points_off_the_orbit_cone_raise_before_the_peel():
     """-I sends every point out of the cone of rho, where the peel never
     ends; 2 I changes B(v, v); the det-1 shear I + u_D8 f, f = (0, -1, phi),
     moves rho, u_D10 and u_D4 off their norms.  The raw-matrix entry points
-    check both before peeling a point that is not memoised."""
+    check both before peeling a point that is not memoised, and
+    ``min_coset_rep`` checks the element's own point, not only its coset's."""
     neg = GroupElement(tuple(iq_neg(x) for x in coxeter._IDENTITY_MAT))
     two = GroupElement(tuple(iq_add(x, x) for x in coxeter._IDENTITY_MAT))
     pushed = GroupElement(shear(U_P["D8"], ((0, 0, 0, 0), (-1, 0, 0, 0), (0, 0, 1, 0))))
     assert coxeter._mat_det(pushed.mat) == IQ_ONE
-    for g, parabolics in ((neg, (D8, D10, D4)), (two, (D8, D10, D4)), (pushed, (D10, D4))):
+    for g in (neg, two, pushed):
         raises_within_a_second(g.canonical_word)
-        for p in parabolics:
+        for p in (D8, D10, D4):
             raises_within_a_second(lambda: min_coset_rep(g, p))
-    # the shear fixes u_D8, a memoised base point, so min_coset_rep(pushed,
-    # D8) is the identity: a point check cannot see it
+    # the shear fixes u_D8, a memoised base point, so its D8 key alone names
+    # the identity coset: min_coset_rep must check the element itself
+    assert coset_key(pushed, D8) == coset_key(identity(), D8)

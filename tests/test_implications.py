@@ -13,8 +13,8 @@ import pytest
 
 import cox245
 from cox245.certificates import StringSpec, string_key
-from cox245.complexgraph import build_ball, cayley_vertex, fix_vertex
-from cox245.coxeter import D8, D10, element_of_word, identity
+from cox245.complexgraph import Vertex, build_ball, cayley_vertex, fix_vertex, vertex_key
+from cox245.coxeter import D4, D8, D10, element_of_word, identity
 from cox245.edgetypes import type_key_cayley, type_key_complex
 from cox245.implications import (
     ChainStepError,
@@ -319,19 +319,21 @@ def test_second_search_on_a_slab_makes_no_partner_calls(monkeypatch):
     # the precheck and the sweep share the slab's memo, kept across calls
     import cox245.implications as implications
 
-    slab = build_ball(fix_vertex(D8), 3, "pentagon-subcomplex")
-    state = ImplicationState.initial([string_key(StringSpec(()))])
-    target = string_key(StringSpec.parse("R"))
-    first = find_witness(state, target, slab)
-    assert first is not None
     calls = []
-    inner = implications.key_partners
+    inner = implications.partner_keys
 
     def counted(v, key):
         calls.append((v, key))
         return inner(v, key)
 
-    monkeypatch.setattr(implications, "key_partners", counted)
+    monkeypatch.setattr(implications, "partner_keys", counted)
+    slab = build_ball(fix_vertex(D8), 3, "pentagon-subcomplex")
+    state = ImplicationState.initial([string_key(StringSpec(()))])
+    target = string_key(StringSpec.parse("R"))
+    first = find_witness(state, target, slab)
+    assert first is not None
+    assert len(calls) > 0
+    calls.clear()
     assert find_witness(state, target, slab) == first
     assert calls == []
 
@@ -342,15 +344,19 @@ def test_memo_partners_are_the_slab_vertices():
     for t in ("R", "S", "SS", "LR"):
         find_witness(ImplicationState.initial([base]), string_key(StringSpec.parse(t)), slab)
     space = _SPACES[slab]
-    memo = space._memo.values()
-    inside = [u for got in memo for u in got if u in slab]
+    memo = space._memo
+    keys = tuple(slab.key_index)
+    partners = [u for got in memo.values() for u in got]
+    inside = [u for u in partners if u in slab.key_index]
     assert len(inside) > 100
-    assert all(u is slab.vertices[slab.index[u]] for u in inside)
-    # the precheck runs with no radius bound, so it also meets outside vertices
-    assert any(u not in slab for got in memo for u in got)
+    assert all(u is keys[slab.key_index[u]] for u in inside)
+    # vertices and partners are held as keys, never as peeled vertices
+    assert not any(isinstance(x, Vertex) for entry in memo.items() for x in itertools.chain(*entry))
+    # the precheck runs with no radius bound, so it also meets outside points
+    assert any(u not in slab.key_index for u in partners)
     # the memo does not keep its slab alive
     ref = weakref.ref(slab)
-    del slab, space, memo, inside
+    del slab, space, memo, keys, partners, inside
     gc.collect()
     assert ref() is None
 
@@ -363,11 +369,11 @@ def test_search_work_does_not_depend_on_hash_seed():
         "import cox245.implications as imp\n"
         "from cox245.certificates import auto_search_d10\n"
         "calls = [0]\n"
-        "inner = imp.key_partners\n"
+        "inner = imp.partner_keys\n"
         "def counted(v, key):\n"
         "    calls[0] += 1\n"
         "    return inner(v, key)\n"
-        "imp.key_partners = counted\n"
+        "imp.partner_keys = counted\n"
         "auto_search_d10(10, 4)\n"
         "print(calls[0])\n"
     )
@@ -379,3 +385,47 @@ def test_search_work_does_not_depend_on_hash_seed():
         counts.append(int(out.stdout.strip()))
     assert counts[0] > 0
     assert len(set(counts)) == 1, counts
+
+
+@pytest.mark.parametrize("suite, args, outside", [("verify_pentagon_suite", (3, 6), 39),
+                                                  ("auto_search_d10", (10, 4), 0)])
+def test_search_peels_only_what_it_expands(monkeypatch, suite, args, outside):
+    """The search works on vertex keys: it peels a point (one ``coset_rep``)
+    only to ask for its partners, and only when the point lies outside the
+    slab, so a partner that is never expanded is never peeled.  The r6
+    pentagon precheck expands 39 points outside its slab; the d10 search
+    none."""
+    import cox245.certificates as certificates
+    import cox245.complexgraph as complexgraph
+    import cox245.coxeter as coxeter
+    import cox245.implications as implications
+
+    slabs = []  # the slab of the search under way
+    peeled = []
+    expanded = set()  # out-of-slab points whose partners were asked for
+    search, peel, partners = certificates.find_witness, coxeter.coset_rep, implications.partner_keys
+
+    def searching(state, target, slab):
+        slabs.append(slab)
+        try:
+            return search(state, target, slab)
+        finally:
+            slabs.pop()
+
+    def counted(key):
+        if slabs:
+            peeled.append(key)
+        return peel(key)
+
+    def recording(v, key):
+        if v not in slabs[-1]:
+            expanded.add(vertex_key(v))
+        return partners(v, key)
+    for p in (D8, D10, D4):  # their words are peeled once per process
+        coxeter.parabolic_elements(p)
+    monkeypatch.setattr(certificates, "find_witness", searching)
+    for module in (coxeter, complexgraph):
+        monkeypatch.setattr(module, "coset_rep", counted)
+    monkeypatch.setattr(implications, "partner_keys", recording)
+    getattr(certificates, suite)(*args)
+    assert len(peeled) == len(expanded) == outside
