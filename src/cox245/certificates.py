@@ -522,10 +522,9 @@ def verify_connecting_list(path: str | None = None) -> dict:
                     steps.append(record)
                     status = "failed"
                     break
-                stray = sorted({pair_key(pts[i], pts[(i + 1) % len(pts)]).serialize()
-                                for i in range(len(pts))
-                                if not pair_key(pts[i], pts[(i + 1) % len(pts)]).is_degenerate
-                                and pair_key(pts[i], pts[(i + 1) % len(pts)]) not in listed})
+                sides = (pair_key(u, v) for u, v in zip(pts, pts[1:] + pts[:1]))
+                stray = sorted({k.serialize() for k in sides
+                                if not k.is_degenerate and k not in listed})
                 if stray:
                     record["sides_not_in_listed_sources"] = stray
                 record["status"] = "verified"
@@ -535,9 +534,8 @@ def verify_connecting_list(path: str | None = None) -> dict:
                 points = _orbit_points(line)
                 record = {"index": idx, "rule": rule, "orbit": [p.label() for p in points]}
                 state = close_orbit(state, points, note=f"orbit clique step {idx}")
-                missing = sorted({pair_key(u, v).serialize()
-                                  for i, u in enumerate(points) for v in points[i + 1:]
-                                  if not state.has(pair_key(u, v))})
+                pairs = (pair_key(u, v) for i, u in enumerate(points) for v in points[i + 1:])
+                missing = sorted({k.serialize() for k in pairs if not state.has(k)})
                 expect_missing = [t for t in line.get("expect", ())
                                   if not state.has(parse_key(t))]
                 if missing or expect_missing:

@@ -9,13 +9,15 @@ matrices, and the word problem costs nothing beyond exact arithmetic.
 Matrices are flat 9-tuples (row major) of integral quartic vectors from
 :mod:`cox245.numberfield`.  Multiplying by a generator, on either side,
 needs only negations, additions and the shifts that multiply by sqrt2 and
-phi in the integral basis.  Every product by a known word goes through
-``GroupElement.times``, one such generator product per letter.  The generic
-``iq_mul`` product is used behind ``GroupElement.__mul__`` (matrix by
-matrix), by ``translate_key`` (a matrix times the constant vector of a coset
-key, which moves a known coset by g without a word walk), by the adjugate
-inverse and determinant, and by the orbit-point check of the raw-matrix
-entry points.
+phi in the integral basis.  Every product goes through such generator
+products, one per letter: ``GroupElement.times`` by a known word, ``g * h``
+by h's ShortLex word, ``g.inverse()`` along g's reversed word and
+``g.inverse_times(h)`` by g's letters on the left of h, as generators are
+involutions.  No matrix is inverted.  General products of quartic
+integers (``iq_mul``) remain only in ``translate_key``, unrolled (a matrix
+times the constant vector of a coset key, which moves a known coset by g
+without a word walk), and in the orbit-point check of the raw-matrix entry
+points.
 
 A coset g*P is identified without stripping by ``coset_key``: the image
 M_g u_P of a vector u_P whose stabiliser is exactly P, read with the same
@@ -31,9 +33,11 @@ representative is rebuilt from the known suffix by one add-only generator
 product per letter.  Representatives are memoised by point, so a coset
 costs one peeled letter per suffix not seen before.
 
-Right descents and minimal double-coset representatives still use
-root-sign tests (x is a right descent of g iff g sends a_x to a negative
-root), which also check that each root is totally positive or negative.
+The minimal representative of a double coset P*g*Q is peeled the same way:
+left descents in P only, off the point of g*Q (Deodhar's lemma).  A right
+descent x of g is one exact sign of the root g a_x against rho.  Each
+descent test is an exact sign of a shift-and-add form, and the parity of
+an element is that of its word's length.
 """
 
 from __future__ import annotations
@@ -111,22 +115,6 @@ def _gen_matrix(x: str):
 _GEN_MATS = {x: _gen_matrix(x) for x in GENERATORS}
 
 
-def _mat_mul(m, n):
-    (a0, a1, a2, a3, a4, a5, a6, a7, a8) = m
-    (b0, b1, b2, b3, b4, b5, b6, b7, b8) = n
-    def cell(x, y, z, u, v, w):
-        p = iq_mul(x, u)
-        q = iq_mul(y, v)
-        r = iq_mul(z, w)
-        return (p[0] + q[0] + r[0], p[1] + q[1] + r[1],
-                p[2] + q[2] + r[2], p[3] + q[3] + r[3])
-    return (
-        cell(a0, a1, a2, b0, b3, b6), cell(a0, a1, a2, b1, b4, b7), cell(a0, a1, a2, b2, b5, b8),
-        cell(a3, a4, a5, b0, b3, b6), cell(a3, a4, a5, b1, b4, b7), cell(a3, a4, a5, b2, b5, b8),
-        cell(a6, a7, a8, b0, b3, b6), cell(a6, a7, a8, b1, b4, b7), cell(a6, a7, a8, b2, b5, b8),
-    )
-
-
 def _mat_mul_gen_right(m, x: str):
     """m * M_x by additions: row x of M_x is e_x - 2B(a_x, -), so each row
     u of m goes to (-u0, u1 + sqrt2 u0, u2) for r, (u0 + sqrt2 u1, -u1,
@@ -187,55 +175,6 @@ def _mat_mul_gen_left(m, x: str):
             (c12 - a22, d12 - b22, a12 + c12 - c22, b12 + d12 - d22),
         )
     raise ValueError(f"bad generator {x!r}")
-
-
-def _mat_det(m):
-    def mul(x, y):
-        return iq_mul(x, y)
-    t1 = iq_mul(m[0], iq_sub(mul(m[4], m[8]), mul(m[5], m[7])))
-    t2 = iq_mul(m[1], iq_sub(mul(m[3], m[8]), mul(m[5], m[6])))
-    t3 = iq_mul(m[2], iq_sub(mul(m[3], m[7]), mul(m[4], m[6])))
-    return (t1[0] - t2[0] + t3[0], t1[1] - t2[1] + t3[1],
-            t1[2] - t2[2] + t3[2], t1[3] - t2[3] + t3[3])
-
-
-def _mat_inv(m):
-    """Inverse via the adjugate; valid because det = +-1 in this group."""
-    det = _mat_det(m)
-    cof = [None] * 9
-    idx = ((4, 8, 5, 7), (2, 7, 1, 8), (1, 5, 2, 4),
-           (5, 6, 3, 8), (0, 8, 2, 6), (2, 3, 0, 5),
-           (3, 7, 4, 6), (1, 6, 0, 7), (0, 4, 1, 3))
-    for k, (p, q, u, v) in enumerate(idx):
-        cof[k] = iq_sub(iq_mul(m[p], m[q]), iq_mul(m[u], m[v]))
-    # idx already encodes the transpose of the cofactor matrix
-    if det == IQ_ONE:
-        return tuple(cof)
-    if det == iq_neg(IQ_ONE):
-        return tuple(iq_neg(x) for x in cof)
-    raise ArithmeticError("matrix is not in the reflection group (det != +-1)")
-
-
-def _column_root_sign(m, x: str) -> int:
-    """+1 if g(a_x) is a positive root, -1 if negative.
-
-    Roots of a Coxeter system are totally positive or totally negative in
-    simple-root coordinates; the check covers all three coordinates so a
-    representation bug cannot slip through as a wrong descent.
-    """
-    j = _INDEX[x]
-    sign = 0
-    for i in range(3):
-        s = iq_sign(m[3 * i + j])
-        if s == 0:
-            continue
-        if sign == 0:
-            sign = s
-        elif s != sign:
-            raise ArithmeticError("mixed-sign root coordinates; representation broken")
-    if sign == 0:
-        raise ArithmeticError("zero image of a simple root")
-    return sign
 
 
 # The name that keys an element's orbit point: its coset of the trivial
@@ -306,11 +245,12 @@ def _twob(p, x: str):
     return (2 * a2 - c1, 2 * b2 - d1, 2 * c2 - a1 - c1, 2 * d2 - b1 - d1)  # -phi v_s + 2 v_t
 
 
-def _least_descent(p):
-    """(x, key of s_x v) for the least x with 2B(a_x, v) > 0, v the point of
-    ``p``, or None when v lies in the closed negated chamber.  The
-    reflection s_x v = v - 2B(a_x, v) a_x changes coordinate x only."""
-    for x in GENERATORS:
+def _least_descent(p, gens=GENERATORS):
+    """(x, key of s_x v) for the first x of ``gens`` with 2B(a_x, v) > 0, v
+    the point of ``p``, or None when there is none (with all of ``gens``:
+    when v lies in the closed negated chamber).  The reflection s_x v =
+    v - 2B(a_x, v) a_x changes coordinate x only."""
+    for x in gens:
         v = _twob(p, x)
         if iq_sign(v) > 0:
             i = 1 + 4 * _INDEX[x]
@@ -447,7 +387,7 @@ class GroupElement:
 
     def __mul__(self, other):
         if isinstance(other, GroupElement):
-            return GroupElement(_mat_mul(self.mat, other.mat))
+            return self.times(other.canonical_word())
         return NotImplemented
 
     def times(self, word: str) -> "GroupElement":
@@ -458,8 +398,18 @@ class GroupElement:
             mat = _mat_mul_gen_right(mat, x)
         return GroupElement(mat)
 
+    def inverse_times(self, other: "GroupElement") -> "GroupElement":
+        """self^-1 * other: other's matrix left-multiplied by the letters of
+        this element's ShortLex word in order, one add-only generator
+        product per letter (generators are involutions)."""
+        mat = other.mat
+        for x in self.canonical_word():
+            mat = _mat_mul_gen_left(mat, x)
+        return GroupElement(mat)
+
     def inverse(self) -> "GroupElement":
-        return GroupElement(_mat_inv(self.mat))
+        """The walk along this element's reversed ShortLex word."""
+        return _IDENT.times(self.canonical_word()[::-1])
 
     def is_identity(self) -> bool:
         return self.mat == _IDENTITY_MAT
@@ -487,8 +437,9 @@ class GroupElement:
         return ";".join(iq_to_field(x).serialize() for x in self.mat)
 
     def det_is_even(self) -> bool:
-        """True iff det = +1, i.e. the Coxeter length is even."""
-        return _mat_det(self.mat) == IQ_ONE
+        """True iff det = +1, i.e. the Coxeter length is even (each
+        reflection has det -1)."""
+        return len(self.canonical_word()) % 2 == 0
 
 
 _IDENT = GroupElement(_IDENTITY_MAT)
@@ -522,8 +473,19 @@ def word_inverse(word: str) -> str:
 
 
 def right_descents(g: GroupElement) -> set[str]:
-    """Generators x with length(g*x) < length(g)."""
-    return {x for x in GENERATORS if _column_root_sign(g.mat, x) < 0}
+    """Generators x with length(g*x) < length(g): g a_x, column x of M_g, is
+    a negative root, i.e. 2B(g a_x, rho) > 0.  As 2B(a_y, rho) is (1 - phi)
+    times 2 sqrt2, 1 and 2 for y = r, s, t and 1 - phi < 0, that is
+    2 sqrt2 v_r + v_s + 2 v_t < 0 for v = g a_x, one exact sign by the sqrt2
+    shift."""
+    m = g.mat
+    out = set()
+    for j, x in enumerate(GENERATORS):
+        (a0, b0, c0, d0), (a1, b1, c1, d1), (a2, b2, c2, d2) = m[j], m[3 + j], m[6 + j]
+        if iq_sign((4 * b0 + a1 + 2 * a2, 2 * a0 + b1 + 2 * b2,
+                    4 * d0 + c1 + 2 * c2, 2 * c0 + d1 + 2 * d2)) < 0:
+            out.add(x)
+    return out
 
 
 def left_descents(g: GroupElement) -> set[str]:
@@ -609,28 +571,24 @@ def coset_key(g: GroupElement, p: ParabolicId) -> tuple:
 
 
 def min_double_coset_rep(g: GroupElement, p: ParabolicId, q: ParabolicId) -> GroupElement:
-    """Unique shortest element of P*g*Q.
+    """Unique shortest element of P*g*Q, carrying its ShortLex word.
 
-    Alternate stripping of right descents in Q and left descents in P; the
-    element this stabilises on is reduced on both sides, and each double
-    coset of standard parabolics contains exactly one such element.
+    Left descents in P are peeled off the point of g*Q, as ``coset_rep``
+    peels any descent.  By Deodhar's lemma (Bjorner & Brenti, ch. 2) x w is
+    minimal in x w Q whenever w is minimal in w Q and x is a left descent
+    of w, so every point passed keys the minimal representative of its
+    coset, and the last one, with no left descent in P, keys the minimal
+    representative of the double coset.  g's own rho-point is checked
+    first, as by ``min_coset_rep``, so a matrix outside W raises
+    ``ArithmeticError`` and is never peeled.
     """
-    mat = g.mat
-    inv = _mat_inv(mat)
-    changed = True
-    while changed:
-        changed = False
-        for x in q.gens:
-            if _column_root_sign(mat, x) < 0:
-                mat = _mat_mul_gen_right(mat, x)
-                inv = _mat_mul_gen_left(inv, x)
-                changed = True
-        for x in p.gens:
-            if _column_root_sign(inv, x) < 0:  # left descent of g
-                mat = _mat_mul_gen_left(mat, x)
-                inv = _mat_mul_gen_right(inv, x)
-                changed = True
-    return GroupElement(mat)
+    g.canonical_word()
+    key = coset_key(g, q)
+    while True:
+        step = _least_descent(key, p.gens)
+        if step is None:
+            return coset_rep(key)
+        key = step[1]
 
 
 def bilinear_form_matrix() -> tuple[tuple[FieldElement, ...], ...]:

@@ -10,6 +10,12 @@ Two modes share one key type:
 * cayley mode: a pair of group elements (g, h); the invariant is the
   smaller of the canonical words of g^-1 h and h^-1 g.
 
+Both are read off word walks and orbit points: g^-1 h is h's matrix
+left-multiplied by g's ShortLex letters (``GroupElement.inverse_times``),
+its inverse is the walk along its reversed word, and the double-coset
+representative is peeled off the point of its coset (see
+``coxeter.min_double_coset_rep``).  No matrix is inverted.
+
 Keys are exact: equal keys if and only if the pairs lie in one W-orbit.
 """
 
@@ -62,7 +68,7 @@ class EdgeTypeKey:
 
 
 def type_key_cayley(g: GroupElement, h: GroupElement) -> EdgeTypeKey:
-    d = g.inverse() * h  # h^-1 g is its inverse
+    d = g.inverse_times(h)  # h^-1 g is its inverse
     w = min(d.canonical_word(), d.inverse().canonical_word())
     return EdgeTypeKey("cayley", None, None, w)
 
@@ -70,7 +76,7 @@ def type_key_cayley(g: GroupElement, h: GroupElement) -> EdgeTypeKey:
 def type_key_complex(u: Vertex, v: Vertex) -> EdgeTypeKey:
     if u.parabolic is None or v.parabolic is None:
         raise ValueError("complex keys need parabolic-coset vertices")
-    d1 = min_double_coset_rep(u.rep.inverse() * v.rep, u.parabolic, v.parabolic)
+    d1 = min_double_coset_rep(u.rep.inverse_times(v.rep), u.parabolic, v.parabolic)
     d2 = d1.inverse()  # the minimal rep of the reversed pair's double coset
     k1 = (u.parabolic.name, v.parabolic.name, d1.canonical_word())
     k2 = (v.parabolic.name, u.parabolic.name, d2.canonical_word())

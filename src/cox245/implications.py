@@ -353,8 +353,12 @@ def close_orbit(state: ImplicationState, points: list[Vertex],
     Used for dihedral orbits (finitely many vertices) where the claim is
     that the whole orbit becomes a clique; the caller checks that.
     """
-    table = [[pair_key(u, v) for v in points] for u in points]
-    for cycle, label in _closure(table, state.has, range(len(points))):
+    n = len(points)
+    table = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):  # pair keys are unordered
+            table[i][j] = table[j][i] = pair_key(points[i], points[j])
+    for cycle, label in _closure(table, state.has, range(n)):
         witness = CycleWitness(tuple(points[i] for i in cycle), label)
         state, _ = apply_elementary(state, witness, note)
     return state

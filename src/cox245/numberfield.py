@@ -13,16 +13,17 @@ sqrt2*phi} (phi = (1+sqrt5)/2) is provided for the matrix kernel: all
 entries of the generator matrices are algebraic integers there, so group
 matrices multiply with plain Python ints and never see a denominator.
 
-Sign computation is exact.  A float prescreen handles the easy cases and an
-integer interval refinement of sqrt2/sqrt5/sqrt10 decides the rest, so a
-nonzero element is never misclassified by rounding; the zero test is a
-coefficient comparison and needs no numerics at all.
+Sign computation is exact and uses integers only: the sign of x + y*sqrt5,
+with x and y in Z[sqrt2], is decided by the signs of x, y and the norm
+x^2 - 5y^2, each element of Z[sqrt2] by comparing squares (nested norms).
+No float and no approximation of a root decides a sign; ``float()`` of an
+element is for display only.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt
+from math import lcm
 
 __all__ = [
     "FieldElement",
@@ -49,49 +50,38 @@ __all__ = [
     "IQ_PHI",
 ]
 
+# for ``FieldElement.__float__`` (display) only
 _F2 = 1.4142135623730951
 _F5 = 2.23606797749979
 _F10 = 3.1622776601683795
 
 
-def _sign_int_vector(a: int, b: int, c: int, d: int) -> int:
-    """Sign of a + b*sqrt2 + c*sqrt5 + d*sqrt10 for integer coefficients.
+def _sign_sqrt2(p: int, q: int) -> int:
+    """Sign of p + q*sqrt2 for integers p, q: the common sign when p and q
+    agree, otherwise that of the larger of p^2 and 2q^2 (never equal, as
+    sqrt2 is irrational)."""
+    if p >= 0 and q >= 0:
+        return 1 if p or q else 0
+    if p <= 0 and q <= 0:
+        return -1
+    if p * p > 2 * q * q:
+        return 1 if p > 0 else -1
+    return 1 if q > 0 else -1
 
-    The basis is linearly independent over Q, so the value is zero iff all
-    coefficients are zero; for nonzero values interval refinement always
-    separates from 0 at finite precision.
-    """
-    if a == 0 and b == 0 and c == 0 and d == 0:
-        return 0
-    try:
-        val = a + b * _F2 + c * _F5 + d * _F10
-        scale = abs(a) + 1.5 * abs(b) + 2.3 * abs(c) + 3.2 * abs(d)
-        # double rounding over a handful of ops stays far below 1e-6 relative
-        if abs(val) > 1e-6 * scale:
-            return 1 if val > 0.0 else -1
-    except OverflowError:
-        pass
-    digits = 40
-    while True:
-        p = 10**digits
-        p2 = p * p
-        lo = a * p
-        hi = a * p
-        for coeff, rad in ((b, 2), (c, 5), (d, 10)):
-            if coeff == 0:
-                continue
-            root_lo = isqrt(rad * p2)  # root_lo <= sqrt(rad)*p < root_lo + 1
-            if coeff > 0:
-                lo += coeff * root_lo
-                hi += coeff * (root_lo + 1)
-            else:
-                lo += coeff * (root_lo + 1)
-                hi += coeff * root_lo
-        if lo > 0:
-            return 1
-        if hi < 0:
-            return -1
-        digits *= 2
+
+def _sign_int_vector(a: int, b: int, c: int, d: int) -> int:
+    """Sign of a + b*sqrt2 + c*sqrt5 + d*sqrt10 = x + y*sqrt5 with x = a +
+    b*sqrt2 and y = c + d*sqrt2, by nested norms: the common sign when x
+    and y agree, otherwise sign(x) times the sign of x^2 - 5y^2 = (a^2 +
+    2b^2 - 5c^2 - 10d^2) + 2(ab - 5cd)*sqrt2, which is nonzero as sqrt5 is
+    not in Q(sqrt2)."""
+    x = _sign_sqrt2(a, b)
+    y = _sign_sqrt2(c, d)
+    if x == y or y == 0:
+        return x
+    if x == 0:
+        return y
+    return x * _sign_sqrt2(a * a + 2 * b * b - 5 * c * c - 10 * d * d, 2 * (a * b - 5 * c * d))
 
 
 class FieldElement:
@@ -199,14 +189,12 @@ class FieldElement:
 
     def sign(self) -> int:
         """Exact sign of the real embedding (sqrt2, sqrt5 positive)."""
-        denom = 1
-        for coeff in self.coeffs:
-            if coeff.denominator != denom:
-                denom = denom * coeff.denominator // _gcd(denom, coeff.denominator)
+        denom = lcm(*(coeff.denominator for coeff in self.coeffs))
         ints = [int(coeff * denom) for coeff in self.coeffs]
         return _sign_int_vector(*ints)
 
     def __float__(self):
+        """Approximate value, for display only."""
         return float(self.a) + float(self.b) * _F2 + float(self.c) * _F5 + float(self.d) * _F10
 
     def __lt__(self, other):
@@ -220,12 +208,6 @@ class FieldElement:
         if other is None:
             return NotImplemented
         return (self - other).sign() <= 0
-
-
-def _gcd(x: int, y: int) -> int:
-    while y:
-        x, y = y, x % y
-    return x
 
 
 def _coerce(value) -> FieldElement | None:

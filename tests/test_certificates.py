@@ -4,6 +4,8 @@ import json
 
 import pytest
 
+import cox245.certificates as certificates
+import cox245.implications as implications
 from cox245.certificates import (
     CONNECTING_FINAL_WORDS,
     CONNECTING_SEED_WORDS,
@@ -189,6 +191,20 @@ def test_connecting_list_replays_in_full():
     orbit_steps = [s for s in rep["steps"] if s["rule"] == "orbit-clique"]
     assert len(orbit_steps) == 1
     assert ckey("rstsr").serialize() in orbit_steps[0]["derived"]
+
+
+def test_connecting_list_keys_each_pair_once(monkeypatch):
+    """Each side of a listed cycle and each pair of the 10-gon orbit is keyed
+    once (the orbit table is filled for j >= i and mirrored: 55 of its 100
+    cells); the parent counts were 409 and 272."""
+    calls = {"certificates": 0, "implications": 0}
+    for module in (certificates, implications):
+        def counted(u, v, _name=module.__name__.rsplit(".", 1)[1], _fn=module.pair_key):
+            calls[_name] += 1
+            return _fn(u, v)
+        monkeypatch.setattr(module, "pair_key", counted)
+    assert verify_connecting_list()["status"] == "verified"
+    assert calls == {"certificates": 300, "implications": 227}
 
 
 def test_connecting_list_seed_covers_mechanical_scan():

@@ -32,6 +32,7 @@ from cox245.coxeter import (
 )
 from cox245.edgetypes import key_partners, pair_key
 from cox245.numberfield import iq_mul
+from matrix_oracle import generic_product, mat_inv, mat_mul
 
 C8 = fix_vertex(D8)
 C10 = fix_vertex(D10)
@@ -237,9 +238,9 @@ def reference_adjacent(u, v):
     parabolic (the oracle for ``adjacent``)."""
     if u == v or u.parabolic == v.parabolic:
         return False
-    diff = u.rep.inverse() * v.rep
+    diff = mat_mul(mat_inv(u.rep.mat), v.rep.mat)
     members = {g.mat for g in parabolic_elements(v.parabolic)}
-    return any((p * diff).mat in members for p in parabolic_elements(u.parabolic))
+    return any(mat_mul(p.mat, diff) in members for p in parabolic_elements(u.parabolic))
 
 
 def test_adjacent_matches_generic_coset_intersection():
@@ -269,22 +270,25 @@ def test_ball_strips_each_coset_once(monkeypatch):
 
 def test_ball_and_partners_make_no_matrix_descent_tests(monkeypatch):
     """Words and coset representatives on the ball path are peeled off orbit
-    points: no matrix inverse and no root-sign test, even with an empty
-    point memo."""
+    points, even with an empty point memo: the kernel defines no matrix
+    inverse, determinant, generic product or root-sign test, and the ball
+    and its partner sets make no generic ``iq_mul`` product."""
+    for name in ("_mat_inv", "_mat_det", "_mat_mul", "_column_root_sign"):
+        assert not hasattr(coxeter, name), name
     near = build_ball(C8, 2, "pentagon-subcomplex").vertices[1:]
     keys = list(dict.fromkeys(pair_key(C8, v) for v in near))  # t, tst, tsrst
-    calls = {"_mat_inv": 0, "_column_root_sign": 0}
-    for name in calls:
-        def counted(*args, _name=name, _fn=getattr(coxeter, name)):
-            calls[_name] += 1
-            return _fn(*args)
-        monkeypatch.setattr(coxeter, name, counted)
+    calls = []
+
+    def counted(x, y, _fn=coxeter.iq_mul):
+        calls.append(1)
+        return _fn(x, y)
+    monkeypatch.setattr(coxeter, "iq_mul", counted)
     monkeypatch.setattr(coxeter, "_REPS", {
         key: g for key, g in coxeter._REPS.items() if g is coxeter._IDENT})
     slab = build_ball(C8, 6, "pentagon-subcomplex")
     partners = sum(len(key_partners(v, key)) for v in slab.vertices for key in keys)
     assert (len(slab), partners) == (597, 9552)
-    assert calls == {"_mat_inv": 0, "_column_root_sign": 0}
+    assert calls == []
 
 
 @pytest.mark.parametrize("center, radius, mode", [
@@ -310,10 +314,7 @@ def reference_vertex_key(v):
     ``iq_mul`` products for a coset, and for a Cayley vertex the product of
     its word's generator matrices by the generic matrix product."""
     if v.parabolic is None:
-        mat = coxeter._IDENTITY_MAT
-        for x in v.word():
-            mat = coxeter._mat_mul(mat, coxeter._GEN_MATS[x])
-        return mat
+        return generic_product(v.word())
     out = [v.parabolic.name]
     for i in range(3):
         terms = [iq_mul(v.rep.mat[3 * i + j], U_P[v.parabolic.name][j]) for j in range(3)]

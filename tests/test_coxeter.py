@@ -28,6 +28,8 @@ from cox245.coxeter import (
     word_inverse,
 )
 from cox245.numberfield import IQ_ONE, ZERO, iq_add, iq_mul, iq_neg, iq_to_field
+import matrix_oracle
+from matrix_oracle import column_root_sign, generic_product, mat_det, mat_inv, mat_mul
 
 words = st.text(alphabet="rst", max_size=12)
 
@@ -212,7 +214,7 @@ def shortlex_first_words(max_length):
         nxt = []
         for word, mat in level:
             for x, gen in gens:
-                prod = coxeter._mat_mul(mat, gen)
+                prod = mat_mul(mat, gen)
                 if prod not in first:
                     first[prod] = word + x
                     nxt.append((word + x, prod))
@@ -273,22 +275,15 @@ def test_canonical_word_is_shortlex_least(monkeypatch):
     check()
 
 
-def generic_product(word):
-    mat = coxeter._IDENTITY_MAT
-    for x in word:
-        mat = coxeter._mat_mul(mat, coxeter._GEN_MATS[x])
-    return mat
-
-
 @given(st.text(alphabet="rst", max_size=40), st.sampled_from("rst"))
 @settings(max_examples=150, deadline=None)
 def test_generator_kernel_matches_generic_multiply(w, x):
     m = generic_product(w)
     gen = coxeter._GEN_MATS[x]
-    assert coxeter._mat_mul_gen_right(m, x) == coxeter._mat_mul(m, gen)
-    assert coxeter._mat_mul_gen_left(m, x) == coxeter._mat_mul(gen, m)
+    assert coxeter._mat_mul_gen_right(m, x) == mat_mul(m, gen)
+    assert coxeter._mat_mul_gen_left(m, x) == mat_mul(gen, m)
     # a word walk equals the generic product by the word's matrix
-    assert GroupElement(m).times(x + w).mat == coxeter._mat_mul(m, generic_product(x + w))
+    assert GroupElement(m).times(x + w).mat == mat_mul(m, generic_product(x + w))
 
 
 def test_coset_key_fixed_by_exactly_the_parabolic():
@@ -367,10 +362,10 @@ def matrix_shortlex_word(mat, memo):
     iff g^-1 sends a_x to a negative root; peel the least one until a
     matrix in ``memo`` (matrix -> word) is reached."""
     passed = []
-    inv = coxeter._mat_inv(mat)
+    inv = mat_inv(mat)
     word = memo.get(mat)
     while word is None:
-        x = next(x for x in "rst" if coxeter._column_root_sign(inv, x) < 0)
+        x = next(x for x in "rst" if column_root_sign(inv, x) < 0)
         passed.append((mat, x))
         mat = coxeter._mat_mul_gen_left(mat, x)
         inv = coxeter._mat_mul_gen_right(inv, x)
@@ -388,7 +383,7 @@ def stripped_coset_rep(g, p):
     while changed:
         changed = False
         for x in p.gens:
-            if coxeter._column_root_sign(mat, x) < 0:
+            if column_root_sign(mat, x) < 0:
                 mat = coxeter._mat_mul_gen_right(mat, x)
                 changed = True
     return GroupElement(mat)
@@ -425,8 +420,37 @@ def test_min_coset_rep_matches_stripping(w, p):
     assert rep == stripped_coset_rep(g, p)
     assert rep.canonical_word() == matrix_shortlex_word(rep.mat, {coxeter._IDENTITY_MAT: ""})
     assert coset_key(rep, p) == coset_key(g, p)
-    inv = coxeter._mat_inv(g.mat)
-    assert left_descents(g) == {x for x in "rst" if coxeter._column_root_sign(inv, x) < 0}
+    assert left_descents(g) == matrix_oracle.left_descents(g)
+
+
+@given(st.text(alphabet="rst", max_size=24), st.sampled_from([D8, D10, D4]),
+       st.sampled_from([D8, D10, D4]))
+@settings(max_examples=200, deadline=None)
+def test_min_double_coset_rep_matches_matrix_strip(w, p, q):
+    """The point peel gives the element the alternating matrix strip
+    stabilises on, with the matrix peel's word, and it has no left descent
+    in P and no right descent in Q by root signs."""
+    g = element_of_word(w)
+    rep = min_double_coset_rep(g, p, q)
+    assert rep == matrix_oracle.min_double_coset_rep(g, p, q)
+    assert rep.canonical_word() == matrix_shortlex_word(rep.mat, {coxeter._IDENTITY_MAT: ""})
+    assert not matrix_oracle.left_descents(rep) & set(p.gens)
+    assert not matrix_oracle.right_descents(rep) & set(q.gens)
+
+
+def test_descents_inverse_parity_and_products_match_matrix_kernel_on_shortlex_12():
+    """Right and left descents by root signs, the adjugate inverse, the
+    determinant and the generic product against the walks and peels."""
+    elems = [GroupElement(mat) for mat in SHORTLEX_12]
+    for g in elems:
+        assert right_descents(g) == matrix_oracle.right_descents(g)
+        assert left_descents(g) == matrix_oracle.left_descents(g)
+        assert g.inverse().mat == mat_inv(g.mat)
+        assert g.det_is_even() == (mat_det(g.mat) == IQ_ONE)
+    for g in elems[::7]:
+        for h in elems[::11]:
+            assert (g * h).mat == mat_mul(g.mat, h.mat)
+            assert g.inverse_times(h).mat == mat_mul(mat_inv(g.mat), h.mat)
 
 
 @given(words, st.sampled_from(sorted(U_P)))
@@ -478,7 +502,7 @@ def test_non_group_matrices_raise():
     # deeper in the negated chamber
     f = ((0, 0, 0, 0), (-1, 0, 0, 0), (0, 0, 1, 0))
     pushed = GroupElement(shear(u8, f))
-    assert coxeter._mat_det(pushed.mat) == IQ_ONE
+    assert mat_det(pushed.mat) == IQ_ONE
     assert dot(f, u8) == (0, 0, 0, 0) and dot(f, rho) == (-3, 0, 3, 0)
     with pytest.raises(ArithmeticError):
         pushed.canonical_word()
@@ -487,7 +511,7 @@ def test_non_group_matrices_raise():
     # f = rho x u_D8 fixes rho, so the peel stops at once on the identity
     f = ((6, 0, -6, 0), (0, -5, 0, 5), (0, -2, 0, 0))
     fixing = GroupElement(shear(u8, f))
-    assert coxeter._mat_det(fixing.mat) == IQ_ONE
+    assert mat_det(fixing.mat) == IQ_ONE
     assert dot(f, u8) == dot(f, rho) == (0, 0, 0, 0)
     with pytest.raises(ArithmeticError):
         fixing.canonical_word()
@@ -512,15 +536,22 @@ def test_points_off_the_orbit_cone_raise_before_the_peel():
     ends; 2 I changes B(v, v); the det-1 shear I + u_D8 f, f = (0, -1, phi),
     moves rho, u_D10 and u_D4 off their norms.  The raw-matrix entry points
     check both before peeling a point that is not memoised, and
-    ``min_coset_rep`` checks the element's own point, not only its coset's."""
+    ``min_coset_rep`` and ``min_double_coset_rep`` check the element's own
+    point, not only its coset's.  Products and inverses walk a ShortLex
+    word, so they raise too."""
     neg = GroupElement(tuple(iq_neg(x) for x in coxeter._IDENTITY_MAT))
     two = GroupElement(tuple(iq_add(x, x) for x in coxeter._IDENTITY_MAT))
     pushed = GroupElement(shear(U_P["D8"], ((0, 0, 0, 0), (-1, 0, 0, 0), (0, 0, 1, 0))))
-    assert coxeter._mat_det(pushed.mat) == IQ_ONE
+    assert mat_det(pushed.mat) == IQ_ONE
     for g in (neg, two, pushed):
         raises_within_a_second(g.canonical_word)
+        raises_within_a_second(g.inverse)
+        raises_within_a_second(lambda: identity() * g)
+        raises_within_a_second(lambda: g.inverse_times(identity()))
         for p in (D8, D10, D4):
             raises_within_a_second(lambda: min_coset_rep(g, p))
+            for q in (D8, D10, D4):
+                raises_within_a_second(lambda: min_double_coset_rep(g, p, q))
     # the shear fixes u_D8, a memoised base point, so its D8 key alone names
     # the identity coset: min_coset_rep must check the element itself
     assert coset_key(pushed, D8) == coset_key(identity(), D8)

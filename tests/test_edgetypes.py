@@ -10,6 +10,8 @@ from hypothesis import given, settings, strategies as st
 import cox245.coxeter as coxeter
 import cox245.edgetypes as edgetypes
 import cox245.implications as implications
+import matrix_oracle
+from matrix_oracle import generic_product, mat_inv, mat_mul
 from cox245.certificates import verify_pentagon_suite
 from cox245.complexgraph import (
     Vertex,
@@ -33,6 +35,7 @@ from cox245.coxeter import (
     parabolic_elements,
 )
 from cox245.edgetypes import (
+    EdgeTypeKey,
     find_pair_transport,
     key_partners,
     orbit_sample,
@@ -94,6 +97,34 @@ def test_complex_key_symmetric_and_invariant(gw, ww):
     assert type_key_complex(translate(w, u), translate(w, v)) == key
 
 
+def matrix_pair_key(u, v):
+    """pair_key by the adjugate inverse, the generic product and the
+    alternating matrix strip (the oracle for the word walks and the peel)."""
+    diff = GroupElement(mat_mul(mat_inv(u.rep.mat), v.rep.mat))
+    if u.parabolic is None:
+        back = GroupElement(mat_inv(diff.mat))
+        return EdgeTypeKey("cayley", None, None, min(diff.canonical_word(), back.canonical_word()))
+    d1 = matrix_oracle.min_double_coset_rep(diff, u.parabolic, v.parabolic)
+    d2 = GroupElement(mat_inv(d1.mat))
+    k1 = (u.parabolic.name, v.parabolic.name, d1.canonical_word())
+    k2 = (v.parabolic.name, u.parabolic.name, d2.canonical_word())
+    return EdgeTypeKey("complex", *min(k1, k2))
+
+
+@pytest.mark.parametrize("center, radius, mode, size, types", [
+    (C8, 3, "full-Y", 133, 399), (cayley_vertex(identity()), 6, "cayley", 66, 232)])
+def test_type_keys_match_matrix_kernel(center, radius, mode, size, types):
+    """Both type keys on every pair of a ball, in both orientations."""
+    verts = build_ball(center, radius, mode).vertices
+    seen = set()
+    for i, u in enumerate(verts):
+        for v in verts[i:]:
+            key = matrix_pair_key(u, v)
+            assert pair_key(u, v) == pair_key(v, u) == key, (u.label(), v.label())
+            seen.add(key)
+    assert (len(verts), len(seen)) == (size, types)
+
+
 def test_orbit_sample_pentagon_edges():
     slab = build_ball(C8, 3, "pentagon-subcomplex")
     key = type_key_complex(C8, T8)
@@ -146,30 +177,31 @@ def test_equal_key_pairs_are_connected_by_group_element():
     assert checked >= 3
 
 
-def generic_element(word):
+def generic_mul(*factors):
+    """The product of group elements by generic matrix products."""
     mat = coxeter._IDENTITY_MAT
-    for x in word:
-        mat = coxeter._mat_mul(mat, coxeter._GEN_MATS[x])
+    for g in factors:
+        mat = mat_mul(mat, g.mat)
     return GroupElement(mat)
 
 
 def reference_key_partners(v, key):
     """key_partners by generic matrix products and inverses (the oracle)."""
+    w = GroupElement(generic_product(key.word))
+    back = GroupElement(mat_inv(w.mat))
     if key.mode == "cayley":
-        g = generic_element(key.word)
-        out = [Vertex(None, v.rep * g)]
-        back = Vertex(None, v.rep * g.inverse())
+        out = [Vertex(None, generic_mul(v.rep, w))]
+        back = Vertex(None, generic_mul(v.rep, back))
         return out if back == out[0] else out + [back]
-    w = generic_element(key.word)
     variants = []
     if v.parabolic.name == key.p:
         variants.append((w, PARABOLICS[key.q]))
     if v.parabolic.name == key.q:
-        variants.append((w.inverse(), PARABOLICS[key.p]))
+        variants.append((back, PARABOLICS[key.p]))
     out = []
     for step, target in variants:
         for p in parabolic_elements(v.parabolic):
-            cand = make_vertex(target, v.rep * p * step)
+            cand = make_vertex(target, generic_mul(v.rep, p, step))
             if cand not in out:
                 out.append(cand)
     return out

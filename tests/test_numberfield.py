@@ -1,6 +1,8 @@
 """Exact arithmetic in Q(sqrt2, sqrt5)."""
 
+import itertools
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,6 +23,7 @@ from cox245.numberfield import (
     iq_sign,
     iq_to_field,
 )
+from cox245.numberfield import _sign_int_vector
 
 rationals = st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**4)
 elements = st.builds(FieldElement, rationals, rationals, rationals, rationals)
@@ -69,8 +72,8 @@ def test_sign_separates_close_values():
 
 
 def test_sign_interval_refinement_path():
-    # (sqrt2 - 1)^40 ~ 4e-16 with ~1e15 coefficients: far beyond the float
-    # prescreen, so this exercises the integer interval refinement
+    # (sqrt2 - 1)^40 ~ 4e-16 with ~1e15 coefficients: a cancellation no
+    # double could resolve, decided by the norms alone
     tiny = ONE
     base = SQRT2 - 1
     for _ in range(40):
@@ -134,3 +137,69 @@ def test_integral_layer_matches_field():
     # phi is a root of x^2 - x - 1
     phi = (0, 0, 1, 0)
     assert iq_mul(phi, phi) == (1, 0, 1, 0)
+
+
+# --- the interval refinement, kept as the oracle for the nested norms -------
+
+def interval_sign(a, b, c, d):
+    """Sign of a + b sqrt2 + c sqrt5 + d sqrt10 by integer intervals around
+    the roots, doubling the digits until the interval excludes 0; the basis
+    is independent over Q, so a nonzero value is separated at finite
+    precision."""
+    if a == b == c == d == 0:
+        return 0
+    digits = 40
+    while True:
+        p = 10**digits
+        lo = hi = a * p
+        for coeff, rad in ((b, 2), (c, 5), (d, 10)):
+            root_lo = isqrt(rad * p * p)  # root_lo <= sqrt(rad) p < root_lo + 1
+            if coeff > 0:
+                lo += coeff * root_lo
+                hi += coeff * (root_lo + 1)
+            else:
+                lo += coeff * (root_lo + 1)
+                hi += coeff * root_lo
+        if lo > 0:
+            return 1
+        if hi < 0:
+            return -1
+        digits *= 2
+
+
+def test_nested_norm_sign_matches_intervals_on_the_box():
+    box = range(-6, 7)
+    cases = 0
+    for v in itertools.product(box, box, box, box):
+        assert _sign_int_vector(*v) == interval_sign(*v), v
+        cases += 1
+    assert cases == 28561
+
+
+# units below 1: their powers are Pell-style approximants, p - q sqrt2 with
+# p^2 - 2q^2 = +-1 and the like for sqrt5 and sqrt10, near 0 with large
+# coefficients
+UNITS = (SQRT2 - 1, SQRT5 - 2, SQRT10 - 3)
+
+
+def small_unit(exponents):
+    out = ONE
+    for unit, k in zip(UNITS, exponents):
+        for _ in range(k):
+            out = out * unit
+    return out
+
+
+exponents = st.lists(st.integers(0, 30), min_size=len(UNITS), max_size=len(UNITS))
+
+
+@given(exponents, exponents, st.integers(-3, 3), st.integers(-3, 3))
+@settings(max_examples=200, deadline=None)
+def test_nested_norm_sign_matches_intervals_near_zero(e1, e2, k1, k2):
+    """Signs of k1 u1 + k2 u2 for products u1, u2 of small units: a
+    cancellation between two tiny values of either sign, with every
+    coefficient nonzero in general."""
+    x = k1 * small_unit(e1) + k2 * small_unit(e2)
+    coeffs = tuple(int(c) for c in x.coeffs)
+    assert all(c.denominator == 1 for c in x.coeffs)
+    assert _sign_int_vector(*coeffs) == interval_sign(*coeffs)
