@@ -22,6 +22,7 @@ __version__ = "0.1.0"
 
 from .numberfield import FieldElement, fe_inv, fe_mul, fe_sign
 from .coxeter import (
+    CAY,
     D4,
     D8,
     D10,

@@ -1,8 +1,10 @@
 """Finite balls of the Coxeter-complex 1-skeleton and the Cayley graph.
 
-Vertices of the Coxeter complex are cosets of the three maximal standard
-parabolics, stored by their unique shortest representative.  Four vertex/
-edge universes are wired and never mixed silently:
+Every vertex is a coset g*P of a standard parabolic P, stored by its unique
+shortest representative: P is one of the three maximal parabolics in the
+Coxeter complex, and the trivial parabolic ``CAY`` in the Cayley graph,
+whose cosets are the group's elements.  Four vertex/edge universes are
+wired and never mixed silently:
 
 ``"full-Y"``
     all three coset types; edges are nonempty coset intersection, plus the
@@ -14,15 +16,16 @@ edge universes are wired and never mixed silently:
     the dual picture: D10-cosets with edges {w*FixD10, wr*FixD10}, five
     squares around each vertex.
 ``"cayley"``
-    group elements, edges = right multiplication by a generator.
+    CAY-cosets, i.e. group elements; edges = right multiplication by a
+    generator.
 
 Neighbors in every mode are word walks: the representative times a
 generator (Cayley), the rotation's and the edge's letters (pentagon and
 d10 tilings) or the words of its parabolic's elements (coset
 intersection), each through ``GroupElement.times`` (see
 :mod:`cox245.coxeter`).  The walk yields unstripped elements,
-deduplicated by key: ``coxeter.coset_key`` for a coset, the matrix itself
-for a Cayley vertex (``vertex_key``; ``key_vertex`` goes back).
+deduplicated by their cosets' ``coxeter.coset_key`` (``vertex_key``;
+``key_vertex`` goes back).
 ``neighbors`` peels each distinct key once to its minimal representative
 (``coxeter.coset_rep``) and ``adjacent`` compares keys of the intersection
 walk.  Balls are built by BFS and peel a coset only the first time its key
@@ -45,12 +48,14 @@ from dataclasses import dataclass
 from collections import deque
 
 from .coxeter import (
+    CAY,
     D4,
     D8,
     D10,
     GENERATORS,
     GroupElement,
     PARABOLICS,
+    PARABOLIC_BY_NAME,
     ParabolicId,
     coset_key,
     coset_rep,
@@ -80,9 +85,9 @@ __all__ = [
 ]
 
 # the vertex types of each universe, in the order the witness precheck
-# anchors them (None: a bare group element)
+# anchors them
 MODES = {"full-Y": (D8, D10, D4), "pentagon-subcomplex": (D8,),
-         "cayley": (None,), "d10-orbit": (D10,)}
+         "cayley": (CAY,), "d10-orbit": (D10,)}
 
 
 class ResourceLimitExceeded(RuntimeError):
@@ -95,21 +100,20 @@ class VertexNotInSlab(KeyError):
 
 @dataclass(frozen=True, slots=True)
 class Vertex:
-    """A coset of a maximal parabolic (or a bare group element in Cayley mode).
+    """A coset of a standard parabolic (of CAY: a group element).
 
     ``rep`` is always the minimal coset representative, so equality of
     vertices is equality of fields.
     """
 
-    parabolic: ParabolicId | None
+    parabolic: ParabolicId
     rep: GroupElement
 
     def word(self) -> str:
         return self.rep.canonical_word()
 
     def label(self) -> str:
-        tag = self.parabolic.name if self.parabolic else "CAY"
-        return f"{tag}:{self.word() or 'e'}"
+        return f"{self.parabolic.name}:{self.word() or 'e'}"
 
 
 def make_vertex(parabolic: ParabolicId, g: GroupElement) -> Vertex:
@@ -117,7 +121,7 @@ def make_vertex(parabolic: ParabolicId, g: GroupElement) -> Vertex:
 
 
 def cayley_vertex(g: GroupElement) -> Vertex:
-    return Vertex(None, g)
+    return make_vertex(CAY, g)
 
 
 def fix_vertex(parabolic: ParabolicId) -> Vertex:
@@ -127,32 +131,21 @@ def fix_vertex(parabolic: ParabolicId) -> Vertex:
 
 def translate(w: GroupElement, v: Vertex) -> Vertex:
     """Left action of the group on vertices."""
-    if v.parabolic is None:
-        return Vertex(None, w * v.rep)
     return make_vertex(v.parabolic, w * v.rep)
 
 
 # --- neighbor oracles ------------------------------------------------------
 
-def _key(parabolic: ParabolicId | None, g: GroupElement):
-    """Exact identity of the vertex of g (its coset g*P, or g itself in
-    Cayley mode), read off g without stripping."""
-    return g.mat if parabolic is None else coset_key(g, parabolic)
+def vertex_key(v: Vertex) -> tuple:
+    """The key of v: its coset's ``coset_key``.  Two vertices are equal iff
+    their keys are."""
+    return coset_key(v.rep, v.parabolic)
 
 
-def vertex_key(v: Vertex):
-    """The key of v: its coset's ``coset_key``, or its matrix in Cayley
-    mode.  Two vertices are equal iff their keys are."""
-    return _key(v.parabolic, v.rep)
-
-
-def key_vertex(key) -> Vertex:
-    """The vertex whose key is ``key``: a coset key, which starts with its
-    parabolic's name, is peeled to its minimal representative; a Cayley key
-    is the element's matrix."""
-    if type(key[0]) is str:
-        return Vertex(PARABOLICS[key[0]], coset_rep(key))
-    return Vertex(None, GroupElement(key))
+def key_vertex(key: tuple) -> Vertex:
+    """The vertex whose key is ``key``, peeled to its minimal representative;
+    a key starts with its parabolic's name."""
+    return Vertex(PARABOLIC_BY_NAME[key[0]], coset_rep(key))
 
 
 # (parabolic, rotation, order, edge letter) of the two tilings
@@ -187,10 +180,15 @@ def pentagon_cyclic_neighbors(v: Vertex) -> list[Vertex]:
     return [key_vertex(coset_key(g, D8)) for g in _cyclic_walk(v, *_PENTAGONS)]
 
 
+def _members(v: Vertex) -> list[GroupElement]:
+    """The elements v.rep * p of the coset v, p in v's parabolic."""
+    return [v.rep.times(p.canonical_word()) for p in parabolic_elements(v.parabolic)]
+
+
 def _intersection_walk(v: Vertex) -> list[tuple[ParabolicId, GroupElement]]:
-    """(Q, g) for the other two types Q and the members g = v.rep * p, p in
-    v's parabolic: the cosets g*Q are those that meet v."""
-    members = [v.rep.times(p.canonical_word()) for p in parabolic_elements(v.parabolic)]
+    """(Q, g) for the other two maximal types Q and the members g of v: the
+    cosets g*Q are those that meet v."""
+    members = _members(v)
     return [(q, g) for q in PARABOLICS.values() if q != v.parabolic for g in members]
 
 
@@ -198,7 +196,7 @@ def _candidates(v: Vertex, mode: str) -> dict:
     """The keys of v's neighbors, in order of first occurrence (a dict with
     no values)."""
     if mode == "cayley":
-        walk = [(None, v.rep.times(x)) for x in GENERATORS]
+        walk = [(CAY, v.rep.times(x)) for x in GENERATORS]
     elif mode == "pentagon-subcomplex":
         walk = [(D8, g) for g in _cyclic_walk(v, *_PENTAGONS)]
     elif mode == "d10-orbit":
@@ -209,7 +207,7 @@ def _candidates(v: Vertex, mode: str) -> dict:
             walk += [(D8, g) for g in _cyclic_walk(v, *_PENTAGONS)]
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    return dict.fromkeys(_key(parabolic, g) for parabolic, g in walk)
+    return dict.fromkeys(coset_key(g, parabolic) for parabolic, g in walk)
 
 
 def neighbors(v: Vertex, mode: str) -> list[Vertex]:
@@ -225,12 +223,10 @@ def adjacent(u: Vertex, v: Vertex) -> bool:
     vertices are never adjacent here; the pentagon edges are a different
     edge notion and belong to the subcomplex modes.
     """
-    if u.parabolic is None or v.parabolic is None:
-        raise ValueError("coset adjacency needs parabolic vertices")
     if u.parabolic == v.parabolic:
         return False
     key = vertex_key(v)
-    return any(_key(q, g) == key for q, g in _intersection_walk(u))
+    return any(coset_key(g, v.parabolic) == key for g in _members(u))
 
 
 # --- slabs -----------------------------------------------------------------
@@ -307,8 +303,7 @@ class GraphSlab:
         lines "i j"; ordering is the slab's deterministic vertex order."""
         lines = []
         for i, v in enumerate(self.vertices):
-            tag = v.parabolic.name if v.parabolic else "CAY"
-            lines.append(f"{i} {tag} {v.word() or 'e'}")
+            lines.append(f"{i} {v.parabolic.name} {v.word() or 'e'}")
         for i, j in self.edges():
             lines.append(f"{i} {j}")
         return "\n".join(lines) + "\n"
@@ -323,6 +318,7 @@ def build_ball(center: Vertex, radius: int, mode: str,
         raise ValueError(f"unknown mode {mode!r}")
     if center.parabolic not in MODES[mode]:
         raise ValueError(f"center {center.label()} does not fit mode {mode!r}")
+    center.word()  # raises off W, where the walk's unchecked peels would not end
     vertices = [center]
     depth = [0]
     index = {vertex_key(center): 0}
@@ -349,8 +345,7 @@ def build_ball(center: Vertex, radius: int, mode: str,
             raise ResourceLimitExceeded(
                 f"ball exceeds {max_vertices} vertices at depth {d + 1}")
         new = [key_vertex(key) for key in found]
-        order = sorted(zip(new, found), key=lambda vk: (
-            vk[0].word(), vk[0].parabolic.name if vk[0].parabolic else ""))
+        order = sorted(zip(new, found), key=lambda vk: (vk[0].word(), vk[0].parabolic.name))
         placed = [0] * len(found)
         expanded, level = level, []
         for v, key in order:

@@ -21,17 +21,19 @@ points.
 
 A coset g*P is identified without stripping by ``coset_key``: the image
 M_g u_P of a vector u_P whose stabiliser is exactly P, read with the same
-shifts and additions.  An element g is its coset of the trivial subgroup,
-keyed by the image of rho = u_D8 + u_D10 + u_D4, which has trivial
-stabiliser.  Words and minimal representatives are read off that orbit
-point (the numbers game, Bjorner & Brenti, *Combinatorics of Coxeter
-Groups*, 4.3): for g minimal in g*P, x is a left descent of g iff
-2B(a_x, g u_P) > 0, one exact sign of a shift-and-add form, and reflecting
-the point by x changes only its coordinate x.  Peeling the least such x
-until a known point is reached gives the ShortLex word, and the minimal
-representative is rebuilt from the known suffix by one add-only generator
-product per letter.  Representatives are memoised by point, so a coset
-costs one peeled letter per suffix not seen before.
+shifts and additions.  Besides the maximal parabolics D8, D10 and D4 there
+is the trivial one, ``CAY``: its base point rho = u_D8 + u_D10 + u_D4 has
+trivial stabiliser, so an element g is its own coset g*CAY, keyed by
+g rho, and the Cayley graph is the coset graph of CAY.  Words and minimal
+representatives are read off orbit points (the numbers game, Bjorner &
+Brenti, *Combinatorics of Coxeter Groups*, 4.3): for g minimal in g*P, x
+is a left descent of g iff 2B(a_x, g u_P) > 0, one exact sign of a
+shift-and-add form, and reflecting the point by x changes only its
+coordinate x.  Peeling the least such x until a known point is reached
+gives the ShortLex word, and the minimal representative is rebuilt from
+the known suffix by one add-only generator product per letter.
+Representatives are memoised by point, so a coset costs one peeled letter
+per suffix not seen before.
 
 The minimal representative of a double coset P*g*Q is peeled the same way:
 left descents in P only, off the point of g*Q (Deodhar's lemma).  A right
@@ -65,7 +67,9 @@ __all__ = [
     "D8",
     "D10",
     "D4",
+    "CAY",
     "PARABOLICS",
+    "PARABOLIC_BY_NAME",
     "identity",
     "element_of_word",
     "word_inverse",
@@ -177,16 +181,36 @@ def _mat_mul_gen_left(m, x: str):
     raise ValueError(f"bad generator {x!r}")
 
 
-# The name that keys an element's orbit point: its coset of the trivial
-# subgroup, whose base point is rho.
-_ELEMENT = "1"
+@dataclass(frozen=True, eq=False)
+class ParabolicId:
+    """A standard parabolic subgroup, named by its type: the maximal
+    dihedral D8, D10 and D4, and the trivial CAY, whose cosets are elements.
+
+    These four are the only instances, so they compare and hash by
+    identity: hashing a ``Vertex`` makes no Python-level call for its
+    parabolic.
+    """
+
+    name: str
+    gens: tuple[str, ...]
+
+    def __repr__(self):
+        return self.name
+
+
+D8 = ParabolicId("D8", ("r", "s"))
+D10 = ParabolicId("D10", ("s", "t"))
+D4 = ParabolicId("D4", ("t", "r"))
+CAY = ParabolicId("CAY", ())
+PARABOLICS = {"D8": D8, "D10": D10, "D4": D4}  # the maximal ones
+PARABOLIC_BY_NAME = {**PARABOLICS, "CAY": CAY}
 
 
 def _point(m, name: str) -> tuple:
-    """``name`` and M u as 12 ints over the integral basis: u = u_P for the
-    parabolic named ``name`` (see ``coset_key``), u = rho = (4 sqrt2,
-    6 + 2 phi, 2 + 3 phi) for ``_ELEMENT``.  Coordinate i is sum_j u[j] m_ij,
-    by the sqrt2 and phi shifts of ``_mat_mul_gen_right``, so no ``iq_mul``.
+    """``name`` and M u_P as 12 ints over the integral basis, P the
+    parabolic named ``name`` (see ``coset_key``; u_CAY = rho = (4 sqrt2,
+    6 + 2 phi, 2 + 3 phi)).  Coordinate i is sum_j u_P[j] m_ij, by the
+    sqrt2 and phi shifts of ``_mat_mul_gen_right``, so no ``iq_mul``.
     """
     ((a00, b00, c00, d00), (a01, b01, c01, d01), (a02, b02, c02, d02),
      (a10, b10, c10, d10), (a11, b11, c11, d11), (a12, b12, c12, d12),
@@ -221,7 +245,7 @@ def _point(m, name: str) -> tuple:
             2 * (b20 + a21) + c22, a20 + 2 * b21 + d22,
             2 * (d20 + c21) + a22 + c22, c20 + 2 * d21 + b22 + d22,
         )
-    if name == _ELEMENT:
+    if name == "CAY":
         return (
             name,
             8 * b00 + 6 * a01 + 2 * (c01 + a02) + 3 * c02, 4 * a00 + 6 * b01 + 2 * (d01 + b02) + 3 * d02,
@@ -418,7 +442,7 @@ class GroupElement:
         """ShortLex-least (r < s < t) reduced word for this element, peeled
         off its point ``g rho``, which only this element maps rho to."""
         if self._word is None:
-            rep = _checked_rep(_point(self.mat, _ELEMENT))
+            rep = _checked_rep(_point(self.mat, "CAY"))
             if rep.mat != self.mat:
                 raise ArithmeticError("matrix is not in the reflection group "
                                       "(it moves rho like another element)")
@@ -452,8 +476,8 @@ _IDENT._word = ""
 # points.  Representatives in use (as in a BFS ball) are the stored
 # objects themselves.  The memo grows for the life of the process.
 _REPS: dict[tuple, GroupElement] = {
-    _point(_IDENTITY_MAT, name): _IDENT for name in ("D8", "D10", "D4", _ELEMENT)}
-_RHO = _point(_IDENTITY_MAT, _ELEMENT)
+    _point(_IDENTITY_MAT, name): _IDENT for name in PARABOLIC_BY_NAME}
+_RHO = _point(_IDENTITY_MAT, "CAY")
 # 2B(u, u) for each base point u, keyed by name
 _NORMS = {key[0]: _form(key, key) for key in _REPS}
 
@@ -477,7 +501,8 @@ def right_descents(g: GroupElement) -> set[str]:
     a negative root, i.e. 2B(g a_x, rho) > 0.  As 2B(a_y, rho) is (1 - phi)
     times 2 sqrt2, 1 and 2 for y = r, s, t and 1 - phi < 0, that is
     2 sqrt2 v_r + v_s + 2 v_t < 0 for v = g a_x, one exact sign by the sqrt2
-    shift."""
+    shift.  g's rho-point is checked first, so a matrix outside W raises."""
+    g.canonical_word()
     m = g.mat
     out = set()
     for j, x in enumerate(GENERATORS):
@@ -489,35 +514,16 @@ def right_descents(g: GroupElement) -> set[str]:
 
 
 def left_descents(g: GroupElement) -> set[str]:
-    """Generators x with length(x*g) < length(g): 2B(a_x, g rho) > 0."""
-    p = _point(g.mat, _ELEMENT)
+    """Generators x with length(x*g) < length(g): 2B(a_x, g rho) > 0.  g's
+    own rho-point is checked first, as by ``right_descents``."""
+    g.canonical_word()
+    p = _point(g.mat, "CAY")
     return {x for x in GENERATORS if iq_sign(_twob(p, x)) > 0}
 
 
 def canonical_word(g: GroupElement) -> str:
     return g.canonical_word()
 
-
-@dataclass(frozen=True, eq=False)
-class ParabolicId:
-    """A maximal standard parabolic subgroup, named by its dihedral type.
-
-    D8, D10 and D4 are the only instances, so they compare and hash by
-    identity: hashing a ``Vertex`` makes no Python-level call for its
-    parabolic.
-    """
-
-    name: str
-    gens: tuple[str, str]
-
-    def __repr__(self):
-        return self.name
-
-
-D8 = ParabolicId("D8", ("r", "s"))
-D10 = ParabolicId("D10", ("s", "t"))
-D4 = ParabolicId("D4", ("t", "r"))
-PARABOLICS = {"D8": D8, "D10": D10, "D4": D4}
 
 _PARABOLIC_CACHE: dict[str, tuple[GroupElement, ...]] = {}
 
@@ -560,12 +566,16 @@ def coset_key(g: GroupElement, p: ParabolicId) -> tuple:
     """Exact identity of the coset g*P without stripping: P's name and the
     image M_g u_P as 12 ints over the integral basis.
 
-    u_P is fixed by exactly the two generators of P (2B(a_x, u_P) = 0 for x
-    in P): u_D8 = (sqrt2 phi, 2 phi, 2), u_D10 = (sqrt2 (3 - phi), 4, 2 phi)
-    and u_D4 = (sqrt2, 2, phi) in simple-root coordinates.  Each lies in the
-    closed (negated) fundamental chamber, whose points have as stabiliser
-    the standard parabolic fixing them (Tits), so g u_P = h u_P iff
-    g*P = h*P.
+    u_P is fixed by exactly the generators of P (2B(a_x, u_P) = 0 for x in
+    P): u_D8 = (sqrt2 phi, 2 phi, 2), u_D10 = (sqrt2 (3 - phi), 4, 2 phi),
+    u_D4 = (sqrt2, 2, phi) and u_CAY = rho, their sum, in simple-root
+    coordinates.  Each lies in the closed (negated) fundamental chamber,
+    whose points have as stabiliser the standard parabolic fixing them
+    (Tits), so g u_P = h u_P iff g*P = h*P.
+
+    g is not checked: this is the hot path of the ball walk, and a matrix
+    outside W gets a key all the same.  ``min_coset_rep`` and
+    ``complexgraph.make_vertex`` are the checked entry points.
     """
     return _point(g.mat, p.name)
 

@@ -274,28 +274,36 @@ def _dihedral_orders(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(orders)
 
 
-def canonical_form(d: TriDisc) -> tuple:
-    """Minimum relabeled triangle list over boundary rotations/reflections.
+def _least_relabeling(tris, boundary, interior, orders) -> list:
+    """The least sorted triangle list over the relabelings that send
+    boundary[order[i]] to i, for an order in ``orders``, and the interior
+    onto len(boundary).. in any order.
 
     The boundary stays a marked cycle (never mixed with the interior);
     interior labels are minimized by brute force, which is fine at the
     desk-scale interior counts this module enforces.
     """
-    bnd = d.boundary
-    n = len(bnd)
+    n = len(boundary)
+    label = {}
+    best = None
+    for order in orders:
+        for i, j in enumerate(order):
+            label[boundary[j]] = i
+        for perm in permutations(range(n, n + len(interior))):
+            label.update(zip(interior, perm))
+            rel = sorted(_tri(label[a], label[b], label[c]) for a, b, c in tris)
+            if best is None or rel < best:
+                best = rel
+    return best
+
+
+def canonical_form(d: TriDisc) -> tuple:
+    """Minimum relabeled triangle list over boundary rotations/reflections."""
     interior = d.interior_vertices
     if len(interior) > MAX_INTERIOR:
         raise CapExceeded(f"more than {MAX_INTERIOR} interior vertices")
-    best = None
-    for order in _dihedral_orders(n):
-        bmap = {bnd[j]: i for i, j in enumerate(order)}
-        for perm in permutations(range(n, n + len(interior))):
-            m = dict(bmap)
-            m.update(zip(interior, perm))
-            tris = tuple(sorted(_tri(m[a], m[b], m[c]) for a, b, c in d.triangles))
-            if best is None or tris < best:
-                best = tris
-    return best
+    orders = _dihedral_orders(len(d.boundary))
+    return tuple(_least_relabeling(d.triangles, d.boundary, interior, orders))
 
 
 def is_isomorphic(d1: TriDisc, d2: TriDisc) -> bool:
@@ -311,28 +319,16 @@ def _leaf_key(boundary_len: int, nverts: int, tris, angle) -> bytes:
 
     The least boundary-angle sequence over the dihedral orders, then the
     least relabeled triangle list over just the orders that reach it
-    (interior labels by brute force, as in ``canonical_form``).  Angles and
-    labels stay below 20 under the module caps, so for one boundary length
-    the bytes of the sequence followed by the flattened triangles are
-    unambiguous.  Equal keys mean one disc is a relabeling of the other.
+    (``_least_relabeling``).  Angles and labels stay below 20 under the
+    module caps, so for one boundary length the bytes of the sequence
+    followed by the flattened triangles are unambiguous.  Equal keys mean
+    one disc is a relabeling of the other.
     """
     orders = _dihedral_orders(boundary_len)
     seqs = [[angle[v] for v in order] for order in orders]
     least = min(seqs)
-    interior = range(boundary_len, nverts)
-    label = list(range(nverts))
-    best = None
-    for order, seq in zip(orders, seqs):
-        if seq != least:
-            continue
-        for i, v in enumerate(order):
-            label[v] = i
-        for perm in permutations(interior):
-            for v, p in zip(interior, perm):
-                label[v] = p
-            rel = sorted(_tri(label[a], label[b], label[c]) for a, b, c in tris)
-            if best is None or rel < best:
-                best = rel
+    best = _least_relabeling(tris, range(boundary_len), range(boundary_len, nverts),
+                             [order for order, seq in zip(orders, seqs) if seq == least])
     return bytes(least) + bytes(x for t in best for x in t)
 
 

@@ -1,16 +1,16 @@
 """Canonical orbit invariants ("edge types") of unordered vertex pairs.
 
-Two modes share one key type:
+A pair of vertices is a pair of cosets (gP, hQ).  Orbits of ordered pairs
+under the left action biject with double cosets P\\W/Q, so the invariant
+is (P, Q) and the canonical word of the minimal double-coset
+representative of g^-1 h; the unordered key is the lexicographically
+smaller of the two orientations.  A pair of Cayley vertices is the case
+P = Q = CAY, the trivial parabolic: the double coset of d = g^-1 h is d
+itself, and the key is the smaller of the canonical words of d and d^-1.
+Cayley keys serialize as ``CAY:word``, the others as ``CPLX:P:Q:word``;
+a Cayley vertex never pairs with a coset of a maximal parabolic.
 
-* complex mode: a pair of parabolic-coset vertices (gP, hQ).  Orbits of
-  ordered pairs under the left action biject with double cosets P\\W/Q, so
-  the invariant is the canonical word of the minimal double-coset
-  representative of g^-1 h; the unordered key is the lexicographically
-  smaller of the two oriented serializations.
-* cayley mode: a pair of group elements (g, h); the invariant is the
-  smaller of the canonical words of g^-1 h and h^-1 g.
-
-Both are read off word walks and orbit points: g^-1 h is h's matrix
+Keys are read off word walks and orbit points: g^-1 h is h's matrix
 left-multiplied by g's ShortLex letters (``GroupElement.inverse_times``),
 its inverse is the walk along its reversed word, and the double-coset
 representative is peeled off the point of its coset (see
@@ -25,8 +25,9 @@ from dataclasses import dataclass
 
 from .complexgraph import GraphSlab, Vertex, key_vertex, translate
 from .coxeter import (
+    CAY,
     GroupElement,
-    PARABOLICS,
+    PARABOLIC_BY_NAME,
     ParabolicId,
     coset_key,
     min_double_coset_rep,
@@ -48,13 +49,16 @@ __all__ = [
 
 @dataclass(frozen=True)
 class EdgeTypeKey:
-    mode: str  # "cayley" or "complex"
-    p: str | None
-    q: str | None
+    p: str  # parabolic names, "CAY" for both of a Cayley pair
+    q: str
     word: str
 
+    @property
+    def mode(self) -> str:
+        return "cayley" if self.p == "CAY" else "complex"
+
     def serialize(self) -> str:
-        if self.mode == "cayley":
+        if self.p == "CAY":
             return f"CAY:{self.word}"
         return f"CPLX:{self.p}:{self.q}:{self.word}"
 
@@ -67,26 +71,29 @@ class EdgeTypeKey:
         return self.serialize()
 
 
+def _type_key(p: ParabolicId, q: ParabolicId, d: GroupElement) -> EdgeTypeKey:
+    """The key of a pair (gP, hQ) with g^-1 h = d."""
+    if (p is CAY) != (q is CAY):
+        raise ValueError("a Cayley vertex pairs only with a Cayley vertex")
+    d1 = min_double_coset_rep(d, p, q)
+    d2 = d1.inverse()  # the minimal rep of the reversed pair's double coset
+    return EdgeTypeKey(*min((p.name, q.name, d1.canonical_word()),
+                            (q.name, p.name, d2.canonical_word())))
+
+
 def type_key_cayley(g: GroupElement, h: GroupElement) -> EdgeTypeKey:
-    d = g.inverse_times(h)  # h^-1 g is its inverse
-    w = min(d.canonical_word(), d.inverse().canonical_word())
-    return EdgeTypeKey("cayley", None, None, w)
+    """The key of the Cayley pair (g, h)."""
+    return _type_key(CAY, CAY, g.inverse_times(h))
 
 
 def type_key_complex(u: Vertex, v: Vertex) -> EdgeTypeKey:
-    if u.parabolic is None or v.parabolic is None:
-        raise ValueError("complex keys need parabolic-coset vertices")
-    d1 = min_double_coset_rep(u.rep.inverse_times(v.rep), u.parabolic, v.parabolic)
-    d2 = d1.inverse()  # the minimal rep of the reversed pair's double coset
-    k1 = (u.parabolic.name, v.parabolic.name, d1.canonical_word())
-    k2 = (v.parabolic.name, u.parabolic.name, d2.canonical_word())
-    p, q, w = min(k1, k2)
-    return EdgeTypeKey("complex", p, q, w)
+    return _type_key(u.parabolic, v.parabolic, u.rep.inverse_times(v.rep))
 
 
 def pair_key(u: Vertex, v: Vertex) -> EdgeTypeKey:
-    """Dispatch on the vertex universe; Cayley vertices have no parabolic."""
-    if u.parabolic is None:
+    """The key of (u, v).  Cayley pairs go through ``type_key_cayley``, so
+    each kind of pair has its own entry point to trace."""
+    if u.parabolic is CAY and v.parabolic is CAY:
         return type_key_cayley(u.rep, v.rep)
     return type_key_complex(u, v)
 
@@ -95,25 +102,16 @@ def partner_keys(v: Vertex, key: EdgeTypeKey) -> list:
     """The keys (see ``complexgraph.vertex_key``) of all vertices u with
     pair_key(v, u) == key, in deterministic order; nothing is peeled.
 
-    In complex mode the partners of a P-side vertex for key (P, Q, w) are
-    the cosets v.rep * p * w * Q with p in P; the mirrored orientation uses
-    w^-1, the reversed word (generators are involutions).  Both directions
-    are generated.  Their coset keys at the anchor vertex (P, e) are built
+    The partners of a P-side vertex for key (P, Q, w) are the cosets
+    v.rep * p * w * Q with p in P; the mirrored orientation uses w^-1, the
+    reversed word (generators are involutions).  Both directions are
+    generated.  Their coset keys at the anchor vertex (P, e) are built
     once per (P, key) by word walks, in that order and deduplicated (see
     ``_anchor_partners``); v's partner keys are their translates by v.rep,
     one ``translate_key`` each.  M_v is invertible, so two candidates
     coincide at v exactly when they do at the anchor, and the list is the
     one a walk from v.rep would give.
-
-    Cayley partners are the matrices of the two word walks v.rep * w and
-    v.rep * w^-1.
     """
-    if key.mode == "cayley":
-        out = [v.rep.times(key.word).mat]
-        back = v.rep.times(key.word[::-1]).mat
-        if back != out[0]:
-            out.append(back)
-        return out
     anchor = _ANCHOR_PARTNERS.get((v.parabolic, key))
     if anchor is None:
         anchor = _anchor_partners(v.parabolic, key)
@@ -127,7 +125,7 @@ def key_partners(v: Vertex, key: EdgeTypeKey) -> list[Vertex]:
 
 
 # Coset keys of the anchor's partners by (anchor parabolic, key); the memo
-# grows for the life of the process, one entry per complex key queried.
+# grows for the life of the process, one entry per key queried.
 _ANCHOR_PARTNERS: dict[tuple[ParabolicId, EdgeTypeKey], tuple] = {}
 
 
@@ -137,9 +135,9 @@ def _anchor_partners(parabolic: ParabolicId, key: EdgeTypeKey):
     each coset kept."""
     variants = []
     if parabolic.name == key.p:
-        variants.append((key.word, PARABOLICS[key.q]))
+        variants.append((key.word, PARABOLIC_BY_NAME[key.q]))
     if parabolic.name == key.q:
-        variants.append((key.word[::-1], PARABOLICS[key.p]))
+        variants.append((key.word[::-1], PARABOLIC_BY_NAME[key.p]))
     anchor = _ANCHOR_PARTNERS[(parabolic, key)] = tuple(dict.fromkeys(
         coset_key(p.times(step), target)
         for step, target in variants for p in parabolic_elements(parabolic)))

@@ -15,6 +15,7 @@ from cox245.complexgraph import (
     cayley_vertex,
     fix_vertex,
     graph_distance,
+    key_vertex,
     make_vertex,
     neighbors,
     pentagon_cyclic_neighbors,
@@ -22,10 +23,12 @@ from cox245.complexgraph import (
     vertex_key,
 )
 from cox245.coxeter import (
+    CAY,
     D4,
     D8,
     D10,
     element_of_word,
+    coset_key,
     coset_rep,
     identity,
     parabolic_elements,
@@ -303,21 +306,36 @@ def test_ball_exact_under_hash_collisions(monkeypatch, center, radius, mode):
     assert build_ball(center, radius, mode).dump() == want
 
 
-# u_P in simple-root coordinates over the integral basis {1, sqrt2, phi, sqrt2 phi}
+@pytest.mark.parametrize("center, radius, mode", [
+    (C8, 4, "pentagon-subcomplex"), (C10, 3, "d10-orbit"), (C8, 2, "full-Y"),
+    (cayley_vertex(identity()), 6, "cayley"),
+])
+def test_every_vertex_is_keyed_by_its_coset(center, radius, mode):
+    """One key for every universe: a vertex's key is its coset's key, and
+    peeling the key gives the vertex back."""
+    for v in build_ball(center, radius, mode).vertices:
+        key = vertex_key(v)
+        assert key == coset_key(v.rep, v.parabolic)
+        assert key_vertex(key) == v
+
+
+# u_P in simple-root coordinates over the integral basis {1, sqrt2, phi, sqrt2 phi},
+# and u_CAY = rho = u_D8 + u_D10 + u_D4
 U_P = {"D8": ((0, 0, 0, 1), (0, 0, 2, 0), (2, 0, 0, 0)),
        "D10": ((0, 3, 0, -1), (4, 0, 0, 0), (0, 0, 2, 0)),
-       "D4": ((0, 1, 0, 0), (2, 0, 0, 0), (0, 0, 1, 0))}
+       "D4": ((0, 1, 0, 0), (2, 0, 0, 0), (0, 0, 1, 0)),
+       "CAY": ((0, 4, 0, 0), (6, 0, 2, 0), (2, 0, 3, 0))}
 
 
 def reference_vertex_key(v):
     """A vertex's key computed apart from the kernel: M u_P by generic
-    ``iq_mul`` products for a coset, and for a Cayley vertex the product of
-    its word's generator matrices by the generic matrix product."""
-    if v.parabolic is None:
-        return generic_product(v.word())
+    ``iq_mul`` products, where M is the representative's matrix for a
+    coset and, for a Cayley vertex, the product of its word's generator
+    matrices by the generic matrix product."""
+    mat = generic_product(v.word()) if v.parabolic is CAY else v.rep.mat
     out = [v.parabolic.name]
     for i in range(3):
-        terms = [iq_mul(v.rep.mat[3 * i + j], U_P[v.parabolic.name][j]) for j in range(3)]
+        terms = [iq_mul(mat[3 * i + j], U_P[v.parabolic.name][j]) for j in range(3)]
         out.extend(sum(t[c] for t in terms) for c in range(4))
     return tuple(out)
 

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import cox245.coxeter as coxeter
-from cox245.complexgraph import build_ball, fix_vertex
+from cox245.complexgraph import Vertex, build_ball, cayley_vertex, fix_vertex
 from cox245.coxeter import (
+    CAY,
     D4,
     D8,
     D10,
@@ -141,6 +142,18 @@ def test_min_double_coset_against_enumeration():
             best = min(LENGTHS[h] for h in orbit)
             assert LENGTHS[rep] == best
             assert sum(1 for h in orbit if LENGTHS[h] == best) == 1
+
+
+@given(words, words)
+@settings(max_examples=40, deadline=None)
+def test_trivial_parabolic_cosets_are_elements(w, v):
+    """CAY is the trivial subgroup: g is its own minimal coset and
+    double-coset representative, and g rho keys g alone."""
+    g, h = element_of_word(w), element_of_word(v)
+    assert parabolic_elements(CAY) == (identity(),)
+    assert min_coset_rep(g, CAY) == g
+    assert min_double_coset_rep(g, CAY, CAY) == g
+    assert (coset_key(g, CAY) == coset_key(h, CAY)) == (g == h)
 
 
 @given(words)
@@ -300,7 +313,7 @@ U_P = {
     "D8": ((0, 0, 0, 1), (0, 0, 2, 0), (2, 0, 0, 0)),
     "D10": ((0, 3, 0, -1), (4, 0, 0, 0), (0, 0, 2, 0)),
     "D4": ((0, 1, 0, 0), (2, 0, 0, 0), (0, 0, 1, 0)),
-    coxeter._ELEMENT: ((0, 4, 0, 0), (6, 0, 2, 0), (2, 0, 3, 0)),
+    coxeter.CAY.name: ((0, 4, 0, 0), (6, 0, 2, 0), (2, 0, 3, 0)),
 }
 
 
@@ -343,7 +356,7 @@ def test_coset_key_identifies_cosets(w, v, p):
     g = element_of_word(w)
     key = coset_key(g, p)
     assert key == reference_coset_key(g, p)
-    assert coxeter._point(g.mat, coxeter._ELEMENT) == reference_point(g.mat, coxeter._ELEMENT)
+    assert coxeter._point(g.mat, coxeter.CAY.name) == reference_point(g.mat, coxeter.CAY.name)
     rep = min_coset_rep(g, p)
     for h in [g * member for member in parabolic_elements(p)] + [element_of_word(v)]:
         assert (coset_key(h, p) == key) == (min_coset_rep(h, p) == rep)
@@ -475,7 +488,7 @@ def test_base_points_sit_in_the_negated_chamber():
             sign = iq_to_field(coxeter._twob(key, x)).sign()
             assert sign == (0 if x in gens else -1), (name, x)
         assert coxeter._least_descent(key) is None
-    rho = points[coxeter._ELEMENT][1:]
+    rho = points[coxeter.CAY.name][1:]
     assert rho == tuple(sum(points[p.name][1 + c] for p in (D8, D10, D4)) for c in range(12))
 
 
@@ -494,7 +507,7 @@ def test_non_group_matrices_raise():
         min_coset_rep(two, D8)
     with pytest.raises(ArithmeticError):
         two.canonical_word()
-    u8, rho = U_P["D8"], U_P[coxeter._ELEMENT]
+    u8, rho = U_P["D8"], U_P[coxeter.CAY.name]
 
     def dot(f, v):
         return tuple(sum(c) for c in zip(*(iq_mul(a, b) for a, b in zip(f, v))))
@@ -537,8 +550,9 @@ def test_points_off_the_orbit_cone_raise_before_the_peel():
     moves rho, u_D10 and u_D4 off their norms.  The raw-matrix entry points
     check both before peeling a point that is not memoised, and
     ``min_coset_rep`` and ``min_double_coset_rep`` check the element's own
-    point, not only its coset's.  Products and inverses walk a ShortLex
-    word, so they raise too."""
+    point, not only its coset's, as do the descent sets, ``cayley_vertex``
+    and ``build_ball``'s center, so no ball is built from such a matrix.
+    Products and inverses walk a ShortLex word, so they raise too."""
     neg = GroupElement(tuple(iq_neg(x) for x in coxeter._IDENTITY_MAT))
     two = GroupElement(tuple(iq_add(x, x) for x in coxeter._IDENTITY_MAT))
     pushed = GroupElement(shear(U_P["D8"], ((0, 0, 0, 0), (-1, 0, 0, 0), (0, 0, 1, 0))))
@@ -548,9 +562,15 @@ def test_points_off_the_orbit_cone_raise_before_the_peel():
         raises_within_a_second(g.inverse)
         raises_within_a_second(lambda: identity() * g)
         raises_within_a_second(lambda: g.inverse_times(identity()))
-        for p in (D8, D10, D4):
+        raises_within_a_second(lambda: right_descents(g))
+        raises_within_a_second(lambda: left_descents(g))
+        raises_within_a_second(lambda: cayley_vertex(g))
+        raises_within_a_second(lambda: build_ball(cayley_vertex(g), 1, "cayley"))
+        for p, mode in ((CAY, "cayley"), (D8, "full-Y")):  # unchecked centers
+            raises_within_a_second(lambda: build_ball(Vertex(p, g), 1, mode))
+        for p in (D8, D10, D4, CAY):
             raises_within_a_second(lambda: min_coset_rep(g, p))
-            for q in (D8, D10, D4):
+            for q in (D8, D10, D4, CAY):
                 raises_within_a_second(lambda: min_double_coset_rep(g, p, q))
     # the shear fixes u_D8, a memoised base point, so its D8 key alone names
     # the identity coset: min_coset_rep must check the element itself

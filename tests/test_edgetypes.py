@@ -23,6 +23,7 @@ from cox245.complexgraph import (
     translate,
 )
 from cox245.coxeter import (
+    CAY,
     D4,
     D8,
     D10,
@@ -76,12 +77,27 @@ def test_cayley_examples():
     assert type_key_cayley(e, e).is_degenerate
 
 
+@pytest.mark.parametrize("p", [D8, D10, D4])
+def test_mixed_universe_pairs_raise(p):
+    """A Cayley vertex never pairs with a coset of a maximal parabolic, in
+    either order."""
+    cay, cos = cayley_vertex(identity()), fix_vertex(p)
+    for u, v in ((cay, cos), (cos, cay)):
+        with pytest.raises(ValueError):
+            pair_key(u, v)
+        with pytest.raises(ValueError):
+            type_key_complex(u, v)
+
+
 @given(words, words)
 @settings(max_examples=60, deadline=None)
 def test_cayley_key_symmetric_and_invariant(gw, hw):
     g, h = element_of_word(gw), element_of_word(hw)
     key = type_key_cayley(g, h)
     assert key == type_key_cayley(h, g)
+    # a Cayley pair is a pair of CAY-cosets: the complex key agrees
+    assert type_key_complex(cayley_vertex(g), cayley_vertex(h)) == key
+    assert key.mode == "cayley" and (key.p, key.q) == ("CAY", "CAY")
     w = element_of_word("stsr")
     assert type_key_cayley(w * g, w * h) == key
 
@@ -101,14 +117,14 @@ def matrix_pair_key(u, v):
     """pair_key by the adjugate inverse, the generic product and the
     alternating matrix strip (the oracle for the word walks and the peel)."""
     diff = GroupElement(mat_mul(mat_inv(u.rep.mat), v.rep.mat))
-    if u.parabolic is None:
+    if u.parabolic is CAY:
         back = GroupElement(mat_inv(diff.mat))
-        return EdgeTypeKey("cayley", None, None, min(diff.canonical_word(), back.canonical_word()))
+        return EdgeTypeKey("CAY", "CAY", min(diff.canonical_word(), back.canonical_word()))
     d1 = matrix_oracle.min_double_coset_rep(diff, u.parabolic, v.parabolic)
     d2 = GroupElement(mat_inv(d1.mat))
     k1 = (u.parabolic.name, v.parabolic.name, d1.canonical_word())
     k2 = (v.parabolic.name, u.parabolic.name, d2.canonical_word())
-    return EdgeTypeKey("complex", *min(k1, k2))
+    return EdgeTypeKey(*min(k1, k2))
 
 
 @pytest.mark.parametrize("center, radius, mode, size, types", [
@@ -190,8 +206,8 @@ def reference_key_partners(v, key):
     w = GroupElement(generic_product(key.word))
     back = GroupElement(mat_inv(w.mat))
     if key.mode == "cayley":
-        out = [Vertex(None, generic_mul(v.rep, w))]
-        back = Vertex(None, generic_mul(v.rep, back))
+        out = [Vertex(CAY, generic_mul(v.rep, w))]
+        back = Vertex(CAY, generic_mul(v.rep, back))
         return out if back == out[0] else out + [back]
     variants = []
     if v.parabolic.name == key.p:
