@@ -51,7 +51,6 @@ from .implications import (
     CycleWitness,
     ImplicationState,
     check_elementary,
-    close_chain,
     dihedral_closure,
     find_witness,
 )

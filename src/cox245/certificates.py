@@ -23,6 +23,7 @@ from __future__ import annotations
 import json
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import cache
 from importlib import resources
 
 from .complexgraph import (
@@ -137,15 +138,9 @@ def trace_path(spec: StringSpec, slab: GraphSlab | None = None) -> PathTrace:
     return PathTrace(path, type_key_complex(path[0], path[-1]))
 
 
-_STRING_KEY_CACHE: dict[tuple[str, ...], EdgeTypeKey] = {}
-
-
+@cache
 def string_key(spec: StringSpec) -> EdgeTypeKey:
-    got = _STRING_KEY_CACHE.get(spec.letters)
-    if got is None:
-        got = trace_path(spec).key
-        _STRING_KEY_CACHE[spec.letters] = got
-    return got
+    return trace_path(spec).key
 
 
 # --- the sequence families -------------------------------------------------
@@ -273,7 +268,7 @@ def verify_d8_chain(max_n: int, slab: GraphSlab) -> dict:
                           "status": "inconclusive",
                           "note": f"no witness within radius {slab.radius}"})
             break
-        state, derived = apply_elementary(state, witness, note=f"{family}_{k}")
+        state, derived = apply_elementary(state, witness)
         steps.append({"stage": stage, "family": family, "k": k,
                       "status": "verified",
                       "derived": derived.serialize(),
@@ -434,6 +429,8 @@ def parse_point(text: str, mode: str) -> Vertex:
     if mode == "cayley":
         word = "" if text == "e" else text
         return cayley_vertex(element_of_word(word))
+    if mode != "complex":
+        raise ValueError(f"bad mode {mode!r}; write cayley or complex")
     parab, _, word = text.partition(":")
     if parab not in PARABOLICS:
         raise ValueError(f"bad point {text!r}; write P:word with P one of D8, D10, D4")
@@ -487,12 +484,8 @@ def verify_connecting_list(path: str | None = None) -> dict:
     caps the status at "inconclusive": it is never "verified".
     """
     lines = _numbered_lines(path)
-    seed_keys = []
-    for w in CONNECTING_SEED_WORDS:
-        k = _cayley_key(w)
-        if k not in seed_keys:
-            seed_keys.append(k)
-    state = ImplicationState.initial(seed_keys)
+    state = ImplicationState.initial(_cayley_key(w) for w in CONNECTING_SEED_WORDS)
+    seed = [k.serialize() for k in state.known]
     steps = []
     status = "verified"
     last_derived = None
@@ -507,8 +500,7 @@ def verify_connecting_list(path: str | None = None) -> dict:
                 record = {"index": idx, "rule": rule, "cycle": line["cycle"],
                           "target": line["target"], "expected": expected.serialize()}
                 try:
-                    cyc = CycleWitness(pts, expected)
-                    state, derived = apply_elementary(state, cyc, note=f"list step {idx}")
+                    state, derived = apply_elementary(state, CycleWitness(pts))
                 except (SideNotKnown, DiagonalsNotUniform) as exc:
                     record["status"] = "failed"
                     record["error"] = str(exc)
@@ -533,7 +525,8 @@ def verify_connecting_list(path: str | None = None) -> dict:
             elif rule == "orbit-clique":
                 points = _orbit_points(line)
                 record = {"index": idx, "rule": rule, "orbit": [p.label() for p in points]}
-                state = close_orbit(state, points, note=f"orbit clique step {idx}")
+                before = len(state.known)
+                state = close_orbit(state, points)
                 pairs = (pair_key(u, v) for i, u in enumerate(points) for v in points[i + 1:])
                 missing = sorted({k.serialize() for k in pairs if not state.has(k)})
                 expect_missing = [t for t in line.get("expect", ())
@@ -546,16 +539,14 @@ def verify_connecting_list(path: str | None = None) -> dict:
                     status = "failed"
                     break
                 record["status"] = "verified"
-                record["derived"] = sorted({e.derived for e in state.log
-                                            if e.note == f"orbit clique step {idx}"})
+                record["derived"] = sorted(k.serialize() for k in state.known[before:])
                 steps.append(record)
             elif rule == "assume":
                 # external files may declare their own hypothesis types
-                added = tuple(k for k in (parse_key(t) for t in line["keys"])
-                              if not state.has(k))
-                state = ImplicationState(state.known + added, state.log)
+                before = len(state.known)
+                state = state.add(parse_key(t) for t in line["keys"])
                 steps.append({"index": idx, "rule": rule, "status": "verified",
-                              "keys": [k.serialize() for k in added]})
+                              "keys": [k.serialize() for k in state.known[before:]]})
             else:
                 raise ValueError(f"unknown certificate rule {rule!r}")
     final_missing = []
@@ -574,7 +565,7 @@ def verify_connecting_list(path: str | None = None) -> dict:
         "suite": "cayley-certs",
         "status": status,
         "steps": steps,
-        "seed": [k.serialize() for k in seed_keys],
+        "seed": seed,
         "minimal_seed_scan": _scan_minimal_seed(lines),
         "final_missing": final_missing,
         "last_derived": last_derived.serialize() if last_derived else None,
@@ -640,7 +631,7 @@ def auto_search_d10(max_depth: int = 3, radius: int = 5) -> dict:
             witness = find_witness(state, key, slab)
             if witness is None:
                 continue
-            state, got = apply_elementary(state, witness, note="d10 search")
+            state, got = apply_elementary(state, witness)
             dist = graph_distance(center, make_vertex(D10, element_of_word(key.word)),
                                   "d10-orbit")
             derived.append({"key": got.serialize(), "endpoint_distance": dist,

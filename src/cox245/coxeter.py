@@ -45,6 +45,7 @@ an element is that of its word's length.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 from .numberfield import (
     FieldElement,
@@ -525,14 +526,9 @@ def canonical_word(g: GroupElement) -> str:
     return g.canonical_word()
 
 
-_PARABOLIC_CACHE: dict[str, tuple[GroupElement, ...]] = {}
-
-
+@cache
 def parabolic_elements(p: ParabolicId) -> tuple[GroupElement, ...]:
     """All elements of the subgroup, by closure; sorted by (length, word)."""
-    cached = _PARABOLIC_CACHE.get(p.name)
-    if cached is not None:
-        return cached
     seen = {_IDENTITY_MAT: _IDENT}
     frontier = [_IDENT]
     while frontier:
@@ -545,9 +541,7 @@ def parabolic_elements(p: ParabolicId) -> tuple[GroupElement, ...]:
                     seen[mat] = h
                     nxt.append(h)
         frontier = nxt
-    elems = tuple(sorted(seen.values(), key=lambda g: (g.length(), g.canonical_word())))
-    _PARABOLIC_CACHE[p.name] = elems
-    return elems
+    return tuple(sorted(seen.values(), key=lambda g: (g.length(), g.canonical_word())))
 
 
 def min_coset_rep(g: GroupElement, p: ParabolicId) -> GroupElement:

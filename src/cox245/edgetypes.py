@@ -22,6 +22,7 @@ Keys are exact: equal keys if and only if the pairs lie in one W-orbit.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 from .complexgraph import GraphSlab, Vertex, key_vertex, translate
 from .coxeter import (
@@ -112,11 +113,8 @@ def partner_keys(v: Vertex, key: EdgeTypeKey) -> list:
     coincide at v exactly when they do at the anchor, and the list is the
     one a walk from v.rep would give.
     """
-    anchor = _ANCHOR_PARTNERS.get((v.parabolic, key))
-    if anchor is None:
-        anchor = _anchor_partners(v.parabolic, key)
     g = v.rep
-    return [translate_key(g, k) for k in anchor]
+    return [translate_key(g, k) for k in _anchor_partners(v.parabolic, key)]
 
 
 def key_partners(v: Vertex, key: EdgeTypeKey) -> list[Vertex]:
@@ -124,24 +122,20 @@ def key_partners(v: Vertex, key: EdgeTypeKey) -> list[Vertex]:
     return [key_vertex(k) for k in partner_keys(v, key)]
 
 
-# Coset keys of the anchor's partners by (anchor parabolic, key); the memo
-# grows for the life of the process, one entry per key queried.
-_ANCHOR_PARTNERS: dict[tuple[ParabolicId, EdgeTypeKey], tuple] = {}
-
-
+@cache
 def _anchor_partners(parabolic: ParabolicId, key: EdgeTypeKey):
     """The coset key of each partner of the vertex (P, e) for ``key``: both
     orientations, p in ``parabolic_elements`` order, first occurrence of
-    each coset kept."""
+    each coset kept.  Memoised for the life of the process, one entry per
+    (anchor parabolic, key) queried."""
     variants = []
     if parabolic.name == key.p:
         variants.append((key.word, PARABOLIC_BY_NAME[key.q]))
     if parabolic.name == key.q:
         variants.append((key.word[::-1], PARABOLIC_BY_NAME[key.p]))
-    anchor = _ANCHOR_PARTNERS[(parabolic, key)] = tuple(dict.fromkeys(
+    return tuple(dict.fromkeys(
         coset_key(p.times(step), target)
         for step, target in variants for p in parabolic_elements(parabolic)))
-    return anchor
 
 
 def orbit_sample(key: EdgeTypeKey, slab: GraphSlab, count: int) -> list[tuple[Vertex, Vertex]]:

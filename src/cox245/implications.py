@@ -4,11 +4,13 @@ An edge type E is *elementarily implied* from a set of types by a 4- or
 5-cycle whose sides all carry known types and whose diagonals all carry the
 single type E (two diagonals for a 4-cycle, five for a 5-cycle; no
 weakening to "some diagonal").  A *chain implication* applies elementary
-steps in sequence, each enlarging the known set.
+steps in sequence, each enlarging the known set.  The state is that known
+set and nothing more: a suite's report, which lists every witness cycle
+with the type it derived, is the one derivation trail.
 
 Cycle vertices are hypothetical: they need not be adjacent in any graph,
-and repeats are permitted (a pair (v, v) counts as contained), though any
-witness using them is flagged as degenerate in the log.
+and repeats are permitted (a pair (v, v) counts as contained), though a
+witness using them is reported as degenerate (``CycleWitness.degenerate``).
 
 One generator, ``_cycles``, enumerates every such cycle: it places the
 points in order, each one a known-type partner of its predecessor and a
@@ -50,12 +52,9 @@ from .edgetypes import EdgeTypeKey, pair_key, partner_keys
 __all__ = [
     "SideNotKnown",
     "DiagonalsNotUniform",
-    "ChainStepError",
     "CycleWitness",
-    "LogEntry",
     "ImplicationState",
     "check_elementary",
-    "close_chain",
     "find_witness",
     "close_orbit",
     "dihedral_closure",
@@ -77,19 +76,11 @@ class DiagonalsNotUniform(ValueError):
             "diagonals carry distinct types: " + ", ".join(k.serialize() for k in self.keys))
 
 
-class ChainStepError(ValueError):
-    def __init__(self, step: int, cause: Exception):
-        self.step = step
-        self.cause = cause
-        super().__init__(f"chain step {step} failed: {cause}")
-
-
 @dataclass(frozen=True)
 class CycleWitness:
-    """A 4- or 5-cycle of vertices with the type its diagonals should carry."""
+    """A 4- or 5-cycle of vertices; its diagonals should carry one type."""
 
     points: tuple[Vertex, ...]
-    claimed_target: EdgeTypeKey | None = None
 
     def __post_init__(self):
         if len(self.points) not in (4, 5):
@@ -104,27 +95,14 @@ class CycleWitness:
 
 
 @dataclass(frozen=True)
-class LogEntry:
-    cycle: tuple[str, ...]
-    derived: str
-    degenerate: bool
-    note: str = ""
-
-
-@dataclass(frozen=True)
 class ImplicationState:
-    """Immutable set of known edge types plus the derivation log."""
+    """Immutable ordered set of known edge types, in the order learned."""
 
     known: tuple[EdgeTypeKey, ...]
-    log: tuple[LogEntry, ...] = ()
 
     @classmethod
     def initial(cls, keys) -> "ImplicationState":
-        ordered = []
-        for k in keys:
-            if k not in ordered:
-                ordered.append(k)
-        return cls(tuple(ordered))
+        return cls(tuple(dict.fromkeys(keys)))
 
     @cached_property
     def known_set(self) -> frozenset[EdgeTypeKey]:
@@ -133,9 +111,10 @@ class ImplicationState:
     def has(self, key: EdgeTypeKey) -> bool:
         return key.is_degenerate or key in self.known_set
 
-    def add(self, key: EdgeTypeKey, entry: LogEntry) -> "ImplicationState":
-        known = self.known if key in self.known_set else self.known + (key,)
-        return ImplicationState(known, self.log + (entry,))
+    def add(self, keys) -> "ImplicationState":
+        """The state with the keys it lacks appended, in order, each once."""
+        new = (k for k in dict.fromkeys(keys) if not self.has(k))
+        return ImplicationState((*self.known, *new))
 
 
 def _sides(points):
@@ -164,23 +143,12 @@ def check_elementary(state: ImplicationState, cycle: CycleWitness) -> EdgeTypeKe
     return first
 
 
-def apply_elementary(state: ImplicationState, cycle: CycleWitness,
-                     note: str = "") -> tuple[ImplicationState, EdgeTypeKey]:
+def apply_elementary(state: ImplicationState,
+                     cycle: CycleWitness) -> tuple[ImplicationState, EdgeTypeKey]:
+    """The state grown by the cycle's implied type, and that type; the
+    input state is never touched (it is immutable)."""
     derived = check_elementary(state, cycle)
-    entry = LogEntry(cycle.labels(), derived.serialize(), cycle.degenerate, note)
-    return state.add(derived, entry), derived
-
-
-def close_chain(state: ImplicationState, cycles) -> ImplicationState:
-    """Apply the cycles in order, growing the known set; atomic on failure
-    (the input state is never touched, errors carry the failing step)."""
-    current = state
-    for step, cycle in enumerate(cycles):
-        try:
-            current, _ = apply_elementary(current, cycle)
-        except (SideNotKnown, DiagonalsNotUniform) as exc:
-            raise ChainStepError(step, exc) from exc
-    return current
+    return state.add((derived,)), derived
 
 
 # --- witness search --------------------------------------------------------
@@ -313,7 +281,7 @@ def find_witness(state: ImplicationState, target: EdgeTypeKey,
                              lambda i: sorted({i, *space.partners(i, state.known)}),
                              lambda i: space.partners(i, (target,))), None)
         if cycle is not None:
-            return CycleWitness(tuple(slab.vertices[i] for i in cycle), target)
+            return CycleWitness(tuple(slab.vertices[i] for i in cycle))
     return None
 
 
@@ -346,8 +314,7 @@ def _closure(table, has, starts):
                     break
 
 
-def close_orbit(state: ImplicationState, points: list[Vertex],
-                note: str = "") -> ImplicationState:
+def close_orbit(state: ImplicationState, points: list[Vertex]) -> ImplicationState:
     """Exhaust elementary implications whose vertices lie in ``points``.
 
     Used for dihedral orbits (finitely many vertices) where the claim is
@@ -358,9 +325,8 @@ def close_orbit(state: ImplicationState, points: list[Vertex],
     for i in range(n):
         for j in range(i, n):  # pair keys are unordered
             table[i][j] = table[j][i] = pair_key(points[i], points[j])
-    for cycle, label in _closure(table, state.has, range(n)):
-        witness = CycleWitness(tuple(points[i] for i in cycle), label)
-        state, _ = apply_elementary(state, witness, note)
+    for cycle, _ in _closure(table, state.has, range(n)):
+        state, _ = apply_elementary(state, CycleWitness(tuple(points[i] for i in cycle)))
     return state
 
 

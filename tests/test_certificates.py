@@ -286,6 +286,15 @@ def test_assumed_types_never_verify(tmp_path):
     assert rep["status"] == "inconclusive"
 
 
+def test_a_key_repeated_in_one_assume_line_is_added_once(tmp_path):
+    path = tmp_path / "twice.jsonl"
+    path.write_text(json.dumps({"rule": "assume", "keys": ["CAY:rstsrstr"] * 2}) + "\n")
+    rep = verify_connecting_list(str(path))
+    assert rep["steps"][0]["keys"] == [parse_key("CAY:rstsrstr").serialize()]
+    assert len(rep["seed"]) == len(CONNECTING_SEED_WORDS) == 13
+    assert rep["known_count"] == 14
+
+
 def test_dihedral_suites():
     for order in (4, 5):
         rep = verify_dihedral_suite(order)

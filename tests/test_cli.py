@@ -136,6 +136,8 @@ _GOOD_LINE = {"mode": "cayley", "sources": ["CAY:tr", "CAY:tst", "CAY:rsr"],
     ([json.dumps(_GOOD_LINE), "", json.dumps({**_GOOD_LINE, "cycle": ["", "tq", "tsr", "tst"]})],
      "line 3: bad generator 'q'"),
     (["", "[1, 2]"], "line 2: expected a JSON object, got list"),
+    ([json.dumps({**_GOOD_LINE, "mode": "bogus", "cycle": ["D8:e", "D8:t", "D8:tst", "D8:st"]})],
+     "line 1: bad mode 'bogus'"),
 ])
 def test_malformed_certificate_line_is_named(tmp_path, capsys, lines, message):
     path = tmp_path / "certs.jsonl"

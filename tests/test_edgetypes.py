@@ -311,7 +311,7 @@ def test_warm_key_partners_walk_no_words(monkeypatch):
             calls[_name] += 1
             return _fn(*args)
         monkeypatch.setattr(coxeter, name, counted)
-    monkeypatch.setattr(edgetypes, "_ANCHOR_PARTNERS", {})
+    edgetypes._anchor_partners.cache_clear()
     slab = build_ball(C8, 4, "full-Y")
     assert calls["_form"] == 0
     for key in keys:

@@ -12,12 +12,18 @@ from pathlib import Path
 import pytest
 
 import cox245
-from cox245.certificates import StringSpec, string_key
+from cox245.certificates import (
+    StringSpec,
+    auto_search_d10,
+    parse_key,
+    parse_point,
+    string_key,
+    verify_d8_chain,
+)
 from cox245.complexgraph import Vertex, build_ball, cayley_vertex, fix_vertex, vertex_key
 from cox245.coxeter import D4, D8, D10, element_of_word, identity
 from cox245.edgetypes import type_key_cayley, type_key_complex
 from cox245.implications import (
-    ChainStepError,
     CycleWitness,
     DIHEDRAL_CHORD_LABELS,
     DiagonalsNotUniform,
@@ -28,8 +34,8 @@ from cox245.implications import (
     _closure,
     _cycles,
     _dihedral_tables,
+    apply_elementary,
     check_elementary,
-    close_chain,
     dihedral_closure,
     find_witness,
 )
@@ -88,38 +94,42 @@ def test_degenerate_sides_allowed_and_flagged():
     assert derived == ckey("rs")
 
 
-def test_close_chain_empty_and_monotone():
-    state = ImplicationState.initial([ckey("tr"), ckey("tst"), ckey("rsr")])
-    assert close_chain(state, []) is not state or state.known == close_chain(state, []).known
-    out = close_chain(state, [cycle("", "tr", "tsr", "tst")])
-    assert set(state.known) <= set(out.known)
-    assert ckey("tsr") in out.known_set
-    assert len(out.log) == 1 and not out.log[0].degenerate
+def test_apply_elementary_grows_the_state_and_leaves_its_input_untouched():
+    state = ImplicationState.initial([ckey("tr"), ckey("tst"), ckey("rsr"), ckey("tr")])
+    assert state.known == (ckey("tr"), ckey("tst"), ckey("rsr"))  # deduplicated
+    out, derived = apply_elementary(state, cycle("", "tr", "tsr", "tst"))
+    assert derived == ckey("tsr")
+    assert out.known == state.known + (derived,)
+    again, _ = apply_elementary(out, cycle("", "tr", "tsr", "tst"))
+    assert again.known == out.known  # a known type is not appended twice
+    with pytest.raises(SideNotKnown):
+        apply_elementary(out, cycle("", "ts", "trs", "r"))  # needs CAY:st and CAY:srs
+    assert state.known == (ckey("tr"), ckey("tst"), ckey("rsr"))
+    assert out.known == state.known + (ckey("tsr"),)
 
 
-def test_close_chain_atomic_failure():
-    state = ImplicationState.initial([ckey("tr"), ckey("tst"), ckey("rsr")])
-    schedule = [
-        cycle("", "tr", "tsr", "tst"),       # fine
-        cycle("", "ts", "trs", "r"),         # needs CAY:st and CAY:srs -> fails
-    ]
-    with pytest.raises(ChainStepError) as err:
-        close_chain(state, schedule)
-    assert err.value.step == 1
-    assert ckey("tsr") not in state.known_set  # input state untouched
+def _replay(state, steps, key_field):
+    """Re-derive each report step's type from its witness, in order."""
+    for step in steps:
+        points = tuple(parse_point(label, "complex") for label in step["witness"])
+        state, derived = apply_elementary(state, CycleWitness(points))
+        assert derived.serialize() == step[key_field]
+    return state
 
 
-def test_log_replays_soundly():
-    state = ImplicationState.initial([ckey(w) for w in ("tr", "tst", "rsr", "ts", "srs", "r")])
-    out = close_chain(state, [cycle("", "tr", "tsr", "tst"), cycle("", "ts", "trs", "r")])
-    # every logged derivation re-verifies against the prefix state
-    replay = ImplicationState.initial(state.known)
-    for entry in out.log:
-        words = [label.split(":", 1)[1] for label in entry.cycle]
-        words = ["" if w == "e" else w for w in words]
-        derived = check_elementary(replay, cycle(*words))
-        assert derived.serialize() == entry.derived
-        replay = replay.add(derived, entry)
+def test_d8_chain_report_replays_from_the_bare_edge_type():
+    rep = verify_d8_chain(2, build_ball(fix_vertex(D8), 6, "pentagon-subcomplex"))
+    assert rep["status"] == "verified" and len(rep["steps"]) == 8
+    state = _replay(ImplicationState.initial([string_key(StringSpec(()))]),
+                    rep["steps"], "derived")
+    assert len(state.known) == rep["known_count"]
+
+
+def test_d10_search_report_replays_from_its_seed():
+    rep = auto_search_d10(3, 5)
+    assert len(rep["derived"]) == 3
+    state = _replay(ImplicationState.initial([parse_key(rep["seed"])]), rep["derived"], "key")
+    assert len(state.known) == 1 + len(rep["derived"])
 
 
 def test_dihedral_closure_all_seeds():

@@ -1,7 +1,9 @@
 """Module layering: private names stay inside the module that defines them
-(dunders such as ``__version__`` are public)."""
+(dunders such as ``__version__`` are public), and every exported name
+exists."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import cox245
@@ -20,3 +22,13 @@ def test_no_module_imports_a_private_name_from_another():
             offences.extend(f"{path.name}:{node.lineno} {alias.name}" for alias in node.names
                             if alias.name.startswith("_") and not alias.name.endswith("__"))
     assert offences == []
+
+
+def test_every_exported_name_resolves():
+    stale = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        name = "cox245" if path.stem == "__init__" else f"cox245.{path.stem}"
+        mod = importlib.import_module(name)
+        stale.extend(f"{path.name} {attr}" for attr in getattr(mod, "__all__", ())
+                     if not hasattr(mod, attr))
+    assert stale == []
