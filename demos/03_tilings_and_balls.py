@@ -3,8 +3,8 @@
 
 The D8-coset orbit with t-edges is the tiling of the hyperbolic plane by
 right-angled pentagons (degree 4); the D10-orbit with r-edges is the dual
-square tiling (degree 5).  Balls are BFS-complete and distances inside
-them are certified against truncation.
+square tiling (degree 5).  Balls are BFS-complete, so a vertex's depth in
+a ball is its distance from the center.
 """
 
 from cox245.complexgraph import build_ball, cayley_vertex, fix_vertex, graph_distance, make_vertex
@@ -33,8 +33,8 @@ for r in range(11):
 
 print()
 t_vertex = make_vertex(D8, element_of_word("t"))
-d = slab.distance(center, t_vertex)
-print(f"slab distance Fix -> tFix: {d.value} (exact: {d.exact})")
+print("ball depth of tFix:", slab.depth[slab.index_of(t_vertex)],
+      "= graph distance Fix -> tFix:", graph_distance(center, t_vertex, "pentagon-subcomplex"))
 print("exact graph distance in full-Y of the straight 5-step endpoints:",
       graph_distance(center, make_vertex(D8, element_of_word("tsrsrtstsrsrt")), "full-Y"))
 

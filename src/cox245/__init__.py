@@ -6,8 +6,8 @@ The package decomposes into:
 * :mod:`cox245.numberfield` — exact arithmetic in Q(sqrt2, sqrt5);
 * :mod:`cox245.coxeter` — the group through its faithful reflection
   representation: canonical words, descents, coset canonicalization;
-* :mod:`cox245.complexgraph` — balls of the coset complex, the pentagon
-  tiling, the Cayley graph; certified distances;
+* :mod:`cox245.complexgraph` — keyed BFS balls of the coset complex, the
+  pentagon tiling, the Cayley graph; exact graph distances;
 * :mod:`cox245.edgetypes` — canonical invariants of unordered vertex pairs;
 * :mod:`cox245.implications` — the 4/5-cycle implication calculus, witness
   search, dihedral clique closures;

@@ -28,24 +28,24 @@ deduplicated by their cosets' ``coxeter.coset_key`` (``vertex_key``;
 ``key_vertex`` goes back).
 ``neighbors`` peels each distinct key once to its minimal representative
 (``coxeter.coset_rep``) and ``adjacent`` compares keys of the intersection
-walk.  Balls are built by BFS and peel a coset only the first time its key
-is met: the ball and the level being expanded are plain dicts from key to
-position, so each vertex but the center is peeled exactly once, and the
-ball's dict is the slab's only index.  It holds the key tuples the walk
-built, which the peel memoises the representatives under, so the index
-costs no new tuples.
+walk.  A ball is a keyed BFS: each level is the dict of new keys walked
+from the level before, and a coset is peeled only the first time its key
+is met, so each vertex but the center is peeled exactly once and the
+frontier is never walked.  The ball's dict is the slab's only index.  It
+holds the key tuples the walk built, which the peel memoises the
+representatives under, so the index costs no new tuples.
 Vertex order is BFS depth with canonical-word tie-break inside each level,
 which makes slab dumps reproducible; a peeled representative carries its
 word, so the sort peels nothing more.  A ball keeps one ``Vertex`` per
-coset and records neighbors as slab indices.
-Distances inside a slab are certified: a value is marked exact only when no
-shorter path could leave the ball, otherwise a lower bound is reported.
+coset, its depth and the key index; its adjacency is derived on first use
+from the same walk.  ``graph_distance`` runs a bidirectional BFS on keys in
+the infinite graph.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from collections import deque
+from functools import cached_property
 
 from .coxeter import (
     CAY,
@@ -77,7 +77,6 @@ __all__ = [
     "neighbors",
     "pentagon_cyclic_neighbors",
     "GraphSlab",
-    "Distance",
     "build_ball",
     "graph_distance",
     "ResourceLimitExceeded",
@@ -231,28 +230,17 @@ def adjacent(u: Vertex, v: Vertex) -> bool:
 
 # --- slabs -----------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Distance:
-    """A slab distance; ``exact`` is False when truncation may hide a
-    shorter path, in which case ``lower_bound`` is still valid."""
-
-    value: int
-    exact: bool
-    lower_bound: int
-
-
 class GraphSlab:
     """Immutable BFS ball.  Vertices are indexed in (depth, canonical word)
-    order; adjacency is symmetric and irreflexive.  ``key_index`` maps each
-    vertex's key (see ``vertex_key``) to its index, in index order."""
+    order.  ``key_index`` maps each vertex's key (see ``vertex_key``) to its
+    index, in index order."""
 
-    def __init__(self, mode, center, radius, vertices, depth, adj, key_index):
+    def __init__(self, mode, center, radius, vertices, depth, key_index):
         self.mode = mode
         self.center = center
         self.radius = radius
         self.vertices = vertices
         self.depth = depth
-        self.adj = adj
         self.key_index = key_index
 
     def __len__(self):
@@ -267,36 +255,20 @@ class GraphSlab:
         except KeyError:
             raise VertexNotInSlab(v.label()) from None
 
+    @cached_property
+    def adj(self) -> tuple[tuple[int, ...], ...]:
+        """Per vertex, its in-slab neighbors as sorted indices; symmetric
+        and irreflexive.  Walked once, on first use."""
+        index = self.key_index
+        return tuple(
+            tuple(sorted(index[key] for key in _candidates(v, self.mode) if key in index))
+            for v in self.vertices)
+
     def edges(self):
         for i, nbrs in enumerate(self.adj):
             for j in nbrs:
                 if i < j:
                     yield (i, j)
-
-    def distance(self, u: Vertex, v: Vertex) -> Distance:
-        """BFS distance inside the slab, with a truncation certificate."""
-        iu = self.index_of(u)
-        iv = self.index_of(v)
-        if iu == iv:
-            return Distance(0, True, 0)
-        dist = {iu: 0}
-        queue = deque([iu])
-        found = -1
-        while queue:
-            i = queue.popleft()
-            if i == iv:
-                found = dist[i]
-                break
-            for j in self.adj[i]:
-                if j not in dist:
-                    dist[j] = dist[i] + 1
-                    queue.append(j)
-        # a path that leaves the ball runs out to depth radius + 1 and back,
-        # so it is at least ``escape`` long
-        escape = (self.radius + 1 - self.depth[iu]) + (self.radius + 1 - self.depth[iv])
-        if found >= 0:
-            return Distance(found, found <= escape, min(found, escape))
-        return Distance(escape, False, escape)
 
     def dump(self) -> str:
         """Debug text form: vertex lines "idx parabolic rep-word", then edge
@@ -322,62 +294,36 @@ def build_ball(center: Vertex, radius: int, mode: str,
     vertices = [center]
     depth = [0]
     index = {vertex_key(center): 0}
-    # per vertex, its neighbors as slab indices (None: outside the ball)
-    nbr_lists: list[list | None] = [None]
-    level = [0]
-    for d in range(radius):
-        found: dict = {}  # the level's new keys, to positions in discovery order
-        for i in level:
-            row = []
-            for key in _candidates(vertices[i], mode):
-                j = index.get(key)
-                if j is None:
-                    k = found.get(key)
-                    if k is None:
-                        k = found[key] = len(found)
-                    j = ~k  # resolved once the level is sorted
-                row.append(j)
-            nbr_lists[i] = row
-        if not found:
-            level = []
-            break
+    level = [center]
+    for d in range(1, radius + 1):
+        # the level's new keys, in discovery order
+        found = dict.fromkeys(key for v in level for key in _candidates(v, mode)
+                              if key not in index)
         if len(vertices) + len(found) > max_vertices:
             raise ResourceLimitExceeded(
-                f"ball exceeds {max_vertices} vertices at depth {d + 1}")
-        new = [key_vertex(key) for key in found]
-        order = sorted(zip(new, found), key=lambda vk: (vk[0].word(), vk[0].parabolic.name))
-        placed = [0] * len(found)
-        expanded, level = level, []
-        for v, key in order:
-            placed[found[key]] = index[key] = len(vertices)
-            level.append(len(vertices))
+                f"ball exceeds {max_vertices} vertices at depth {d}")
+        new = sorted(zip(map(key_vertex, found), found),
+                     key=lambda vk: (vk[0].word(), vk[0].parabolic.name))
+        level = []
+        for v, key in new:
+            index[key] = len(vertices)
             vertices.append(v)
-            depth.append(d + 1)
-            nbr_lists.append(None)
-        for i in expanded:
-            nbr_lists[i] = [j if j >= 0 else placed[~j] for j in nbr_lists[i]]
-    for i in level:  # frontier still needs its in-slab edges
-        nbr_lists[i] = [index.get(key) for key in _candidates(vertices[i], mode)]
-    adj: list[tuple[int, ...]] = []
-    for i, row in enumerate(nbr_lists):
-        hits = set(row)
-        hits.discard(None)
-        hits.discard(i)
-        adj.append(tuple(sorted(hits)))
-    return GraphSlab(mode, center, radius, tuple(vertices), tuple(depth), tuple(adj), index)
+            depth.append(d)
+            level.append(v)
+    return GraphSlab(mode, center, radius, tuple(vertices), tuple(depth), index)
 
 
 def graph_distance(u: Vertex, v: Vertex, mode: str, max_depth: int = 64) -> int | None:
     """Exact distance in the (infinite) graph by bidirectional BFS.
 
-    Returns None when the distance exceeds ``max_depth``.  Unlike slab
-    distances this never suffers truncation: the frontier is generated from
-    the group action on demand.
+    Returns None when the distance exceeds ``max_depth``.  Each side keeps
+    the keys it has reached; a completed level is peeled to become the next
+    frontier, so the keys met in the final expansion are never peeled.
     """
     if u == v:
         return 0
-    side_a = {u: 0}
-    side_b = {v: 0}
+    side_a = {vertex_key(u): 0}
+    side_b = {vertex_key(v): 0}
     front_a, front_b = [u], [v]
     ra = rb = 0
     while ra + rb < max_depth and front_a and front_b:
@@ -389,12 +335,13 @@ def graph_distance(u: Vertex, v: Vertex, mode: str, max_depth: int = 64) -> int 
             rb += 1
         nxt = []
         for x in front:
-            for nb in neighbors(x, mode):
-                if nb in other:
-                    return r + 1 + other[nb]
-                if nb not in dist:
-                    dist[nb] = r + 1
-                    nxt.append(nb)
+            for key in _candidates(x, mode):
+                if key in other:
+                    return r + 1 + other[key]
+                if key not in dist:
+                    dist[key] = r + 1
+                    nxt.append(key)
+        nxt = [key_vertex(key) for key in nxt]
         if front is front_a:
             front_a = nxt
         else:

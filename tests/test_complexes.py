@@ -87,62 +87,21 @@ def test_adjacency_left_invariant():
                 assert adjacent(translate(w, u), translate(w, v)) == adjacent(u, v)
 
 
-def test_distance_basics():
-    slab = build_ball(C8, 4, "pentagon-subcomplex")
-    d = slab.distance(C8, C8)
-    assert d.value == 0 and d.exact
-    d = slab.distance(C8, T8)
-    assert d.value == 1 and d.exact
-
-
-def test_distance_metric_axioms_spot_check():
-    slab = build_ball(C8, 5, "pentagon-subcomplex")
-    vs = [slab.vertices[i] for i in (0, 3, 7, 11, 20)]
-    for u in vs:
-        for v in vs:
-            duv = slab.distance(u, v)
-            dvu = slab.distance(v, u)
-            if duv.exact and dvu.exact:
-                assert duv.value == dvu.value
-                assert (duv.value == 0) == (u == v)
-            for w in vs:
-                duw, dwv = slab.distance(u, w), slab.distance(w, v)
-                if duv.exact and duw.exact and dwv.exact:
-                    assert duv.value <= duw.value + dwv.value
-
-
-def test_frontier_distances_not_overclaimed():
-    small = build_ball(C8, 2, "pentagon-subcomplex")
-    big = build_ball(C8, 6, "pentagon-subcomplex")
-    exact = 0
-    for i in range(len(small)):
-        for j in range(i + 1, len(small)):
-            u, v = small.vertices[i], small.vertices[j]
-            d_small = small.distance(u, v)
-            truth = big.distance(u, v)
-            assert truth.exact
-            if d_small.exact:
-                exact += 1
-                assert d_small.value == truth.value
-            else:
-                assert d_small.lower_bound <= truth.value
-    # a path that leaves the ball is at least the escape length, so every
-    # in-slab distance up to it is exact
-    assert (exact, len(small) * (len(small) - 1) // 2) == (86, 136)
-
-
 def test_graph_distance_matches_slab():
-    slab = build_ball(C8, 5, "pentagon-subcomplex")
-    for idx in (1, 5, 17, 30):
-        v = slab.vertices[idx]
-        assert graph_distance(C8, v, "pentagon-subcomplex") == slab.depth[idx]
+    """The keyed bidirectional BFS gives every vertex of a radius-3 ball its
+    depth, in all four universes."""
+    for center, mode in ((C8, "pentagon-subcomplex"), (C10, "d10-orbit"), (C8, "full-Y"),
+                         (cayley_vertex(identity()), "cayley")):
+        slab = build_ball(center, 3, mode)
+        for v, d in zip(slab.vertices, slab.depth):
+            assert graph_distance(center, v, mode) == d, (mode, v.label())
 
 
 def test_vertex_not_in_slab():
     slab = build_ball(C8, 1, "pentagon-subcomplex")
     far = make_vertex(D8, element_of_word("tsrsrt"))
     with pytest.raises(VertexNotInSlab):
-        slab.distance(C8, far)
+        slab.index_of(far)
 
 
 def test_vertex_cap():
@@ -298,18 +257,6 @@ def test_ball_and_partners_make_no_matrix_descent_tests(monkeypatch):
     (C8, 4, "pentagon-subcomplex"), (C10, 3, "d10-orbit"), (C8, 2, "full-Y"),
     (cayley_vertex(identity()), 6, "cayley"),
 ])
-def test_ball_exact_under_hash_collisions(monkeypatch, center, radius, mode):
-    """With every key hashing alike, probing and the exact key check still
-    give the same ball."""
-    want = build_ball(center, radius, mode).dump()
-    monkeypatch.setattr(complexgraph, "hash", lambda key: 7, raising=False)
-    assert build_ball(center, radius, mode).dump() == want
-
-
-@pytest.mark.parametrize("center, radius, mode", [
-    (C8, 4, "pentagon-subcomplex"), (C10, 3, "d10-orbit"), (C8, 2, "full-Y"),
-    (cayley_vertex(identity()), 6, "cayley"),
-])
 def test_every_vertex_is_keyed_by_its_coset(center, radius, mode):
     """One key for every universe: a vertex's key is its coset's key, and
     peeling the key gives the vertex back."""
@@ -362,3 +309,54 @@ def test_key_index_oracle(center, radius, mode):
         assert v not in slab
         with pytest.raises(VertexNotInSlab):
             slab.index_of(v)
+
+
+def edge_oracle(mode):
+    """Adjacency in each universe read off the edge-type key of the pair:
+    one orbit of pairs per edge kind, and coset intersection in full-Y."""
+    if mode == "pentagon-subcomplex":
+        pentagon = pair_key(C8, T8)
+        return lambda u, v: pair_key(u, v) == pentagon
+    if mode == "d10-orbit":
+        square = pair_key(C10, make_vertex(D10, element_of_word("r")))
+        return lambda u, v: pair_key(u, v) == square
+    if mode == "cayley":
+        return lambda u, v: pair_key(u, v).serialize() in ("CAY:r", "CAY:s", "CAY:t")
+    pentagon = pair_key(C8, T8)
+    return lambda u, v: reference_adjacent(u, v) or (
+        u.parabolic is v.parabolic is D8 and pair_key(u, v) == pentagon)
+
+
+@pytest.mark.parametrize("center, radius, mode", [
+    (C8, 3, "pentagon-subcomplex"), (C10, 2, "d10-orbit"), (C8, 2, "full-Y"),
+    (cayley_vertex(identity()), 4, "cayley"),
+])
+def test_adjacency_matches_pair_keys(center, radius, mode):
+    """The adjacency a slab derives on first use is the edge relation read
+    off ``pair_key`` over all pairs of its vertices."""
+    slab = build_ball(center, radius, mode)
+    assert "adj" not in vars(slab)
+    edge = edge_oracle(mode)
+    want = tuple(tuple(j for j, v in enumerate(slab.vertices) if j != i and edge(u, v))
+                 for i, u in enumerate(slab.vertices))
+    assert slab.adj == want
+    assert slab.adj is slab.adj  # walked once
+
+
+@pytest.mark.parametrize("center, radius, mode", [
+    (C8, 6, "pentagon-subcomplex"), (C10, 4, "d10-orbit"), (C8, 3, "full-Y"),
+    (cayley_vertex(identity()), 8, "cayley"),
+])
+def test_ball_walks_no_frontier_vertex(monkeypatch, center, radius, mode):
+    """``build_ball`` walks the neighbors of exactly the vertices of depth
+    below the radius, each once, and wires no adjacency."""
+    walked = []
+
+    def counted(v, mode, _fn=complexgraph._candidates):
+        walked.append(v)
+        return _fn(v, mode)
+    monkeypatch.setattr(complexgraph, "_candidates", counted)
+    slab = build_ball(center, radius, mode)
+    inner = [v for v, d in zip(slab.vertices, slab.depth) if d < radius]
+    assert walked == inner
+    assert len(inner) < len(slab) and "adj" not in vars(slab)

@@ -196,6 +196,16 @@ def test_find_witness_deterministic_and_bounded():
     assert find_witness(state, far, slab) is None
 
 
+def test_witness_search_leaves_the_slab_adjacency_unbuilt():
+    """The search reads vertices, depths and the key index only: a found and
+    an exhausted search both leave ``slab.adj`` unwalked."""
+    slab = build_ball(fix_vertex(D8), 3, "pentagon-subcomplex")
+    state = ImplicationState.initial([string_key(StringSpec(()))])
+    assert find_witness(state, string_key(StringSpec.parse("R")), slab) is not None
+    assert find_witness(state, string_key(StringSpec.parse("SSSSSS")), slab) is None
+    assert "adj" not in vars(slab)
+
+
 def test_find_witness_matches_naive_lexicographic_scan():
     # oracle: enumerate tuples in plain lexicographic index order over a
     # small ball and take the first valid cycle; the pruned search must
