@@ -31,6 +31,7 @@ from .coxeter import (
     PARABOLIC_BY_NAME,
     ParabolicId,
     coset_key,
+    element_of_word,
     min_double_coset_rep,
     parabolic_elements,
     translate_key,
@@ -43,6 +44,7 @@ __all__ = [
     "pair_key",
     "partner_keys",
     "key_partners",
+    "anchor_orbit_reps",
     "orbit_sample",
     "find_pair_transport",
 ]
@@ -122,20 +124,42 @@ def key_partners(v: Vertex, key: EdgeTypeKey) -> list[Vertex]:
     return [key_vertex(k) for k in partner_keys(v, key)]
 
 
+def _orientations(parabolic: ParabolicId, key: EdgeTypeKey):
+    """(step word, target parabolic) of each orientation of ``key`` that
+    starts on a P-side vertex: w for (P, Q, w), and the reversed word w^-1
+    (generators are involutions) for (Q, P, w)."""
+    out = []
+    if parabolic.name == key.p:
+        out.append((key.word, PARABOLIC_BY_NAME[key.q]))
+    if parabolic.name == key.q:
+        out.append((key.word[::-1], PARABOLIC_BY_NAME[key.p]))
+    return out
+
+
 @cache
 def _anchor_partners(parabolic: ParabolicId, key: EdgeTypeKey):
     """The coset key of each partner of the vertex (P, e) for ``key``: both
     orientations, p in ``parabolic_elements`` order, first occurrence of
     each coset kept.  Memoised for the life of the process, one entry per
     (anchor parabolic, key) queried."""
-    variants = []
-    if parabolic.name == key.p:
-        variants.append((key.word, PARABOLIC_BY_NAME[key.q]))
-    if parabolic.name == key.q:
-        variants.append((key.word[::-1], PARABOLIC_BY_NAME[key.p]))
     return tuple(dict.fromkeys(
         coset_key(p.times(step), target)
-        for step, target in variants for p in parabolic_elements(parabolic)))
+        for step, target in _orientations(parabolic, key)
+        for p in parabolic_elements(parabolic)))
+
+
+@cache
+def anchor_orbit_reps(parabolic: ParabolicId, key: EdgeTypeKey):
+    """Representatives of the orbits of P, the stabiliser of the vertex
+    (P, e), on that vertex's partners for ``key``: one coset key per
+    orientation, deduplicated.
+
+    The partners of an orientation are the cosets p * w * Q with p in P
+    (``_anchor_partners``), one P-orbit, represented by its p = e term: one
+    word walk per orientation, memoised like ``_anchor_partners``.  For
+    CAY, whose P is trivial, these are the partners themselves."""
+    return tuple(dict.fromkeys(coset_key(element_of_word(step), target)
+                               for step, target in _orientations(parabolic, key)))
 
 
 def orbit_sample(key: EdgeTypeKey, slab: GraphSlab, count: int) -> list[tuple[Vertex, Vertex]]:

@@ -24,6 +24,10 @@ two partner oracles, so the same search serves three settings:
 * Before each slab sweep, an abstract precheck runs it with no radius
   bound from one fixed anchor per vertex type, with the known types taken
   newest first; when no cycle exists there, none exists in the slab.
+  The anchor (P, e) is fixed by P and pair types are W-invariant, so the
+  cycles through it come in P-orbits.  The precheck therefore tries as
+  first side point only the anchor and one representative per P-orbit of
+  its partners (``edgetypes.anchor_orbit_reps``), with the same answer.
 * ``close_orbit`` and ``dihedral_closure`` run it over the pair table of a
   finite orbit until no new type is forced; the latter is how the
   diagonal-implies-clique closures of the 8-gon and 10-gon are checked.
@@ -47,7 +51,7 @@ from itertools import chain
 
 from .complexgraph import MODES, GraphSlab, Vertex, key_vertex, vertex_key
 from .coxeter import identity
-from .edgetypes import EdgeTypeKey, pair_key, partner_keys
+from .edgetypes import EdgeTypeKey, anchor_orbit_reps, pair_key, partner_keys
 
 __all__ = [
     "SideNotKnown",
@@ -153,7 +157,7 @@ def apply_elementary(state: ImplicationState,
 
 # --- witness search --------------------------------------------------------
 
-def _cycles(starts, length, known, target):
+def _cycles(starts, length, known, target, first=None):
     """Every ``length``-cycle whose sides are known and whose diagonals are
     all target pairs, in the order of ``starts`` and of the ``known`` lists.
 
@@ -161,18 +165,25 @@ def _cycles(starts, length, known, target):
     included where a degenerate side is allowed); ``target(p)`` holds the
     points forming a target pair with p.  Points are placed in order: each
     one follows its predecessor, pairs with every earlier point it shares a
-    diagonal with, and the last one closes back onto the first.
+    diagonal with, and the last one closes back onto the first.  When
+    ``first`` is given, ``first(p0)`` lists the candidates for the first
+    side point in place of ``known(p0)``, which still closes the cycle; a
+    caller passes one point per orbit of a group fixing p0 and preserving
+    both relations, which leaves whether a cycle exists unchanged.
     """
     tails = [[min(d) for d in _DIAGONALS[length] if max(d) == pos]
              for pos in range(length)]
     for p0 in starts:
         t0 = set(target(p0))
         if t0:
-            yield from _extend([p0], [t0], set(known(p0)), tails, known, target)
+            close = known(p0)
+            succ = close if first is None else first(p0)
+            yield from _extend([p0], succ, [t0], set(close), tails, known, target)
 
 
-def _extend(path, tsets, close, tails, known, target):
-    """The cycles of ``_cycles`` that begin with ``path``.
+def _extend(path, succ, tsets, close, tails, known, target):
+    """The cycles of ``_cycles`` that begin with ``path``, whose next point
+    is drawn from ``succ``.
 
     ``tsets[j]`` is the target set of ``path[j]``, computed when a later
     diagonal first needs it (positions up to len(path) - 2), so a point
@@ -185,7 +196,7 @@ def _extend(path, tsets, close, tails, known, target):
     last = pos == len(tails) - 1
     if last:
         need.append(close)
-    for p in known(path[-1]):
+    for p in succ:
         for s in need:
             if p not in s:
                 break
@@ -193,7 +204,7 @@ def _extend(path, tsets, close, tails, known, target):
             if last:
                 yield (*path, p)
             else:
-                yield from _extend(path + [p], tsets, close, tails, known, target)
+                yield from _extend(path + [p], known(p), tsets, close, tails, known, target)
                 del tsets[pos:]
 
 
@@ -209,7 +220,7 @@ class _SearchSpace:
     """
 
     def __init__(self, slab: GraphSlab):
-        self.anchors = [vertex_key(Vertex(p, identity())) for p in MODES[slab.mode]]
+        self.anchors = {vertex_key(Vertex(p, identity())): p for p in MODES[slab.mode]}
         self.vertices = slab.vertices
         self.index = slab.key_index
         self.keys = tuple(slab.key_index)  # in slab index order
@@ -250,11 +261,20 @@ class _SearchSpace:
         Cycle existence is invariant under the left action, so every witness
         translates to one through a fixed anchor of its own vertex type; the
         check runs with no radius bound, hence a negative here proves the slab
-        sweep would come up empty and can be skipped.  ``keys`` is an ordered
-        sequence, so the work done does not depend on hash order.
+        sweep would come up empty and can be skipped.  The anchor (P, e) is
+        fixed by P, so p in P maps a cycle (a, x, ...) to a cycle (a, p x,
+        ...): the first side point is drawn from the anchor itself and one
+        representative per P-orbit of its partners (``anchor_orbit_reps``).
+        ``keys`` is an ordered sequence, so the work done does not depend on
+        hash order.
         """
+        def first(a):
+            p = self.anchors[a]
+            return dict.fromkeys(chain((a,), *(anchor_orbit_reps(p, k)
+                                               for k in keys if not k.is_degenerate)))
+
         cycles = _cycles(self.anchors, length, lambda v: self.known_vertices(v, keys),
-                         lambda v: self.vertex_partners(v, target))
+                         lambda v: self.vertex_partners(v, target), first)
         return next(cycles, None) is not None
 
 

@@ -12,7 +12,15 @@ import cox245.edgetypes as edgetypes
 import cox245.implications as implications
 import matrix_oracle
 from matrix_oracle import generic_product, mat_inv, mat_mul
-from cox245.certificates import verify_pentagon_suite
+from cox245.certificates import (
+    FAMILIES,
+    StringSpec,
+    family_implication,
+    load_certificate_lines,
+    parse_key,
+    string_key,
+    verify_pentagon_suite,
+)
 from cox245.complexgraph import (
     Vertex,
     build_ball,
@@ -34,9 +42,11 @@ from cox245.coxeter import (
     element_of_word,
     identity,
     parabolic_elements,
+    translate_key,
 )
 from cox245.edgetypes import (
     EdgeTypeKey,
+    anchor_orbit_reps,
     find_pair_transport,
     key_partners,
     orbit_sample,
@@ -241,6 +251,47 @@ def test_key_partners_match_generic_products():
             assert key_partners(v, key) == reference_key_partners(v, key), (v.label(), key)
             checked += 1
     assert checked == 1350
+
+
+def suite_keys():
+    """Every key the suites search with: the pentagon families' strings at
+    n <= 3 and the bare edge, the d10 search's seed and candidates at radius
+    6, and the sources and targets of the Cayley list."""
+    keys = [string_key(StringSpec(()))]
+    for family in FAMILIES:
+        for n in range(4):
+            sources, target = family_implication(family, n)
+            keys += [string_key(s) for s in (*sources, target)]
+    center = fix_vertex(D10)
+    d10 = build_ball(center, 6, "d10-orbit")
+    keys += [type_key_complex(center, v)
+             for i, v in enumerate(d10.vertices) if 0 < d10.depth[i] <= 4]
+    for line in load_certificate_lines():
+        keys += [parse_key(k) for k in (*line.get("sources", ()), line.get("target"))
+                 if k is not None]
+    return list(dict.fromkeys(keys))
+
+
+def test_anchor_orbit_reps_meet_every_partner_orbit():
+    """The anchor's partners for a key are exactly the translates of its
+    orbit representatives by the anchor's stabiliser P.  The full-Y keys
+    of a radius-2 ball give the D4 anchor partners too."""
+    full = build_ball(C8, 2, "full-Y")
+    keys = list(dict.fromkeys([*suite_keys(), *(pair_key(fix_vertex(p), v)
+                                                for p in (D8, D10, D4) for v in full.vertices)]))
+    nonempty = {}
+    for p in (D8, D10, D4, CAY):
+        anchor = Vertex(p, identity())
+        for key in keys:
+            want = partner_keys(anchor, key)
+            reps = anchor_orbit_reps(p, key)
+            got = {translate_key(x, r) for x in parabolic_elements(p) for r in reps}
+            assert got == set(want), (p.name, key)
+            assert len(reps) <= 2
+            if p is CAY:
+                assert list(reps) == want, key
+            nonempty[p.name] = nonempty.get(p.name, 0) + bool(want)
+    assert min(nonempty.values()) > 10, nonempty
 
 
 def word_walk_key_partners(v, key):

@@ -20,7 +20,14 @@ from cox245.certificates import (
     string_key,
     verify_d8_chain,
 )
-from cox245.complexgraph import Vertex, build_ball, cayley_vertex, fix_vertex, vertex_key
+from cox245.complexgraph import (
+    Vertex,
+    build_ball,
+    cayley_vertex,
+    fix_vertex,
+    make_vertex,
+    vertex_key,
+)
 from cox245.coxeter import D4, D8, D10, element_of_word, identity
 from cox245.edgetypes import type_key_cayley, type_key_complex
 from cox245.implications import (
@@ -307,13 +314,35 @@ def test_closure_matches_signature_oracle_on_every_label_subset():
         assert list(_closure(_dihedral_tables(m), {"0", "1a", "1b"}.__contains__, (0,))) == []
 
 
-def test_abstract_precheck_never_rules_out_a_slab_cycle():
+def pentagon_precheck_cases():
+    """The radius-3 pentagon slab and (known keys, target) cases on it."""
     pent = build_ball(fix_vertex(D8), 3, "pentagon-subcomplex")
     base = string_key(StringSpec(()))
     pent_cases = [([base], string_key(StringSpec.parse(t)))
                   for t in ("R", "S", "SS", "RR", "LR", "SSSSSS")]
     pent_cases.append(([base, string_key(StringSpec.parse("R"))], string_key(StringSpec.parse("S"))))
     pent_cases.append(([base], base))  # only degenerate cycles (v, v, u, u) exist
+    return pent, pent_cases
+
+
+def d10_search_cases():
+    """The radius-6 d10 slab of ``auto_search_d10`` and cases on it: its
+    seed plus its first k candidates known, each of the next five
+    candidates the target."""
+    center = fix_vertex(D10)
+    slab = build_ball(center, 6, "d10-orbit")
+    seed = type_key_complex(center, make_vertex(D10, element_of_word("r")))
+    depth = {}  # each key's first depth, as the search ranks it
+    for v, d in zip(slab.vertices, slab.depth):
+        if 0 < d <= 4:
+            depth.setdefault(type_key_complex(center, v), d)
+    candidates = sorted(depth.keys() - {seed}, key=lambda k: (depth[k], k.serialize()))
+    return slab, [([seed, *candidates[:k]], target)
+                  for k in (0, 2, 4, 6) for target in candidates[k:k + 5]]
+
+
+def test_abstract_precheck_never_rules_out_a_slab_cycle():
+    pent, pent_cases = pentagon_precheck_cases()
     center = fix_vertex(D10)
     d10 = build_ball(center, 4, "d10-orbit")
     seed = type_key_complex(center, d10.vertices[d10.depth.index(1)])
@@ -333,6 +362,42 @@ def test_abstract_precheck_never_rules_out_a_slab_cycle():
                                 lambda i: space.partners(i, (target,)))
                 assert next(found, None) is None, (slab.mode, target, length)
     assert ruled_out >= 4
+
+
+def anchored_cycle_exists(space, keys, target, length):
+    """The precheck with every partner of the anchor as a first side point."""
+    cycles = _cycles(space.anchors, length, lambda v: space.known_vertices(v, keys),
+                     lambda v: space.vertex_partners(v, target))
+    return next(cycles, None) is not None
+
+
+def test_precheck_up_to_the_stabiliser_matches_the_full_anchored_search(monkeypatch):
+    """One first side point per orbit of the anchor's stabiliser gives the
+    same answer as every anchor partner, for at most half the partner sets."""
+    import cox245.implications as implications
+
+    calls = [0]
+    inner = implications.partner_keys
+
+    def counted(v, key):
+        calls[0] += 1
+        return inner(v, key)
+
+    monkeypatch.setattr(implications, "partner_keys", counted)
+    outcomes = []
+    for slab, cases in (pentagon_precheck_cases(), d10_search_cases()):
+        answers, work = [], []
+        for precheck in (_SearchSpace.abstract_cycle_exists, anchored_cycle_exists):
+            space = _SearchSpace(slab)  # a fresh memo for each precheck
+            calls[0] = 0
+            answers.append([precheck(space, known[::-1], target, length)
+                            for known, target in cases for length in (4, 5)])
+            work.append(calls[0])
+        restricted, full = answers
+        assert restricted == full, slab.mode
+        assert 0 < 2 * work[0] <= work[1], (slab.mode, work)
+        outcomes += full
+    assert outcomes.count(True) >= 4 and outcomes.count(False) >= 4, outcomes
 
 
 def test_second_search_on_a_slab_makes_no_partner_calls(monkeypatch):
@@ -368,7 +433,7 @@ def test_memo_partners_are_the_slab_vertices():
     keys = tuple(slab.key_index)
     partners = [u for got in memo.values() for u in got]
     inside = [u for u in partners if u in slab.key_index]
-    assert len(inside) > 100
+    assert len(inside) == 90
     assert all(u is keys[slab.key_index[u]] for u in inside)
     # vertices and partners are held as keys, never as peeled vertices
     assert not any(isinstance(x, Vertex) for entry in memo.items() for x in itertools.chain(*entry))
@@ -387,7 +452,7 @@ def test_search_work_does_not_depend_on_hash_seed():
     src = str(Path(cox245.__file__).resolve().parents[1])
     code = (
         "import cox245.implications as imp\n"
-        "from cox245.certificates import auto_search_d10\n"
+        "from cox245.certificates import auto_search_d10, verify_pentagon_suite\n"
         "calls = [0]\n"
         "inner = imp.partner_keys\n"
         "def counted(v, key):\n"
@@ -396,24 +461,26 @@ def test_search_work_does_not_depend_on_hash_seed():
         "imp.partner_keys = counted\n"
         "auto_search_d10(10, 4)\n"
         "print(calls[0])\n"
+        "verify_pentagon_suite(3, 6)\n"
+        "print(calls[0])\n"
     )
     counts = []
     for seed in (1, 2, 3, 4):
         env = dict(os.environ, PYTHONHASHSEED=str(seed), PYTHONPATH=src)
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                              text=True, timeout=120, check=True)
-        counts.append(int(out.stdout.strip()))
-    assert counts[0] > 0
+        counts.append(tuple(map(int, out.stdout.split())))
+    assert 0 < counts[0][0] < counts[0][1]
     assert len(set(counts)) == 1, counts
 
 
-@pytest.mark.parametrize("suite, args, outside", [("verify_pentagon_suite", (3, 6), 39),
+@pytest.mark.parametrize("suite, args, outside", [("verify_pentagon_suite", (3, 6), 13),
                                                   ("auto_search_d10", (10, 4), 0)])
 def test_search_peels_only_what_it_expands(monkeypatch, suite, args, outside):
     """The search works on vertex keys: it peels a point (one ``coset_rep``)
     only to ask for its partners, and only when the point lies outside the
     slab, so a partner that is never expanded is never peeled.  The r6
-    pentagon precheck expands 39 points outside its slab; the d10 search
+    pentagon precheck expands 13 points outside its slab; the d10 search
     none."""
     import cox245.certificates as certificates
     import cox245.complexgraph as complexgraph
