@@ -19,19 +19,23 @@ wired and never mixed silently:
     CAY-cosets, i.e. group elements; edges = right multiplication by a
     generator.
 
-Neighbors in every mode are word walks: the representative times a
-generator (Cayley), the rotation's and the edge's letters (pentagon and
-d10 tilings) or the words of its parabolic's elements (coset
-intersection), each through ``GroupElement.times`` (see
-:mod:`cox245.coxeter`).  The walk yields unstripped elements,
-deduplicated by their cosets' ``coxeter.coset_key`` (``vertex_key``;
-``key_vertex`` goes back).
-``neighbors`` peels each distinct key once to its minimal representative
-(``coxeter.coset_rep``) and ``adjacent`` compares keys of the intersection
-walk.  A ball is a keyed BFS: each level is the dict of new keys walked
-from the level before, and a coset is peeled only the first time its key
-is met, so each vertex but the center is peeled exactly once and the
-frontier is never walked.  The ball's dict is the slab's only index.  It
+Neighbors in the tilings and the Cayley graph are wall reflections of the
+vertex's key p = M_g u_P: the coset g*w*P, w = rot^k * edge (the rotation
+reversed at odd-length representatives) or a generator, has key
+p - M_g delta_w with a constant offset delta_w (``coxeter.wall_keys``), a
+few sqrt2 and phi shifts of g's columns added to p.  Coset intersection
+(full-Y) walks the words of the parabolic's elements through
+``GroupElement.times`` and keys the cosets it meets by
+``coxeter.coset_key``.  Every mode yields keys, deduplicated
+(``vertex_key``; ``key_vertex`` goes back), and checks that the vertex
+belongs to its universe.  ``neighbors`` peels each distinct key once to its
+minimal representative (``coxeter.coset_rep``) and ``adjacent`` compares
+keys of the intersection walk.
+
+A ball is a keyed BFS: each level is the dict of new keys met from the
+level before, and a coset is peeled only the first time its key is met, so
+each vertex but the center is peeled exactly once and the frontier is
+never expanded.  The ball's dict is the slab's only index.  It
 holds the key tuples the walk built, which the peel memoises the
 representatives under, so the index costs no new tuples.
 Vertex order is BFS depth with canonical-word tie-break inside each level,
@@ -45,7 +49,7 @@ the infinite graph.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 from .coxeter import (
     CAY,
@@ -62,6 +66,7 @@ from .coxeter import (
     identity,
     min_coset_rep,
     parabolic_elements,
+    wall_keys,
 )
 
 __all__ = [
@@ -135,6 +140,17 @@ def translate(w: GroupElement, v: Vertex) -> Vertex:
 
 # --- neighbor oracles ------------------------------------------------------
 
+def _check_mode(mode: str, *vertices: Vertex) -> None:
+    """Raise ``ValueError`` unless the mode is known and every vertex is of
+    one of its types."""
+    types = MODES.get(mode)
+    if types is None:
+        raise ValueError(f"unknown mode {mode!r}")
+    for v in vertices:
+        if v.parabolic not in types:
+            raise ValueError(f"{v.label()} does not fit mode {mode!r}")
+
+
 def vertex_key(v: Vertex) -> tuple:
     """The key of v: its coset's ``coset_key``.  Two vertices are equal iff
     their keys are."""
@@ -147,36 +163,39 @@ def key_vertex(key: tuple) -> Vertex:
     return Vertex(PARABOLIC_BY_NAME[key[0]], coset_rep(key))
 
 
-# (parabolic, rotation, order, edge letter) of the two tilings
-_PENTAGONS = (D8, "rs", 4, "t")
-_SQUARES = (D10, "st", 5, "r")
+# a tiling's vertex parabolic, the rotation about a vertex, its order and
+# the edge letter
+_TILINGS = {"pentagon-subcomplex": (D8, "rs", 4, "t"), "d10-orbit": (D10, "st", 5, "r")}
 
 
-def _cyclic_walk(v: Vertex, parabolic: ParabolicId, rot: str, order: int,
-                 edge: str) -> list[GroupElement]:
-    """v.rep * rot^k * edge for k = 0..order-1, in rotation order.
+@cache
+def _walls(mode: str) -> tuple:
+    """Per parity of a representative's length, the ``wall_keys`` of the
+    mode's neighbors: rep * rot^k * edge for k = 0..order-1 in a tiling,
+    rep * x for the generators x in the Cayley graph.
 
     The rotation is reversed at representatives of odd length, so that
     "clockwise" means the same thing at every vertex of the tiling (up to
     one global flip, which only exchanges the two lateral turn letters).
     """
-    if v.parabolic != parabolic:
-        raise ValueError(f"cyclic neighbors need a {parabolic.name}-vertex, got {v.label()}")
-    if v.rep.length() % 2:
-        rot = rot[::-1]
-    out = []
-    acc = v.rep
-    for k in range(order):
-        out.append(acc.times(edge))
-        if k + 1 < order:
-            acc = acc.times(rot)
-    return out
+    if mode == "cayley":
+        return (wall_keys(CAY, tuple(GENERATORS)),) * 2
+    parabolic, rot, order, edge = _TILINGS[mode]
+    return tuple(wall_keys(parabolic, tuple(r * k + edge for k in range(order)))
+                 for r in (rot, rot[::-1]))
+
+
+def _reflections(v: Vertex, mode: str) -> tuple:
+    """The keys of v's neighbors in a tiling or the Cayley graph, in
+    rotation (generator) order: v's key reflected across its walls."""
+    rep = v.rep
+    return _walls(mode)[rep.length() % 2](coset_key(rep, v.parabolic), rep.mat)
 
 
 def pentagon_cyclic_neighbors(v: Vertex) -> list[Vertex]:
     """The four pentagon neighbors of a D8-vertex: the orbit of the
     quarter-turn rs conjugated to the vertex, in rotation order."""
-    return [key_vertex(coset_key(g, D8)) for g in _cyclic_walk(v, *_PENTAGONS)]
+    return neighbors(v, "pentagon-subcomplex")
 
 
 def _members(v: Vertex) -> list[GroupElement]:
@@ -193,20 +212,15 @@ def _intersection_walk(v: Vertex) -> list[tuple[ParabolicId, GroupElement]]:
 
 def _candidates(v: Vertex, mode: str) -> dict:
     """The keys of v's neighbors, in order of first occurrence (a dict with
-    no values)."""
-    if mode == "cayley":
-        walk = [(CAY, v.rep.times(x)) for x in GENERATORS]
-    elif mode == "pentagon-subcomplex":
-        walk = [(D8, g) for g in _cyclic_walk(v, *_PENTAGONS)]
-    elif mode == "d10-orbit":
-        walk = [(D10, g) for g in _cyclic_walk(v, *_SQUARES)]
-    elif mode == "full-Y":
-        walk = _intersection_walk(v)
-        if v.parabolic == D8:
-            walk += [(D8, g) for g in _cyclic_walk(v, *_PENTAGONS)]
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-    return dict.fromkeys(coset_key(g, parabolic) for parabolic, g in walk)
+    no values).  Raises ``ValueError`` for an unknown mode or a vertex
+    outside the mode's universe."""
+    _check_mode(mode, v)
+    if mode != "full-Y":
+        return dict.fromkeys(_reflections(v, mode))
+    keys = [coset_key(g, q) for q, g in _intersection_walk(v)]
+    if v.parabolic is D8:
+        keys += _reflections(v, "pentagon-subcomplex")
+    return dict.fromkeys(keys)
 
 
 def neighbors(v: Vertex, mode: str) -> list[Vertex]:
@@ -286,10 +300,7 @@ def build_ball(center: Vertex, radius: int, mode: str,
     """BFS-complete ball of the given radius around ``center``."""
     if radius < 0:
         raise ValueError("radius must be nonnegative")
-    if mode not in MODES:
-        raise ValueError(f"unknown mode {mode!r}")
-    if center.parabolic not in MODES[mode]:
-        raise ValueError(f"center {center.label()} does not fit mode {mode!r}")
+    _check_mode(mode, center)
     center.word()  # raises off W, where the walk's unchecked peels would not end
     vertices = [center]
     depth = [0]
@@ -320,6 +331,7 @@ def graph_distance(u: Vertex, v: Vertex, mode: str, max_depth: int = 64) -> int 
     the keys it has reached; a completed level is peeled to become the next
     frontier, so the keys met in the final expansion are never peeled.
     """
+    _check_mode(mode, u, v)
     if u == v:
         return 0
     side_a = {vertex_key(u): 0}

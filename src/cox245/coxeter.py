@@ -13,11 +13,15 @@ phi in the integral basis.  Every product goes through such generator
 products, one per letter: ``GroupElement.times`` by a known word, ``g * h``
 by h's ShortLex word, ``g.inverse()`` along g's reversed word and
 ``g.inverse_times(h)`` by g's letters on the left of h, as generators are
-involutions.  No matrix is inverted.  General products of quartic
-integers (``iq_mul``) remain only in ``translate_key``, unrolled (a matrix
-times the constant vector of a coset key, which moves a known coset by g
-without a word walk), and in the orbit-point check of the raw-matrix entry
-points.
+involutions.  No matrix is inverted.  The keys of the cosets g*w*P for
+fixed words w (a vertex's neighbors) need no walk at all: ``wall_keys``
+subtracts M_g delta_w from the key of g*P, where the constant offset
+delta_w = u_P - M_w u_P is read once off the base point, so each key is a
+compiled sum of a few shifted entries of g's columns.  General products of
+quartic integers (``iq_mul``) remain only in ``translate_key``, unrolled (a
+matrix times the constant vector of a coset key, which moves a known coset
+by g without a word walk), and in the orbit-point check of the raw-matrix
+entry points.
 
 A coset g*P is identified without stripping by ``coset_key``: the image
 M_g u_P of a vector u_P whose stabiliser is exactly P, read with the same
@@ -81,6 +85,7 @@ __all__ = [
     "coset_key",
     "coset_rep",
     "translate_key",
+    "wall_keys",
     "min_double_coset_rep",
     "parabolic_elements",
     "bilinear_form_matrix",
@@ -356,6 +361,74 @@ def translate_key(g: "GroupElement", key: tuple) -> tuple:
         a6 * h0 + b6 * g0 + c6 * FH0 + d6 * EG0 + a7 * h1 + b7 * g1 + c7 * FH1 + d7 * EG1
         + a8 * h2 + b8 * g2 + c8 * FH2 + d8 * EG2,
     )
+
+
+def _wall_offsets(parabolic: ParabolicId, words: tuple[str, ...]) -> tuple[tuple[int, ...], ...]:
+    """delta_w = u_P - M_w u_P for each word w, as 12 ints over the integral
+    basis, read off the base point and its image under the walk of w.
+
+    The coset g*w*P has key M_g (u_P - delta_w) = p - M_g delta_w, p the key
+    of g*P.  For w = rot^k e with rot in P, rot fixes u_P and delta_w =
+    2B(a_e, u_P) rot^k a_e: p moved across the k-th wall of the coset.
+    """
+    base = _point(_IDENTITY_MAT, parabolic.name)[1:]
+    return tuple(tuple(b - q for b, q in zip(base, _point(_IDENT.times(w).mat, parabolic.name)[1:]))
+                 for w in words)
+
+
+def _shifts(q):
+    """q times 1, sqrt2, phi and sqrt2 phi over the integral basis: the
+    shifts of ``_mat_mul_gen_right``."""
+    a, b, c, d = q
+    return q, (2 * b, a, 2 * d, c), (c, d, a + c, b + d), (2 * d, c, 2 * (b + d), a + c)
+
+
+def _columns_form(delta) -> list[dict[int, int]]:
+    """M_g delta as 12 linear forms in the 36 ints of M_g, one per key int:
+    int 4i+o is sum_j (m_ij delta_j)_o, so the coefficient of component c of
+    m_ij (int 12i+4j+c of the flat matrix) is (e_c delta_j)_o in every row
+    i, e_c the c-th basis element."""
+    products = {4 * j + c: prod for j in range(3)
+                for c, prod in enumerate(_shifts(delta[4 * j:4 * j + 4]))}
+    return [{12 * i + x: prod[o] for x, prod in products.items() if prod[o]}
+            for i in range(3) for o in range(4)]
+
+
+def wall_keys(parabolic: ParabolicId, words: tuple[str, ...]):
+    """The function (p, mat) -> the keys of g*w*P for the words w, in order,
+    where mat is the matrix M_g of an element g and p the key of g*P.
+
+    Key w is p - M_g delta_w (``_wall_offsets``).  The offsets are constant,
+    so each int of M_g delta_w is a fixed integer combination of a few ints of
+    g's matrix: the sqrt2 and phi shifts of its columns, as in ``_point``.
+    The function is compiled once from straight-line source holding only the
+    nonzero terms, and each key starts from p or the earlier key that leaves
+    the fewest terms.  For the pentagon tiling (D8, rot = rs, e = t) the
+    first key is p - (2 - 2 phi) T and its first int reads
+    ``q0_0 = p_0 - 2 * m8 + 2 * m10``; the second adds 2 S + 2 sqrt2 R to it.
+    No general product of quartic integers is evaluated per call.
+    """
+    unpack = ", ".join(f"(m{4 * k}, m{4 * k + 1}, m{4 * k + 2}, m{4 * k + 3})" for k in range(9))
+    lines = ["def keys(p, m):",
+             f"    _, {', '.join(f'p_{n}' for n in range(12))} = p",
+             f"    {unpack} = m"]
+    done = {"p": [{}] * 12}  # forms already subtracted, by variable prefix
+    for w, delta in enumerate(_wall_offsets(parabolic, words)):
+        forms = _columns_form(delta)
+        rests = {prefix: [{x: f.get(x, 0) - b.get(x, 0) for x in f.keys() | b.keys()
+                           if f.get(x, 0) != b.get(x, 0)} for f, b in zip(forms, base)]
+                 for prefix, base in done.items()}
+        prefix, rest = min(rests.items(), key=lambda item: sum(map(len, item[1])))
+        for n, terms in enumerate(rest):
+            expr = "".join(f" {'-' if c > 0 else '+'} {'' if abs(c) == 1 else f'{abs(c)} * '}m{x}"
+                           for x, c in sorted(terms.items()))
+            lines.append(f"    q{w}_{n} = {prefix}_{n}{expr}")
+        done[f"q{w}"] = forms
+    keys = (f"({parabolic.name!r}, {', '.join(f'q{w}_{n}' for n in range(12))})" for w in range(len(words)))
+    lines.append(f"    return {', '.join(keys)},")
+    namespace = {}
+    exec(compile("\n".join(lines), f"<wall_keys {parabolic.name} {words}>", "exec"), namespace)
+    return namespace["keys"]
 
 
 def _form(p, q):

@@ -27,14 +27,16 @@ from cox245.coxeter import (
     D4,
     D8,
     D10,
+    bilinear_form_matrix,
     element_of_word,
+    generator_matrix_field,
     coset_key,
     coset_rep,
     identity,
     parabolic_elements,
 )
 from cox245.edgetypes import key_partners, pair_key
-from cox245.numberfield import iq_mul
+from cox245.numberfield import ONE, ZERO, iq_mul, iq_to_field
 from matrix_oracle import generic_product, mat_inv, mat_mul
 
 C8 = fix_vertex(D8)
@@ -161,14 +163,34 @@ def test_mode_center_validation():
         build_ball(C8, 2, "no-such-mode")
 
 
-@given(st.text(alphabet="rst", max_size=20))
+@pytest.mark.parametrize("call, match", [
+    (lambda: neighbors(cayley_vertex(identity()), "full-Y"), "does not fit"),
+    (lambda: neighbors(C10, "cayley"), "does not fit"),
+    (lambda: graph_distance(C10, C10, "no-such-mode"), "unknown mode"),
+    (lambda: graph_distance(C8, C8, "d10-orbit"), "does not fit"),
+    (lambda: pentagon_cyclic_neighbors(C10), "does not fit"),
+], ids=["cayley-in-full-Y", "D10-in-cayley", "unknown-mode-distance", "D8-in-d10-distance",
+        "D10-pentagon"])
+def test_neighbors_and_distance_never_mix_universes(call, match):
+    """A vertex outside the mode's universe, or an unknown mode, raises
+    before any key is computed, even where both ends are equal."""
+    with pytest.raises(ValueError, match=match):
+        call()
+
+
+# (parabolic, mode, rotation, order, edge letter) of the two tilings
+TILINGS = ((D8, "pentagon-subcomplex", "rs", 4, "t"), (D10, "d10-orbit", "st", 5, "r"))
+
+
+@given(st.text(alphabet="rst", max_size=40))
 @settings(max_examples=60, deadline=None)
 def test_cyclic_neighbors_match_rotation_products(w):
     """Neighbor k is the coset of rep * rot^k * edge, with the rotation
-    reversed at odd-length representatives."""
+    reversed at odd-length representatives; full-Y lists a D8-vertex's
+    pentagon neighbors in the same order, and a Cayley vertex's neighbors
+    are rep * x for x = r, s, t."""
     g = element_of_word(w)
-    for parabolic, mode, rot, order, edge in ((D8, "pentagon-subcomplex", "rs", 4, "t"),
-                                              (D10, "d10-orbit", "st", 5, "r")):
+    for parabolic, mode, rot, order, edge in TILINGS:
         v = make_vertex(parabolic, g)
         if v.rep.length() % 2:
             rot = rot[::-1]
@@ -176,6 +198,42 @@ def test_cyclic_neighbors_match_rotation_products(w):
         assert neighbors(v, mode) == want
         if parabolic == D8:
             assert pentagon_cyclic_neighbors(v) == want
+            assert [u for u in neighbors(v, "full-Y") if u.parabolic is D8] == want
+    v = cayley_vertex(g)
+    assert neighbors(v, "cayley") == [cayley_vertex(v.rep.times(x)) for x in "rst"]
+
+
+def test_wall_offsets_are_scaled_rotated_roots():
+    """The kernel's constant offsets delta_k = u_P - M_{rot^k e} u_P, per
+    parity, equal 2B(a_e, u_P) rot^k a_e (rot reversed at odd parity),
+    computed over the field from the generator matrices and the form; the
+    Cayley graph's delta_x equal 2B(a_x, rho) a_x."""
+    B = bilinear_form_matrix()
+
+    def twob(i, vec):
+        return sum((2 * B[i][j] * vec[j] for j in range(3)), ZERO)
+
+    def times(word, vec):
+        for x in reversed(word):
+            mat = generator_matrix_field(x)
+            vec = [sum((mat[i][j] * vec[j] for j in range(3)), ZERO) for i in range(3)]
+        return vec
+
+    def kernel(parabolic, words):
+        return [[iq_to_field(d[4 * j:4 * j + 4]) for j in range(3)]
+                for d in coxeter._wall_offsets(parabolic, words)]
+
+    for parabolic, _, rot, order, edge in TILINGS:
+        e = "rst".index(edge)
+        scale = twob(e, [iq_to_field(x) for x in U_P[parabolic.name]])
+        assert scale != ZERO
+        for r in (rot, rot[::-1]):
+            root = [ONE if j == e else ZERO for j in range(3)]
+            want = [[scale * c for c in times(r * k, root)] for k in range(order)]
+            assert kernel(parabolic, tuple(r * k + edge for k in range(order))) == want
+    rho = [iq_to_field(x) for x in U_P["CAY"]]
+    want = [[twob(i, rho) if j == i else ZERO for j in range(3)] for i in range(3)]
+    assert kernel(CAY, ("r", "s", "t")) == want
 
 
 @pytest.mark.parametrize("center, radius, mode, size, digest", [
