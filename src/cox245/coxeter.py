@@ -210,6 +210,7 @@ D4 = ParabolicId("D4", ("t", "r"))
 CAY = ParabolicId("CAY", ())
 PARABOLICS = {"D8": D8, "D10": D10, "D4": D4}  # the maximal ones
 PARABOLIC_BY_NAME = {**PARABOLICS, "CAY": CAY}
+_PEEL_STEPS = range(10_000)  # the peel bound, built once so that a call makes no range
 
 
 def _point(m, name: str) -> tuple:
@@ -301,13 +302,14 @@ def coset_rep(key: tuple) -> "GroupElement":
     base point (Tits), so a point there that is not memoised raises.  The
     key must come from a group element: a point outside the cone of rho
     never reaches the chamber, so keys read off raw matrices go through
-    ``_checked_rep``.
+    ``_checked_rep``; any other key off the orbit raises after 10,000
+    descents (one per letter; the r12 pentagon ball's reps have at most 48).
     """
     rep = _REPS.get(key)
     if rep is not None:
         return rep
     passed = []
-    while rep is None:
+    for _ in _PEEL_STEPS:
         step = _least_descent(key)
         if step is None:
             raise ArithmeticError("matrix is not in the reflection group "
@@ -315,6 +317,10 @@ def coset_rep(key: tuple) -> "GroupElement":
         passed.append((key, step[0]))
         key = step[1]
         rep = _REPS.get(key)
+        if rep is not None:
+            break
+    else:
+        raise ArithmeticError(f"key off the orbit: no memoised point in {len(_PEEL_STEPS)} descents")
     for key, x in reversed(passed):
         up = GroupElement(_mat_mul_gen_left(rep.mat, x))
         up._word = x + rep._word

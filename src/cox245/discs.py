@@ -37,12 +37,12 @@ bounds prune it after every move:
   state is dropped.
 
 A class still reaches several leaves when its least sequence is symmetric,
-so each kept leaf is reduced to a cheap complete invariant (``_leaf_key``),
-and only a leaf whose key is new becomes a ``TriDisc``: one validation and
-one canonical form per class (a skipped leaf is a relabeling of a validated
-one, and validity does not depend on labels).  The first leaf of a class is
-its representative, and the output is sorted by triangle count and
-canonical form.
+so each kept leaf is keyed by its canonical form (``_least_relabeling``),
+and only a leaf whose form is new becomes a ``TriDisc``, which keeps that
+form: one canonical form per kept leaf and one validation per class (a
+skipped leaf is a relabeling of a validated one, and validity does not
+depend on labels).  The first leaf of a class is its representative, and
+the output is sorted by triangle count and canonical form.
 
 The two octagon fillings with one resp. two interior hubs (the degree-8
 wheel and its split companion) are provided as reference discs; under the
@@ -117,10 +117,7 @@ class TriDisc:
 
     @property
     def vertices(self) -> tuple[int, ...]:
-        vs = set(self.boundary)
-        for t in self.triangles:
-            vs.update(t)
-        return tuple(sorted(vs))
+        return tuple(sorted(set(self.boundary).union(*self.triangles)))
 
     @property
     def interior_vertices(self) -> tuple[int, ...]:
@@ -138,8 +135,9 @@ class TriDisc:
         return sum(1 for t in self.triangles if v in t)
 
     def counts(self) -> tuple[int, int, int, int]:
-        """(V, E, F, B)"""
-        return (len(self.vertices), len(self.edges()), len(self.triangles), len(self.boundary))
+        """(V, E, F, B); E = V + F - 1, as construction checks Euler's formula."""
+        nv, nf = len(self.vertices), len(self.triangles)
+        return (nv, nv + nf - 1, nf, len(self.boundary))
 
     @cached_property
     def canonical(self) -> tuple:
@@ -148,12 +146,9 @@ class TriDisc:
 
     def to_text(self) -> str:
         """Canonical serialization: counts line, boundary line, triangles."""
-        tris = self.canonical
-        bnd = len(self.boundary)
-        edges = len(self.edges())
-        lines = [f"{len(self.vertices)} {edges} {len(self.triangles)} {bnd}",
-                 " ".join(str(i) for i in range(bnd))]
-        lines.extend(" ".join(str(v) for v in t) for t in tris)
+        counts = self.counts()
+        lines = [" ".join(map(str, counts)), " ".join(map(str, range(counts[3])))]
+        lines.extend(" ".join(map(str, t)) for t in self.canonical)
         return "\n".join(lines) + "\n"
 
 
@@ -274,27 +269,45 @@ def _dihedral_orders(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(orders)
 
 
-def _least_relabeling(tris, boundary, interior, orders) -> list:
+def _least_relabeling(tris, boundary, interior) -> tuple:
     """The least sorted triangle list over the relabelings that send
-    boundary[order[i]] to i, for an order in ``orders``, and the interior
-    onto len(boundary).. in any order.
+    boundary[order[i]] to i, for a dihedral order of the boundary cycle,
+    and the interior onto len(boundary).. in any order; ``tris`` are sorted.
 
-    The boundary stays a marked cycle (never mixed with the interior);
-    interior labels are minimized by brute force, which is fine at the
-    desk-scale interior counts this module enforces.
+    Under an order o, labels 0 and 1 lie on the boundary edge (boundary[o[0]],
+    boundary[o[1]]), which is in exactly one triangle, so every list o gives
+    starts with (0, 1, h): h the apex's position under o, or at least n =
+    len(boundary) for an interior apex.  So only the orders of least head
+    (apex position, else n) can reach the least list; each is relabeled
+    under every interior order (k! for k interior vertices).
     """
     n = len(boundary)
-    label = {}
+    apex = {}
+    for a, b, c in tris:
+        apex[a, b], apex[b, c], apex[a, c] = c, a, b
+    heads = {}
+    for order in _dihedral_orders(n):
+        w = apex[_edge(boundary[order[0]], boundary[order[1]])]
+        heads.setdefault(order.index(boundary.index(w)) if w in boundary else n, []).append(order)
     best = None
-    for order in orders:
-        for i, j in enumerate(order):
-            label[boundary[j]] = i
+    for order in heads[min(heads)]:
+        label = {boundary[j]: i for i, j in enumerate(order)}
         for perm in permutations(range(n, n + len(interior))):
             label.update(zip(interior, perm))
-            rel = sorted(_tri(label[a], label[b], label[c]) for a, b, c in tris)
+            rel = []
+            for a, b, c in tris:
+                x, y, z = label[a], label[b], label[c]
+                if x > y:
+                    x, y = y, x
+                if y > z:
+                    y, z = z, y
+                    if x > y:
+                        x, y = y, x
+                rel.append((x, y, z))
+            rel.sort()
             if best is None or rel < best:
                 best = rel
-    return best
+    return tuple(best)
 
 
 def canonical_form(d: TriDisc) -> tuple:
@@ -302,8 +315,7 @@ def canonical_form(d: TriDisc) -> tuple:
     interior = d.interior_vertices
     if len(interior) > MAX_INTERIOR:
         raise CapExceeded(f"more than {MAX_INTERIOR} interior vertices")
-    orders = _dihedral_orders(len(d.boundary))
-    return tuple(_least_relabeling(d.triangles, d.boundary, interior, orders))
+    return _least_relabeling(d.triangles, d.boundary, interior)
 
 
 def is_isomorphic(d1: TriDisc, d2: TriDisc) -> bool:
@@ -311,25 +323,6 @@ def is_isomorphic(d1: TriDisc, d2: TriDisc) -> bool:
     if len(d1.boundary) != len(d2.boundary) or len(d1.triangles) != len(d2.triangles):
         return False
     return d1.canonical == d2.canonical
-
-
-def _leaf_key(boundary_len: int, nverts: int, tris, angle) -> bytes:
-    """A complete isomorphism invariant of a filled disc on boundary
-    0..boundary_len-1 and interior boundary_len..nverts-1.
-
-    The least boundary-angle sequence over the dihedral orders, then the
-    least relabeled triangle list over just the orders that reach it
-    (``_least_relabeling``).  Angles and labels stay below 20 under the
-    module caps, so for one boundary length the bytes of the sequence
-    followed by the flattened triangles are unambiguous.  Equal keys mean
-    one disc is a relabeling of the other.
-    """
-    orders = _dihedral_orders(boundary_len)
-    seqs = [[angle[v] for v in order] for order in orders]
-    least = min(seqs)
-    best = _least_relabeling(tris, range(boundary_len), range(boundary_len, nverts),
-                             [order for order, seq in zip(orders, seqs) if seq == least])
-    return bytes(least) + bytes(x for t in best for x in t)
 
 
 # --- enumeration -------------------------------------------------------------
@@ -358,8 +351,7 @@ def enumerate_discs(boundary_len: int, max_triangles: int,
         raise CapExceeded(
             f"caps are boundary <= {MAX_BOUNDARY}, triangles <= {MAX_TRIANGLES}")
     B = boundary_len
-    seen: set[bytes] = set()
-    results: list[TriDisc] = []
+    classes: dict[tuple, TriDisc] = {}  # canonical form -> first leaf
     # the angle each vertex must end with, by label (interior from B on)
     need = [min_boundary_angle] * B + [6 if locally_6_large else 0] * MAX_INTERIOR
     rivals = _dihedral_orders(B)[1:]  # orders[0] is the identity
@@ -396,10 +388,10 @@ def enumerate_discs(boundary_len: int, max_triangles: int,
         return False
 
     def emit():
-        key = _leaf_key(B, nverts, tris, angle)
-        if key not in seen:
-            seen.add(key)
-            results.append(TriDisc(tuple(range(B)), tuple(tris)))
+        form = _least_relabeling(tris, range(B), range(B, nverts))
+        if form not in classes:
+            classes[form] = disc = TriDisc(tuple(range(B)), tuple(tris))
+            vars(disc)["canonical"] = form  # the cached property, already known
 
     def step():
         nonlocal nverts, slack
@@ -502,7 +494,7 @@ def enumerate_discs(boundary_len: int, max_triangles: int,
 
     if slack >= 0:
         step()
-    return sorted(results, key=lambda d: (len(d.triangles), d.canonical))
+    return sorted(classes.values(), key=lambda d: (len(d.triangles), d.canonical))
 
 
 def discs_suite(boundary: int, max_triangles: int, locally_6_large: bool,

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, fields
 
 from . import __version__
 
@@ -36,7 +36,7 @@ class Report:
         object.__setattr__(self, "detail", _plain(self.detail))
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True)
@@ -73,6 +73,6 @@ def timed_suite(config: dict, fn, *args, **kwargs) -> Report:
     suite = data.pop("suite")
     status = data.pop("status")
     steps = data.pop("steps", [])
-    return Report(suite=suite, status=status, steps=tuple(_plain(steps)),
+    return Report(suite=suite, status=status, steps=steps,
                   elapsed_ms=elapsed_ms, version=__version__,
                   config=config, detail=data)

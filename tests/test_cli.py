@@ -1,11 +1,14 @@
 """CLI contract: subcommands, exit codes, JSON stream."""
 
+import dataclasses
 import json
 
 import pytest
 
+from cox245 import reports
 from cox245.cli import main
-from cox245.reports import Report
+from cox245.discs import discs_suite
+from cox245.reports import Report, timed_suite
 
 
 def test_dihedral_exit_zero(capsys):
@@ -144,3 +147,28 @@ def test_malformed_certificate_line_is_named(tmp_path, capsys, lines, message):
     path.write_text("\n".join(lines) + "\n")
     assert main(["verify", "cayley-certs", "--certs", str(path)]) == 2
     assert message in capsys.readouterr().err
+
+
+def test_reports_normalise_each_value_once(monkeypatch):
+    calls = []
+    plain = reports._plain
+
+    def counted(value):
+        calls.append(1)
+        return plain(value)
+
+    monkeypatch.setattr(reports, "_plain", counted)
+    steps = [{"a": 1, "b": [2, 3]}] * 4
+    rep = timed_suite({"k": 1}, lambda: {"suite": "x", "status": "verified",
+                                         "steps": steps, "n": 5})
+    # steps: the list and 4 * (dict, 1, [2, 3], 2, 3); config and detail: 2 each
+    assert len(calls) == 1 + 4 * 5 + 2 + 2
+    assert rep.steps == steps and rep.config == {"k": 1} and rep.detail == {"n": 5}
+
+
+def test_to_dict_serialises_like_asdict():
+    rep = timed_suite({"boundary": 6}, discs_suite, 6, 8, False, 0, False)
+    assert rep.to_dict() == dataclasses.asdict(rep)
+    assert rep.to_json() == json.dumps(dataclasses.asdict(rep), sort_keys=True)
+    assert Report.from_dict(rep.to_dict()) == rep
+    assert Report.from_json(rep.to_json()) == rep

@@ -530,14 +530,14 @@ def test_non_group_matrices_raise():
         fixing.canonical_word()
 
 
-def raises_within_a_second(call):
-    """``call()`` raises ArithmeticError; a hang fails after one second."""
+def raises_within(call, seconds=1.0, match=None):
+    """``call()`` raises ArithmeticError; a hang fails after ``seconds``."""
     def expired(signum, frame):
-        raise TimeoutError("no ArithmeticError within a second")
+        raise TimeoutError(f"no ArithmeticError within {seconds} s")
     old = signal.signal(signal.SIGALRM, expired)
-    signal.setitimer(signal.ITIMER_REAL, 1.0)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
     try:
-        with pytest.raises(ArithmeticError):
+        with pytest.raises(ArithmeticError, match=match):
             call()
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
@@ -558,20 +558,33 @@ def test_points_off_the_orbit_cone_raise_before_the_peel():
     pushed = GroupElement(shear(U_P["D8"], ((0, 0, 0, 0), (-1, 0, 0, 0), (0, 0, 1, 0))))
     assert mat_det(pushed.mat) == IQ_ONE
     for g in (neg, two, pushed):
-        raises_within_a_second(g.canonical_word)
-        raises_within_a_second(g.inverse)
-        raises_within_a_second(lambda: identity() * g)
-        raises_within_a_second(lambda: g.inverse_times(identity()))
-        raises_within_a_second(lambda: right_descents(g))
-        raises_within_a_second(lambda: left_descents(g))
-        raises_within_a_second(lambda: cayley_vertex(g))
-        raises_within_a_second(lambda: build_ball(cayley_vertex(g), 1, "cayley"))
+        raises_within(g.canonical_word)
+        raises_within(g.inverse)
+        raises_within(lambda: identity() * g)
+        raises_within(lambda: g.inverse_times(identity()))
+        raises_within(lambda: right_descents(g))
+        raises_within(lambda: left_descents(g))
+        raises_within(lambda: cayley_vertex(g))
+        raises_within(lambda: build_ball(cayley_vertex(g), 1, "cayley"))
         for p, mode in ((CAY, "cayley"), (D8, "full-Y")):  # unchecked centers
-            raises_within_a_second(lambda: build_ball(Vertex(p, g), 1, mode))
+            raises_within(lambda: build_ball(Vertex(p, g), 1, mode))
         for p in (D8, D10, D4, CAY):
-            raises_within_a_second(lambda: min_coset_rep(g, p))
+            raises_within(lambda: min_coset_rep(g, p))
             for q in (D8, D10, D4, CAY):
-                raises_within_a_second(lambda: min_double_coset_rep(g, p, q))
+                raises_within(lambda: min_double_coset_rep(g, p, q))
     # the shear fixes u_D8, a memoised base point, so its D8 key alone names
     # the identity coset: min_coset_rep must check the element itself
     assert coset_key(pushed, D8) == coset_key(identity(), D8)
+
+
+def test_keys_off_the_orbit_raise_after_the_peel_bound():
+    """The rst*D8 key with its first integer + 1 is no orbit point, and it
+    has a descent at every step (its coordinates grow by about 0.4 bits a
+    descent), so the peel never meets a memoised point.  It stops after
+    ``len(_PEEL_STEPS)`` descents and memoises nothing."""
+    key = coset_key(element_of_word("rst"), D8)
+    bad = (key[0], key[1] + 1) + key[2:]
+    assert bad == ("D8", 1, 2, 0, 1, 2, 0, 2, 0, 0, 0, 2, 0)
+    known = dict(coxeter._REPS)
+    raises_within(lambda: coxeter.coset_rep(bad), seconds=30.0, match="off the orbit")
+    assert coxeter._REPS == known

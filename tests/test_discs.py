@@ -1,6 +1,7 @@
 """Triangulated discs: curvature audit, enumeration, isomorphism."""
 
 import hashlib
+import random
 from itertools import permutations, product
 
 import pytest
@@ -11,7 +12,6 @@ from cox245.discs import (
     CapExceeded,
     InvalidDisc,
     TriDisc,
-    _leaf_key,
     canonical_form,
     curvature_profile,
     discs_suite,
@@ -174,16 +174,18 @@ def test_benchmark_enumerations_pinned(args, kwargs, count, digest):
 
 
 def test_orderly_boundary_keeps_about_one_leaf_per_class(monkeypatch):
-    calls = []
+    leaves = []
+    relabel = discs._least_relabeling
 
     def counted(*args):
-        calls.append(1)
-        return _leaf_key(*args)
+        leaves.append(1)
+        return relabel(*args)
 
-    monkeypatch.setattr(discs, "_leaf_key", counted)
+    monkeypatch.setattr(discs, "_least_relabeling", counted)
     assert len(enumerate_discs(8, 10)) == 788
-    # 11,715 leaves reach the key without the orderly prune
-    assert len(calls) <= 1000
+    # every kept leaf is keyed by its canonical form; 11,715 leaves reach
+    # the key without the orderly prune
+    assert 0 < len(leaves) <= 1000
 
 
 def test_serialization_golden_wheel():
@@ -351,39 +353,93 @@ def test_enumeration_matches_clone_based_oracle():
     assert total == 923
 
 
-# --- the leaf key --------------------------------------------------------------
-
-def _key_of(boundary_len, triangles):
-    nverts = 1 + max(max(t) for t in triangles)
-    angle = [0] * nverts
-    for t in triangles:
-        for v in t:
-            angle[v] += 1
-    return _leaf_key(boundary_len, nverts, triangles, angle)
-
+# --- canonical forms ------------------------------------------------------------
 
 def _relabelings(d):
     """Every boundary rotation/reflection combined with every interior
-    relabeling of ``d``, as triangle lists."""
-    n = len(d.boundary)
-    interior = d.interior_vertices
+    relabeling of ``d``, as triangle lists: boundary[(off + sign i) % n]
+    goes to i and the interior onto n.. in every order."""
+    bnd = d.boundary
+    n = len(bnd)
+    interior = sorted({v for t in d.triangles for v in t} - set(bnd))
     for off in range(n):
         for sign in (1, -1):
-            for perm in permutations(interior):
-                label = {(off + sign * i) % n: i for i in range(n)}
+            for perm in permutations(range(n, n + len(interior))):
+                label = {bnd[(off + sign * i) % n]: i for i in range(n)}
                 label.update(zip(interior, perm))
                 yield [tuple(sorted(label[v] for v in t)) for t in d.triangles]
 
 
+def brute_canonical_form(d):
+    """The least sorted triangle list over all 2B * k! relabelings."""
+    return tuple(min(sorted(tris) for tris in _relabelings(d)))
+
+
+def _shuffled_copy(d, rng):
+    """``d`` under a random dihedral turn of its boundary, with every vertex
+    renamed to a distinct random label in 0..99 (boundary and interior
+    mixed, not contiguous)."""
+    n = len(d.boundary)
+    turn = rng.randrange(n)
+    bnd = d.boundary[turn:] + d.boundary[:turn]
+    if rng.random() < 0.5:
+        bnd = bnd[::-1]
+    names = dict(zip(d.vertices, rng.sample(range(100), len(d.vertices))))
+    return TriDisc(tuple(names[v] for v in bnd),
+                   tuple(tuple(names[v] for v in t) for t in d.triangles))
+
+
+@pytest.mark.parametrize("args, kwargs, count", [
+    ((3, 12), {}, 101),
+    ((8, 10), {}, 788),
+    ((10, 12), {"locally_6_large": True}, 165),
+])
+def test_canonical_form_matches_brute_force(args, kwargs, count):
+    rng = random.Random(count)
+    out = enumerate_discs(*args, **kwargs)
+    assert len(out) == count
+    for d in out:
+        want = brute_canonical_form(d)
+        assert d.canonical == canonical_form(d) == want
+        copy = _shuffled_copy(d, rng)
+        assert canonical_form(copy) == brute_canonical_form(copy) == want
+    if args == (3, 12):
+        assert max(len(d.interior_vertices) for d in out) == 5
+
+
+def _least_angle_sequence(d):
+    angles = [d.angle(v) for v in d.boundary]
+    n = len(angles)
+    return min(tuple(angles[(off + sign * i) % n] for i in range(n))
+               for off in range(n) for sign in (1, -1))
+
+
 @pytest.mark.parametrize("boundary,cap", [(7, 9), (4, 8)])
-def test_leaf_key_is_a_complete_invariant(boundary, cap):
+def test_canonical_form_is_a_complete_invariant(boundary, cap):
     discs = enumerate_discs(boundary, cap)
-    keys = []
+    forms = []
     for d in discs:
-        key = _key_of(boundary, d.triangles)
-        assert all(_key_of(boundary, tris) == key for tris in _relabelings(d))
-        keys.append(key)
-    assert len(set(keys)) == len(discs)
+        form = canonical_form(d)
+        assert all(canonical_form(TriDisc(d.boundary, tuple(tris))) == form
+                   for tris in _relabelings(d))
+        forms.append(form)
+    assert len(set(forms)) == len(discs)
     if (boundary, cap) == (4, 8):
         # here the boundary-angle sequence alone does not separate the classes
-        assert len({k[:boundary] for k in keys}) < len(discs)
+        assert len({_least_angle_sequence(d) for d in discs}) < len(discs)
+
+
+def test_each_disc_builds_its_edge_dict_once(monkeypatch):
+    built = []
+    edges = TriDisc.edges
+
+    def counted(self):
+        built.append(1)
+        return edges(self)
+
+    monkeypatch.setattr(TriDisc, "edges", counted)
+    report = discs_suite(6, 8, False, 0, False)
+    assert len(built) == report["count"] == len(report["steps"])  # one per validation
+    monkeypatch.undo()
+    for d in enumerate_discs(6, 8):
+        assert d.counts()[1] == len(d.edges())
