@@ -18,10 +18,14 @@ fixed words w (a vertex's neighbors) need no walk at all: ``wall_keys``
 subtracts M_g delta_w from the key of g*P, where the constant offset
 delta_w = u_P - M_w u_P is read once off the base point, so each key is a
 compiled sum of a few shifted entries of g's columns.  General products of
-quartic integers (``iq_mul``) remain only in ``translate_key``, unrolled (a
-matrix times the constant vector of a coset key, which moves a known coset
-by g without a word walk), and in the orbit-point check of the raw-matrix
-entry points.
+quartic integers (``iq_mul``) remain only in plan set-up and orientation
+seeds, and in the orbit-point check of the raw-matrix entry points.  A
+seed is moved by ``translate_key``, unrolled (a matrix times the constant
+vector of a coset key, which moves a known coset by g without a word
+walk).  The rest of a P-orbit of cosets is reached from its seed by simple
+reflections s_x c = c - 2B(a_x, c) a_x, so ``orbit_keys`` moves each other
+point by g as the point it reflects minus a multiple of column x of M_g;
+``orbit_plan`` reads each multiplier once, as an integer matrix.
 
 A coset g*P is identified without stripping by ``coset_key``: the image
 M_g u_P of a vector u_P whose stabiliser is exactly P, read with the same
@@ -85,6 +89,8 @@ __all__ = [
     "coset_key",
     "coset_rep",
     "translate_key",
+    "orbit_plan",
+    "orbit_keys",
     "wall_keys",
     "min_double_coset_rep",
     "parabolic_elements",
@@ -284,9 +290,15 @@ def _least_descent(p, gens=GENERATORS):
     for x in gens:
         v = _twob(p, x)
         if iq_sign(v) > 0:
-            i = 1 + 4 * _INDEX[x]
-            return x, p[:i] + (p[i] - v[0], p[i + 1] - v[1], p[i + 2] - v[2], p[i + 3] - v[3]) + p[i + 4:]
+            return x, _reflected(p, x, v)
     return None
+
+
+def _reflected(p, x: str, v):
+    """The key of s_x u = u - v a_x for the point u of ``p`` and v =
+    2B(a_x, u): only coordinate x changes."""
+    i = 1 + 4 * _INDEX[x]
+    return p[:i] + (p[i] - v[0], p[i + 1] - v[1], p[i + 2] - v[2], p[i + 3] - v[3]) + p[i + 4:]
 
 
 def coset_rep(key: tuple) -> "GroupElement":
@@ -367,6 +379,77 @@ def translate_key(g: "GroupElement", key: tuple) -> tuple:
         a6 * h0 + b6 * g0 + c6 * FH0 + d6 * EG0 + a7 * h1 + b7 * g1 + c7 * FH1 + d7 * EG1
         + a8 * h2 + b8 * g2 + c8 * FH2 + d8 * EG2,
     )
+
+
+_UNITS = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))  # 1, sqrt2, phi, sqrt2 phi
+
+
+def orbit_plan(parabolic: ParabolicId, seeds: tuple[tuple, ...]) -> tuple[tuple, ...]:
+    """The steps by which ``orbit_keys`` moves every point c of the P-orbits
+    of the coset keys ``seeds`` by an element g (P = ``parabolic``), each
+    point once.  The orbits come in seed order, each walked in
+    ``parabolic_elements`` order with every point kept at its first
+    occurrence; a seed met before adds nothing, as orbits are equal or
+    disjoint.
+
+    A seed is the step (None, c_0, None): one ``translate_key``.  The point
+    M_p c_0 of p = x p' (p's ShortLex word) is the reflection s_x c =
+    c - beta a_x of the point c of p', with beta = 2B(a_x, c), so g.s_x c
+    is g.c minus beta times column x of M_g.  Its step is (slot of c, index
+    of x, beta), beta as the row-major 4x4 integer matrix whose column j is
+    beta times the j-th unit of the integral basis, read once through
+    ``iq_mul``.  The plan depends on P and the seeds only; callers build it
+    once and run it per element.
+    """
+    slots: dict[tuple, int] = {}
+    plan = []
+    for seed in seeds:
+        if seed in slots:
+            continue
+        slots[seed] = len(plan)
+        plan.append((None, seed, None))
+        points = {"": seed}
+        for p in parabolic_elements(parabolic)[1:]:
+            word = p.canonical_word()
+            x, c = word[0], points[word[1:]]
+            beta = _twob(c, x)
+            point = points[word] = _reflected(c, x, beta)
+            if point not in slots:
+                slots[point] = len(plan)
+                columns = [iq_mul(beta, unit) for unit in _UNITS]
+                plan.append((slots[c], _INDEX[x], tuple(col[o] for o in range(4) for col in columns)))
+    return tuple(plan)
+
+
+def orbit_keys(plan: tuple[tuple, ...], g: "GroupElement") -> list[tuple]:
+    """g.c for the points c of an ``orbit_plan``, in its order: a seed by
+    ``translate_key``, each other key as an earlier key k minus beta times
+    column x of M_g, 48 integer products with no general matrix product."""
+    m = g.mat
+    out = []
+    for slot, x, beta in plan:
+        if slot is None:
+            out.append(translate_key(g, x))
+            continue
+        b0, b1, b2, b3, b4, b5, b6, b7, b8, b9, b10, b11, b12, b13, b14, b15 = beta
+        (a0, c0, e0, f0), (a1, c1, e1, f1), (a2, c2, e2, f2) = m[x], m[3 + x], m[6 + x]
+        name, k0, k1, k2, k3, k4, k5, k6, k7, k8, k9, k10, k11 = out[slot]
+        out.append((
+            name,
+            k0 - (b0 * a0 + b1 * c0 + b2 * e0 + b3 * f0),
+            k1 - (b4 * a0 + b5 * c0 + b6 * e0 + b7 * f0),
+            k2 - (b8 * a0 + b9 * c0 + b10 * e0 + b11 * f0),
+            k3 - (b12 * a0 + b13 * c0 + b14 * e0 + b15 * f0),
+            k4 - (b0 * a1 + b1 * c1 + b2 * e1 + b3 * f1),
+            k5 - (b4 * a1 + b5 * c1 + b6 * e1 + b7 * f1),
+            k6 - (b8 * a1 + b9 * c1 + b10 * e1 + b11 * f1),
+            k7 - (b12 * a1 + b13 * c1 + b14 * e1 + b15 * f1),
+            k8 - (b0 * a2 + b1 * c2 + b2 * e2 + b3 * f2),
+            k9 - (b4 * a2 + b5 * c2 + b6 * e2 + b7 * f2),
+            k10 - (b8 * a2 + b9 * c2 + b10 * e2 + b11 * f2),
+            k11 - (b12 * a2 + b13 * c2 + b14 * e2 + b15 * f2),
+        ))
+    return out
 
 
 def _wall_offsets(parabolic: ParabolicId, words: tuple[str, ...]) -> tuple[tuple[int, ...], ...]:

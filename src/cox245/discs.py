@@ -153,16 +153,28 @@ class TriDisc:
 
 
 def _validate(d: TriDisc):
+    """Raise ``InvalidDisc`` unless ``d`` is a simplicial disc with boundary
+    cycle ``d.boundary``.  Every vertex link is built in one sweep over the
+    triangles, then walked: a path for a boundary vertex, a cycle for an
+    interior one.  Connected links make the complex a surface, and Euler's
+    formula alone does not make it a disc (a disc plus a disjoint torus has
+    V - E + F = 1), so every vertex must also reach the boundary."""
     bnd = d.boundary
     if len(bnd) < 3:
         raise InvalidDisc("boundary needs at least 3 vertices")
     if len(set(bnd)) != len(bnd):
         raise InvalidDisc("boundary cycle is not simple")
-    if len(set(d.triangles)) != len(d.triangles):
+    tris = d.triangles
+    if len(set(tris)) != len(tris):
         raise InvalidDisc("repeated triangle")
-    for t in d.triangles:
-        if len(set(t)) != 3:
+    links: dict[int, list[tuple[int, int]]] = {v: [] for v in bnd}
+    for t in tris:
+        a, b, c = t  # sorted
+        if a == b or b == c:
             raise InvalidDisc(f"degenerate triangle {t}")
+        links.setdefault(a, []).append((b, c))
+        links.setdefault(b, []).append((a, c))
+        links.setdefault(c, []).append((a, b))
     bset = set(bnd)
     boundary_edges = {_edge(bnd[i], bnd[(i + 1) % len(bnd)]) for i in range(len(bnd))}
     counts = d.edges()
@@ -173,46 +185,52 @@ def _validate(d: TriDisc):
     for e in boundary_edges:
         if e not in counts:
             raise InvalidDisc(f"boundary edge {e} not covered by a triangle")
-    vertices = d.vertices
-    euler = len(vertices) - len(counts) + len(d.triangles)
+    euler = len(links) - len(counts) + len(tris)
     if euler != 1:
         raise InvalidDisc(f"Euler characteristic {euler} != 1")
-    stars: dict[int, list[tuple[int, int, int]]] = {}
-    for t in d.triangles:
-        for v in t:
-            stars.setdefault(v, []).append(t)
     # vertex links: one fan per boundary vertex, one cycle per interior vertex
-    for v in vertices:
-        star = stars.get(v)
-        if not star:
+    graph: dict[int, dict[int, list[int]]] = {}
+    for v in sorted(links):
+        link = links[v]
+        if not link:
             raise InvalidDisc(f"isolated vertex {v}")
-        opposite = [tuple(x for x in t if x != v) for t in star]
-        deg: dict[int, int] = {}
-        for a, b in opposite:
-            deg[a] = deg.get(a, 0) + 1
-            deg[b] = deg.get(b, 0) + 1
-        odd = [x for x, k in deg.items() if k == 1]
+        nbrs: dict[int, list[int]] = {}
+        for a, b in link:
+            nbrs.setdefault(a, []).append(b)
+            nbrs.setdefault(b, []).append(a)
+        # link degrees sum to 2E, so with no (with two) degree-1 vertices the
+        # others all have degree 2 iff E = V (E = V - 1)
         if v in bset:
-            if len(odd) != 2 or any(k > 2 for k in deg.values()):
+            ends = [x for x, n in nbrs.items() if len(n) == 1]
+            if len(ends) != 2 or len(link) != len(nbrs) - 1:
                 raise InvalidDisc(f"boundary vertex {v} has a broken fan")
+            x, stop = ends
         else:
-            if odd or any(k != 2 for k in deg.values()):
+            if len(link) != len(nbrs) or any(len(n) == 1 for n in nbrs.values()):
                 raise InvalidDisc(f"interior vertex {v} has a non-cycle link")
-        # connectivity of the link graph
-        adj: dict[int, list[int]] = {}
-        for a, b in opposite:
-            adj.setdefault(a, []).append(b)
-            adj.setdefault(b, []).append(a)
-        start = next(iter(adj))
-        seen = {start}
-        stack = [start]
-        while stack:
-            for nb in adj[stack.pop()]:
-                if nb not in seen:
-                    seen.add(nb)
-                    stack.append(nb)
-        if len(seen) != len(adj):
+            x = stop = link[0][0]
+        # walk the path from end to end, or the cycle back to its start: the
+        # link is connected iff the walk crosses every link edge
+        prev, moves = None, 0
+        while True:
+            n = nbrs[x]
+            prev, x = x, n[1] if n[0] == prev else n[0]
+            moves += 1
+            if x == stop:
+                break
+        if moves != len(link):
             raise InvalidDisc(f"link of vertex {v} is disconnected (pinch point)")
+        graph[v] = nbrs
+    reached = {bnd[0]}
+    stack = [bnd[0]]
+    while stack:
+        for x in graph[stack.pop()]:
+            if x not in reached:
+                reached.add(x)
+                stack.append(x)
+    if len(reached) != len(links):
+        raise InvalidDisc(f"{len(links) - len(reached)} vertices lie off the boundary's "
+                          "component (a disjoint closed surface)")
 
 
 @dataclass(frozen=True)

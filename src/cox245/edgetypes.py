@@ -33,8 +33,9 @@ from .coxeter import (
     coset_key,
     element_of_word,
     min_double_coset_rep,
+    orbit_keys,
+    orbit_plan,
     parabolic_elements,
-    translate_key,
 )
 
 __all__ = [
@@ -107,16 +108,19 @@ def partner_keys(v: Vertex, key: EdgeTypeKey) -> list:
 
     The partners of a P-side vertex for key (P, Q, w) are the cosets
     v.rep * p * w * Q with p in P; the mirrored orientation uses w^-1, the
-    reversed word (generators are involutions).  Both directions are
-    generated.  Their coset keys at the anchor vertex (P, e) are built
-    once per (P, key) by word walks, in that order and deduplicated (see
-    ``_anchor_partners``); v's partner keys are their translates by v.rep,
-    one ``translate_key`` each.  M_v is invertible, so two candidates
-    coincide at v exactly when they do at the anchor, and the list is the
-    one a walk from v.rep would give.
+    reversed word (generators are involutions).  Both orientations are
+    listed, each in ``parabolic_elements`` order, first occurrence of each
+    coset kept.  An orientation's partners are one P-orbit, so at the anchor
+    (P, e) they are the reflections of its p = e term (``anchor_orbit_reps``)
+    by P's generators, and their translates by g = v.rep are one
+    ``translate_key`` for that term and, for every other partner, the key of
+    its suffix's partner minus a multiple of a column of M_g: the
+    ``coxeter.orbit_plan`` of the anchor parabolic and the orbit
+    representatives, built once per (P, key).  M_g is invertible, so two
+    candidates coincide at v exactly when they do at the anchor, and the
+    list is the one a word walk from v.rep would give.
     """
-    g = v.rep
-    return [translate_key(g, k) for k in _anchor_partners(v.parabolic, key)]
+    return orbit_keys(_partner_plan(v.parabolic, key), v.rep)
 
 
 def key_partners(v: Vertex, key: EdgeTypeKey) -> list[Vertex]:
@@ -137,15 +141,10 @@ def _orientations(parabolic: ParabolicId, key: EdgeTypeKey):
 
 
 @cache
-def _anchor_partners(parabolic: ParabolicId, key: EdgeTypeKey):
-    """The coset key of each partner of the vertex (P, e) for ``key``: both
-    orientations, p in ``parabolic_elements`` order, first occurrence of
-    each coset kept.  Memoised for the life of the process, one entry per
-    (anchor parabolic, key) queried."""
-    return tuple(dict.fromkeys(
-        coset_key(p.times(step), target)
-        for step, target in _orientations(parabolic, key)
-        for p in parabolic_elements(parabolic)))
+def _partner_plan(parabolic: ParabolicId, key: EdgeTypeKey):
+    """The ``orbit_plan`` of ``partner_keys``; memoised for the life of the
+    process, one entry per (anchor parabolic, key) queried."""
+    return orbit_plan(parabolic, anchor_orbit_reps(parabolic, key))
 
 
 @cache
@@ -154,10 +153,10 @@ def anchor_orbit_reps(parabolic: ParabolicId, key: EdgeTypeKey):
     (P, e), on that vertex's partners for ``key``: one coset key per
     orientation, deduplicated.
 
-    The partners of an orientation are the cosets p * w * Q with p in P
-    (``_anchor_partners``), one P-orbit, represented by its p = e term: one
-    word walk per orientation, memoised like ``_anchor_partners``.  For
-    CAY, whose P is trivial, these are the partners themselves."""
+    The partners of an orientation are the cosets p * w * Q with p in P, one
+    P-orbit, represented by its p = e term: one word walk per orientation,
+    memoised for the life of the process.  For CAY, whose P is trivial,
+    these are the partners themselves."""
     return tuple(dict.fromkeys(coset_key(element_of_word(step), target)
                                for step, target in _orientations(parabolic, key)))
 

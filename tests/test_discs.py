@@ -61,6 +61,17 @@ def test_validation_rejects_garbage():
         TriDisc((0, 1, 2), ((0, 1, 2), (0, 2, 1)))
 
 
+def test_validation_rejects_disc_plus_disjoint_torus():
+    """A boundary triangle plus the 7-vertex torus on 3..9 has V - E + F =
+    10 - 24 + 15 = 1 and a fan or cycle at every vertex, so only the
+    connectivity check tells it from a disc."""
+    torus = [t for i in range(7) for t in ((i, (i + 1) % 7, (i + 3) % 7),
+                                           (i, (i + 2) % 7, (i + 3) % 7))]
+    tris = ((0, 1, 2), *(tuple(3 + x for x in t) for t in torus))
+    with pytest.raises(InvalidDisc, match="7 vertices lie off the boundary's component"):
+        TriDisc((0, 1, 2), tris)
+
+
 def test_isomorphism_respects_marked_boundary():
     w = wheel_disc(8)
     rotated = TriDisc(tuple(range(8)), tuple(((i + 3) % 8, (i + 4) % 8, 8) for i in range(8)))

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import random
+from functools import cache
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -203,18 +204,31 @@ def test_equal_key_pairs_are_connected_by_group_element():
     assert checked >= 3
 
 
-def generic_mul(*factors):
+def generic_mul(first, *factors):
     """The product of group elements by generic matrix products."""
-    mat = coxeter._IDENTITY_MAT
+    mat = first.mat
     for g in factors:
         mat = mat_mul(mat, g.mat)
     return GroupElement(mat)
 
 
+@cache
+def generic_step(word):
+    """The element of ``word`` and its inverse, by generic products and the
+    adjugate."""
+    w = GroupElement(generic_product(word))
+    return w, GroupElement(mat_inv(w.mat))
+
+
+@cache
+def generic_pair(p, step):
+    """p * step by a generic product, once per pair."""
+    return generic_mul(p, step)
+
+
 def reference_key_partners(v, key):
     """key_partners by generic matrix products and inverses (the oracle)."""
-    w = GroupElement(generic_product(key.word))
-    back = GroupElement(mat_inv(w.mat))
+    w, back = generic_step(key.word)
     if key.mode == "cayley":
         out = [Vertex(CAY, generic_mul(v.rep, w))]
         back = Vertex(CAY, generic_mul(v.rep, back))
@@ -227,7 +241,7 @@ def reference_key_partners(v, key):
     out = []
     for step, target in variants:
         for p in parabolic_elements(v.parabolic):
-            cand = make_vertex(target, generic_mul(v.rep, p, step))
+            cand = make_vertex(target, generic_mul(v.rep, generic_pair(p, step)))
             if cand not in out:
                 out.append(cand)
     return out
@@ -251,6 +265,18 @@ def test_key_partners_match_generic_products():
             assert key_partners(v, key) == reference_key_partners(v, key), (v.label(), key)
             checked += 1
     assert checked == 1350
+    # the suites' complex keys on the d10 and pentagon balls (the Cayley
+    # keys pair no vertex of these balls)
+    keys = [k for k in suite_keys() if k.mode == "complex"]
+    for center, radius, mode, want in ((fix_vertex(D10), 4, "d10-orbit", 2490),
+                                       (C8, 5, "pentagon-subcomplex", 6425)):
+        checked = 0
+        for v in build_ball(center, radius, mode).vertices:
+            for key in keys:
+                got = key_partners(v, key)
+                assert got == reference_key_partners(v, key), (v.label(), key)
+                checked += bool(got)
+        assert checked == want, mode
 
 
 def suite_keys():
@@ -292,6 +318,36 @@ def test_anchor_orbit_reps_meet_every_partner_orbit():
                 assert list(reps) == want, key
             nonempty[p.name] = nonempty.get(p.name, 0) + bool(want)
     assert min(nonempty.values()) > 10, nonempty
+
+
+def test_partner_plan_seeds_each_orbit_once(monkeypatch):
+    """``partner_keys`` translates one seed per distinct orientation orbit
+    and computes every anchor partner exactly once, on one vertex of each
+    parabolic of the full-Y ball and of each other universe."""
+    full = build_ball(C8, 2, "full-Y")
+    keys = list(dict.fromkeys([*suite_keys(), *(pair_key(fix_vertex(p), v)
+                                                for p in (D8, D10, D4) for v in full.vertices)]))
+    vertices = [*{v.parabolic: v for v in full.vertices}.values(),
+                *(build_ball(c, 2, mode).vertices[-1]
+                  for c, mode in ((C8, "pentagon-subcomplex"), (fix_vertex(D10), "d10-orbit"),
+                                  (cayley_vertex(identity()), "cayley")))]
+    assert {v.parabolic for v in vertices} == {D8, D10, D4, CAY}
+    seeds = []
+    monkeypatch.setattr(coxeter, "translate_key",
+                        lambda g, k, _inner=coxeter.translate_key: seeds.append(k) or _inner(g, k))
+    shapes = set()
+    for v in vertices:
+        for key in keys:
+            orbits = {frozenset(coset_key(p.times(step), target)
+                                for p in parabolic_elements(v.parabolic))
+                      for step, target in edgetypes._orientations(v.parabolic, key)}
+            seeds.clear()
+            got = partner_keys(v, key)
+            assert len(seeds) == len(orbits), (v.label(), key)
+            assert len(got) == len(set(got)) == len(frozenset().union(*orbits)), (v.label(), key)
+            assert len(edgetypes._partner_plan(v.parabolic, key)) == len(got)
+            shapes.add((len(edgetypes._orientations(v.parabolic, key)), len(orbits)))
+    assert shapes == {(0, 0), (1, 1), (2, 1), (2, 2)}
 
 
 def word_walk_key_partners(v, key):
@@ -362,7 +418,8 @@ def test_warm_key_partners_walk_no_words(monkeypatch):
             calls[_name] += 1
             return _fn(*args)
         monkeypatch.setattr(coxeter, name, counted)
-    edgetypes._anchor_partners.cache_clear()
+    edgetypes._partner_plan.cache_clear()
+    edgetypes.anchor_orbit_reps.cache_clear()
     slab = build_ball(C8, 4, "full-Y")
     assert calls["_form"] == 0
     for key in keys:
