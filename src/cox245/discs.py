@@ -29,12 +29,18 @@ bounds prune it after every move:
 * Orderly boundary.  Every class has a labeling whose boundary-angle
   sequence ``angle[0..B-1]`` is the least of its 2B dihedral images, and
   that labeling is generated, so only such leaves are kept.  At an inner
-  node each boundary angle lies in [angle, bound]; for each non-identity
-  order the positions are scanned while they are certainly equal (the same
-  vertex, or two exact equal angles).  If at the first other position the
-  identity's least angle exceeds the bound of the vertex that order puts
-  there, every completion has a smaller image and is not kept, so the
-  state is dropped.
+  node each boundary angle lies in [low, bound], where ``low`` adds to the
+  angle the number of open regions the vertex is a corner of: every
+  completion fills each open region with a triangulation of its polygon,
+  which has a triangle at each of its corners, and the fills of distinct
+  regions share no triangle.  For each non-identity order the positions
+  are scanned while they are certainly equal (the same vertex, or two
+  equal exact angles, low = bound).  If at the first other position the
+  identity's low exceeds the bound of the vertex that order puts there,
+  every completion has a smaller image and is not kept, so the state is
+  dropped.  At a leaf no region is open and low = angle = bound, so leaf
+  acceptance does not depend on these bounds: a tighter bound only drops
+  subtrees without a kept leaf, and the output is the same.
 
 A class still reaches several leaves when its least sequence is symmetric,
 so each kept leaf is keyed by its canonical form (``_least_relabeling``),
@@ -154,9 +160,16 @@ class TriDisc:
 
 def _validate(d: TriDisc):
     """Raise ``InvalidDisc`` unless ``d`` is a simplicial disc with boundary
-    cycle ``d.boundary``.  Every vertex link is built in one sweep over the
-    triangles, then walked: a path for a boundary vertex, a cycle for an
-    interior one.  Connected links make the complex a surface, and Euler's
+    cycle ``d.boundary``.
+
+    A link vertex u of v has degree the number of triangles on the edge
+    (v, u).  Once every edge lies in one triangle on the boundary cycle and
+    in two elsewhere, and every boundary edge is covered, each link is
+    therefore a union of cycles, plus, at a boundary vertex, one path between
+    its two cycle neighbours (its only degree-1 link vertices); no vertex is
+    isolated.  So each link is only walked, from a cycle neighbour to the
+    other or around the cycle through its first vertex, and must be crossed
+    in full.  Connected links make the complex a surface, and Euler's
     formula alone does not make it a disc (a disc plus a disjoint torus has
     V - E + F = 1), so every vertex must also reach the boundary."""
     bnd = d.boundary
@@ -167,7 +180,7 @@ def _validate(d: TriDisc):
     tris = d.triangles
     if len(set(tris)) != len(tris):
         raise InvalidDisc("repeated triangle")
-    links: dict[int, list[tuple[int, int]]] = {v: [] for v in bnd}
+    links: dict[int, list[tuple[int, int]]] = {}
     for t in tris:
         a, b, c = t  # sorted
         if a == b or b == c:
@@ -175,8 +188,8 @@ def _validate(d: TriDisc):
         links.setdefault(a, []).append((b, c))
         links.setdefault(b, []).append((a, c))
         links.setdefault(c, []).append((a, b))
-    bset = set(bnd)
-    boundary_edges = {_edge(bnd[i], bnd[(i + 1) % len(bnd)]) for i in range(len(bnd))}
+    cycle_nbrs = {v: (bnd[i - 1], bnd[(i + 1) % len(bnd)]) for i, v in enumerate(bnd)}
+    boundary_edges = {_edge(v, w) for v, (_, w) in cycle_nbrs.items()}
     counts = d.edges()
     for e, c in counts.items():
         want = 1 if e in boundary_edges else 2
@@ -188,29 +201,14 @@ def _validate(d: TriDisc):
     euler = len(links) - len(counts) + len(tris)
     if euler != 1:
         raise InvalidDisc(f"Euler characteristic {euler} != 1")
-    # vertex links: one fan per boundary vertex, one cycle per interior vertex
     graph: dict[int, dict[int, list[int]]] = {}
     for v in sorted(links):
         link = links[v]
-        if not link:
-            raise InvalidDisc(f"isolated vertex {v}")
         nbrs: dict[int, list[int]] = {}
         for a, b in link:
             nbrs.setdefault(a, []).append(b)
             nbrs.setdefault(b, []).append(a)
-        # link degrees sum to 2E, so with no (with two) degree-1 vertices the
-        # others all have degree 2 iff E = V (E = V - 1)
-        if v in bset:
-            ends = [x for x, n in nbrs.items() if len(n) == 1]
-            if len(ends) != 2 or len(link) != len(nbrs) - 1:
-                raise InvalidDisc(f"boundary vertex {v} has a broken fan")
-            x, stop = ends
-        else:
-            if len(link) != len(nbrs) or any(len(n) == 1 for n in nbrs.values()):
-                raise InvalidDisc(f"interior vertex {v} has a non-cycle link")
-            x = stop = link[0][0]
-        # walk the path from end to end, or the cycle back to its start: the
-        # link is connected iff the walk crosses every link edge
+        x, stop = cycle_nbrs.get(v, (link[0][0],) * 2)  # a path's ends, or a cycle's start
         prev, moves = None, 0
         while True:
             n = nbrs[x]
@@ -245,9 +243,13 @@ class CurvatureProfile:
 
 def curvature_profile(d: TriDisc) -> CurvatureProfile:
     """Exact curvature profile; the Gauss-Bonnet total is asserted = 6."""
+    angles = dict.fromkeys(d.vertices, 0)  # every vertex's, in one sweep
+    for t in d.triangles:
+        for v in t:
+            angles[v] += 1
     bset = set(d.boundary)
-    interior = {v: 6 - d.angle(v) for v in d.vertices if v not in bset}
-    boundary = {v: 3 - d.angle(v) for v in d.boundary}
+    interior = {v: 6 - a for v, a in angles.items() if v not in bset}
+    boundary = {v: 3 - angles[v] for v in d.boundary}
     profile = CurvatureProfile(interior, boundary)
     if profile.total != 6:
         raise InvalidDisc(f"Gauss-Bonnet failure: total curvature {profile.total}")
@@ -384,6 +386,8 @@ def enumerate_discs(boundary_len: int, max_triangles: int,
     # room[v] = angle[v] + sum of (|r| - 2) over the open regions r on v;
     # every region has |r| >= 3, so v is still open iff room[v] > angle[v]
     room = [B - 2] * B
+    # low[v] = angle[v] + the number of open regions with v as a corner
+    low = [1] * B
     # max_triangles minus the least triangle count of any completion
     slack = max_triangles - (B - 2)
 
@@ -399,9 +403,9 @@ def enumerate_discs(boundary_len: int, max_triangles: int,
             for i, j in enumerate(order):
                 if i == j:
                     continue
-                if angle[i] > hi[j]:
+                if low[i] > hi[j]:
                     return True  # this order's sequence is certainly smaller
-                if not angle[i] == hi[i] == angle[j] == hi[j]:
+                if not low[i] == hi[i] == low[j] == hi[j]:
                     break
         return False
 
@@ -451,11 +455,13 @@ def enumerate_discs(boundary_len: int, max_triangles: int,
                 slack -= 2
                 angle.append(0)
                 room.append(0)
+                low.append(0)
             tris.append(tri)
             tri_set.add(tri)
             for v in tri:
                 angle[v] += 1
                 room[v] += 1
+                low[v] += 1
             edges[e_ab] -= 1
             created = []
             for e in (e_bw, e_wa):
@@ -467,6 +473,7 @@ def enumerate_discs(boundary_len: int, max_triangles: int,
             old = regions.pop()
             for v in old:
                 room[v] -= m - 2
+                low[v] -= 1
             if new_vertex:
                 new_regions = [[a, w] + old[1:]]
             elif k == 2 and m == 3:
@@ -483,6 +490,7 @@ def enumerate_discs(boundary_len: int, max_triangles: int,
                 regions.append(r)
                 for v in r:
                     room[v] += len(r) - 2
+                    low[v] += 1
             if not pruned():
                 step()
             # undo the move, in reverse order
@@ -490,9 +498,11 @@ def enumerate_discs(boundary_len: int, max_triangles: int,
                 regions.pop()
                 for v in r:
                     room[v] -= len(r) - 2
+                    low[v] -= 1
             regions.append(old)
             for v in old:
                 room[v] += m - 2
+                low[v] += 1
             for e, fresh in zip((e_wa, e_bw), reversed(created)):
                 if fresh:
                     del edges[e]
@@ -502,6 +512,7 @@ def enumerate_discs(boundary_len: int, max_triangles: int,
             for v in tri:
                 angle[v] -= 1
                 room[v] -= 1
+                low[v] -= 1
             tri_set.remove(tri)
             tris.pop()
             if new_vertex:
@@ -509,6 +520,7 @@ def enumerate_discs(boundary_len: int, max_triangles: int,
                 slack += 2
                 angle.pop()
                 room.pop()
+                low.pop()
 
     if slack >= 0:
         step()

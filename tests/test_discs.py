@@ -61,15 +61,57 @@ def test_validation_rejects_garbage():
         TriDisc((0, 1, 2), ((0, 1, 2), (0, 2, 1)))
 
 
+def _octahedron(p, q, first):
+    """The octahedron with poles p, q and equator first..first+3."""
+    eq = range(first, first + 4)
+    return [(pole, eq[i], eq[(i + 1) % 4]) for pole in (p, q) for i in range(4)]
+
+
+_W6 = list(wheel_disc(6).triangles)
+_P10 = list(p10_disc().triangles)
+_TORUS = [t for i in range(7) for t in ((i, (i + 1) % 7, (i + 3) % 7),
+                                         (i, (i + 2) % 7, (i + 3) % 7))]
+
+
 def test_validation_rejects_disc_plus_disjoint_torus():
     """A boundary triangle plus the 7-vertex torus on 3..9 has V - E + F =
     10 - 24 + 15 = 1 and a fan or cycle at every vertex, so only the
     connectivity check tells it from a disc."""
-    torus = [t for i in range(7) for t in ((i, (i + 1) % 7, (i + 3) % 7),
-                                           (i, (i + 2) % 7, (i + 3) % 7))]
-    tris = ((0, 1, 2), *(tuple(3 + x for x in t) for t in torus))
+    tris = ((0, 1, 2), *(tuple(3 + x for x in t) for t in _TORUS))
     with pytest.raises(InvalidDisc, match="7 vertices lie off the boundary's component"):
         TriDisc((0, 1, 2), tris)
+
+
+@pytest.mark.parametrize("boundary, tris, message", [
+    ((0, 1), [(0, 1, 2)], "boundary needs at least 3 vertices"),
+    ((0, 1, 2, 1), [(0, 1, 2)], "boundary cycle is not simple"),
+    (tuple(range(6)), _W6[1:], "edge (0, 6) lies in 1 triangles, expected 2"),
+    (tuple(range(6)), _W6 + [(0, 2, 6)], "edge (0, 6) lies in 3 triangles, expected 2"),
+    (tuple(range(4)), [(0, 1, 2)], "edge (0, 2) lies in 1 triangles, expected 2"),
+    # flipping the wheel(3) spoke (0, 3) repeats the triangle (1, 2, 3)
+    ((0, 1, 2), [(0, 1, 2), (1, 2, 3), (1, 2, 3)], "repeated triangle"),
+    # flipping a spoke of the wheel or the hub edge of P10 leaves a disc
+    (tuple(range(6)), [t for t in _W6 if t not in [(1, 2, 6), (2, 3, 6)]]
+     + [(1, 2, 3), (1, 3, 6)], None),
+    (tuple(range(8)), [t for t in _P10 if t not in [(0, 8, 9), (4, 8, 9)]]
+     + [(0, 4, 8), (0, 4, 9)], None),
+    (tuple(range(6)), _W6[:-1] + [(4, 4, 5)], "degenerate triangle (4, 4, 5)"),
+    ((0, 1, 2), _octahedron(3, 4, 5), "boundary edge (0, 1) not covered by a triangle"),
+    ((0, 1, 2), [(0, 1, 2)] + _octahedron(3, 4, 5), "Euler characteristic 3 != 1"),
+    # a sphere glued on at two vertices: V - E + F = 1, every edge count right
+    (tuple(range(6)), _W6 + _octahedron(0, 3, 7), "link of vertex 0 is disconnected (pinch point)"),
+    (tuple(range(8)), _P10 + _octahedron(8, 9, 10), "link of vertex 8 is disconnected (pinch point)"),
+    ((0, 1, 2), [(0, 1, 2)] + [tuple(3 + x for x in t) for t in _TORUS],
+     "7 vertices lie off the boundary's component (a disjoint closed surface)"),
+])
+def test_validation_messages_pinned(boundary, tris, message):
+    """The first failing check names the fault; ``None`` marks a valid disc."""
+    try:
+        TriDisc(boundary, tuple(tris))
+    except InvalidDisc as exc:
+        assert str(exc) == message
+    else:
+        assert message is None
 
 
 def test_isomorphism_respects_marked_boundary():
@@ -176,6 +218,9 @@ def test_suite_flags_missing_classified_discs(monkeypatch):
 @pytest.mark.parametrize("args, kwargs, count, digest", [
     ((8, 10), {}, 788, "ca6cce85e342cc9c"),
     ((10, 12), {"locally_6_large": True}, 165, "957cb079f2edf34b"),
+    # past the clone-based oracle's range, up to the caps
+    ((9, 11), {"min_boundary_angle": 1}, 2866, "da20aebe2fa067f0"),
+    ((12, 14), {"locally_6_large": True}, 2030, "f10ec3b3943f6294"),
 ])
 def test_benchmark_enumerations_pinned(args, kwargs, count, digest):
     out = enumerate_discs(*args, **kwargs)
@@ -197,6 +242,21 @@ def test_orderly_boundary_keeps_about_one_leaf_per_class(monkeypatch):
     # every kept leaf is keyed by its canonical form; 11,715 leaves reach
     # the key without the orderly prune
     assert 0 < len(leaves) <= 1000
+
+
+def test_corner_bound_prunes_dead_subtrees(monkeypatch):
+    tried = []
+    tri = discs._tri
+
+    def counted(*args):
+        tried.append(1)
+        return tri(*args)
+
+    monkeypatch.setattr(discs, "_tri", counted)
+    assert len(enumerate_discs(10, 12, locally_6_large=True)) == 165
+    # one call per apex tried, plus one per triangle of each new class;
+    # 17,202 with the current angle as each boundary angle's lower bound
+    assert len(tried) <= 8000
 
 
 def test_serialization_golden_wheel():

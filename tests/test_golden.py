@@ -1,13 +1,14 @@
 """The benchmark's recorded report digests, reproduced in-process.
 
-Every full-size operation of the ``implication-search`` and ``pentagon-r10``
-workloads of ``perfbench/run.py`` runs through ``cli.main`` once, and its
-reports must hash to the digest recorded in ``perfbench/golden.json``, with
-the serialisation of ``perfbench/child.py``: ``elapsed_ms`` dropped, keys
-sorted, compact separators.  A report that drifts (a partner set that
-loses a coset changes a pentagon witness) then fails here without running
-the benchmark; partner order, which no report shows, is pinned by the
-oracle tests of test_edgetypes.py.  The files are only read.
+Every full-size operation of the ``implication-search``, ``pentagon-r10``
+and ``disc-enum`` workloads of ``perfbench/run.py`` runs through
+``cli.main`` once, and its reports must hash to the digest recorded in
+``perfbench/golden.json``, with the serialisation of ``perfbench/child.py``:
+``elapsed_ms`` dropped, keys sorted, compact separators.  A report that
+drifts (a partner set that loses a coset changes a pentagon witness, a disc
+whose text, counts or curvature totals change) then fails here without
+running the benchmark; partner order, which no report shows, is pinned by
+the oracle tests of test_edgetypes.py.  The files are only read.
 """
 
 import ast
@@ -41,7 +42,7 @@ def report_digest(stdout_text: str) -> tuple[list[str], str]:
     return [rep["status"] for rep in reports], hashlib.sha256(text.encode()).hexdigest()
 
 
-@pytest.mark.parametrize("workload", ["implication-search", "pentagon-r10"])
+@pytest.mark.parametrize("workload", ["implication-search", "pentagon-r10", "disc-enum"])
 def test_full_size_reports_match_recorded_digests(workload):
     golden = json.loads((PERFBENCH / "golden.json").read_text())
     for argv in benchmark_workloads()[workload]["full"]:
