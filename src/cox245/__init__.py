@@ -39,7 +39,6 @@ from .coxeter import (
 from .complexgraph import (
     GraphSlab,
     Vertex,
-    adjacent,
     build_ball,
     cayley_vertex,
     fix_vertex,

@@ -29,8 +29,7 @@ few sqrt2 and phi shifts of g's columns added to p.  Coset intersection
 ``coxeter.coset_key``.  Every mode yields keys, deduplicated
 (``vertex_key``; ``key_vertex`` goes back), and checks that the vertex
 belongs to its universe.  ``neighbors`` peels each distinct key once to its
-minimal representative (``coxeter.coset_rep``) and ``adjacent`` compares
-keys of the intersection walk.
+minimal representative (``coxeter.coset_rep``).
 
 A ball is a keyed BFS: each level is the dict of new keys met from the
 level before, and a coset is peeled only the first time its key is met, so
@@ -78,7 +77,6 @@ __all__ = [
     "translate",
     "vertex_key",
     "key_vertex",
-    "adjacent",
     "neighbors",
     "pentagon_cyclic_neighbors",
     "GraphSlab",
@@ -227,19 +225,6 @@ def neighbors(v: Vertex, mode: str) -> list[Vertex]:
     """Deterministically ordered neighbor list in the given universe; each
     distinct neighbor is peeled once."""
     return [key_vertex(key) for key in _candidates(v, mode)]
-
-
-def adjacent(u: Vertex, v: Vertex) -> bool:
-    """Coxeter-complex adjacency: the two cosets intersect.
-
-    Distinct cosets of the same parabolic never intersect, so same-type
-    vertices are never adjacent here; the pentagon edges are a different
-    edge notion and belong to the subcomplex modes.
-    """
-    if u.parabolic == v.parabolic:
-        return False
-    key = vertex_key(v)
-    return any(coset_key(g, v.parabolic) == key for g in _members(u))
 
 
 # --- slabs -----------------------------------------------------------------

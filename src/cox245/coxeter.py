@@ -18,8 +18,8 @@ fixed words w (a vertex's neighbors) need no walk at all: ``wall_keys``
 subtracts M_g delta_w from the key of g*P, where the constant offset
 delta_w = u_P - M_w u_P is read once off the base point, so each key is a
 compiled sum of a few shifted entries of g's columns.  General products of
-quartic integers (``iq_mul``) remain only in plan set-up and orientation
-seeds, and in the orbit-point check of the raw-matrix entry points.  A
+quartic integers (``iq_mul``) remain only in orientation seeds and in
+the orbit-point check of the raw-matrix entry points.  A
 seed is moved by ``translate_key``, unrolled (a matrix times the constant
 vector of a coset key, which moves a known coset by g without a word
 walk).  The rest of a P-orbit of cosets is reached from its seed by simple
@@ -381,9 +381,6 @@ def translate_key(g: "GroupElement", key: tuple) -> tuple:
     )
 
 
-_UNITS = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))  # 1, sqrt2, phi, sqrt2 phi
-
-
 def orbit_plan(parabolic: ParabolicId, seeds: tuple[tuple, ...]) -> tuple[tuple, ...]:
     """The steps by which ``orbit_keys`` moves every point c of the P-orbits
     of the coset keys ``seeds`` by an element g (P = ``parabolic``), each
@@ -398,7 +395,7 @@ def orbit_plan(parabolic: ParabolicId, seeds: tuple[tuple, ...]) -> tuple[tuple,
     is g.c minus beta times column x of M_g.  Its step is (slot of c, index
     of x, beta), beta as the row-major 4x4 integer matrix whose column j is
     beta times the j-th unit of the integral basis, read once through
-    ``iq_mul``.  The plan depends on P and the seeds only; callers build it
+    ``_shifts``.  The plan depends on P and the seeds only; callers build it
     once and run it per element.
     """
     slots: dict[tuple, int] = {}
@@ -416,7 +413,7 @@ def orbit_plan(parabolic: ParabolicId, seeds: tuple[tuple, ...]) -> tuple[tuple,
             point = points[word] = _reflected(c, x, beta)
             if point not in slots:
                 slots[point] = len(plan)
-                columns = [iq_mul(beta, unit) for unit in _UNITS]
+                columns = _shifts(beta)
                 plan.append((slots[c], _INDEX[x], tuple(col[o] for o in range(4) for col in columns)))
     return tuple(plan)
 

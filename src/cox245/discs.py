@@ -11,9 +11,13 @@ Enumeration grows discs inward from the boundary, always filling a
 deterministic frontier edge, so every labeled triangulation of the marked
 boundary 0..B-1 is reachable exactly once; results are deduplicated up to
 rotation/reflection of the marked boundary (boundary and interior never
-exchange roles).  The search mutates one fill state and undoes each move
-after recursing into it.  Besides the triangle cap, two exact integer
-bounds prune it after every move:
+exchange roles).  The search's only state is the fill (the edges drawn,
+the triangles, the angles and the open regions), and each move is undone
+after recursing into it.  Every edge between consecutive vertices of an
+open region lies in exactly one triangle, or in none on the boundary
+cycle, so an apex may reuse only those edges.  Besides the triangle cap,
+two exact integer bounds, both read off the open regions in ``pruned()``,
+prune the search after every move:
 
 * Angle bound.  Every completion of the open regions needs at least
   ``len(tris) + sum(|r| - 2)`` triangles, and each new vertex adds two to
@@ -376,27 +380,38 @@ def enumerate_discs(boundary_len: int, max_triangles: int,
     need = [min_boundary_angle] * B + [6 if locally_6_large else 0] * MAX_INTERIOR
     rivals = _dihedral_orders(B)[1:]  # orders[0] is the identity
 
-    # the one fill state, mutated by each move and restored after it
-    nverts = B
-    edges = {_edge(i, (i + 1) % B): 1 for i in range(B)}
+    # The fill, mutated by each move and restored after it.  Every edge
+    # between consecutive vertices of an open region lies in exactly one
+    # triangle, or in none on the boundary cycle, with the outside beyond it.
+    # Each move keeps this (a new apex, k = 2, k = m - 1 and an inner split
+    # alike), so a frontier edge always has one free side and any other
+    # drawn edge none: the set of drawn edges is all the search needs.
+    edges = {_edge(i, (i + 1) % B) for i in range(B)}
     tris: list[tuple[int, int, int]] = []
     tri_set: set[tuple[int, int, int]] = set()
-    angle = [0] * B
+    angle = [0] * B  # by vertex label; its length is the vertex count
     regions = [list(range(B))]
-    # room[v] = angle[v] + sum of (|r| - 2) over the open regions r on v;
-    # every region has |r| >= 3, so v is still open iff room[v] > angle[v]
-    room = [B - 2] * B
-    # low[v] = angle[v] + the number of open regions with v as a corner
-    low = [1] * B
-    # max_triangles minus the least triangle count of any completion
-    slack = max_triangles - (B - 2)
+
+    def slack() -> int:
+        """max_triangles minus the least triangle count of any completion:
+        B - 2 at the start, kept by every split, and two more per new vertex."""
+        return max_triangles - (B - 2) - 2 * (len(angle) - B)
 
     def pruned() -> bool:
         """True when no leaf below the current state is emitted: some vertex
         cannot reach the angle it needs, or the boundary-angle sequence is
         certainly not the least of its dihedral images."""
-        spare = slack // 2  # most new vertices any completion can add
-        hi = [r + spare if r > x else r for r, x in zip(room, angle)]
+        spare = slack() // 2  # most new vertices any completion can add
+        # hi[v] = angle[v] + the |r| - 2 of each open region r on v, plus
+        # spare if there is one; low[v] = angle[v] + the number of them
+        hi, low = angle[:], angle[:]
+        for r in regions:
+            extra = len(r) - 2
+            for v in r:
+                if low[v] == angle[v]:  # the first open region on v
+                    hi[v] += spare
+                hi[v] += extra
+                low[v] += 1
         if any(map(lt, hi, need)):
             return True
         for order in rivals:
@@ -410,119 +425,70 @@ def enumerate_discs(boundary_len: int, max_triangles: int,
         return False
 
     def emit():
-        form = _least_relabeling(tris, range(B), range(B, nverts))
+        form = _least_relabeling(tris, range(B), range(B, len(angle)))
         if form not in classes:
             classes[form] = disc = TriDisc(tuple(range(B)), tuple(tris))
             vars(disc)["canonical"] = form  # the cached property, already known
 
     def step():
-        nonlocal nverts, slack
         if not regions:
             emit()
             return
         region = regions[-1]
+        top = len(regions) - 1
         a, b = region[0], region[1]
-        e_ab = _edge(a, b)
         m = len(region)
-        # apex choices: splitting vertices of the active region, then a new one
-        for k in list(range(2, m)) + [None]:
+        # apex choices: splitting vertices of the active region, then a new
+        # one, which adds two triangles to every completion
+        new_apex = [None] if slack() >= 2 and len(angle) - B < MAX_INTERIOR else []
+        for k in [*range(2, m), *new_apex]:
             new_vertex = k is None
-            if new_vertex and (slack < 2 or nverts - B == MAX_INTERIOR):
-                continue  # a new vertex adds two triangles to every completion
-            w = nverts if new_vertex else region[k]
+            w = len(angle) if new_vertex else region[k]
             tri = _tri(a, b, w)
             if tri in tri_set:
                 continue
             e_bw, e_wa = _edge(b, w), _edge(w, a)
-            if not new_vertex:
-                if (e_bw in edges) != (k == 2):
-                    continue  # reuse only the region-consecutive edge
-                if (e_wa in edges) != (k == m - 1):
-                    continue
-                if k == 2 and edges[e_bw] < 1:
-                    continue
-                if k == m - 1 and edges[e_wa] < 1:
-                    continue
-            if forbid_boundary_chords and not new_vertex:
-                # only newly created edges can introduce a chord
-                if any(x < B and y < B and (x - y) % B not in (1, B - 1)
-                       and _edge(x, y) not in edges
-                       for (x, y) in ((b, w), (w, a))):
-                    continue
-            # apply the move
+            # reuse only the region-consecutive edges
+            if not new_vertex and ((e_bw in edges) != (k == 2)
+                                   or (e_wa in edges) != (k == m - 1)):
+                continue
+            created = [e for e in (e_bw, e_wa) if e not in edges]
+            # the boundary cycle is drawn, so a new edge on two boundary
+            # vertices is a chord
+            if forbid_boundary_chords and any(y < B for _, y in created):
+                continue
             if new_vertex:
-                nverts += 1
-                slack -= 2
+                splits = [[a, w] + region[1:]]
                 angle.append(0)
-                room.append(0)
-                low.append(0)
+            elif k == 2 and m == 3:
+                splits = []
+            elif k == 2:
+                splits = [region[2:] + [a]]
+            elif k == m - 1:
+                splits = [region[1:]]
+            else:
+                splits = [region[k:] + [a], region[1:k + 1]]
+            if any(len(r) < 3 for r in splits):
+                raise AssertionError("degenerate region")
             tris.append(tri)
             tri_set.add(tri)
             for v in tri:
                 angle[v] += 1
-                room[v] += 1
-                low[v] += 1
-            edges[e_ab] -= 1
-            created = []
-            for e in (e_bw, e_wa):
-                created.append(e not in edges)
-                if created[-1]:
-                    edges[e] = 1
-                else:
-                    edges[e] -= 1
-            old = regions.pop()
-            for v in old:
-                room[v] -= m - 2
-                low[v] -= 1
-            if new_vertex:
-                new_regions = [[a, w] + old[1:]]
-            elif k == 2 and m == 3:
-                new_regions = []
-            elif k == 2:
-                new_regions = [old[2:] + [a]]
-            elif k == m - 1:
-                new_regions = [old[1:]]
-            else:
-                new_regions = [old[k:] + [a], old[1:k + 1]]
-            for r in new_regions:
-                if len(r) < 3:
-                    raise AssertionError("degenerate region")
-                regions.append(r)
-                for v in r:
-                    room[v] += len(r) - 2
-                    low[v] += 1
+            edges.update(created)
+            regions[top:] = splits
             if not pruned():
                 step()
-            # undo the move, in reverse order
-            for r in reversed(new_regions):
-                regions.pop()
-                for v in r:
-                    room[v] -= len(r) - 2
-                    low[v] -= 1
-            regions.append(old)
-            for v in old:
-                room[v] += m - 2
-                low[v] += 1
-            for e, fresh in zip((e_wa, e_bw), reversed(created)):
-                if fresh:
-                    del edges[e]
-                else:
-                    edges[e] += 1
-            edges[e_ab] += 1
+            # undo the move
+            regions[top:] = [region]
+            edges.difference_update(created)
             for v in tri:
                 angle[v] -= 1
-                room[v] -= 1
-                low[v] -= 1
             tri_set.remove(tri)
             tris.pop()
             if new_vertex:
-                nverts -= 1
-                slack += 2
                 angle.pop()
-                room.pop()
-                low.pop()
 
-    if slack >= 0:
+    if slack() >= 0:
         step()
     return sorted(classes.values(), key=lambda d: (len(d.triangles), d.canonical))
 

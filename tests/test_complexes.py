@@ -10,7 +10,6 @@ import cox245.coxeter as coxeter
 from cox245.complexgraph import (
     ResourceLimitExceeded,
     VertexNotInSlab,
-    adjacent,
     build_ball,
     cayley_vertex,
     fix_vertex,
@@ -19,12 +18,10 @@ from cox245.complexgraph import (
     make_vertex,
     neighbors,
     pentagon_cyclic_neighbors,
-    translate,
     vertex_key,
 )
 from cox245.coxeter import (
     CAY,
-    D4,
     D8,
     D10,
     bilinear_form_matrix,
@@ -41,19 +38,7 @@ from matrix_oracle import generic_product, mat_inv, mat_mul
 
 C8 = fix_vertex(D8)
 C10 = fix_vertex(D10)
-C4 = fix_vertex(D4)
 T8 = make_vertex(D8, element_of_word("t"))
-
-
-def test_fix_vertices_span_a_clique():
-    assert adjacent(C8, C10)
-    assert adjacent(C10, C4)
-    assert adjacent(C4, C8)
-
-
-def test_adjacency_is_irreflexive_and_type_separated():
-    assert not adjacent(C8, C8)
-    assert not adjacent(C8, T8)  # same-type cosets never intersect
 
 
 def test_pentagon_ball_radius_1_has_degree_4():
@@ -78,15 +63,6 @@ def test_pentagon_interior_degree_4():
     for i in range(len(slab)):
         if slab.depth[i] < slab.radius:
             assert len(slab.adj[i]) == 4
-
-
-def test_adjacency_left_invariant():
-    pairs = [(C8, C10), (C8, T8), (C10, C4), (C8, C4)]
-    for w_word in ("r", "st", "tsr", "rsts", "trst"):
-        w = element_of_word(w_word)
-        for u, v in pairs:
-            if u.parabolic != v.parabolic:
-                assert adjacent(translate(w, u), translate(w, v)) == adjacent(u, v)
 
 
 def test_graph_distance_matches_slab():
@@ -255,23 +231,12 @@ def test_slab_dump_fingerprints(center, radius, mode, size, digest):
 
 def reference_adjacent(u, v):
     """Coset intersection by generic products against the members of v's
-    parabolic (the oracle for ``adjacent``)."""
+    parabolic: the full-Y oracle of ``test_adjacency_matches_pair_keys``."""
     if u == v or u.parabolic == v.parabolic:
         return False
     diff = mat_mul(mat_inv(u.rep.mat), v.rep.mat)
     members = {g.mat for g in parabolic_elements(v.parabolic)}
     return any(mat_mul(p.mat, diff) in members for p in parabolic_elements(u.parabolic))
-
-
-def test_adjacent_matches_generic_coset_intersection():
-    slab = build_ball(C8, 2, "full-Y")
-    hits = 0
-    for u in slab.vertices:
-        for v in slab.vertices:
-            got = adjacent(u, v)
-            assert got == reference_adjacent(u, v), (u.label(), v.label())
-            hits += got
-    assert (hits, len(slab) ** 2) == (240, 2401)
 
 
 def test_ball_strips_each_coset_once(monkeypatch):

@@ -56,9 +56,6 @@ def test_validation_rejects_garbage():
         TriDisc((0, 1, 2), ((0, 1, 2), (0, 1, 2)))  # repeated triangle
     with pytest.raises(InvalidDisc):
         TriDisc((0, 1, 2, 3), ((0, 1, 2),))  # boundary edge uncovered
-    with pytest.raises(InvalidDisc):
-        # two triangles glued along all three edges: a sphere, not a disc
-        TriDisc((0, 1, 2), ((0, 1, 2), (0, 2, 1)))
 
 
 def _octahedron(p, q, first):
@@ -103,6 +100,9 @@ def test_validation_rejects_disc_plus_disjoint_torus():
     (tuple(range(8)), _P10 + _octahedron(8, 9, 10), "link of vertex 8 is disconnected (pinch point)"),
     ((0, 1, 2), [(0, 1, 2)] + [tuple(3 + x for x in t) for t in _TORUS],
      "7 vertices lie off the boundary's component (a disjoint closed surface)"),
+    # the tetrahedron: a closed sphere
+    ((0, 1, 2), [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)],
+     "edge (0, 1) lies in 2 triangles, expected 1"),
 ])
 def test_validation_messages_pinned(boundary, tris, message):
     """The first failing check names the fault; ``None`` marks a valid disc."""
@@ -221,6 +221,9 @@ def test_suite_flags_missing_classified_discs(monkeypatch):
     # past the clone-based oracle's range, up to the caps
     ((9, 11), {"min_boundary_angle": 1}, 2866, "da20aebe2fa067f0"),
     ((12, 14), {"locally_6_large": True}, 2030, "f10ec3b3943f6294"),
+    ((12, 14), {"forbid_boundary_chords": True}, 7, "12ac4eeee97c3c7b"),
+    ((10, 14), {"locally_6_large": True, "min_boundary_angle": 2, "forbid_boundary_chords": True},
+     6, "72823a33d827c10b"),
 ])
 def test_benchmark_enumerations_pinned(args, kwargs, count, digest):
     out = enumerate_discs(*args, **kwargs)
