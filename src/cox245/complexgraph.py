@@ -39,10 +39,11 @@ holds the key tuples the walk built, which the peel memoises the
 representatives under, so the index costs no new tuples.
 Vertex order is BFS depth with canonical-word tie-break inside each level,
 which makes slab dumps reproducible; a peeled representative carries its
-word, so the sort peels nothing more.  A ball keeps one ``Vertex`` per
-coset, its depth and the key index; its adjacency is derived on first use
-from the same walk.  ``graph_distance`` runs a bidirectional BFS on keys in
-the infinite graph.
+word, so the sort peels nothing more, and its matrix is built only when
+the walk expands it or a search reads it (so the outer level builds
+none).  A ball keeps one ``Vertex`` per coset, its depth and the key
+index; its adjacency is derived on first use from the same walk.
+``graph_distance`` runs a bidirectional BFS on keys in the infinite graph.
 """
 
 from __future__ import annotations

@@ -38,10 +38,11 @@ Brenti, *Combinatorics of Coxeter Groups*, 4.3): for g minimal in g*P, x
 is a left descent of g iff 2B(a_x, g u_P) > 0, one exact sign of a
 shift-and-add form, and reflecting the point by x changes only its
 coordinate x.  Peeling the least such x until a known point is reached
-gives the ShortLex word, and the minimal representative is rebuilt from
-the known suffix by one add-only generator product per letter.
-Representatives are memoised by point, so a coset costs one peeled letter
-per suffix not seen before.
+gives the ShortLex word at once; the minimal representative's matrix is
+built from the known suffix's by one add-only generator product per
+letter, when it is first read.  Representatives are memoised by point, so
+a coset costs one peeled letter per suffix not seen before, and a ball's
+outer level, whose matrices nothing reads, builds none.
 
 The minimal representative of a double coset P*g*Q is peeled the same way:
 left descents in P only, off the point of g*Q (Deodhar's lemma).  A right
@@ -309,10 +310,12 @@ def coset_rep(key: tuple) -> "GroupElement":
     negative root g^-1 a_x pairs positively with u_P unless it is a root of
     P, which minimality excludes), and s_x g is minimal in the coset of the
     reflected point.  So least descents are peeled off the point until a
-    memoised one, and each representative passed is rebuilt as M_x times
-    its suffix's.  An orbit meets the closed negated chamber only in its
-    base point (Tits), so a point there that is not memoised raises.  The
-    key must come from a group element: a point outside the cone of rho
+    memoised one, and each representative passed gets its word, x followed
+    by its suffix's, and a link to its suffix's representative; its matrix
+    M_x times the suffix's is built only when first read (``GroupElement``).
+    An orbit meets the closed negated chamber only in its base point
+    (Tits), so a point there that is not memoised raises.  The key must
+    come from a group element: a point outside the cone of rho
     never reaches the chamber, so keys read off raw matrices go through
     ``_checked_rep``; any other key off the orbit raises after 10,000
     descents (one per letter; the r12 pentagon ball's reps have at most 48).
@@ -334,8 +337,9 @@ def coset_rep(key: tuple) -> "GroupElement":
     else:
         raise ArithmeticError(f"key off the orbit: no memoised point in {len(_PEEL_STEPS)} descents")
     for key, x in reversed(passed):
-        up = GroupElement(_mat_mul_gen_left(rep.mat, x))
+        up = GroupElement(None)
         up._word = x + rep._word
+        up._up = rep
         _REPS[key] = rep = up
     return rep
 
@@ -550,13 +554,39 @@ class GroupElement:
 
     Immutable; the canonical word is computed at most once and cached.
     Instances hash and compare by matrix, which is exact.
+
+    A representative made by ``coset_rep`` carries its word x + w and a
+    link ``_up`` to the representative of w, but no matrix: ``mat`` builds
+    it on first read as M_x times the linked one's, building that first if
+    it has none either, and drops the link.  The chain is walked by a loop,
+    not by recursion, as it can be as long as the peel bound of 10,000
+    letters.  Every other constructor is eager.
     """
 
-    __slots__ = ("mat", "_word")
+    __slots__ = ("_mat", "_word", "_up")
 
     def __init__(self, mat):
-        self.mat = mat
+        self._mat = mat
         self._word = None
+        self._up = None
+
+    @property
+    def mat(self):
+        """The matrix: a flat 9-tuple of integral quartic vectors."""
+        mat = self._mat
+        if mat is None:
+            # a matrix is stored before its link is dropped, so the first
+            # element with no link has one
+            chain = []
+            h = self
+            while h._up is not None:
+                chain.append(h)
+                h = h._up
+            mat = h._mat
+            for h in reversed(chain):
+                mat = h._mat = _mat_mul_gen_left(mat, h._word[0])
+                h._up = None
+        return mat
 
     def __eq__(self, other):
         if isinstance(other, GroupElement):

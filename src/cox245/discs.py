@@ -388,7 +388,6 @@ def enumerate_discs(boundary_len: int, max_triangles: int,
     # drawn edge none: the set of drawn edges is all the search needs.
     edges = {_edge(i, (i + 1) % B) for i in range(B)}
     tris: list[tuple[int, int, int]] = []
-    tri_set: set[tuple[int, int, int]] = set()
     angle = [0] * B  # by vertex label; its length is the vertex count
     regions = [list(range(B))]
 
@@ -445,10 +444,12 @@ def enumerate_discs(boundary_len: int, max_triangles: int,
             new_vertex = k is None
             w = len(angle) if new_vertex else region[k]
             tri = _tri(a, b, w)
-            if tri in tri_set:
-                continue
             e_bw, e_wa = _edge(b, w), _edge(w, a)
-            # reuse only the region-consecutive edges
+            # reuse only the region-consecutive edges.  This also rules out
+            # a repeated triangle: it needs b-w and w-a drawn, so k = 2 =
+            # m - 1, a 3-region each of whose edges lies in that triangle;
+            # the two would close a sphere, which a fill holding the
+            # boundary cycle never does.
             if not new_vertex and ((e_bw in edges) != (k == 2)
                                    or (e_wa in edges) != (k == m - 1)):
                 continue
@@ -471,7 +472,6 @@ def enumerate_discs(boundary_len: int, max_triangles: int,
             if any(len(r) < 3 for r in splits):
                 raise AssertionError("degenerate region")
             tris.append(tri)
-            tri_set.add(tri)
             for v in tri:
                 angle[v] += 1
             edges.update(created)
@@ -483,7 +483,6 @@ def enumerate_discs(boundary_len: int, max_triangles: int,
             edges.difference_update(created)
             for v in tri:
                 angle[v] -= 1
-            tri_set.remove(tri)
             tris.pop()
             if new_vertex:
                 angle.pop()

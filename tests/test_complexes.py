@@ -277,6 +277,19 @@ def test_ball_and_partners_make_no_matrix_descent_tests(monkeypatch):
 
 
 @pytest.mark.parametrize("center, radius, mode", [
+    (C8, 8, "pentagon-subcomplex"), (C10, 6, "d10-orbit")])
+def test_ball_builds_only_the_expanded_matrices(monkeypatch, center, radius, mode):
+    """A peeled representative builds its matrix when first read: after a
+    ball, the vertices it expanded (depth below the radius) have one and its
+    outer level has none."""
+    monkeypatch.setattr(coxeter, "_REPS", {
+        key: g for key, g in coxeter._REPS.items() if g is coxeter._IDENT})
+    slab = build_ball(center, radius, mode)
+    built = [v.rep._mat is not None for v in slab.vertices]
+    assert built == [d < radius for d in slab.depth]
+
+
+@pytest.mark.parametrize("center, radius, mode", [
     (C8, 4, "pentagon-subcomplex"), (C10, 3, "d10-orbit"), (C8, 2, "full-Y"),
     (cayley_vertex(identity()), 6, "cayley"),
 ])

@@ -425,6 +425,37 @@ def test_ball_reps_match_matrix_kernel(monkeypatch, center, radius, mode, size):
         assert coxeter.coset_rep(key) is v.rep
 
 
+@pytest.mark.parametrize("center, radius, mode", [
+    (fix_vertex(D8), 6, "pentagon-subcomplex"), (fix_vertex(D8), 3, "full-Y"),
+    (cayley_vertex(identity()), 8, "cayley")])
+def test_lazy_reps_match_the_word_walk(monkeypatch, center, radius, mode):
+    """A peeled representative's matrix, built on first read, is its word's
+    walk, and a representative with no matrix yet compares equal to its
+    eager twin and hashes alike."""
+    monkeypatch.setattr(coxeter, "_REPS", base_points())
+    build_ball(center, radius, mode)
+    reps = sorted((g for g in coxeter._REPS.values() if g is not coxeter._IDENT),
+                  key=lambda g: -len(g._word))
+    lazy = 0
+    for rep in reps:  # longest first, so many are still unbuilt when hashed
+        lazy += rep._mat is None
+        twin = element_of_word(rep.canonical_word())
+        assert hash(rep) == hash(twin) and rep == twin and twin == rep
+        assert rep.mat == twin.mat
+    assert 0 < lazy < len(reps)
+
+
+def test_long_lazy_chain_builds_without_recursion(monkeypatch):
+    """A 1,500-letter peel leaves a chain of 1,500 unbuilt representatives,
+    past Python's recursion limit; reading the last matrix builds them all."""
+    monkeypatch.setattr(coxeter, "_REPS", base_points())
+    g = element_of_word("rst" * 500)
+    rep = coxeter.coset_rep(coset_key(g, CAY))
+    assert len(rep.canonical_word()) == 1500 and rep._mat is None
+    assert rep.mat == g.mat
+    assert rep._up is None
+
+
 @given(words, st.sampled_from([D8, D10, D4]))
 @settings(max_examples=100, deadline=None)
 def test_min_coset_rep_matches_stripping(w, p):

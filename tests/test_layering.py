@@ -1,6 +1,6 @@
 """Module layering: private names stay inside the module that defines them
-(dunders such as ``__version__`` are public), and every exported name
-exists."""
+(dunders such as ``__version__`` are public), a group element's lazy fields
+stay inside ``coxeter``, and every exported name exists."""
 
 import ast
 import importlib
@@ -21,6 +21,19 @@ def test_no_module_imports_a_private_name_from_another():
                 continue
             offences.extend(f"{path.name}:{node.lineno} {alias.name}" for alias in node.names
                             if alias.name.startswith("_") and not alias.name.endswith("__"))
+    assert offences == []
+
+
+def test_lazy_matrix_fields_stay_in_coxeter():
+    """Only ``coxeter`` touches a group element's ``_mat`` and ``_up``; every
+    other module reads ``mat``, which builds a lazy matrix first."""
+    offences = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "coxeter.py":
+            continue
+        offences.extend(f"{path.name}:{node.lineno} {node.attr}"
+                        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+                        if isinstance(node, ast.Attribute) and node.attr in ("_mat", "_up"))
     assert offences == []
 
 
