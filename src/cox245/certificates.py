@@ -21,7 +21,6 @@ display-index n-1 row of all six sequences.
 from __future__ import annotations
 
 import json
-from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cache
 from importlib import resources
@@ -54,7 +53,6 @@ __all__ = [
     "TURN_LETTERS",
     "StringSpec",
     "PathTrace",
-    "SlabTooSmall",
     "trace_path",
     "string_key",
     "FAMILIES",
@@ -75,10 +73,6 @@ __all__ = [
 
 TURN_LETTERS = "LSR"
 _TURN_DELTA = {"L": 1, "S": 2, "R": 3}
-
-
-class SlabTooSmall(ValueError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -126,15 +120,10 @@ def _trace_vertices(spec: StringSpec) -> tuple[Vertex, ...]:
     return tuple(path)
 
 
-def trace_path(spec: StringSpec, slab: GraphSlab | None = None) -> PathTrace:
+def trace_path(spec: StringSpec) -> PathTrace:
     """Trace the string from the base edge; its type is the key of
-    (start, end).  When a slab is given, every path vertex must lie in it."""
+    (start, end)."""
     path = _trace_vertices(spec)
-    if slab is not None:
-        for v in path:
-            if v not in slab:
-                raise SlabTooSmall(
-                    f"path for {spec} leaves the radius-{slab.radius} slab")
     return PathTrace(path, type_key_complex(path[0], path[-1]))
 
 
@@ -410,18 +399,6 @@ def load_certificate_lines(path: str | None = None) -> list[dict]:
     return [line for _, line in _numbered_lines(path)]
 
 
-@contextmanager
-def _naming_line(lineno: int):
-    """Re-raise an error from a malformed certificate line as a ValueError
-    that names the line."""
-    try:
-        yield
-    except KeyError as exc:
-        raise ValueError(f"line {lineno}: missing field {exc}") from None
-    except (AttributeError, TypeError, ValueError) as exc:
-        raise ValueError(f"line {lineno}: {exc}") from None
-
-
 def parse_point(text: str, mode: str) -> Vertex:
     """A cycle vertex from certificate text: a plain word in cayley mode,
     "P:word" (P one of D8/D10/D4, 'e' or empty for the identity) in complex
@@ -448,29 +425,35 @@ def _orbit_points(line) -> list[Vertex]:
     return [cayley_vertex(d.times(line["orbit_base"])) for d in parabolic_elements(parab)]
 
 
-def _scan_minimal_seed(lines) -> list[str]:
-    """Side types the listed cycles consume before deriving them; the
-    mechanical version of the ambient-clique hypothesis, printed for audit."""
-    derived: set[EdgeTypeKey] = set()
-    needed: list[EdgeTypeKey] = []
-    for lineno, line in lines:
-        with _naming_line(lineno):
-            if line.get("rule", "implication") == "orbit-clique":
-                points = _orbit_points(line)
-                for i, u in enumerate(points):
-                    for v in points[i + 1:]:
-                        derived.add(pair_key(u, v))
-                continue
-            if line.get("rule", "implication") != "implication":
-                continue
-            pts = [parse_point(w, line.get("mode", "cayley")) for w in line["cycle"]]
-            npts = len(pts)
-            for i in range(npts):
-                k = pair_key(pts[i], pts[(i + 1) % npts])
-                if not k.is_degenerate and k not in derived and k not in needed:
-                    needed.append(k)
-            derived.add(parse_key(line["target"]))
-    return [k.serialize() for k in needed]
+def _parse_line(lineno: int, line: dict):
+    """(rule, points, pair keys, types) of one certificate line; any error
+    is re-raised as a ValueError that names the line.
+
+    The pair keys are the cycle's sides in order, or the orbit's pairs i < j
+    (none for ``assume``); the types are the target then the listed sources,
+    the ``expect`` keys, or the assumed keys.
+    """
+    try:
+        rule = line.get("rule", "implication")
+        if rule == "implication":
+            pts = CycleWitness(tuple(parse_point(w, line.get("mode", "cayley"))
+                                     for w in line["cycle"])).points
+            pairs = [pair_key(u, v) for u, v in zip(pts, pts[1:] + pts[:1])]
+            types = [parse_key(t) for t in (line["target"], *line["sources"])]
+        elif rule == "orbit-clique":
+            pts = _orbit_points(line)
+            pairs = [pair_key(u, v) for i, u in enumerate(pts) for v in pts[i + 1:]]
+            types = [parse_key(t) for t in line.get("expect", ())]
+        elif rule == "assume":
+            pts, pairs = (), []
+            types = [parse_key(t) for t in line["keys"]]
+        else:
+            raise ValueError(f"unknown certificate rule {rule!r}")
+    except KeyError as exc:
+        raise ValueError(f"line {lineno}: missing field {exc}") from None
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise ValueError(f"line {lineno}: {exc}") from None
+    return rule, pts, pairs, types
 
 
 def verify_connecting_list(path: str | None = None) -> dict:
@@ -482,73 +465,76 @@ def verify_connecting_list(path: str | None = None) -> dict:
     clique-closure step runs the orbit closure and requires the whole orbit
     to become pairwise contained.  An ``assume`` line that adds a type
     caps the status at "inconclusive": it is never "verified".
+
+    Each line is parsed once, by ``_parse_line``, also past a failed step,
+    where the replay has stopped recording but the minimal-seed scan reads
+    on.  The verdict keys its cycles itself (``apply_elementary`` the sides
+    and diagonals, ``close_orbit`` the orbit); the parse's keys feed the
+    scan, the sides outside a step's listed sources and the clique check.
     """
-    lines = _numbered_lines(path)
     state = ImplicationState.initial(_cayley_key(w) for w in CONNECTING_SEED_WORDS)
     seed = [k.serialize() for k in state.known]
     steps = []
     status = "verified"
     last_derived = None
-    for idx, (lineno, line) in enumerate(lines):
-        with _naming_line(lineno):
-            rule = line.get("rule", "implication")
-            mode = line.get("mode", "cayley")
-            if rule == "implication":
-                pts = tuple(parse_point(w, mode) for w in line["cycle"])
-                expected = parse_key(line["target"])
-                listed = {parse_key(s) for s in line["sources"]}
-                record = {"index": idx, "rule": rule, "cycle": line["cycle"],
-                          "target": line["target"], "expected": expected.serialize()}
-                try:
-                    state, derived = apply_elementary(state, CycleWitness(pts))
-                except (SideNotKnown, DiagonalsNotUniform) as exc:
-                    record["status"] = "failed"
-                    record["error"] = str(exc)
-                    steps.append(record)
-                    status = "failed"
-                    break
+    # the minimal-seed scan: side types the cycles consume before deriving
+    # them, the mechanical version of the ambient-clique hypothesis
+    scanned: set[EdgeTypeKey] = set()
+    needed: dict[EdgeTypeKey, None] = {}
+    for idx, (lineno, line) in enumerate(_numbered_lines(path)):
+        rule, points, pairs, types = _parse_line(lineno, line)
+        if rule == "implication":
+            for k in pairs:
+                if not (k.is_degenerate or k in scanned):
+                    needed[k] = None
+            scanned.add(types[0])
+        else:
+            scanned.update(pairs)
+        if status == "failed":
+            continue
+        error = None
+        if rule == "implication":
+            expected, *listed = types
+            record = {"index": idx, "rule": rule, "cycle": line["cycle"],
+                      "target": line["target"], "expected": expected.serialize()}
+            try:
+                state, derived = apply_elementary(state, CycleWitness(points))
+            except (SideNotKnown, DiagonalsNotUniform) as exc:
+                error = str(exc)
+            else:
                 record["derived"] = derived.serialize()
                 if derived != expected:
-                    record["status"] = "failed"
-                    record["error"] = "derived type differs from the listed target"
-                    steps.append(record)
-                    status = "failed"
-                    break
-                sides = (pair_key(u, v) for u, v in zip(pts, pts[1:] + pts[:1]))
-                stray = sorted({k.serialize() for k in sides
-                                if not k.is_degenerate and k not in listed})
-                if stray:
-                    record["sides_not_in_listed_sources"] = stray
-                record["status"] = "verified"
-                last_derived = derived
-                steps.append(record)
-            elif rule == "orbit-clique":
-                points = _orbit_points(line)
-                record = {"index": idx, "rule": rule, "orbit": [p.label() for p in points]}
-                before = len(state.known)
-                state = close_orbit(state, points)
-                pairs = (pair_key(u, v) for i, u in enumerate(points) for v in points[i + 1:])
-                missing = sorted({k.serialize() for k in pairs if not state.has(k)})
-                expect_missing = [t for t in line.get("expect", ())
-                                  if not state.has(parse_key(t))]
-                if missing or expect_missing:
-                    record["status"] = "failed"
-                    record["error"] = ("orbit not closed to a clique; "
-                                       f"missing {missing or expect_missing}")
-                    steps.append(record)
-                    status = "failed"
-                    break
-                record["status"] = "verified"
-                record["derived"] = sorted(k.serialize() for k in state.known[before:])
-                steps.append(record)
-            elif rule == "assume":
-                # external files may declare their own hypothesis types
-                before = len(state.known)
-                state = state.add(parse_key(t) for t in line["keys"])
-                steps.append({"index": idx, "rule": rule, "status": "verified",
-                              "keys": [k.serialize() for k in state.known[before:]]})
+                    error = "derived type differs from the listed target"
+                else:
+                    stray = sorted({k.serialize() for k in pairs
+                                    if not k.is_degenerate and k not in listed})
+                    if stray:
+                        record["sides_not_in_listed_sources"] = stray
+                    last_derived = derived
+        elif rule == "orbit-clique":
+            record = {"index": idx, "rule": rule, "orbit": [p.label() for p in points]}
+            before = len(state.known)
+            state = close_orbit(state, points)
+            missing = sorted({k.serialize() for k in pairs if not state.has(k)})
+            expect_missing = [t for t, k in zip(line.get("expect", ()), types)
+                              if not state.has(k)]
+            if missing or expect_missing:
+                error = f"orbit not closed to a clique; missing {missing or expect_missing}"
             else:
-                raise ValueError(f"unknown certificate rule {rule!r}")
+                record["derived"] = sorted(k.serialize() for k in state.known[before:])
+        else:
+            # external files may declare their own hypothesis types
+            before = len(state.known)
+            state = state.add(types)
+            record = {"index": idx, "rule": rule,
+                      "keys": [k.serialize() for k in state.known[before:]]}
+        if error is None:
+            record["status"] = "verified"
+        else:
+            record["status"] = "failed"
+            record["error"] = error
+            status = "failed"
+        steps.append(record)
     final_missing = []
     if status == "verified":
         final_missing = [w for w in CONNECTING_FINAL_WORDS if not state.has(_cayley_key(w))]
@@ -566,7 +552,7 @@ def verify_connecting_list(path: str | None = None) -> dict:
         "status": status,
         "steps": steps,
         "seed": seed,
-        "minimal_seed_scan": _scan_minimal_seed(lines),
+        "minimal_seed_scan": [k.serialize() for k in needed],
         "final_missing": final_missing,
         "last_derived": last_derived.serialize() if last_derived else None,
         "known_count": len(state.known),

@@ -438,8 +438,11 @@ def enumerate_discs(boundary_len: int, max_triangles: int,
         a, b = region[0], region[1]
         m = len(region)
         # apex choices: splitting vertices of the active region, then a new
-        # one, which adds two triangles to every completion
-        new_apex = [None] if slack() >= 2 and len(angle) - B < MAX_INTERIOR else []
+        # one, which adds two triangles to every completion.  A new vertex
+        # needs slack() >= 2, so under the caps (at most 14 triangles, B >= 3)
+        # at most (14 - 3) // 2 + 1 = 6 interior vertices arise, within the
+        # MAX_INTERIOR = 7 that `need` is sized for.
+        new_apex = [None] if slack() >= 2 else []
         for k in [*range(2, m), *new_apex]:
             new_vertex = k is None
             w = len(angle) if new_vertex else region[k]

@@ -1,5 +1,6 @@
 """Certificate suites: string families, the chain, the Cayley list."""
 
+import hashlib
 import json
 
 import pytest
@@ -10,7 +11,6 @@ from cox245.certificates import (
     CONNECTING_FINAL_WORDS,
     CONNECTING_SEED_WORDS,
     FAMILIES,
-    SlabTooSmall,
     StringSpec,
     auto_search_d10,
     family_implication,
@@ -84,13 +84,6 @@ def test_string_alias_properties_sampled():
         key = string_key(spec)
         assert string_key(spec.mirrored()) == key
         assert string_key(spec.reversed()) == key
-
-
-def test_trace_path_slab_containment():
-    slab = build_ball(fix_vertex(D8), 2, "pentagon-subcomplex")
-    trace_path(StringSpec.parse("S"), slab)  # fits
-    with pytest.raises(SlabTooSmall):
-        trace_path(StringSpec.parse("SSSSS"), slab)
 
 
 def test_family_implication_shapes():
@@ -194,9 +187,11 @@ def test_connecting_list_replays_in_full():
 
 
 def test_connecting_list_keys_each_pair_once(monkeypatch):
-    """Each side of a listed cycle and each pair of the 10-gon orbit is keyed
-    once (the orbit table is filled for j >= i and mirrored: 55 of its 100
-    cells); the parent counts were 409 and 272."""
+    """Each side of a listed cycle (105) and each pair of the 10-gon orbit
+    (45) is keyed once by the line parse, which feeds both the replay and
+    the minimal-seed scan; the verdict keys its cycles again in
+    implications (the orbit table is filled for j >= i and mirrored: 55 of
+    its 100 cells)."""
     calls = {"certificates": 0, "implications": 0}
     for module in (certificates, implications):
         def counted(u, v, _name=module.__name__.rsplit(".", 1)[1], _fn=module.pair_key):
@@ -204,7 +199,7 @@ def test_connecting_list_keys_each_pair_once(monkeypatch):
             return _fn(u, v)
         monkeypatch.setattr(module, "pair_key", counted)
     assert verify_connecting_list()["status"] == "verified"
-    assert calls == {"certificates": 300, "implications": 227}
+    assert calls == {"certificates": 150, "implications": 227}
 
 
 def test_connecting_list_seed_covers_mechanical_scan():
@@ -234,6 +229,24 @@ def test_connecting_list_order_matters():
         path = fh.name
     rep = verify_connecting_list(path)
     assert rep["status"] == "failed"
+    assert len(rep["steps"]) == 2
+    # the whole report, minimal-seed scan included, which reads every line
+    # past the failed step
+    text = json.dumps(rep, sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        "61998010e277278ed3283da7c6699a07a1dc01125d78dad1ac84046ed0e12750"
+
+
+def test_orbit_clique_checks_its_expected_types(tmp_path):
+    lines = load_certificate_lines()[:25]
+    assert lines[-1]["rule"] == "orbit-clique"
+    path = tmp_path / "expect.jsonl"
+    for expect, status in ((["CAY:rstsr"], "verified"), (["CAY:rstsr", "CAY:rstrstst"], "failed")):
+        lines[-1] = {**lines[-1], "expect": expect}
+        path.write_text("\n".join(json.dumps(l) for l in lines) + "\n")
+        step = verify_connecting_list(str(path))["steps"][-1]
+        assert (step["rule"], step["status"]) == ("orbit-clique", status)
+    assert step["error"] == "orbit not closed to a clique; missing ['CAY:rstrstst']"
 
 
 def test_connecting_final_words_all_present():

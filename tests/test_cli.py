@@ -130,6 +130,10 @@ def test_orbit_clique_with_unknown_generators_is_a_clean_error(tmp_path, capsys)
 
 _GOOD_LINE = {"mode": "cayley", "sources": ["CAY:tr", "CAY:tst", "CAY:rsr"],
               "cycle": ["", "tr", "tsr", "tst"], "target": "CAY:tsr"}
+# the built-in list's third line alone fails its step (side tsr is not
+# known yet), so a line after it is read only past a failed step
+_FAILED_STEP = json.dumps({"mode": "cayley", "sources": ["CAY:tsr", "CAY:srs", "CAY:r"],
+                           "cycle": ["", "tsr", "trsr", "r"], "target": "CAY:trsr"})
 
 
 @pytest.mark.parametrize("lines, message", [
@@ -141,6 +145,15 @@ _GOOD_LINE = {"mode": "cayley", "sources": ["CAY:tr", "CAY:tst", "CAY:rsr"],
     (["", "[1, 2]"], "line 2: expected a JSON object, got list"),
     ([json.dumps({**_GOOD_LINE, "mode": "bogus", "cycle": ["D8:e", "D8:t", "D8:tst", "D8:st"]})],
      "line 1: bad mode 'bogus'"),
+    ([_FAILED_STEP, json.dumps({**_GOOD_LINE, "rule": "bogus"})],
+     "line 2: unknown certificate rule 'bogus'"),
+    ([_FAILED_STEP, json.dumps({"rule": "orbit-clique", "orbit_generators": ["s", "t"],
+                                "orbit_base": "r", "expect": ["CAY:rstsr", "WAT:x"]})],
+     "line 2: bad key serialization 'WAT:x'"),
+    ([_FAILED_STEP, json.dumps({**_GOOD_LINE, "sources": ["CAY:tr", "WAT:x"]})],
+     "line 2: bad key serialization 'WAT:x'"),
+    ([_FAILED_STEP, json.dumps({**_GOOD_LINE, "cycle": ["", "tr", "tsr", "tst", "t", "s"]})],
+     "line 2: a cycle witness has exactly 4 or 5 vertices"),
 ])
 def test_malformed_certificate_line_is_named(tmp_path, capsys, lines, message):
     path = tmp_path / "certs.jsonl"
