@@ -399,15 +399,19 @@ def load_certificate_lines(path: str | None = None) -> list[dict]:
     return [line for _, line in _numbered_lines(path)]
 
 
+def _checked_mode(mode: str) -> str:
+    if mode not in ("cayley", "complex"):
+        raise ValueError(f"bad mode {mode!r}; write cayley or complex")
+    return mode
+
+
 def parse_point(text: str, mode: str) -> Vertex:
     """A cycle vertex from certificate text: a plain word in cayley mode,
     "P:word" (P one of D8/D10/D4, 'e' or empty for the identity) in complex
     mode."""
-    if mode == "cayley":
+    if _checked_mode(mode) == "cayley":
         word = "" if text == "e" else text
         return cayley_vertex(element_of_word(word))
-    if mode != "complex":
-        raise ValueError(f"bad mode {mode!r}; write cayley or complex")
     parab, _, word = text.partition(":")
     if parab not in PARABOLICS:
         raise ValueError(f"bad point {text!r}; write P:word with P one of D8, D10, D4")
@@ -429,18 +433,23 @@ def _parse_line(lineno: int, line: dict):
     """(rule, points, pair keys, types) of one certificate line; any error
     is re-raised as a ValueError that names the line.
 
-    The pair keys are the cycle's sides in order, or the orbit's pairs i < j
-    (none for ``assume``); the types are the target then the listed sources,
-    the ``expect`` keys, or the assumed keys.
+    Every rule reads ``mode``, which must be cayley or complex, and cayley
+    on an orbit-clique line.  The pair keys are the cycle's sides in order,
+    or the orbit's pairs i < j (none for ``assume``); the types are the
+    target then the listed sources, the ``expect`` keys, or the assumed
+    keys.
     """
     try:
         rule = line.get("rule", "implication")
+        mode = _checked_mode(line.get("mode", "cayley"))
         if rule == "implication":
-            pts = CycleWitness(tuple(parse_point(w, line.get("mode", "cayley"))
-                                     for w in line["cycle"])).points
+            pts = CycleWitness(tuple(parse_point(w, mode) for w in line["cycle"])).points
             pairs = [pair_key(u, v) for u, v in zip(pts, pts[1:] + pts[:1])]
             types = [parse_key(t) for t in (line["target"], *line["sources"])]
         elif rule == "orbit-clique":
+            if mode != "cayley":
+                raise ValueError(f"mode {mode!r} on an orbit-clique line, whose points are "
+                                 "Cayley elements; write cayley")
             pts = _orbit_points(line)
             pairs = [pair_key(u, v) for i, u in enumerate(pts) for v in pts[i + 1:]]
             types = [parse_key(t) for t in line.get("expect", ())]
@@ -589,6 +598,10 @@ def auto_search_d10(max_depth: int = 3, radius: int = 5) -> dict:
     caps (``max_depth`` derived types, candidate endpoints at depth at most
     max(2, radius - 2)) and the largest endpoint distance reached.  No
     completeness claim is made and the status is always "inconclusive".
+
+    An endpoint's distance is its candidate's depth in the ball, with no
+    BFS of its own: the ball is BFS-complete up to ``radius``, beyond every
+    candidate, and the distance of a pair depends only on its type.
     """
     if max_depth < 0:
         raise ValueError("max_depth must be nonnegative")
@@ -618,14 +631,11 @@ def auto_search_d10(max_depth: int = 3, radius: int = 5) -> dict:
             if witness is None:
                 continue
             state, got = apply_elementary(state, witness)
-            dist = graph_distance(center, make_vertex(D10, element_of_word(key.word)),
-                                  "d10-orbit")
-            derived.append({"key": got.serialize(), "endpoint_distance": dist,
+            derived.append({"key": got.serialize(), "endpoint_distance": depth,
                             "witness": list(witness.labels())})
             progress = True
             if len(derived) >= max_depth:
                 break
-    distances = [d["endpoint_distance"] for d in derived if d["endpoint_distance"] is not None]
     return {
         "suite": "d10-search",
         "status": "inconclusive",
@@ -636,5 +646,5 @@ def auto_search_d10(max_depth: int = 3, radius: int = 5) -> dict:
         "candidate_distance_cap": cap,
         "steps": derived,
         "derived": derived,
-        "max_endpoint_distance": max(distances, default=1),
+        "max_endpoint_distance": max((d["endpoint_distance"] for d in derived), default=1),
     }

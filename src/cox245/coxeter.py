@@ -9,23 +9,25 @@ matrices, and the word problem costs nothing beyond exact arithmetic.
 Matrices are flat 9-tuples (row major) of integral quartic vectors from
 :mod:`cox245.numberfield`.  Multiplying by a generator, on either side,
 needs only negations, additions and the shifts that multiply by sqrt2 and
-phi in the integral basis.  Every product goes through such generator
-products, one per letter: ``GroupElement.times`` by a known word, ``g * h``
-by h's ShortLex word, ``g.inverse()`` along g's reversed word and
+phi in the integral basis; these generator products, the orbit points and
+the forms 2B(a_x, -) are compiled once at import from the Gram matrix, the
+base points and the shifts (``_kernel``).  Every product goes through such
+generator products, one per letter: ``GroupElement.times`` by a known word,
+``g * h`` by h's ShortLex word, ``g.inverse()`` along g's reversed word and
 ``g.inverse_times(h)`` by g's letters on the left of h, as generators are
 involutions.  No matrix is inverted.  The keys of the cosets g*w*P for
 fixed words w (a vertex's neighbors) need no walk at all: ``wall_keys``
 subtracts M_g delta_w from the key of g*P, where the constant offset
 delta_w = u_P - M_w u_P is read once off the base point, so each key is a
 compiled sum of a few shifted entries of g's columns.  General products of
-quartic integers (``iq_mul``) remain only in orientation seeds and in
-the orbit-point check of the raw-matrix entry points.  A
-seed is moved by ``translate_key``, unrolled (a matrix times the constant
-vector of a coset key, which moves a known coset by g without a word
-walk).  The rest of a P-orbit of cosets is reached from its seed by simple
-reflections s_x c = c - 2B(a_x, c) a_x, so ``orbit_keys`` moves each other
-point by g as the point it reflects minus a multiple of column x of M_g;
-``orbit_plan`` reads each multiplier once, as an integer matrix.
+quartic integers (``iq_mul``) remain only in orientation seeds and in the
+orbit-point check of the raw-matrix entry points.  A seed is moved by
+``translate_key``, unrolled (a matrix times the constant vector of a coset
+key, which moves a known coset by g without a word walk).  The rest of a
+P-orbit of cosets is reached from its seed by simple reflections s_x c =
+c - 2B(a_x, c) a_x, so ``orbit_keys`` moves each other point by g as the
+point it reflects minus a multiple of column x of M_g; ``orbit_plan`` reads
+each multiplier once, as an integer matrix.
 
 A coset g*P is identified without stripping by ``coset_key``: the image
 M_g u_P of a vector u_P whose stabiliser is exactly P, read with the same
@@ -45,10 +47,10 @@ a coset costs one peeled letter per suffix not seen before, and a ball's
 outer level, whose matrices nothing reads, builds none.
 
 The minimal representative of a double coset P*g*Q is peeled the same way:
-left descents in P only, off the point of g*Q (Deodhar's lemma).  A right
-descent x of g is one exact sign of the root g a_x against rho.  Each
-descent test is an exact sign of a shift-and-add form, and the parity of
-an element is that of its word's length.
+left descents in P only, off the point of g*Q (Deodhar's lemma).  The
+right descents of g are the left descents of g^-1.  Each descent test is
+an exact sign of a shift-and-add form, and the parity of an element is
+that of its word's length.
 """
 
 from __future__ import annotations
@@ -118,80 +120,125 @@ _IDENTITY_MAT = (
     IQ_ZERO, IQ_ZERO, IQ_ONE,
 )
 
+# the reflection M_x: column j is e_j - 2B(a_x, a_j) e_x, so only row x is not I's
+_GEN_MATS = {x: _IDENTITY_MAT[:3 * i] + tuple(map(iq_sub, _IDENTITY_MAT[3 * i:3 * i + 3], _TWOB[x]))
+             + _IDENTITY_MAT[3 * i + 3:] for i, x in enumerate(GENERATORS)}
 
-def _gen_matrix(x: str):
-    """Reflection matrix: column j of M_x is e_j - 2B(a_x, a_j) e_x."""
-    i = _INDEX[x]
-    row = _TWOB[x]
-    mat = list(_IDENTITY_MAT)
-    for j in range(3):
-        mat[3 * i + j] = iq_sub(mat[3 * i + j], row[j])
-    return tuple(mat)
+# u_P in simple-root coordinates (see ``coset_key``), and rho, their sum
+_BASE_POINTS = {
+    "D8": ((0, 0, 0, 1), (0, 0, 2, 0), (2, 0, 0, 0)),
+    "D10": ((0, 3, 0, -1), (4, 0, 0, 0), (0, 0, 2, 0)),
+    "D4": ((0, 1, 0, 0), (2, 0, 0, 0), (0, 0, 1, 0)),
+}
+_BASE_POINTS["CAY"] = tuple(tuple(map(sum, zip(*us))) for us in zip(*_BASE_POINTS.values()))
+
+# Each kernel below is a constant (a generator matrix, a base point, a row of
+# _TWOB) times the ints of its argument, compiled once to straight-line
+# source: int c of entry k of a matrix is the symbol m{4k + c}, of a key's
+# point p_{4k + c}, and each int of a product is a form {symbol: coefficient}.
+_M = [tuple(f"m{4 * k + c}" for c in range(4)) for k in range(9)]
+_P = [tuple(f"p_{4 * k + c}" for c in range(4)) for k in range(3)]
+_UNPACK_M = ", ".join(f"({', '.join(e)})" for e in _M)
+_UNPACK_P = "_, " + ", ".join(v for e in _P for v in e)
 
 
-_GEN_MATS = {x: _gen_matrix(x) for x in GENERATORS}
+def _shifts(q):
+    """q times 1, sqrt2, phi and sqrt2 phi over the integral basis: sqrt2 *
+    (a, b, c, d) = (2b, a, 2d, c) and phi * (a, b, c, d) = (c, d, a + c, b + d)."""
+    a, b, c, d = q
+    return q, (2 * b, a, 2 * d, c), (c, d, a + c, b + d), (2 * d, c, 2 * (b + d), a + c)
 
 
+def _dot(consts, entries) -> tuple[dict[str, int], ...]:
+    """sum_j consts[j] entries[j] for constant quartic integers and entries
+    of distinct symbols: q e is sum_c e_c (q times basis element c), by the
+    shifts of q."""
+    out = ({}, {}, {}, {})
+    for q, symbols in zip(consts, entries):
+        for v, prod in zip(symbols, _shifts(q)):
+            for o, a in enumerate(prod):
+                if a:
+                    out[o][v] = a
+    return out
+
+
+def _point_forms(u) -> list[dict[str, int]]:
+    """M u as 12 forms in the ints of M, for a constant vector u."""
+    return [f for i in range(3) for f in _dot(u, _M[3 * i:3 * i + 3])]
+
+
+def _sum_source(form: dict[str, int]) -> str:
+    """Source of sum_v form[v] v, symbols grouped by the size of their
+    coefficient, positive terms first: {'m5': 2, 'm0': -2, 'm1': -1, 'm2':
+    -1} reads ``2 * (m5 - m0) - (m1 + m2)``."""
+    groups: dict[int, list[tuple[bool, str]]] = {}
+    for v, a in form.items():
+        groups.setdefault(abs(a), []).append((a < 0, v))
+    out = ""
+    for k, terms in sorted(groups.items(), key=lambda item: all(n for n, _ in item[1])):
+        terms.sort(key=lambda term: term[0])
+        neg = terms[0][0]  # the whole group is negative
+        group = terms[0][1] + "".join(f" {'+' if n == neg else '-'} {v}" for n, v in terms[1:])
+        if len(terms) > 1 and (k != 1 or neg):
+            group = f"({group})"
+        if k != 1:
+            group = f"{k} * {group}"
+        out += f" {'-' if neg else '+'} {group}" if out else f"-{group}" if neg else group
+    return out
+
+
+def _entry_source(forms) -> str:
+    return f"({', '.join(map(_sum_source, forms))})"
+
+
+def _product_source(c, left: bool) -> str:
+    """Source of c m (``left``) or m c for a constant flat matrix c; an entry
+    the product leaves alone is passed through as m[k]."""
+    pairs = [(c[3 * i:3 * i + 3], _M[j::3]) if left else (c[j::3], _M[3 * i:3 * i + 3])
+             for i in range(3) for j in range(3)]
+    same = [tuple({v: 1} for v in e) for e in _M]  # the forms of m's own entries
+    entries = (_dot(q, e) for q, e in pairs)
+    return f"({', '.join(f'm[{same.index(f)}]' if f in same else _entry_source(f) for f in entries)})"
+
+
+def _compile(name: str, lines: list[str]):
+    """The function ``name`` defined by the source ``lines``: the package's
+    one site of generated code."""
+    namespace = {"__name__": __name__}
+    exec(compile("\n".join(lines), f"<{name}>", "exec"), namespace)
+    return namespace[name]
+
+
+def _kernel(unpack: str, cases: dict[str, str], error: str):
+    """Replace the decorated stub f(a, b), a docstring only, by a compiled
+    function that unpacks a into ``unpack``, returns the source ``cases[b]``
+    and raises ValueError(``error``, an f-string) for any other b."""
+    def build(stub):
+        a, b = stub.__code__.co_varnames[:2]
+        lines = [f"def {stub.__name__}({a}, {b}):", f"    {unpack} = {a}"]
+        for value, expr in cases.items():
+            lines += [f"    if {b} == {value!r}:", f"        return {expr}"]
+        fn = _compile(stub.__name__, [*lines, f"    raise ValueError(f{error!r})"])
+        fn.__doc__ = stub.__doc__
+        return fn
+    return build
+
+
+_BAD_GENERATOR = "bad generator {x!r}; alphabet is 'r', 's', 't'"
+
+
+@_kernel(_UNPACK_M, {x: _product_source(_GEN_MATS[x], False) for x in GENERATORS}, _BAD_GENERATOR)
 def _mat_mul_gen_right(m, x: str):
     """m * M_x by additions: row x of M_x is e_x - 2B(a_x, -), so each row
     u of m goes to (-u0, u1 + sqrt2 u0, u2) for r, (u0 + sqrt2 u1, -u1,
-    u2 + phi u1) for s and (u0, u1 + phi u2, -u2) for t.
-
-    Over the integral basis, sqrt2 * (a, b, c, d) = (2b, a, 2d, c) and
-    phi * (a, b, c, d) = (c, d, a + c, b + d).
+    u2 + phi u1) for s and (u0, u1 + phi u2, -u2) for t, by ``_shifts``.
     """
-    ((a00, b00, c00, d00), (a01, b01, c01, d01), (a02, b02, c02, d02),
-     (a10, b10, c10, d10), (a11, b11, c11, d11), (a12, b12, c12, d12),
-     (a20, b20, c20, d20), (a21, b21, c21, d21), (a22, b22, c22, d22)) = m
-    if x == "r":
-        return (
-            (-a00, -b00, -c00, -d00), (a01 + 2 * b00, b01 + a00, c01 + 2 * d00, d01 + c00), m[2],
-            (-a10, -b10, -c10, -d10), (a11 + 2 * b10, b11 + a10, c11 + 2 * d10, d11 + c10), m[5],
-            (-a20, -b20, -c20, -d20), (a21 + 2 * b20, b21 + a20, c21 + 2 * d20, d21 + c20), m[8],
-        )
-    if x == "s":
-        return (
-            (a00 + 2 * b01, b00 + a01, c00 + 2 * d01, d00 + c01), (-a01, -b01, -c01, -d01),
-            (a02 + c01, b02 + d01, c02 + a01 + c01, d02 + b01 + d01),
-            (a10 + 2 * b11, b10 + a11, c10 + 2 * d11, d10 + c11), (-a11, -b11, -c11, -d11),
-            (a12 + c11, b12 + d11, c12 + a11 + c11, d12 + b11 + d11),
-            (a20 + 2 * b21, b20 + a21, c20 + 2 * d21, d20 + c21), (-a21, -b21, -c21, -d21),
-            (a22 + c21, b22 + d21, c22 + a21 + c21, d22 + b21 + d21),
-        )
-    if x == "t":
-        return (
-            m[0], (a01 + c02, b01 + d02, c01 + a02 + c02, d01 + b02 + d02), (-a02, -b02, -c02, -d02),
-            m[3], (a11 + c12, b11 + d12, c11 + a12 + c12, d11 + b12 + d12), (-a12, -b12, -c12, -d12),
-            m[6], (a21 + c22, b21 + d22, c21 + a22 + c22, d21 + b22 + d22), (-a22, -b22, -c22, -d22),
-        )
-    raise ValueError(f"bad generator {x!r}; alphabet is 'r', 's', 't'")
 
 
+@_kernel(_UNPACK_M, {x: _product_source(_GEN_MATS[x], True) for x in GENERATORS}, "bad generator {x!r}")
 def _mat_mul_gen_left(m, x: str):
     """M_x * m by additions: only row x changes, to -row0 + sqrt2 row1 for
     r, sqrt2 row0 - row1 + phi row2 for s and phi row1 - row2 for t."""
-    ((a00, b00, c00, d00), (a01, b01, c01, d01), (a02, b02, c02, d02),
-     (a10, b10, c10, d10), (a11, b11, c11, d11), (a12, b12, c12, d12),
-     (a20, b20, c20, d20), (a21, b21, c21, d21), (a22, b22, c22, d22)) = m
-    if x == "r":
-        return (
-            (2 * b10 - a00, a10 - b00, 2 * d10 - c00, c10 - d00),
-            (2 * b11 - a01, a11 - b01, 2 * d11 - c01, c11 - d01),
-            (2 * b12 - a02, a12 - b02, 2 * d12 - c02, c12 - d02),
-        ) + m[3:]
-    if x == "s":
-        return m[:3] + (
-            (2 * b00 - a10 + c20, a00 - b10 + d20, 2 * d00 - c10 + a20 + c20, c00 - d10 + b20 + d20),
-            (2 * b01 - a11 + c21, a01 - b11 + d21, 2 * d01 - c11 + a21 + c21, c01 - d11 + b21 + d21),
-            (2 * b02 - a12 + c22, a02 - b12 + d22, 2 * d02 - c12 + a22 + c22, c02 - d12 + b22 + d22),
-        ) + m[6:]
-    if x == "t":
-        return m[:6] + (
-            (c10 - a20, d10 - b20, a10 + c10 - c20, b10 + d10 - d20),
-            (c11 - a21, d11 - b21, a11 + c11 - c21, b11 + d11 - d21),
-            (c12 - a22, d12 - b22, a12 + c12 - c22, b12 + d12 - d22),
-        )
-    raise ValueError(f"bad generator {x!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -220,67 +267,20 @@ PARABOLIC_BY_NAME = {**PARABOLICS, "CAY": CAY}
 _PEEL_STEPS = range(10_000)  # the peel bound, built once so that a call makes no range
 
 
+@_kernel(_UNPACK_M, {name: f"(name, {', '.join(map(_sum_source, _point_forms(u)))})"
+                     for name, u in _BASE_POINTS.items()}, "unknown parabolic {name!r}")
 def _point(m, name: str) -> tuple:
     """``name`` and M u_P as 12 ints over the integral basis, P the
     parabolic named ``name`` (see ``coset_key``; u_CAY = rho = (4 sqrt2,
     6 + 2 phi, 2 + 3 phi)).  Coordinate i is sum_j u_P[j] m_ij, by the
-    sqrt2 and phi shifts of ``_mat_mul_gen_right``, so no ``iq_mul``.
+    sqrt2 and phi shifts of ``_shifts``, so no ``iq_mul``.
     """
-    ((a00, b00, c00, d00), (a01, b01, c01, d01), (a02, b02, c02, d02),
-     (a10, b10, c10, d10), (a11, b11, c11, d11), (a12, b12, c12, d12),
-     (a20, b20, c20, d20), (a21, b21, c21, d21), (a22, b22, c22, d22)) = m
-    if name == "D8":
-        return (
-            name,
-            2 * (d00 + c01 + a02), c00 + 2 * (d01 + b02),
-            2 * (b00 + d00 + a01 + c01 + c02), a00 + c00 + 2 * (b01 + d01 + d02),
-            2 * (d10 + c11 + a12), c10 + 2 * (d11 + b12),
-            2 * (b10 + d10 + a11 + c11 + c12), a10 + c10 + 2 * (b11 + d11 + d12),
-            2 * (d20 + c21 + a22), c20 + 2 * (d21 + b22),
-            2 * (b20 + d20 + a21 + c21 + c22), a20 + c20 + 2 * (b21 + d21 + d22),
-        )
-    if name == "D10":
-        return (
-            name,
-            6 * b00 - 2 * d00 + 4 * a01 + 2 * c02, 3 * a00 - c00 + 4 * b01 + 2 * d02,
-            4 * d00 - 2 * b00 + 4 * c01 + 2 * (a02 + c02), 2 * c00 - a00 + 4 * d01 + 2 * (b02 + d02),
-            6 * b10 - 2 * d10 + 4 * a11 + 2 * c12, 3 * a10 - c10 + 4 * b11 + 2 * d12,
-            4 * d10 - 2 * b10 + 4 * c11 + 2 * (a12 + c12), 2 * c10 - a10 + 4 * d11 + 2 * (b12 + d12),
-            6 * b20 - 2 * d20 + 4 * a21 + 2 * c22, 3 * a20 - c20 + 4 * b21 + 2 * d22,
-            4 * d20 - 2 * b20 + 4 * c21 + 2 * (a22 + c22), 2 * c20 - a20 + 4 * d21 + 2 * (b22 + d22),
-        )
-    if name == "D4":
-        return (
-            name,
-            2 * (b00 + a01) + c02, a00 + 2 * b01 + d02,
-            2 * (d00 + c01) + a02 + c02, c00 + 2 * d01 + b02 + d02,
-            2 * (b10 + a11) + c12, a10 + 2 * b11 + d12,
-            2 * (d10 + c11) + a12 + c12, c10 + 2 * d11 + b12 + d12,
-            2 * (b20 + a21) + c22, a20 + 2 * b21 + d22,
-            2 * (d20 + c21) + a22 + c22, c20 + 2 * d21 + b22 + d22,
-        )
-    if name == "CAY":
-        return (
-            name,
-            8 * b00 + 6 * a01 + 2 * (c01 + a02) + 3 * c02, 4 * a00 + 6 * b01 + 2 * (d01 + b02) + 3 * d02,
-            8 * (d00 + c01) + 2 * a01 + 3 * a02 + 5 * c02, 4 * c00 + 8 * d01 + 2 * b01 + 3 * b02 + 5 * d02,
-            8 * b10 + 6 * a11 + 2 * (c11 + a12) + 3 * c12, 4 * a10 + 6 * b11 + 2 * (d11 + b12) + 3 * d12,
-            8 * (d10 + c11) + 2 * a11 + 3 * a12 + 5 * c12, 4 * c10 + 8 * d11 + 2 * b11 + 3 * b12 + 5 * d12,
-            8 * b20 + 6 * a21 + 2 * (c21 + a22) + 3 * c22, 4 * a20 + 6 * b21 + 2 * (d21 + b22) + 3 * d22,
-            8 * (d20 + c21) + 2 * a21 + 3 * a22 + 5 * c22, 4 * c20 + 8 * d21 + 2 * b21 + 3 * b22 + 5 * d22,
-        )
-    raise ValueError(f"unknown parabolic {name!r}")
 
 
+@_kernel(_UNPACK_P, {x: _entry_source(_dot(_TWOB[x], _P)) for x in GENERATORS}, _BAD_GENERATOR)
 def _twob(p, x: str):
     """2B(a_x, v) for the point v of a key ``p``: row x of ``_TWOB`` against
     v's coordinates, by the sqrt2 and phi shifts."""
-    _, a0, b0, c0, d0, a1, b1, c1, d1, a2, b2, c2, d2 = p
-    if x == "r":  # 2 v_r - sqrt2 v_s
-        return (2 * (a0 - b1), 2 * b0 - a1, 2 * (c0 - d1), 2 * d0 - c1)
-    if x == "s":  # -sqrt2 v_r + 2 v_s - phi v_t
-        return (2 * (a1 - b0) - c2, 2 * b1 - a0 - d2, 2 * (c1 - d0) - a2 - c2, 2 * d1 - c0 - b2 - d2)
-    return (2 * a2 - c1, 2 * b2 - d1, 2 * c2 - a1 - c1, 2 * d2 - b1 - d1)  # -phi v_s + 2 v_t
 
 
 def _least_descent(p, gens=GENERATORS):
@@ -466,24 +466,6 @@ def _wall_offsets(parabolic: ParabolicId, words: tuple[str, ...]) -> tuple[tuple
                  for w in words)
 
 
-def _shifts(q):
-    """q times 1, sqrt2, phi and sqrt2 phi over the integral basis: the
-    shifts of ``_mat_mul_gen_right``."""
-    a, b, c, d = q
-    return q, (2 * b, a, 2 * d, c), (c, d, a + c, b + d), (2 * d, c, 2 * (b + d), a + c)
-
-
-def _columns_form(delta) -> list[dict[int, int]]:
-    """M_g delta as 12 linear forms in the 36 ints of M_g, one per key int:
-    int 4i+o is sum_j (m_ij delta_j)_o, so the coefficient of component c of
-    m_ij (int 12i+4j+c of the flat matrix) is (e_c delta_j)_o in every row
-    i, e_c the c-th basis element."""
-    products = {4 * j + c: prod for j in range(3)
-                for c, prod in enumerate(_shifts(delta[4 * j:4 * j + 4]))}
-    return [{12 * i + x: prod[o] for x, prod in products.items() if prod[o]}
-            for i in range(3) for o in range(4)]
-
-
 def wall_keys(parabolic: ParabolicId, words: tuple[str, ...]):
     """The function (p, mat) -> the keys of g*w*P for the words w, in order,
     where mat is the matrix M_g of an element g and p the key of g*P.
@@ -495,30 +477,24 @@ def wall_keys(parabolic: ParabolicId, words: tuple[str, ...]):
     nonzero terms, and each key starts from p or the earlier key that leaves
     the fewest terms.  For the pentagon tiling (D8, rot = rs, e = t) the
     first key is p - (2 - 2 phi) T and its first int reads
-    ``q0_0 = p_0 - 2 * m8 + 2 * m10``; the second adds 2 S + 2 sqrt2 R to it.
+    ``q0_0 = p_0 + 2 * m10 - 2 * m8``; the second adds 2 S + 2 sqrt2 R to it.
     No general product of quartic integers is evaluated per call.
     """
-    unpack = ", ".join(f"(m{4 * k}, m{4 * k + 1}, m{4 * k + 2}, m{4 * k + 3})" for k in range(9))
-    lines = ["def keys(p, m):",
-             f"    _, {', '.join(f'p_{n}' for n in range(12))} = p",
-             f"    {unpack} = m"]
+    lines = ["def keys(p, m):", f"    {_UNPACK_P} = p", f"    {_UNPACK_M} = m"]
     done = {"p": [{}] * 12}  # forms already subtracted, by variable prefix
     for w, delta in enumerate(_wall_offsets(parabolic, words)):
-        forms = _columns_form(delta)
-        rests = {prefix: [{x: f.get(x, 0) - b.get(x, 0) for x in f.keys() | b.keys()
+        forms = _point_forms([delta[4 * j:4 * j + 4] for j in range(3)])
+        rests = {prefix: [{x: f.get(x, 0) - b.get(x, 0) for x in {**f, **b}
                            if f.get(x, 0) != b.get(x, 0)} for f, b in zip(forms, base)]
                  for prefix, base in done.items()}
         prefix, rest = min(rests.items(), key=lambda item: sum(map(len, item[1])))
         for n, terms in enumerate(rest):
-            expr = "".join(f" {'-' if c > 0 else '+'} {'' if abs(c) == 1 else f'{abs(c)} * '}m{x}"
-                           for x, c in sorted(terms.items()))
-            lines.append(f"    q{w}_{n} = {prefix}_{n}{expr}")
+            form = {f"{prefix}_{n}": 1, **{x: -c for x, c in terms.items()}}
+            lines.append(f"    q{w}_{n} = {_sum_source(form)}")
         done[f"q{w}"] = forms
     keys = (f"({parabolic.name!r}, {', '.join(f'q{w}_{n}' for n in range(12))})" for w in range(len(words)))
     lines.append(f"    return {', '.join(keys)},")
-    namespace = {}
-    exec(compile("\n".join(lines), f"<wall_keys {parabolic.name} {words}>", "exec"), namespace)
-    return namespace["keys"]
+    return _compile("keys", lines)
 
 
 def _form(p, q):
@@ -687,20 +663,9 @@ def word_inverse(word: str) -> str:
 
 
 def right_descents(g: GroupElement) -> set[str]:
-    """Generators x with length(g*x) < length(g): g a_x, column x of M_g, is
-    a negative root, i.e. 2B(g a_x, rho) > 0.  As 2B(a_y, rho) is (1 - phi)
-    times 2 sqrt2, 1 and 2 for y = r, s, t and 1 - phi < 0, that is
-    2 sqrt2 v_r + v_s + 2 v_t < 0 for v = g a_x, one exact sign by the sqrt2
-    shift.  g's rho-point is checked first, so a matrix outside W raises."""
-    g.canonical_word()
-    m = g.mat
-    out = set()
-    for j, x in enumerate(GENERATORS):
-        (a0, b0, c0, d0), (a1, b1, c1, d1), (a2, b2, c2, d2) = m[j], m[3 + j], m[6 + j]
-        if iq_sign((4 * b0 + a1 + 2 * a2, 2 * a0 + b1 + 2 * b2,
-                    4 * d0 + c1 + 2 * c2, 2 * c0 + d1 + 2 * d2)) < 0:
-            out.add(x)
-    return out
+    """Generators x with length(g*x) < length(g): the left descents of g^-1
+    (g's rho-point is checked first, so a matrix outside W raises)."""
+    return left_descents(g.inverse())
 
 
 def left_descents(g: GroupElement) -> set[str]:

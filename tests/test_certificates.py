@@ -25,8 +25,8 @@ from cox245.certificates import (
     verify_family,
     verify_pentagon_suite,
 )
-from cox245.complexgraph import build_ball, fix_vertex
-from cox245.coxeter import D8, element_of_word, identity
+from cox245.complexgraph import build_ball, fix_vertex, graph_distance, make_vertex
+from cox245.coxeter import D8, D10, element_of_word, identity
 from cox245.edgetypes import type_key_cayley
 
 
@@ -323,6 +323,18 @@ def test_d10_search_smoke():
     none_found = auto_search_d10(max_depth=0, radius=3)
     assert none_found["derived"] == []
     assert none_found["max_endpoint_distance"] == 1
+
+
+def test_d10_endpoint_distances_are_bfs_distances():
+    """Each step's endpoint distance, read off the ball, equals the BFS
+    distance to the endpoint of the derived key."""
+    rep = auto_search_d10(30, 7)
+    assert len(rep["steps"]) == 23
+    center = fix_vertex(D10)
+    for step in rep["steps"]:
+        end = make_vertex(D10, element_of_word(parse_key(step["key"]).word))
+        assert step["endpoint_distance"] == graph_distance(center, end, "d10-orbit"), step["key"]
+    assert rep["max_endpoint_distance"] == max(s["endpoint_distance"] for s in rep["steps"]) == 5
 
 
 def test_pentagon_suite_small():

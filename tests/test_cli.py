@@ -154,6 +154,16 @@ _FAILED_STEP = json.dumps({"mode": "cayley", "sources": ["CAY:tsr", "CAY:srs", "
      "line 2: bad key serialization 'WAT:x'"),
     ([_FAILED_STEP, json.dumps({**_GOOD_LINE, "cycle": ["", "tr", "tsr", "tst", "t", "s"]})],
      "line 2: a cycle witness has exactly 4 or 5 vertices"),
+    # every rule checks its mode, and an orbit's points are Cayley elements
+    ([json.dumps({"rule": "assume", "mode": "bogus", "keys": ["CAY:r"]})],
+     "line 1: bad mode 'bogus'"),
+    ([json.dumps(_GOOD_LINE), json.dumps({"rule": "orbit-clique", "mode": "bogus",
+                                          "orbit_generators": ["s", "t"], "orbit_base": "r"})],
+     "line 2: bad mode 'bogus'"),
+    ([_FAILED_STEP, json.dumps({"rule": "orbit-clique", "mode": "complex",
+                                "orbit_generators": ["s", "t"], "orbit_base": "r"})],
+     "line 2: mode 'complex' on an orbit-clique line"),
+    ([json.dumps({**_GOOD_LINE, "mode": "bogus", "cycle": []})], "line 1: bad mode 'bogus'"),
 ])
 def test_malformed_certificate_line_is_named(tmp_path, capsys, lines, message):
     path = tmp_path / "certs.jsonl"

@@ -299,6 +299,22 @@ def test_generator_kernel_matches_generic_multiply(w, x):
     assert GroupElement(m).times(x + w).mat == mat_mul(m, generic_product(x + w))
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: coxeter._mat_mul_gen_right(coxeter._IDENTITY_MAT, "q"),
+     "bad generator 'q'; alphabet is 'r', 's', 't'"),
+    (lambda: coxeter._mat_mul_gen_left(coxeter._IDENTITY_MAT, "q"), "bad generator 'q'"),
+    (lambda: coxeter._point(coxeter._IDENTITY_MAT, "D6"), "unknown parabolic 'D6'"),
+    # no letter falls through to the form of t
+    (lambda: coxeter._twob(coset_key(identity(), D8), "q"),
+     "bad generator 'q'; alphabet is 'r', 's', 't'"),
+    (lambda: coxeter.wall_keys(D8, ("t", "q")), "bad generator 'q'; alphabet is 'r', 's', 't'"),
+], ids=["right", "left", "point", "twob", "wall_keys"])
+def test_compiled_kernels_reject_arguments_outside_their_cases(call, message):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == message
+
+
 def test_coset_key_fixed_by_exactly_the_parabolic():
     """u_P is fixed by P's two generators and moved by the third."""
     for p in (D8, D10, D4):

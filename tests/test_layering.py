@@ -1,6 +1,7 @@
 """Module layering: private names stay inside the module that defines them
 (dunders such as ``__version__`` are public), a group element's lazy fields
-stay inside ``coxeter``, and every exported name exists."""
+stay inside ``coxeter``, code is generated at one site, and every exported
+name exists."""
 
 import ast
 import importlib
@@ -45,3 +46,21 @@ def test_every_exported_name_resolves():
         stale.extend(f"{path.name} {attr}" for attr in getattr(mod, "__all__", ())
                      if not hasattr(mod, attr))
     assert stale == []
+
+
+def test_code_is_generated_at_one_site():
+    """The package calls the ``exec`` and ``compile`` builtins once each,
+    inside ``coxeter._compile``, which every generated kernel goes through,
+    and ``eval`` nowhere."""
+    calls = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        enclosing = {}
+        for node in ast.walk(tree):
+            for child in ast.iter_child_nodes(node):
+                enclosing[child] = (node.name if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                                    else enclosing.get(node, "<module>"))
+        calls.extend(f"{path.name}:{enclosing[node]} {node.func.id}" for node in ast.walk(tree)
+                     if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                     and node.func.id in ("exec", "compile", "eval"))
+    assert sorted(calls) == ["coxeter.py:_compile compile", "coxeter.py:_compile exec"]
