@@ -419,14 +419,24 @@ def parse_point(text: str, mode: str) -> Vertex:
     return make_vertex(PARABOLICS[parab], element_of_word(word))
 
 
+def _field(name: str, value, kind: type):
+    """The value of a line's field ``name``, which must be a string (``kind``
+    str) or an array of strings (``kind`` list)."""
+    if not (isinstance(value, kind) and (kind is str or all(isinstance(x, str) for x in value))):
+        what = "a string" if kind is str else "an array of strings"
+        raise ValueError(f"field {name!r} must be {what}, not {json.dumps(value)}")
+    return value
+
+
 def _orbit_points(line) -> list[Vertex]:
     """The Cayley orbit named by an orbit-clique line: its base point under
     the dihedral parabolic spanned by its two generators."""
-    gens = line["orbit_generators"]
+    gens = _field("orbit_generators", line["orbit_generators"], list)
     parab = next((p for p in PARABOLICS.values() if set(p.gens) == set(gens)), None)
     if parab is None:
         raise ValueError(f"orbit generators {gens} span no dihedral parabolic subgroup")
-    return [cayley_vertex(d.times(line["orbit_base"])) for d in parabolic_elements(parab)]
+    base = _field("orbit_base", line["orbit_base"], str)
+    return [cayley_vertex(d.times(base)) for d in parabolic_elements(parab)]
 
 
 def _parse_line(lineno: int, line: dict):
@@ -434,28 +444,31 @@ def _parse_line(lineno: int, line: dict):
     is re-raised as a ValueError that names the line.
 
     Every rule reads ``mode``, which must be cayley or complex, and cayley
-    on an orbit-clique line.  The pair keys are the cycle's sides in order,
-    or the orbit's pairs i < j (none for ``assume``); the types are the
-    target then the listed sources, the ``expect`` keys, or the assumed
-    keys.
+    on an orbit-clique line.  ``target`` and ``orbit_base`` are strings, and
+    the other fields read are arrays of strings (``_field``).  The pair keys
+    are the cycle's sides in order, or the orbit's pairs i < j (none for
+    ``assume``); the types are the target then the listed sources, the
+    ``expect`` keys, or the assumed keys.
     """
     try:
         rule = line.get("rule", "implication")
         mode = _checked_mode(line.get("mode", "cayley"))
         if rule == "implication":
-            pts = CycleWitness(tuple(parse_point(w, mode) for w in line["cycle"])).points
+            cycle = _field("cycle", line["cycle"], list)
+            pts = CycleWitness(tuple(parse_point(w, mode) for w in cycle)).points
             pairs = [pair_key(u, v) for u, v in zip(pts, pts[1:] + pts[:1])]
-            types = [parse_key(t) for t in (line["target"], *line["sources"])]
+            types = [parse_key(t) for t in (_field("target", line["target"], str),
+                                            *_field("sources", line["sources"], list))]
         elif rule == "orbit-clique":
             if mode != "cayley":
                 raise ValueError(f"mode {mode!r} on an orbit-clique line, whose points are "
                                  "Cayley elements; write cayley")
             pts = _orbit_points(line)
             pairs = [pair_key(u, v) for i, u in enumerate(pts) for v in pts[i + 1:]]
-            types = [parse_key(t) for t in line.get("expect", ())]
+            types = [parse_key(t) for t in _field("expect", line.get("expect", []), list)]
         elif rule == "assume":
             pts, pairs = (), []
-            types = [parse_key(t) for t in line["keys"]]
+            types = [parse_key(t) for t in _field("keys", line["keys"], list)]
         else:
             raise ValueError(f"unknown certificate rule {rule!r}")
     except KeyError as exc:

@@ -23,13 +23,12 @@ Neighbors in the tilings and the Cayley graph are wall reflections of the
 vertex's key p = M_g u_P: the coset g*w*P, w = rot^k * edge (the rotation
 reversed at odd-length representatives) or a generator, has key
 p - M_g delta_w with a constant offset delta_w (``coxeter.wall_keys``), a
-few sqrt2 and phi shifts of g's columns added to p.  Coset intersection
-(full-Y) walks the words of the parabolic's elements through
-``GroupElement.times`` and keys the cosets it meets by
-``coxeter.coset_key``.  Every mode yields keys, deduplicated
-(``vertex_key``; ``key_vertex`` goes back), and checks that the vertex
-belongs to its universe.  ``neighbors`` peels each distinct key once to its
-minimal representative (``coxeter.coset_rep``).
+few sqrt2 and phi shifts of g's columns added to p.  The cosets meeting
+g*P (full-Y) are g times the P-orbits of the other two base points: one
+``coxeter.orbit_plan`` per P, run by ``orbit_keys``.  Every mode yields
+keys, deduplicated (``vertex_key``; ``key_vertex`` goes back), and checks
+that the vertex belongs to its universe.  ``neighbors`` peels each
+distinct key once to its minimal representative (``coxeter.coset_rep``).
 
 A ball is a keyed BFS: each level is the dict of new keys met from the
 level before, and a coset is peeled only the first time its key is met, so
@@ -65,7 +64,8 @@ from .coxeter import (
     coset_rep,
     identity,
     min_coset_rep,
-    parabolic_elements,
+    orbit_keys,
+    orbit_plan,
     wall_keys,
 )
 
@@ -197,16 +197,13 @@ def pentagon_cyclic_neighbors(v: Vertex) -> list[Vertex]:
     return neighbors(v, "pentagon-subcomplex")
 
 
-def _members(v: Vertex) -> list[GroupElement]:
-    """The elements v.rep * p of the coset v, p in v's parabolic."""
-    return [v.rep.times(p.canonical_word()) for p in parabolic_elements(v.parabolic)]
-
-
-def _intersection_walk(v: Vertex) -> list[tuple[ParabolicId, GroupElement]]:
-    """(Q, g) for the other two maximal types Q and the members g of v: the
-    cosets g*Q are those that meet v."""
-    members = _members(v)
-    return [(q, g) for q in PARABOLICS.values() if q != v.parabolic for g in members]
+@cache
+def _intersection_plan(parabolic: ParabolicId) -> tuple:
+    """The ``orbit_plan`` of the cosets p*Q meeting the vertex (P, e), p in
+    P: the P-orbits of the base points of the other two maximal types Q, in
+    ``PARABOLICS`` order."""
+    return orbit_plan(parabolic, tuple(coset_key(identity(), q)
+                                       for q in PARABOLICS.values() if q is not parabolic))
 
 
 def _candidates(v: Vertex, mode: str) -> dict:
@@ -216,7 +213,7 @@ def _candidates(v: Vertex, mode: str) -> dict:
     _check_mode(mode, v)
     if mode != "full-Y":
         return dict.fromkeys(_reflections(v, mode))
-    keys = [coset_key(g, q) for q, g in _intersection_walk(v)]
+    keys = orbit_keys(_intersection_plan(v.parabolic), v.rep)
     if v.parabolic is D8:
         keys += _reflections(v, "pentagon-subcomplex")
     return dict.fromkeys(keys)

@@ -20,14 +20,14 @@ fixed words w (a vertex's neighbors) need no walk at all: ``wall_keys``
 subtracts M_g delta_w from the key of g*P, where the constant offset
 delta_w = u_P - M_w u_P is read once off the base point, so each key is a
 compiled sum of a few shifted entries of g's columns.  General products of
-quartic integers (``iq_mul``) remain only in orientation seeds and in the
-orbit-point check of the raw-matrix entry points.  A seed is moved by
-``translate_key``, unrolled (a matrix times the constant vector of a coset
-key, which moves a known coset by g without a word walk).  The rest of a
-P-orbit of cosets is reached from its seed by simple reflections s_x c =
-c - 2B(a_x, c) a_x, so ``orbit_keys`` moves each other point by g as the
-point it reflects minus a multiple of column x of M_g; ``orbit_plan`` reads
-each multiplier once, as an integer matrix.
+quartic integers (``iq_mul``) remain only in ``_form``, the orbit-point
+check of the raw-matrix entry points.  A seed is moved by
+``translate_key``, compiled from ``_point``'s forms with a key's ints for
+the base point's (M_g times a coset key moves a known coset by g without a
+word walk).  The rest of a P-orbit of cosets is reached from its seed by
+simple reflections s_x c = c - 2B(a_x, c) a_x, so ``orbit_keys`` moves
+each other point by g as the point it reflects minus a multiple of column
+x of M_g; ``orbit_plan`` reads each multiplier once, as an integer matrix.
 
 A coset g*P is identified without stripping by ``coset_key``: the image
 M_g u_P of a vector u_P whose stabiliser is exactly P, read with the same
@@ -135,7 +135,8 @@ _BASE_POINTS["CAY"] = tuple(tuple(map(sum, zip(*us))) for us in zip(*_BASE_POINT
 # Each kernel below is a constant (a generator matrix, a base point, a row of
 # _TWOB) times the ints of its argument, compiled once to straight-line
 # source: int c of entry k of a matrix is the symbol m{4k + c}, of a key's
-# point p_{4k + c}, and each int of a product is a form {symbol: coefficient}.
+# point p_{4k + c}, and each int of a product is a form {symbol: coefficient}
+# (``translate_key``'s symbols are products 'm1 * p_2').
 _M = [tuple(f"m{4 * k + c}" for c in range(4)) for k in range(9)]
 _P = [tuple(f"p_{4 * k + c}" for c in range(4)) for k in range(3)]
 _UNPACK_M = ", ".join(f"({', '.join(e)})" for e in _M)
@@ -149,21 +150,28 @@ def _shifts(q):
     return q, (2 * b, a, 2 * d, c), (c, d, a + c, b + d), (2 * d, c, 2 * (b + d), a + c)
 
 
+_UNITS = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
+
+
 def _dot(consts, entries) -> tuple[dict[str, int], ...]:
-    """sum_j consts[j] entries[j] for constant quartic integers and entries
-    of distinct symbols: q e is sum_c e_c (q times basis element c), by the
-    shifts of q."""
+    """sum_j consts[j] entries[j] for entries of distinct symbols and consts
+    constant quartic integers or symbol quartets: q e is sum_c e_c (q times
+    basis element c), by the shifts of q, and a symbol quartet q is
+    sum_d q_d (basis element d), a product term 'e_c * q_d'."""
     out = ({}, {}, {}, {})
     for q, symbols in zip(consts, entries):
-        for v, prod in zip(symbols, _shifts(q)):
-            for o, a in enumerate(prod):
-                if a:
-                    out[o][v] = a
+        terms = [(q, "")] if isinstance(q[0], int) else [(u, f" * {s}") for u, s in zip(_UNITS, q)]
+        for k, factor in terms:
+            for v, prod in zip(symbols, _shifts(k)):
+                for o, a in enumerate(prod):
+                    if a:
+                        out[o][v + factor] = a
     return out
 
 
 def _point_forms(u) -> list[dict[str, int]]:
-    """M u as 12 forms in the ints of M, for a constant vector u."""
+    """M u as 12 forms in the ints of M, for a constant vector u or a key's
+    point ``_P``."""
     return [f for i in range(3) for f in _dot(u, _M[3 * i:3 * i + 3])]
 
 
@@ -344,45 +352,12 @@ def coset_rep(key: tuple) -> "GroupElement":
     return rep
 
 
-def translate_key(g: "GroupElement", key: tuple) -> tuple:
-    """g.k = (Q, M_g u) for a coset key k = (Q, u): the key of g*h*Q when k
-    keys h*Q.  Coordinate i is sum_j m_ij u_j by ``iq_mul`` unrolled over
-    the integral basis: iq_mul(x, u_j) is linear in x, with the
-    coefficients of u_j computed once per call."""
-    name, e0, f0, g0, h0, e1, f1, g1, h1, e2, f2, g2, h2 = key
-    F0, H0, EG0, FH0, D0 = 2 * f0, 2 * h0, e0 + g0, f0 + h0, 2 * (f0 + h0)
-    F1, H1, EG1, FH1, D1 = 2 * f1, 2 * h1, e1 + g1, f1 + h1, 2 * (f1 + h1)
-    F2, H2, EG2, FH2, D2 = 2 * f2, 2 * h2, e2 + g2, f2 + h2, 2 * (f2 + h2)
-    ((a0, b0, c0, d0), (a1, b1, c1, d1), (a2, b2, c2, d2),
-     (a3, b3, c3, d3), (a4, b4, c4, d4), (a5, b5, c5, d5),
-     (a6, b6, c6, d6), (a7, b7, c7, d7), (a8, b8, c8, d8)) = g.mat
-    return (
-        name,
-        a0 * e0 + b0 * F0 + c0 * g0 + d0 * H0 + a1 * e1 + b1 * F1 + c1 * g1 + d1 * H1
-        + a2 * e2 + b2 * F2 + c2 * g2 + d2 * H2,
-        a0 * f0 + b0 * e0 + c0 * h0 + d0 * g0 + a1 * f1 + b1 * e1 + c1 * h1 + d1 * g1
-        + a2 * f2 + b2 * e2 + c2 * h2 + d2 * g2,
-        a0 * g0 + b0 * H0 + c0 * EG0 + d0 * D0 + a1 * g1 + b1 * H1 + c1 * EG1 + d1 * D1
-        + a2 * g2 + b2 * H2 + c2 * EG2 + d2 * D2,
-        a0 * h0 + b0 * g0 + c0 * FH0 + d0 * EG0 + a1 * h1 + b1 * g1 + c1 * FH1 + d1 * EG1
-        + a2 * h2 + b2 * g2 + c2 * FH2 + d2 * EG2,
-        a3 * e0 + b3 * F0 + c3 * g0 + d3 * H0 + a4 * e1 + b4 * F1 + c4 * g1 + d4 * H1
-        + a5 * e2 + b5 * F2 + c5 * g2 + d5 * H2,
-        a3 * f0 + b3 * e0 + c3 * h0 + d3 * g0 + a4 * f1 + b4 * e1 + c4 * h1 + d4 * g1
-        + a5 * f2 + b5 * e2 + c5 * h2 + d5 * g2,
-        a3 * g0 + b3 * H0 + c3 * EG0 + d3 * D0 + a4 * g1 + b4 * H1 + c4 * EG1 + d4 * D1
-        + a5 * g2 + b5 * H2 + c5 * EG2 + d5 * D2,
-        a3 * h0 + b3 * g0 + c3 * FH0 + d3 * EG0 + a4 * h1 + b4 * g1 + c4 * FH1 + d4 * EG1
-        + a5 * h2 + b5 * g2 + c5 * FH2 + d5 * EG2,
-        a6 * e0 + b6 * F0 + c6 * g0 + d6 * H0 + a7 * e1 + b7 * F1 + c7 * g1 + d7 * H1
-        + a8 * e2 + b8 * F2 + c8 * g2 + d8 * H2,
-        a6 * f0 + b6 * e0 + c6 * h0 + d6 * g0 + a7 * f1 + b7 * e1 + c7 * h1 + d7 * g1
-        + a8 * f2 + b8 * e2 + c8 * h2 + d8 * g2,
-        a6 * g0 + b6 * H0 + c6 * EG0 + d6 * D0 + a7 * g1 + b7 * H1 + c7 * EG1 + d7 * D1
-        + a8 * g2 + b8 * H2 + c8 * EG2 + d8 * D2,
-        a6 * h0 + b6 * g0 + c6 * FH0 + d6 * EG0 + a7 * h1 + b7 * g1 + c7 * FH1 + d7 * EG1
-        + a8 * h2 + b8 * g2 + c8 * FH2 + d8 * EG2,
-    )
+translate_key = _compile("translate_key", [
+    "def translate_key(g, key):", f"    {_UNPACK_P} = key", f"    {_UNPACK_M} = g.mat",
+    f"    return (key[0], {', '.join(map(_sum_source, _point_forms(_P)))})"])
+translate_key.__doc__ = """g.k = (Q, M_g u) for a coset key k = (Q, u): the key of g*h*Q when k
+    keys h*Q.  Compiled from ``_point``'s forms, with k's ints in place of a
+    base point's."""
 
 
 def orbit_plan(parabolic: ParabolicId, seeds: tuple[tuple, ...]) -> tuple[tuple, ...]:

@@ -90,6 +90,9 @@ class FieldElement:
     __slots__ = ("a", "b", "c", "d")
 
     def __init__(self, a=0, b=0, c=0, d=0):
+        for x in (a, b, c, d):
+            if not isinstance(x, (int, Fraction)):
+                raise TypeError(f"coefficient {x!r} is not an int or a Fraction")
         self.a = Fraction(a)
         self.b = Fraction(b)
         self.c = Fraction(c)
@@ -117,7 +120,8 @@ class FieldElement:
         return NotImplemented
 
     def __hash__(self):
-        return hash(self.coeffs)
+        # a rational element equals its Fraction, so it hashes as one
+        return hash(self.coeffs) if self.b or self.c or self.d else hash(self.a)
 
     def __bool__(self):
         return self.coeffs != (0, 0, 0, 0)

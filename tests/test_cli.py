@@ -134,6 +134,7 @@ _GOOD_LINE = {"mode": "cayley", "sources": ["CAY:tr", "CAY:tst", "CAY:rsr"],
 # known yet), so a line after it is read only past a failed step
 _FAILED_STEP = json.dumps({"mode": "cayley", "sources": ["CAY:tsr", "CAY:srs", "CAY:r"],
                            "cycle": ["", "tsr", "trsr", "r"], "target": "CAY:trsr"})
+_ORBIT_LINE = {"rule": "orbit-clique", "orbit_generators": ["s", "t"], "orbit_base": "r"}
 
 
 @pytest.mark.parametrize("lines, message", [
@@ -164,6 +165,23 @@ _FAILED_STEP = json.dumps({"mode": "cayley", "sources": ["CAY:tsr", "CAY:srs", "
                                 "orbit_generators": ["s", "t"], "orbit_base": "r"})],
      "line 2: mode 'complex' on an orbit-clique line"),
     ([json.dumps({**_GOOD_LINE, "mode": "bogus", "cycle": []})], "line 1: bad mode 'bogus'"),
+    # a string is not read as its letters, nor an array as a word
+    ([json.dumps({**_GOOD_LINE, "cycle": "rstr"})],
+     "line 1: field 'cycle' must be an array of strings"),
+    ([_FAILED_STEP, json.dumps({**_GOOD_LINE, "cycle": ["", "tr", 3, "tst"]})],
+     "line 2: field 'cycle' must be an array of strings"),
+    ([json.dumps({**_GOOD_LINE, "sources": "CAY:rs"})],
+     "line 1: field 'sources' must be an array of strings"),
+    ([json.dumps({**_GOOD_LINE, "target": ["CAY:tsr"]})],
+     "line 1: field 'target' must be a string"),
+    ([json.dumps({"rule": "assume", "keys": "CAY:r"})],
+     "line 1: field 'keys' must be an array of strings"),
+    ([_FAILED_STEP, json.dumps({**_ORBIT_LINE, "expect": "CAY:rstsr"})],
+     "line 2: field 'expect' must be an array of strings"),
+    ([json.dumps({**_ORBIT_LINE, "orbit_generators": "st"})],
+     "line 1: field 'orbit_generators' must be an array of strings"),
+    ([json.dumps(_GOOD_LINE), json.dumps({**_ORBIT_LINE, "orbit_base": ["r"]})],
+     "line 2: field 'orbit_base' must be a string"),
 ])
 def test_malformed_certificate_line_is_named(tmp_path, capsys, lines, message):
     path = tmp_path / "certs.jsonl"

@@ -24,6 +24,7 @@ from cox245.coxeter import (
     CAY,
     D8,
     D10,
+    PARABOLICS,
     bilinear_form_matrix,
     element_of_word,
     generator_matrix_field,
@@ -237,6 +238,29 @@ def reference_adjacent(u, v):
     diff = mat_mul(mat_inv(u.rep.mat), v.rep.mat)
     members = {g.mat for g in parabolic_elements(v.parabolic)}
     return any(mat_mul(p.mat, diff) in members for p in parabolic_elements(u.parabolic))
+
+
+def reference_full_y_keys(v):
+    """v's full-Y neighbor keys by the word walk: the keys of v.rep * p * Q
+    for the other two maximal types Q in ``PARABOLICS`` order and p in v's
+    parabolic in ``parabolic_elements`` order, first occurrences kept, then a
+    D8 vertex's pentagon neighbors v.rep * rot^k * t, the rotation rs
+    reversed at odd length."""
+    keys = [coset_key(v.rep.times(p.canonical_word()), q) for q in PARABOLICS.values()
+            if q is not v.parabolic for p in parabolic_elements(v.parabolic)]
+    if v.parabolic is D8:
+        rot = "rs" if v.rep.length() % 2 == 0 else "sr"
+        keys += [coset_key(v.rep.times(rot * k + "t"), D8) for k in range(4)]
+    return list(dict.fromkeys(keys))
+
+
+def test_full_y_candidates_follow_the_word_walk():
+    """The orbit plans give every full-Y neighbor key of the word walk, in
+    its order, at every vertex of a ball of all three types."""
+    slab = build_ball(C8, 3, "full-Y")
+    assert {v.parabolic.name for v in slab.vertices} == set(PARABOLICS)
+    for v in slab.vertices:
+        assert list(complexgraph._candidates(v, "full-Y")) == reference_full_y_keys(v)
 
 
 def test_ball_strips_each_coset_once(monkeypatch):

@@ -99,6 +99,23 @@ def test_serialization_format():
     assert y.serialize() == x.serialize()
 
 
+@pytest.mark.parametrize("coeffs", [(0.1,), ("1/3",), (1, 0.5), (0, 0, 0, "2"), (0, 0, 2.0)])
+def test_coefficients_are_exact(coeffs):
+    """A float or a string never enters the exact layer at the constructor."""
+    with pytest.raises(TypeError):
+        FieldElement(*coeffs)
+
+
+@pytest.mark.parametrize("q", [0, 2, -7, Fraction(1, 3), Fraction(-5, 2), Fraction(4, 2)])
+def test_rational_elements_hash_as_their_value(q):
+    """Equal values hash alike: a rational element is its Fraction in a set
+    or as a dict key, and an irrational one stays apart."""
+    x = FieldElement(q)
+    assert x == q and hash(x) == hash(q)
+    assert len({q, x}) == 1 and {q: 1}[x] == 1
+    assert len({q, x + SQRT2}) == 2
+
+
 @given(elements, elements, elements)
 @settings(max_examples=60, deadline=None)
 def test_field_axioms(x, y, z):
