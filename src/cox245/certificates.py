@@ -180,6 +180,12 @@ def family_implication(family: str, n: int):
     raise ValueError(f"unknown family {family!r}")
 
 
+def _family_keys(family: str, n: int):
+    """(sources, target, source keys, target key) of the family's n-th cycle."""
+    sources, target = family_implication(family, n)
+    return sources, target, [string_key(s) for s in sources], string_key(target)
+
+
 def verify_family(family: str, n: int, slab: GraphSlab) -> dict:
     """Locate a cycle realizing the family's implication at index n >= 1.
 
@@ -190,9 +196,7 @@ def verify_family(family: str, n: int, slab: GraphSlab) -> dict:
         raise ValueError(f"unknown family {family!r}")
     if n < 1:
         raise ValueError("family verification starts at n = 1")
-    sources, target = family_implication(family, n)
-    source_keys = [string_key(s) for s in sources]
-    target_key = string_key(target)
+    sources, target, source_keys, target_key = _family_keys(family, n)
     witness = find_witness(ImplicationState.initial(source_keys), target_key, slab)
     step = {
         "family": family,
@@ -227,12 +231,16 @@ def _chain_schedule(max_n: int):
     return out
 
 
+_METRICS = ("pentagon-subcomplex", "full-Y")
+
+
 def verify_d8_chain(max_n: int, slab: GraphSlab) -> dict:
     """Replay the chain from the bare pentagon edge type up to stage max_n.
 
     After stage n the keys of a..f at display index n-1 must all be known;
     the straight-segment type of stage n is d at display index n-1, whose
-    endpoint distances are measured exactly in both metrics.
+    endpoint distances in both ``_METRICS`` are exact BFS integers; the
+    audit asks them to strictly increase with the stage.
     """
     if max_n < 1:
         raise ValueError("max_n must be at least 1")
@@ -240,9 +248,7 @@ def verify_d8_chain(max_n: int, slab: GraphSlab) -> dict:
     steps = []
     status = "verified"
     for stage, family, k in _chain_schedule(max_n):
-        sources, target = family_implication(family, k)
-        source_keys = [string_key(s) for s in sources]
-        target_key = string_key(target)
+        _, _, source_keys, target_key = _family_keys(family, k)
         missing = [key.serialize() for key in source_keys if not state.has(key)]
         if missing:
             status = "failed"
@@ -274,17 +280,10 @@ def verify_d8_chain(max_n: int, slab: GraphSlab) -> dict:
     for stage in range(1, max_n + 1):
         spec = family_string("d", stage - 1)
         path = _trace_vertices(spec)
-        u, v = path[0], path[-1]
-        d_pent = graph_distance(u, v, "pentagon-subcomplex")
-        d_full = graph_distance(u, v, "full-Y")
         distances.append({"stage": stage, "d_string": str(spec),
-                          "pentagon-subcomplex": d_pent, "full-Y": d_full})
-    increasing = {
-        metric: all(distances[i][metric] is not None and distances[i + 1][metric] is not None
-                    and distances[i][metric] < distances[i + 1][metric]
-                    for i in range(len(distances) - 1))
-        for metric in ("pentagon-subcomplex", "full-Y")
-    }
+                          **{m: graph_distance(path[0], path[-1], m) for m in _METRICS}})
+    increasing = {m: all(a[m] < b[m] for a, b in zip(distances, distances[1:]))
+                  for m in _METRICS}
     return {
         "suite": "d8-chain",
         "status": status,
@@ -297,39 +296,25 @@ def verify_d8_chain(max_n: int, slab: GraphSlab) -> dict:
     }
 
 
-def _can_increase(values: list[int | None]) -> bool:
-    """True if integers in place of the unknown (None) entries can make
-    ``values`` strictly increasing: known entries i < j need a gap of at
-    least j - i."""
-    known = [(i, d) for i, d in enumerate(values) if d is not None]
-    return all(d2 - d1 >= i2 - i1 for (i1, d1), (i2, d2) in zip(known, known[1:]))
-
-
 def verify_pentagon_suite(max_n: int = 3, radius: int = 10) -> dict:
     """Families at 1..max_n plus the chain plus the distance audit, all
-    searched in one ball with one shared partner memo."""
+    searched in one ball with one shared partner memo.  A failed step fails
+    the suite; else an inconclusive one leaves it inconclusive; else the
+    audit decides."""
     slab = build_ball(fix_vertex(D8), radius, "pentagon-subcomplex")
     family_steps = [verify_family(family, n, slab)
                     for family in FAMILIES for n in range(1, max_n + 1)]
     chain = verify_d8_chain(max_n, slab)
-    ok = all(s["status"] == "verified" for s in family_steps) \
-        and chain["status"] == "verified" \
-        and all(chain["distances_strictly_increasing"].values())
-    if ok:
-        worst = "verified"
+    states = [s["status"] for s in family_steps] + [chain["status"]]
+    if "failed" in states:
+        status = "failed"
+    elif "inconclusive" in states:
+        status = "inconclusive"
     else:
-        states = [s["status"] for s in family_steps] + [chain["status"]]
-        if "failed" in states:
-            worst = "failed"
-        elif "inconclusive" in states or all(
-                _can_increase([row[metric] for row in chain["distances"]])
-                for metric in ("pentagon-subcomplex", "full-Y")):
-            worst = "inconclusive"  # only distances past the BFS cap broke the audit
-        else:
-            worst = "failed"  # the distance audit was the only violation
+        status = "verified" if all(chain["distances_strictly_increasing"].values()) else "failed"
     return {
         "suite": "pentagon",
-        "status": worst,
+        "status": status,
         "max_n": max_n,
         "radius": radius,
         "slab_size": len(slab),
@@ -473,7 +458,7 @@ def _parse_line(lineno: int, line: dict):
             raise ValueError(f"unknown certificate rule {rule!r}")
     except KeyError as exc:
         raise ValueError(f"line {lineno}: missing field {exc}") from None
-    except (AttributeError, TypeError, ValueError) as exc:
+    except (ArithmeticError, AttributeError, TypeError, ValueError) as exc:
         raise ValueError(f"line {lineno}: {exc}") from None
     return rule, pts, pairs, types
 
@@ -582,20 +567,20 @@ def verify_connecting_list(path: str | None = None) -> dict:
 
 
 def verify_dihedral_suite(order: int) -> dict:
-    """Closure from every single chord seed must reach all chord classes."""
-    m = {4: 4, 5: 5, 8: 4, 10: 5}.get(order)
-    if m is None:
-        raise ValueError("order must be 4 or 5 (rotation order), or 8/10 (group order)")
-    labels = DIHEDRAL_CHORD_LABELS[m]
+    """Closure from every single chord seed must reach all chord classes;
+    ``order`` is the rotation order, 4 or 5."""
+    if order not in DIHEDRAL_CHORD_LABELS:
+        raise ValueError("order must be 4 or 5")
+    labels = DIHEDRAL_CHORD_LABELS[order]
     steps = []
     ok = True
     for seed in labels:
-        got = dihedral_closure(m, seed)
+        got = dihedral_closure(order, seed)
         complete = got == set(labels)
         ok = ok and complete
         steps.append({"seed": seed, "closure": sorted(got), "complete": complete})
     return {
-        "suite": f"dihedral-{m}",
+        "suite": f"dihedral-{order}",
         "status": "verified" if ok else "failed",
         "chord_classes": list(labels),
         "steps": steps,

@@ -307,12 +307,13 @@ def build_ball(center: Vertex, radius: int, mode: str,
     return GraphSlab(mode, center, radius, tuple(vertices), tuple(depth), index)
 
 
-def graph_distance(u: Vertex, v: Vertex, mode: str, max_depth: int = 64) -> int | None:
+def graph_distance(u: Vertex, v: Vertex, mode: str) -> int:
     """Exact distance in the (infinite) graph by bidirectional BFS.
 
-    Returns None when the distance exceeds ``max_depth``.  Each side keeps
-    the keys it has reached; a completed level is peeled to become the next
-    frontier, so the keys met in the final expansion are never peeled.
+    Every mode's graph is infinite and connected, so the two searches always
+    meet.  Each side keeps the keys it has reached; a completed level is
+    peeled to become the next frontier, so the keys met in the final
+    expansion are never peeled.
     """
     _check_mode(mode, u, v)
     if u == v:
@@ -321,7 +322,7 @@ def graph_distance(u: Vertex, v: Vertex, mode: str, max_depth: int = 64) -> int 
     side_b = {vertex_key(v): 0}
     front_a, front_b = [u], [v]
     ra = rb = 0
-    while ra + rb < max_depth and front_a and front_b:
+    while True:
         if len(front_a) <= len(front_b):
             front, dist, other, r = front_a, side_a, side_b, ra
             ra += 1
@@ -341,4 +342,3 @@ def graph_distance(u: Vertex, v: Vertex, mode: str, max_depth: int = 64) -> int 
             front_a = nxt
         else:
             front_b = nxt
-    return None

@@ -325,8 +325,9 @@ def coset_rep(key: tuple) -> "GroupElement":
     (Tits), so a point there that is not memoised raises.  The key must
     come from a group element: a point outside the cone of rho
     never reaches the chamber, so keys read off raw matrices go through
-    ``_checked_rep``; any other key off the orbit raises after 10,000
-    descents (one per letter; the r12 pentagon ball's reps have at most 48).
+    ``_checked_rep``; any other key off the orbit, or of an element longer
+    than 10,000 letters, raises after 10,000 descents (one per letter; the
+    r12 pentagon ball's reps have at most 48).
     """
     rep = _REPS.get(key)
     if rep is not None:
@@ -343,7 +344,9 @@ def coset_rep(key: tuple) -> "GroupElement":
         if rep is not None:
             break
     else:
-        raise ArithmeticError(f"key off the orbit: no memoised point in {len(_PEEL_STEPS)} descents")
+        n = len(_PEEL_STEPS)
+        raise ArithmeticError(f"key off the orbit, or of an element longer than {n:,} letters: "
+                              f"no memoised point in {n} descents")
     for key, x in reversed(passed):
         up = GroupElement(None)
         up._word = x + rep._word

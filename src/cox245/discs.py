@@ -464,16 +464,9 @@ def enumerate_discs(boundary_len: int, max_triangles: int,
             if new_vertex:
                 splits = [[a, w] + region[1:]]
                 angle.append(0)
-            elif k == 2 and m == 3:
-                splits = []
-            elif k == 2:
-                splits = [region[2:] + [a]]
-            elif k == m - 1:
-                splits = [region[1:]]
             else:
-                splits = [region[k:] + [a], region[1:k + 1]]
-            if any(len(r) < 3 for r in splits):
-                raise AssertionError("degenerate region")
+                # a side of two vertices is the new edge itself
+                splits = [r for r in (region[k:] + [a], region[1:k + 1]) if len(r) > 2]
             tris.append(tri)
             for v in tri:
                 angle[v] += 1

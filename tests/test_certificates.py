@@ -315,6 +315,12 @@ def test_dihedral_suites():
         assert all(s["complete"] for s in rep["steps"])
 
 
+@pytest.mark.parametrize("order", [8, 10])
+def test_dihedral_suite_takes_only_rotation_orders(order):
+    with pytest.raises(ValueError, match="order must be 4 or 5"):
+        verify_dihedral_suite(order)
+
+
 def test_d10_search_smoke():
     rep = auto_search_d10(max_depth=1, radius=4)
     assert rep["status"] == "inconclusive"
@@ -358,22 +364,32 @@ def test_pentagon_suite_shared_memo_matches_fresh_spaces():
 
 
 def test_pentagon_suite_distance_audit_verdicts(monkeypatch):
-    """A distance past the BFS cap leaves the audit undecided; known
-    distances that do not increase fail it."""
+    """Distances that do not increase fail the audit."""
     import cox245.certificates as certificates
 
-    monkeypatch.setattr(certificates, "graph_distance", lambda u, v, mode: None)
-    rep = verify_pentagon_suite(2, 6)
-    assert all(s["status"] == "verified" for s in rep["steps"])
-    assert rep["status"] == "inconclusive"
     monkeypatch.setattr(certificates, "graph_distance", lambda u, v, mode: 3)
     assert verify_pentagon_suite(2, 6)["status"] == "failed"
 
 
-def test_distance_audit_gaps():
-    from cox245.certificates import _can_increase
-
-    assert _can_increase([2, None, 4])
-    assert _can_increase([None, None])
-    assert not _can_increase([2, None, 3])  # no integer fits between
-    assert not _can_increase([5, None, 4])
+@pytest.mark.parametrize("chain_status, family_status, increasing, expected", [
+    ("failed", "inconclusive", True, "failed"),
+    ("verified", "inconclusive", False, "inconclusive"),
+    ("verified", "verified", False, "failed"),
+    ("verified", "verified", True, "verified"),
+])
+def test_pentagon_suite_verdict_order(monkeypatch, chain_status, family_status, increasing,
+                                      expected):
+    """A failed step fails the suite; else an inconclusive step leaves it
+    inconclusive; else the distance audit decides."""
+    second = 4 if increasing else 2
+    chain = {"status": chain_status,
+             "distances": [{"stage": 1, "pentagon-subcomplex": 2, "full-Y": 2},
+                           {"stage": 2, "pentagon-subcomplex": second, "full-Y": 4}],
+             "distances_strictly_increasing": {"pentagon-subcomplex": increasing,
+                                               "full-Y": True}}
+    monkeypatch.setattr(certificates, "verify_family",
+                        lambda family, n, slab: {"family": family, "n": n,
+                                                 "status": family_status if family == "Sq"
+                                                 else "verified"})
+    monkeypatch.setattr(certificates, "verify_d8_chain", lambda max_n, slab: chain)
+    assert verify_pentagon_suite(2, 1)["status"] == expected

@@ -182,6 +182,12 @@ _ORBIT_LINE = {"rule": "orbit-clique", "orbit_generators": ["s", "t"], "orbit_ba
      "line 1: field 'orbit_generators' must be an array of strings"),
     ([json.dumps(_GOOD_LINE), json.dumps({**_ORBIT_LINE, "orbit_base": ["r"]})],
      "line 2: field 'orbit_base' must be a string"),
+    # a valid element past the peel bound of 10,000 letters
+    ([json.dumps({**_GOOD_LINE, "cycle": ["", "tr", "tsr", "rst" * 3500]})],
+     "line 1: key off the orbit, or of an element longer than 10,000 letters"),
+    ([json.dumps(_GOOD_LINE),
+      json.dumps({**_GOOD_LINE, "sources": ["CAY:tr", "CAY:" + "rst" * 3500]})],
+     "line 2: key off the orbit, or of an element longer than 10,000 letters"),
 ])
 def test_malformed_certificate_line_is_named(tmp_path, capsys, lines, message):
     path = tmp_path / "certs.jsonl"
