@@ -8,7 +8,7 @@ signs are decided by integer interval refinement.
 
 from fractions import Fraction
 
-from cox245.numberfield import COS_PI_4, COS_PI_5, FieldElement, SQRT2, SQRT5, SQRT10, fe_sign
+from cox245.numberfield import COS_PI_4, COS_PI_5, FieldElement, SQRT2, SQRT5, SQRT10
 
 x = FieldElement(Fraction(1, 2), 1, Fraction(-1, 3), 0)
 y = FieldElement(0, Fraction(2, 7), 1, Fraction(1, 2))
@@ -29,8 +29,8 @@ print("4*cos(pi/5)^2 - 2*cos(pi/5) - 1 =", (4 * c * c - 2 * c - 1).serialize())
 # signs are exact even when floats would be nervous
 tiny = SQRT2 + SQRT5 - SQRT10 - Fraction(9, 25)
 print()
-print("sign(sqrt2 + sqrt5 - sqrt10 - 9/25) =", fe_sign(tiny), " (float value %.6f)" % float(tiny))
-print("sign(sqrt2*sqrt5 - sqrt10)          =", fe_sign(SQRT2 * SQRT5 - SQRT10), " (exact zero)")
+print("sign(sqrt2 + sqrt5 - sqrt10 - 9/25) =", tiny.sign(), " (float value %.6f)" % float(tiny))
+print("sign(sqrt2*sqrt5 - sqrt10)          =", (SQRT2 * SQRT5 - SQRT10).sign(), " (exact zero)")
 print()
 print("cos(pi/4) =", COS_PI_4.serialize())
 print("cos(pi/5) =", COS_PI_5.serialize())

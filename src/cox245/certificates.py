@@ -21,9 +21,9 @@ display-index n-1 row of all six sequences.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass
 from functools import cache
-from importlib import resources
 
 from .complexgraph import (
     GraphSlab,
@@ -33,7 +33,7 @@ from .complexgraph import (
     fix_vertex,
     graph_distance,
     make_vertex,
-    pentagon_cyclic_neighbors,
+    neighbors,
 )
 from .coxeter import D8, D10, PARABOLICS, element_of_word, identity, parabolic_elements
 from .edgetypes import EdgeTypeKey, pair_key, type_key_cayley, type_key_complex
@@ -114,7 +114,7 @@ def _trace_vertices(spec: StringSpec) -> tuple[Vertex, ...]:
     path = [_BASE_EDGE[0], _BASE_EDGE[1]]
     for letter in spec.letters:
         cur, prev = path[-1], path[-2]
-        nbrs = pentagon_cyclic_neighbors(cur)
+        nbrs = neighbors(cur, "pentagon-subcomplex")
         p_in = nbrs.index(prev)
         path.append(nbrs[(p_in + _TURN_DELTA[letter]) % 4])
     return tuple(path)
@@ -296,7 +296,7 @@ def verify_d8_chain(max_n: int, slab: GraphSlab) -> dict:
     }
 
 
-def verify_pentagon_suite(max_n: int = 3, radius: int = 10) -> dict:
+def verify_pentagon_suite(max_n: int, radius: int) -> dict:
     """Families at 1..max_n plus the chain plus the distance audit, all
     searched in one ball with one shared partner memo.  A failed step fails
     the suite; else an inconclusive one leaves it inconclusive; else the
@@ -358,14 +358,14 @@ def parse_key(text: str) -> EdgeTypeKey:
     raise ValueError(f"bad key serialization {text!r}")
 
 
+_BUILTIN_LIST = os.path.join(os.path.dirname(__file__), "data", "cayley_certificates.jsonl")
+
+
 def _numbered_lines(path: str | None) -> list[tuple[int, dict]]:
     """(file line number, object) for each nonblank line; lines count from
     1, blank ones included."""
-    if path is None:
-        text = resources.files("cox245.data").joinpath("cayley_certificates.jsonl").read_text()
-    else:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+    with open(_BUILTIN_LIST if path is None else path, "r", encoding="utf-8") as fh:
+        text = fh.read()
     out = []
     for lineno, raw in enumerate(text.splitlines(), 1):
         if not raw.strip():
@@ -589,7 +589,7 @@ def verify_dihedral_suite(order: int) -> dict:
 
 # --- exploratory search from the dual-tiling seed ---------------------------
 
-def auto_search_d10(max_depth: int = 3, radius: int = 5) -> dict:
+def auto_search_d10(max_depth: int, radius: int) -> dict:
     """Breadth-first implication closure from the edge (FixD10, r FixD10).
 
     Exploratory only: the report carries whatever was derived within the

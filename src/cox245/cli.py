@@ -87,6 +87,9 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = _build_parser()
+
+
 def run_args(args: argparse.Namespace) -> list[Report]:
     if args.command == "verify" and args.suite == "cayley-certs":
         config = {"suite": "cayley-certs", "certs": args.certs}
@@ -113,8 +116,7 @@ def run_args(args: argparse.Namespace) -> list[Report]:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         reports = run_args(args)
     except Exception as exc:  # config/cap errors land on stderr, nonzero exit

@@ -79,10 +79,10 @@ __all__ = [
     "vertex_key",
     "key_vertex",
     "neighbors",
-    "pentagon_cyclic_neighbors",
     "GraphSlab",
     "build_ball",
     "graph_distance",
+    "MAX_BALL_VERTICES",
     "ResourceLimitExceeded",
     "VertexNotInSlab",
 ]
@@ -91,6 +91,10 @@ __all__ = [
 # anchors them
 MODES = {"full-Y": (D8, D10, D4), "pentagon-subcomplex": (D8,),
          "cayley": (CAY,), "d10-orbit": (D10,)}
+
+
+# a ball larger than this raises ``ResourceLimitExceeded`` before it is built
+MAX_BALL_VERTICES = 500_000
 
 
 class ResourceLimitExceeded(RuntimeError):
@@ -191,12 +195,6 @@ def _reflections(v: Vertex, mode: str) -> tuple:
     return _walls(mode)[rep.length() % 2](coset_key(rep, v.parabolic), rep.mat)
 
 
-def pentagon_cyclic_neighbors(v: Vertex) -> list[Vertex]:
-    """The four pentagon neighbors of a D8-vertex: the orbit of the
-    quarter-turn rs conjugated to the vertex, in rotation order."""
-    return neighbors(v, "pentagon-subcomplex")
-
-
 @cache
 def _intersection_plan(parabolic: ParabolicId) -> tuple:
     """The ``orbit_plan`` of the cosets p*Q meeting the vertex (P, e), p in
@@ -278,8 +276,7 @@ class GraphSlab:
         return "\n".join(lines) + "\n"
 
 
-def build_ball(center: Vertex, radius: int, mode: str,
-               max_vertices: int = 500_000) -> GraphSlab:
+def build_ball(center: Vertex, radius: int, mode: str) -> GraphSlab:
     """BFS-complete ball of the given radius around ``center``."""
     if radius < 0:
         raise ValueError("radius must be nonnegative")
@@ -293,9 +290,9 @@ def build_ball(center: Vertex, radius: int, mode: str,
         # the level's new keys, in discovery order
         found = dict.fromkeys(key for v in level for key in _candidates(v, mode)
                               if key not in index)
-        if len(vertices) + len(found) > max_vertices:
+        if len(vertices) + len(found) > MAX_BALL_VERTICES:
             raise ResourceLimitExceeded(
-                f"ball exceeds {max_vertices} vertices at depth {d}")
+                f"ball exceeds {MAX_BALL_VERTICES} vertices at depth {d}")
         new = sorted(zip(map(key_vertex, found), found),
                      key=lambda vk: (vk[0].word(), vk[0].parabolic.name))
         level = []

@@ -84,10 +84,8 @@ __all__ = [
     "PARABOLIC_BY_NAME",
     "identity",
     "element_of_word",
-    "word_inverse",
     "right_descents",
     "left_descents",
-    "canonical_word",
     "min_coset_rep",
     "coset_key",
     "coset_rep",
@@ -601,9 +599,6 @@ class GroupElement:
         f = [iq_to_field(x) for x in self.mat]
         return (tuple(f[0:3]), tuple(f[3:6]), tuple(f[6:9]))
 
-    def serialize(self) -> str:
-        return ";".join(iq_to_field(x).serialize() for x in self.mat)
-
     def det_is_even(self) -> bool:
         """True iff det = +1, i.e. the Coxeter length is even (each
         reflection has det -1)."""
@@ -635,11 +630,6 @@ def element_of_word(word: str) -> GroupElement:
     return _IDENT.times(word)
 
 
-def word_inverse(word: str) -> str:
-    # generators are involutions
-    return word[::-1]
-
-
 def right_descents(g: GroupElement) -> set[str]:
     """Generators x with length(g*x) < length(g): the left descents of g^-1
     (g's rho-point is checked first, so a matrix outside W raises)."""
@@ -652,10 +642,6 @@ def left_descents(g: GroupElement) -> set[str]:
     g.canonical_word()
     p = _point(g.mat, "CAY")
     return {x for x in GENERATORS if iq_sign(_twob(p, x)) > 0}
-
-
-def canonical_word(g: GroupElement) -> str:
-    return g.canonical_word()
 
 
 @cache

@@ -27,9 +27,6 @@ from math import lcm
 
 __all__ = [
     "FieldElement",
-    "fe_mul",
-    "fe_inv",
-    "fe_sign",
     "ZERO",
     "ONE",
     "SQRT2",
@@ -220,21 +217,6 @@ def _coerce(value) -> FieldElement | None:
     if isinstance(value, (int, Fraction)):
         return FieldElement(value)
     return None
-
-
-def fe_mul(x: FieldElement, y: FieldElement) -> FieldElement:
-    """Exact product in Q(sqrt2, sqrt5)."""
-    return x * y
-
-
-def fe_inv(x: FieldElement) -> FieldElement:
-    """Exact multiplicative inverse; raises ZeroDivisionError on 0."""
-    return x.inverse()
-
-
-def fe_sign(x: FieldElement) -> int:
-    """-1, 0 or +1; exact for every input."""
-    return x.sign()
 
 
 ZERO = FieldElement(0)

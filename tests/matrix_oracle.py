@@ -1,7 +1,8 @@
 """The generic matrix kernel, kept as the oracle for the word walks and the
 orbit-point peels of ``cox245.coxeter``: the product by ``iq_mul``, the
-adjugate inverse and determinant, root-sign descent tests and the
-alternating double-coset strip.  The package itself uses none of them.
+adjugate inverse and determinant, root-sign descent tests, the
+alternating double-coset strip and the base points u_P with their images
+M u_P.  The package itself uses none of them.
 """
 
 import cox245.coxeter as coxeter
@@ -46,6 +47,26 @@ def mat_inv(m):
     if det == iq_neg(IQ_ONE):
         return tuple(iq_neg(x) for x in cof)
     raise ArithmeticError("matrix is not in the reflection group (det != +-1)")
+
+
+# u_P in simple-root coordinates over the integral basis {1, sqrt2, phi, sqrt2 phi},
+# and rho = u_D8 + u_D10 + u_D4 under the trivial subgroup's name
+U_P = {
+    "D8": ((0, 0, 0, 1), (0, 0, 2, 0), (2, 0, 0, 0)),
+    "D10": ((0, 3, 0, -1), (4, 0, 0, 0), (0, 0, 2, 0)),
+    "D4": ((0, 1, 0, 0), (2, 0, 0, 0), (0, 0, 1, 0)),
+    coxeter.CAY.name: ((0, 4, 0, 0), (6, 0, 2, 0), (2, 0, 3, 0)),
+}
+
+
+def reference_point(mat, name):
+    """M u_P (or M rho) by generic ``iq_mul`` products: the oracle for the
+    kernel's orbit points and coset keys."""
+    out = [name]
+    for i in range(3):
+        terms = [iq_mul(mat[3 * i + j], U_P[name][j]) for j in range(3)]
+        out.extend(sum(t[c] for t in terms) for c in range(4))
+    return tuple(out)
 
 
 def column_root_sign(m, x: str) -> int:

@@ -103,6 +103,14 @@ def test_report_rejects_bad_status():
                version="0", config={})
 
 
+@pytest.mark.parametrize("name", ["", "missing.jsonl"], ids=["empty", "missing"])
+def test_unreadable_certificate_path_exit_code(tmp_path, capsys, name):
+    """An empty ``--certs`` is a path like any other, not the built-in list."""
+    certs = str(tmp_path / name) if name else ""
+    assert main(["verify", "cayley-certs", "--certs", certs]) == 2
+    assert "cox245: error:" in capsys.readouterr().err
+
+
 def test_external_certificate_file(tmp_path, capsys):
     path = tmp_path / "certs.jsonl"
     path.write_text(json.dumps({

@@ -17,7 +17,6 @@ from cox245.complexgraph import (
     key_vertex,
     make_vertex,
     neighbors,
-    pentagon_cyclic_neighbors,
     vertex_key,
 )
 from cox245.coxeter import (
@@ -34,8 +33,8 @@ from cox245.coxeter import (
     parabolic_elements,
 )
 from cox245.edgetypes import key_partners, pair_key
-from cox245.numberfield import ONE, ZERO, iq_mul, iq_to_field
-from matrix_oracle import generic_product, mat_inv, mat_mul
+from cox245.numberfield import ONE, ZERO, iq_to_field
+from matrix_oracle import U_P, generic_product, mat_inv, mat_mul, reference_point
 
 C8 = fix_vertex(D8)
 C10 = fix_vertex(D10)
@@ -83,9 +82,10 @@ def test_vertex_not_in_slab():
         slab.index_of(far)
 
 
-def test_vertex_cap():
+def test_vertex_cap(monkeypatch):
+    monkeypatch.setattr(complexgraph, "MAX_BALL_VERTICES", 100)
     with pytest.raises(ResourceLimitExceeded):
-        build_ball(C8, 6, "pentagon-subcomplex", max_vertices=100)
+        build_ball(C8, 6, "pentagon-subcomplex")
 
 
 def test_full_y_contains_pentagon_edges_and_intersections():
@@ -104,9 +104,9 @@ def test_d10_orbit_degree_5():
 def test_pentagon_cyclic_neighbors_consistency():
     for word in ("", "t", "rst", "srst"):
         v = make_vertex(D8, element_of_word(word))
-        nbrs = pentagon_cyclic_neighbors(v)
+        nbrs = neighbors(v, "pentagon-subcomplex")
         assert len(set(nbrs)) == 4
-        assert set(neighbors(v, "pentagon-subcomplex")) == set(nbrs)
+        assert all(v in neighbors(u, "pentagon-subcomplex") for u in nbrs)
 
 
 def test_dump_deterministic_and_well_formed():
@@ -145,7 +145,7 @@ def test_mode_center_validation():
     (lambda: neighbors(C10, "cayley"), "does not fit"),
     (lambda: graph_distance(C10, C10, "no-such-mode"), "unknown mode"),
     (lambda: graph_distance(C8, C8, "d10-orbit"), "does not fit"),
-    (lambda: pentagon_cyclic_neighbors(C10), "does not fit"),
+    (lambda: neighbors(C10, "pentagon-subcomplex"), "does not fit"),
 ], ids=["cayley-in-full-Y", "D10-in-cayley", "unknown-mode-distance", "D8-in-d10-distance",
         "D10-pentagon"])
 def test_neighbors_and_distance_never_mix_universes(call, match):
@@ -174,7 +174,6 @@ def test_cyclic_neighbors_match_rotation_products(w):
         want = [make_vertex(parabolic, v.rep * element_of_word(rot * k + edge)) for k in range(order)]
         assert neighbors(v, mode) == want
         if parabolic == D8:
-            assert pentagon_cyclic_neighbors(v) == want
             assert [u for u in neighbors(v, "full-Y") if u.parabolic is D8] == want
     v = cayley_vertex(g)
     assert neighbors(v, "cayley") == [cayley_vertex(v.rep.times(x)) for x in "rst"]
@@ -326,25 +325,13 @@ def test_every_vertex_is_keyed_by_its_coset(center, radius, mode):
         assert key_vertex(key) == v
 
 
-# u_P in simple-root coordinates over the integral basis {1, sqrt2, phi, sqrt2 phi},
-# and u_CAY = rho = u_D8 + u_D10 + u_D4
-U_P = {"D8": ((0, 0, 0, 1), (0, 0, 2, 0), (2, 0, 0, 0)),
-       "D10": ((0, 3, 0, -1), (4, 0, 0, 0), (0, 0, 2, 0)),
-       "D4": ((0, 1, 0, 0), (2, 0, 0, 0), (0, 0, 1, 0)),
-       "CAY": ((0, 4, 0, 0), (6, 0, 2, 0), (2, 0, 3, 0))}
-
-
 def reference_vertex_key(v):
     """A vertex's key computed apart from the kernel: M u_P by generic
     ``iq_mul`` products, where M is the representative's matrix for a
     coset and, for a Cayley vertex, the product of its word's generator
     matrices by the generic matrix product."""
     mat = generic_product(v.word()) if v.parabolic is CAY else v.rep.mat
-    out = [v.parabolic.name]
-    for i in range(3):
-        terms = [iq_mul(mat[3 * i + j], U_P[v.parabolic.name][j]) for j in range(3)]
-        out.extend(sum(t[c] for t in terms) for c in range(4))
-    return tuple(out)
+    return reference_point(mat, v.parabolic.name)
 
 
 @pytest.mark.parametrize("center, radius, mode", [

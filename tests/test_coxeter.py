@@ -15,7 +15,6 @@ from cox245.coxeter import (
     GroupElement,
     PARABOLICS,
     bilinear_form_matrix,
-    canonical_word,
     coset_key,
     element_of_word,
     generator_matrix_field,
@@ -26,11 +25,18 @@ from cox245.coxeter import (
     parabolic_elements,
     right_descents,
     translate_key,
-    word_inverse,
 )
 from cox245.numberfield import IQ_ONE, ZERO, iq_add, iq_mul, iq_neg, iq_to_field
 import matrix_oracle
-from matrix_oracle import column_root_sign, generic_product, mat_det, mat_inv, mat_mul
+from matrix_oracle import (
+    U_P,
+    column_root_sign,
+    generic_product,
+    mat_det,
+    mat_inv,
+    mat_mul,
+    reference_point,
+)
 
 words = st.text(alphabet="rst", max_size=12)
 
@@ -88,12 +94,12 @@ def test_right_descents_examples():
 
 
 def test_canonical_word_examples():
-    assert canonical_word(identity()) == ""
-    assert canonical_word(element_of_word("tr")) == "rt"
-    assert canonical_word(element_of_word("tsr")) == "tsr"
+    assert identity().canonical_word() == ""
+    assert element_of_word("tr").canonical_word() == "rt"
+    assert element_of_word("tsr").canonical_word() == "tsr"
     # braid identities picked up by canonicalization
-    assert canonical_word(element_of_word("tstst")) == "ststs"
-    assert canonical_word(element_of_word("srsr")) == "rsrs"
+    assert element_of_word("tstst").canonical_word() == "ststs"
+    assert element_of_word("srsr").canonical_word() == "rsrs"
 
 
 def test_parabolic_closures():
@@ -160,12 +166,12 @@ def test_trivial_parabolic_cosets_are_elements(w, v):
 @settings(max_examples=80, deadline=None)
 def test_canonical_word_invariants(w):
     g = element_of_word(w)
-    cw = canonical_word(g)
+    cw = g.canonical_word()
     assert element_of_word(cw) == g
     assert len(cw) <= len(w)
     assert g.det_is_even() == (len(cw) % 2 == 0)
     # canonical word is itself canonical
-    assert canonical_word(element_of_word(cw)) == cw
+    assert element_of_word(cw).canonical_word() == cw
 
 
 @given(words)
@@ -173,7 +179,7 @@ def test_canonical_word_invariants(w):
 def test_inverse_word(w):
     g = element_of_word(w)
     assert (g * g.inverse()).is_identity()
-    assert element_of_word(word_inverse(w)) == g.inverse()
+    assert element_of_word(w[::-1]) == g.inverse()
     assert g.inverse().length() == g.length()
 
 
@@ -203,7 +209,7 @@ def test_faithfulness_on_ball():
     for g, depth in LENGTHS.items():
         if depth > 6:
             continue
-        cw = canonical_word(g)
+        cw = g.canonical_word()
         assert len(cw) == depth  # matrix-BFS depth equals Coxeter length
         assert seen.setdefault(cw, g) == g
     assert len({g.canonical_word() for g in LENGTHS if LENGTHS[g] <= 6}) == \
@@ -321,26 +327,6 @@ def test_coset_key_fixed_by_exactly_the_parabolic():
         base = coset_key(identity(), p)
         for x in "rst":
             assert (coset_key(element_of_word(x), p) == base) == (x in p.gens), (p, x)
-
-
-# u_P in simple-root coordinates over the integral basis {1, sqrt2, phi, sqrt2 phi},
-# and rho = u_D8 + u_D10 + u_D4 under the trivial subgroup's name
-U_P = {
-    "D8": ((0, 0, 0, 1), (0, 0, 2, 0), (2, 0, 0, 0)),
-    "D10": ((0, 3, 0, -1), (4, 0, 0, 0), (0, 0, 2, 0)),
-    "D4": ((0, 1, 0, 0), (2, 0, 0, 0), (0, 0, 1, 0)),
-    coxeter.CAY.name: ((0, 4, 0, 0), (6, 0, 2, 0), (2, 0, 3, 0)),
-}
-
-
-def reference_point(mat, name):
-    """M u_P (or M rho) by generic iq_mul products (the oracle for the
-    shifts)."""
-    out = [name]
-    for i in range(3):
-        terms = [iq_mul(mat[3 * i + j], U_P[name][j]) for j in range(3)]
-        out.extend(sum(t[c] for t in terms) for c in range(4))
-    return tuple(out)
 
 
 def reference_coset_key(g, p):

@@ -1,15 +1,46 @@
-"""Module layering: private names stay inside the module that defines them
+"""Module layering: the package namespace holds only ``__version__`` and
+the submodules, private names stay inside the module that defines them
 (dunders such as ``__version__`` are public), a group element's lazy fields
-stay inside ``coxeter``, code is generated at one site, and every exported
-name exists."""
+stay inside ``coxeter``, code is generated at one site, every exported
+name exists, and the CLI imports everything it runs up front."""
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
+from types import ModuleType
 
 import cox245
 
 PACKAGE = Path(cox245.__file__).parent
+
+
+def test_package_namespace_is_version_and_submodules():
+    """Every name is imported from the submodule that defines it; the
+    package itself binds ``__version__`` and, once imported, submodules."""
+    assert isinstance(cox245.__version__, str)
+    extra = [name for name, value in vars(cox245).items() if not name.startswith("__")
+             and not (isinstance(value, ModuleType) and value.__name__ == f"cox245.{name}")]
+    assert extra == []
+
+
+def test_cli_run_imports_no_module():
+    """``import cox245.cli`` loads what a run needs, and no resource loader:
+    a run of the built-in certificate list adds no module (site is off, so
+    nothing but the package and its imports is loaded)."""
+    code = (
+        "import sys\n"
+        "import cox245.cli\n"
+        "loaded = set(sys.modules)\n"
+        "code = cox245.cli.main(['verify', 'cayley-certs', '--json'])\n"
+        "print(code, 'importlib.resources' in loaded, sorted(set(sys.modules) - loaded))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    out = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True,
+                         text=True, timeout=120, check=True)
+    assert out.stdout.splitlines()[-1] == "0 False []"
 
 
 def test_no_module_imports_a_private_name_from_another():
