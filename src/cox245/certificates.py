@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cache
 
 from .complexgraph import (
@@ -75,12 +75,12 @@ TURN_LETTERS = "LSR"
 _TURN_DELTA = {"L": 1, "S": 2, "R": 3}
 
 
-@dataclass(frozen=True)
-class StringSpec:
-    """A turtle string over {L, S, R}: quarter, half and three-quarter
-    clockwise turns at successive vertices of the pentagon tiling."""
+class StringSpec(namedtuple("StringSpec", "letters")):
+    """A turtle string over {L, S, R}, the tuple ``letters``: quarter, half
+    and three-quarter clockwise turns at successive vertices of the pentagon
+    tiling."""
 
-    letters: tuple[str, ...]
+    __slots__ = ()
 
     @classmethod
     def parse(cls, text: str) -> "StringSpec":
@@ -101,10 +101,11 @@ class StringSpec:
         return StringSpec(tuple(swap[ch] for ch in self.letters))
 
 
-@dataclass(frozen=True)
-class PathTrace:
-    vertices: tuple[Vertex, ...]
-    key: EdgeTypeKey
+class PathTrace(namedtuple("PathTrace", "vertices key")):
+    """A traced string: its ``vertices`` from the base edge on, and the
+    ``EdgeTypeKey`` ``key`` of (start, end)."""
+
+    __slots__ = ()
 
 
 _BASE_EDGE = (fix_vertex(D8), make_vertex(D8, element_of_word("t")))

@@ -47,7 +47,7 @@ index; its adjacency is derived on first use from the same walk.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cache, cached_property
 
 from .coxeter import (
@@ -105,16 +105,16 @@ class VertexNotInSlab(KeyError):
     pass
 
 
-@dataclass(frozen=True, slots=True)
-class Vertex:
-    """A coset of a standard parabolic (of CAY: a group element).
+class Vertex(namedtuple("Vertex", "parabolic rep")):
+    """A coset of a standard parabolic (of CAY: a group element): the
+    ``ParabolicId`` ``parabolic`` and a ``GroupElement`` ``rep``.
 
     ``rep`` is always the minimal coset representative, so equality of
-    vertices is equality of fields.
+    vertices is equality of fields; a named tuple compares and hashes them
+    in C.
     """
 
-    parabolic: ParabolicId
-    rep: GroupElement
+    __slots__ = ()
 
     def word(self) -> str:
         return self.rep.canonical_word()
@@ -188,11 +188,11 @@ def _walls(mode: str) -> tuple:
                  for r in (rot, rot[::-1]))
 
 
-def _reflections(v: Vertex, mode: str) -> tuple:
+def _reflections(v: Vertex, key: tuple, mode: str) -> tuple:
     """The keys of v's neighbors in a tiling or the Cayley graph, in
-    rotation (generator) order: v's key reflected across its walls."""
+    rotation (generator) order: v's key ``key`` reflected across its walls."""
     rep = v.rep
-    return _walls(mode)[rep.length() % 2](coset_key(rep, v.parabolic), rep.mat)
+    return _walls(mode)[rep.length() % 2](key, rep.mat)
 
 
 @cache
@@ -204,23 +204,24 @@ def _intersection_plan(parabolic: ParabolicId) -> tuple:
                                        for q in PARABOLICS.values() if q is not parabolic))
 
 
-def _candidates(v: Vertex, mode: str) -> dict:
+def _candidates(v: Vertex, key: tuple, mode: str) -> dict:
     """The keys of v's neighbors, in order of first occurrence (a dict with
-    no values).  Raises ``ValueError`` for an unknown mode or a vertex
-    outside the mode's universe."""
+    no values); ``key`` is v's own key, which the caller already holds.
+    Raises ``ValueError`` for an unknown mode or a vertex outside the mode's
+    universe."""
     _check_mode(mode, v)
     if mode != "full-Y":
-        return dict.fromkeys(_reflections(v, mode))
+        return dict.fromkeys(_reflections(v, key, mode))
     keys = orbit_keys(_intersection_plan(v.parabolic), v.rep)
     if v.parabolic is D8:
-        keys += _reflections(v, "pentagon-subcomplex")
+        keys += _reflections(v, key, "pentagon-subcomplex")
     return dict.fromkeys(keys)
 
 
 def neighbors(v: Vertex, mode: str) -> list[Vertex]:
     """Deterministically ordered neighbor list in the given universe; each
     distinct neighbor is peeled once."""
-    return [key_vertex(key) for key in _candidates(v, mode)]
+    return [key_vertex(key) for key in _candidates(v, vertex_key(v), mode)]
 
 
 # --- slabs -----------------------------------------------------------------
@@ -256,8 +257,8 @@ class GraphSlab:
         and irreflexive.  Walked once, on first use."""
         index = self.key_index
         return tuple(
-            tuple(sorted(index[key] for key in _candidates(v, self.mode) if key in index))
-            for v in self.vertices)
+            tuple(sorted(index[k] for k in _candidates(v, key, self.mode) if k in index))
+            for v, key in zip(self.vertices, index))
 
     def edges(self):
         for i, nbrs in enumerate(self.adj):
@@ -284,23 +285,22 @@ def build_ball(center: Vertex, radius: int, mode: str) -> GraphSlab:
     center.word()  # raises off W, where the walk's unchecked peels would not end
     vertices = [center]
     depth = [0]
-    index = {vertex_key(center): 0}
-    level = [center]
+    key = vertex_key(center)
+    index = {key: 0}
+    level = [(center, key)]  # (vertex, key) pairs
     for d in range(1, radius + 1):
         # the level's new keys, in discovery order
-        found = dict.fromkeys(key for v in level for key in _candidates(v, mode)
-                              if key not in index)
+        found = dict.fromkeys(k for v, key in level for k in _candidates(v, key, mode)
+                              if k not in index)
         if len(vertices) + len(found) > MAX_BALL_VERTICES:
             raise ResourceLimitExceeded(
                 f"ball exceeds {MAX_BALL_VERTICES} vertices at depth {d}")
-        new = sorted(zip(map(key_vertex, found), found),
-                     key=lambda vk: (vk[0].word(), vk[0].parabolic.name))
-        level = []
-        for v, key in new:
+        level = sorted(zip(map(key_vertex, found), found),
+                       key=lambda vk: (vk[0].word(), vk[0].parabolic.name))
+        for v, key in level:
             index[key] = len(vertices)
             vertices.append(v)
             depth.append(d)
-            level.append(v)
     return GraphSlab(mode, center, radius, tuple(vertices), tuple(depth), index)
 
 
@@ -315,9 +315,10 @@ def graph_distance(u: Vertex, v: Vertex, mode: str) -> int:
     _check_mode(mode, u, v)
     if u == v:
         return 0
-    side_a = {vertex_key(u): 0}
-    side_b = {vertex_key(v): 0}
-    front_a, front_b = [u], [v]
+    key_u, key_v = vertex_key(u), vertex_key(v)
+    side_a = {key_u: 0}
+    side_b = {key_v: 0}
+    front_a, front_b = [(u, key_u)], [(v, key_v)]  # (vertex, key) pairs
     ra = rb = 0
     while True:
         if len(front_a) <= len(front_b):
@@ -327,14 +328,14 @@ def graph_distance(u: Vertex, v: Vertex, mode: str) -> int:
             front, dist, other, r = front_b, side_b, side_a, rb
             rb += 1
         nxt = []
-        for x in front:
-            for key in _candidates(x, mode):
+        for x, x_key in front:
+            for key in _candidates(x, x_key, mode):
                 if key in other:
                     return r + 1 + other[key]
                 if key not in dist:
                     dist[key] = r + 1
                     nxt.append(key)
-        nxt = [key_vertex(key) for key in nxt]
+        nxt = [(key_vertex(key), key) for key in nxt]
         if front is front_a:
             front_a = nxt
         else:

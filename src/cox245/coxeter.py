@@ -55,7 +55,6 @@ that of its word's length.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 
 from .numberfield import (
@@ -247,18 +246,26 @@ def _mat_mul_gen_left(m, x: str):
     r, sqrt2 row0 - row1 + phi row2 for s and phi row1 - row2 for t."""
 
 
-@dataclass(frozen=True, eq=False)
 class ParabolicId:
     """A standard parabolic subgroup, named by its type: the maximal
     dihedral D8, D10 and D4, and the trivial CAY, whose cosets are elements.
 
     These four are the only instances, so they compare and hash by
     identity: hashing a ``Vertex`` makes no Python-level call for its
-    parabolic.
+    parabolic.  The fields are read-only.
     """
 
-    name: str
-    gens: tuple[str, ...]
+    __slots__ = ("name", "gens")
+
+    def __init__(self, name: str, gens: tuple[str, ...]):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "gens", gens)
+
+    def __setattr__(self, attr, value):
+        raise AttributeError(f"cannot assign to field {attr!r}")
+
+    def __delattr__(self, attr):
+        raise AttributeError(f"cannot delete field {attr!r}")
 
     def __repr__(self):
         return self.name

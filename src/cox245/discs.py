@@ -64,7 +64,7 @@ cap and minimum boundary angle but was not enumerated.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cache, cached_property
 from itertools import permutations
 from operator import lt
@@ -108,22 +108,20 @@ def _edge(a, b):
     return (a, b) if a < b else (b, a)
 
 
-@dataclass(frozen=True)
-class TriDisc:
+class TriDisc(namedtuple("TriDisc", "boundary triangles")):
     """A triangulated disc with marked boundary cycle.
 
     ``boundary`` lists the boundary vertices in cyclic order; ``triangles``
     is the sorted tuple of sorted vertex triples.  Construction validates
     the simplicial disc axioms (edge multiplicities, vertex links, Euler
-    characteristic, simple boundary).
+    characteristic, simple boundary).  Instances keep a ``__dict__`` for
+    ``canonical``.
     """
 
-    boundary: tuple[int, ...]
-    triangles: tuple[tuple[int, int, int], ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "triangles", tuple(sorted(_tri(*t) for t in self.triangles)))
-        _validate(self)
+    def __new__(cls, boundary: tuple[int, ...], triangles: tuple[tuple[int, int, int], ...]):
+        d = super().__new__(cls, boundary, tuple(sorted(_tri(*t) for t in triangles)))
+        _validate(d)
+        return d
 
     @property
     def vertices(self) -> tuple[int, ...]:
@@ -235,10 +233,11 @@ def _validate(d: TriDisc):
                           "component (a disjoint closed surface)")
 
 
-@dataclass(frozen=True)
-class CurvatureProfile:
-    interior: dict[int, int]
-    boundary: dict[int, int]
+class CurvatureProfile(namedtuple("CurvatureProfile", "interior boundary")):
+    """Curvature per vertex: ``interior`` and ``boundary`` map each vertex
+    of that kind to its curvature."""
+
+    __slots__ = ()
 
     @property
     def total(self) -> int:

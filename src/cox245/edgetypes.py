@@ -21,7 +21,7 @@ Keys are exact: equal keys if and only if the pairs lie in one W-orbit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cache
 
 from .complexgraph import GraphSlab, Vertex, key_vertex, translate
@@ -51,11 +51,12 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class EdgeTypeKey:
-    p: str  # parabolic names, "CAY" for both of a Cayley pair
-    q: str
-    word: str
+class EdgeTypeKey(namedtuple("EdgeTypeKey", "p q word")):
+    """The type of a vertex pair: the parabolic names ``p`` and ``q`` ("CAY"
+    for both of a Cayley pair) and a double coset's canonical ``word``.  A
+    named tuple compares and hashes its fields in C."""
+
+    __slots__ = ()
 
     @property
     def mode(self) -> str:

@@ -45,7 +45,7 @@ the slab; a witness is read off the slab's own vertices.
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property
 from itertools import chain
 
@@ -80,15 +80,16 @@ class DiagonalsNotUniform(ValueError):
             "diagonals carry distinct types: " + ", ".join(k.serialize() for k in self.keys))
 
 
-@dataclass(frozen=True)
-class CycleWitness:
-    """A 4- or 5-cycle of vertices; its diagonals should carry one type."""
+class CycleWitness(namedtuple("CycleWitness", "points")):
+    """A 4- or 5-cycle of vertices, the tuple ``points``; its diagonals
+    should carry one type."""
 
-    points: tuple[Vertex, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.points) not in (4, 5):
+    def __new__(cls, points: tuple[Vertex, ...]):
+        if len(points) not in (4, 5):
             raise ValueError("a cycle witness has exactly 4 or 5 vertices")
+        return super().__new__(cls, points)
 
     @property
     def degenerate(self) -> bool:
@@ -98,11 +99,9 @@ class CycleWitness:
         return tuple(p.label() for p in self.points)
 
 
-@dataclass(frozen=True)
-class ImplicationState:
-    """Immutable ordered set of known edge types, in the order learned."""
-
-    known: tuple[EdgeTypeKey, ...]
+class ImplicationState(namedtuple("ImplicationState", "known")):
+    """Immutable ordered set of known edge types, the tuple ``known``, in
+    the order learned.  Instances keep a ``__dict__`` for ``known_set``."""
 
     @classmethod
     def initial(cls, keys) -> "ImplicationState":

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field, fields
+from collections import namedtuple
 
 from . import __version__
 
@@ -18,25 +18,21 @@ __all__ = ["Report", "timed_suite"]
 _STATUSES = ("verified", "failed", "inconclusive")
 
 
-@dataclass(frozen=True)
-class Report:
-    suite: str
-    status: str
-    steps: tuple
-    elapsed_ms: int
-    version: str
-    config: dict
-    detail: dict = field(default_factory=dict)
+class Report(namedtuple("Report", "suite status steps elapsed_ms version config detail")):
+    """One suite's outcome.  ``steps``, ``config`` and ``detail`` (default
+    a fresh ``{}``) are normalized to plain JSON data on construction."""
 
-    def __post_init__(self):
-        if self.status not in _STATUSES:
-            raise ValueError(f"bad status {self.status!r}")
-        object.__setattr__(self, "steps", _plain(self.steps))
-        object.__setattr__(self, "config", _plain(self.config))
-        object.__setattr__(self, "detail", _plain(self.detail))
+    __slots__ = ()
+
+    def __new__(cls, suite: str, status: str, steps, elapsed_ms: int, version: str,
+                config: dict, detail: dict | None = None):
+        if status not in _STATUSES:
+            raise ValueError(f"bad status {status!r}")
+        return super().__new__(cls, suite, status, _plain(steps), elapsed_ms, version,
+                               _plain(config), _plain({} if detail is None else detail))
 
     def to_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        return self._asdict()
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True)
@@ -57,7 +53,7 @@ def _plain(value):
     """Normalize to JSON-stable types so round-trips compare equal."""
     if isinstance(value, dict):
         return {str(k): _plain(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
+    if type(value) in (list, tuple):  # not a named tuple: value types print as str
         return [_plain(v) for v in value]
     if isinstance(value, (str, int, float, bool)) or value is None:
         return value

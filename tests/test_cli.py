@@ -1,13 +1,15 @@
 """CLI contract: subcommands, exit codes, JSON stream."""
 
-import dataclasses
 import json
 
 import pytest
 
 from cox245 import reports
 from cox245.cli import main
+from cox245.complexgraph import make_vertex
+from cox245.coxeter import CAY, D8, element_of_word
 from cox245.discs import discs_suite
+from cox245.edgetypes import EdgeTypeKey
 from cox245.reports import Report, timed_suite
 
 
@@ -221,9 +223,25 @@ def test_reports_normalise_each_value_once(monkeypatch):
     assert rep.steps == steps and rep.config == {"k": 1} and rep.detail == {"n": 5}
 
 
+def test_reports_print_value_objects_as_strings():
+    """Only plain lists and tuples become lists: an edge-type key or a
+    vertex in a report is its string form, though both are named tuples."""
+    value = {"k": [EdgeTypeKey("CAY", "CAY", "rs"), (make_vertex(CAY, element_of_word("rt")),)]}
+    assert reports._plain(EdgeTypeKey("D8", "D8", "tsrst")) == "CPLX:D8:D8:tsrst"
+    assert (reports._plain(make_vertex(D8, element_of_word("t")))
+            == "Vertex(parabolic=D8, rep=GroupElement('t'))")
+    assert reports._plain(value) == {
+        "k": ["CAY:rs", ["Vertex(parabolic=CAY, rep=GroupElement('rt'))"]]}
+
+
 def test_to_dict_serialises_like_asdict():
+    """``to_dict`` maps the seven fields by name, in order, to their values;
+    ``to_json`` is that dict with sorted keys."""
     rep = timed_suite({"boundary": 6}, discs_suite, 6, 8, False, 0, False)
-    assert rep.to_dict() == dataclasses.asdict(rep)
-    assert rep.to_json() == json.dumps(dataclasses.asdict(rep), sort_keys=True)
+    expected = {"suite": rep.suite, "status": rep.status, "steps": rep.steps,
+                "elapsed_ms": rep.elapsed_ms, "version": rep.version,
+                "config": rep.config, "detail": rep.detail}
+    assert rep.to_dict() == expected and list(rep.to_dict()) == list(expected)
+    assert rep.to_json() == json.dumps(expected, sort_keys=True)
     assert Report.from_dict(rep.to_dict()) == rep
     assert Report.from_json(rep.to_json()) == rep

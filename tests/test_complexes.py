@@ -259,7 +259,7 @@ def test_full_y_candidates_follow_the_word_walk():
     slab = build_ball(C8, 3, "full-Y")
     assert {v.parabolic.name for v in slab.vertices} == set(PARABOLICS)
     for v in slab.vertices:
-        assert list(complexgraph._candidates(v, "full-Y")) == reference_full_y_keys(v)
+        assert list(complexgraph._candidates(v, vertex_key(v), "full-Y")) == reference_full_y_keys(v)
 
 
 def test_ball_strips_each_coset_once(monkeypatch):
@@ -399,9 +399,9 @@ def test_ball_walks_no_frontier_vertex(monkeypatch, center, radius, mode):
     below the radius, each once, and wires no adjacency."""
     walked = []
 
-    def counted(v, mode, _fn=complexgraph._candidates):
+    def counted(v, key, mode, _fn=complexgraph._candidates):
         walked.append(v)
-        return _fn(v, mode)
+        return _fn(v, key, mode)
     monkeypatch.setattr(complexgraph, "_candidates", counted)
     slab = build_ball(center, radius, mode)
     inner = [v for v, d in zip(slab.vertices, slab.depth) if d < radius]

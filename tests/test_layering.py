@@ -2,7 +2,8 @@
 the submodules, private names stay inside the module that defines them
 (dunders such as ``__version__`` are public), a group element's lazy fields
 stay inside ``coxeter``, code is generated at one site, every exported
-name exists, and the CLI imports everything it runs up front."""
+name exists, and the CLI imports everything it runs up front and no
+introspection module."""
 
 import ast
 import importlib
@@ -41,6 +42,20 @@ def test_cli_run_imports_no_module():
     out = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True,
                          text=True, timeout=120, check=True)
     assert out.stdout.splitlines()[-1] == "0 False []"
+
+
+def test_cli_import_loads_no_introspection_module():
+    """Start-up stays lean: ``import cox245.cli`` loads neither
+    ``dataclasses`` nor what it pulls in (``inspect``), nor ``typing``."""
+    code = (
+        "import sys\n"
+        "import cox245.cli\n"
+        "print([m for m in ('dataclasses', 'inspect', 'typing') if m in sys.modules])\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    out = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True,
+                         text=True, timeout=120, check=True)
+    assert out.stdout.splitlines()[-1] == "[]"
 
 
 def test_no_module_imports_a_private_name_from_another():
