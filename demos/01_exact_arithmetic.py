@@ -1,14 +1,17 @@
 #!/usr/bin/env python3
 """Exact arithmetic in Q(sqrt2, sqrt5).
 
-The whole verifier runs on this field: no floats are ever trusted for a
-decision.  Elements are rational vectors over {1, sqrt2, sqrt5, sqrt10};
-signs are decided by integer interval refinement.
+No float is ever trusted for a decision.  The suites run on the integral
+layer (``cox245.numberfield``, coordinates over {1, sqrt2, phi,
+sqrt2*phi}); this demo uses the rational field ``cox245.exact``, the
+kernel's independent check, whose elements are rational vectors over
+{1, sqrt2, sqrt5, sqrt10}.  Both decide signs by nested norms in integers
+only.
 """
 
 from fractions import Fraction
 
-from cox245.numberfield import COS_PI_4, COS_PI_5, FieldElement, SQRT2, SQRT5, SQRT10
+from cox245.exact import COS_PI_4, COS_PI_5, FieldElement, SQRT2, SQRT5, SQRT10
 
 x = FieldElement(Fraction(1, 2), 1, Fraction(-1, 3), 0)
 y = FieldElement(0, Fraction(2, 7), 1, Fraction(1, 2))

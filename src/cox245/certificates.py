@@ -66,7 +66,6 @@ __all__ = [
     "auto_search_d10",
     "CONNECTING_SEED_WORDS",
     "CONNECTING_FINAL_WORDS",
-    "load_certificate_lines",
     "parse_key",
     "parse_point",
 ]
@@ -379,10 +378,6 @@ def _numbered_lines(path: str | None) -> list[tuple[int, dict]]:
             raise ValueError(f"line {lineno}: expected a JSON object, got {type(line).__name__}")
         out.append((lineno, line))
     return out
-
-
-def load_certificate_lines(path: str | None = None) -> list[dict]:
-    return [line for _, line in _numbered_lines(path)]
 
 
 def _checked_mode(mode: str) -> str:

@@ -58,7 +58,6 @@ from __future__ import annotations
 from functools import cache
 
 from .numberfield import (
-    FieldElement,
     IQ_ONE,
     IQ_PHI,
     IQ_SQRT2,
@@ -68,7 +67,6 @@ from .numberfield import (
     iq_neg,
     iq_sign,
     iq_sub,
-    iq_to_field,
 )
 
 __all__ = [
@@ -94,8 +92,6 @@ __all__ = [
     "wall_keys",
     "min_double_coset_rep",
     "parabolic_elements",
-    "bilinear_form_matrix",
-    "generator_matrix_field",
 ]
 
 GENERATORS = "rst"
@@ -601,11 +597,6 @@ class GroupElement:
     def length(self) -> int:
         return len(self.canonical_word())
 
-    def matrix(self) -> tuple[tuple[FieldElement, ...], ...]:
-        """The matrix over the public basis {1, sqrt2, sqrt5, sqrt10}."""
-        f = [iq_to_field(x) for x in self.mat]
-        return (tuple(f[0:3]), tuple(f[3:6]), tuple(f[6:9]))
-
     def det_is_even(self) -> bool:
         """True iff det = +1, i.e. the Coxeter length is even (each
         reflection has det -1)."""
@@ -613,9 +604,6 @@ class GroupElement:
 
 
 _IDENT = GroupElement(_IDENTITY_MAT)
-_GENS = {x: GroupElement(_GEN_MATS[x]) for x in GENERATORS}
-for _x, _g in _GENS.items():
-    _g._word = _x
 _IDENT._word = ""
 
 # Minimal coset representatives by orbit-point key, seeded with the base
@@ -718,21 +706,3 @@ def min_double_coset_rep(g: GroupElement, p: ParabolicId, q: ParabolicId) -> Gro
         if step is None:
             return coset_rep(key)
         key = step[1]
-
-
-def bilinear_form_matrix() -> tuple[tuple[FieldElement, ...], ...]:
-    """Gram matrix B of the form, over the public basis."""
-    from .numberfield import COS_PI_4, COS_PI_5, ONE, ZERO
-
-    b_rs = -COS_PI_4
-    b_st = -COS_PI_5
-    b_tr = ZERO
-    return (
-        (ONE, b_rs, b_tr),
-        (b_rs, ONE, b_st),
-        (b_tr, b_st, ONE),
-    )
-
-
-def generator_matrix_field(x: str) -> tuple[tuple[FieldElement, ...], ...]:
-    return _GENS[x].matrix()

@@ -15,7 +15,6 @@ from cox245.certificates import (
     auto_search_d10,
     family_implication,
     family_string,
-    load_certificate_lines,
     parse_key,
     string_key,
     trace_path,
@@ -28,6 +27,7 @@ from cox245.certificates import (
 from cox245.complexgraph import build_ball, fix_vertex, graph_distance, make_vertex
 from cox245.coxeter import D8, D10, element_of_word, identity
 from cox245.edgetypes import type_key_cayley
+from certificate_lines import builtin_lines
 
 
 def ckey(word):
@@ -160,7 +160,7 @@ def test_connecting_list_replays_independently():
         if k not in seed:
             seed.append(k)
     state = ImplicationState.initial(seed)
-    for line in load_certificate_lines():
+    for line in builtin_lines():
         if line.get("rule", "implication") == "implication":
             pts = tuple(parse_point(w, "cayley") for w in line["cycle"])
             state, derived = apply_elementary(state, CycleWitness(pts))
@@ -217,7 +217,7 @@ def test_connecting_list_seed_covers_mechanical_scan():
 
 
 def test_connecting_list_order_matters():
-    lines = load_certificate_lines()
+    lines = builtin_lines()
     # move the first implication to the end: its target is consumed by
     # step 3 (trsr needs tsr), so the replay must fail loudly
     shuffled = lines[1:] + lines[:1]
@@ -238,7 +238,7 @@ def test_connecting_list_order_matters():
 
 
 def test_orbit_clique_checks_its_expected_types(tmp_path):
-    lines = load_certificate_lines()[:25]
+    lines = builtin_lines()[:25]
     assert lines[-1]["rule"] == "orbit-clique"
     path = tmp_path / "expect.jsonl"
     for expect, status in ((["CAY:rstsr"], "verified"), (["CAY:rstsr", "CAY:rstrstst"], "failed")):
@@ -286,7 +286,7 @@ def test_assumed_types_never_verify(tmp_path):
     # assume every final type but the last plus the last step's sources,
     # then replay only the built-in list's last line: every check passes,
     # yet the result rests on the assumption
-    last = load_certificate_lines()[-1]
+    last = builtin_lines()[-1]
     assumed = [f"CAY:{w}" for w in CONNECTING_FINAL_WORDS if w != "rstrstst"]
     lines = [{"rule": "assume", "keys": assumed + last["sources"]}, last]
     path = tmp_path / "assumed.jsonl"

@@ -24,16 +24,14 @@ from cox245.coxeter import (
     D8,
     D10,
     PARABOLICS,
-    bilinear_form_matrix,
     element_of_word,
-    generator_matrix_field,
     coset_key,
     coset_rep,
     identity,
     parabolic_elements,
 )
 from cox245.edgetypes import key_partners, pair_key
-from cox245.numberfield import ONE, ZERO, iq_to_field
+from cox245.exact import ONE, ZERO, bilinear_form_matrix, generator_matrix_field, iq_to_field
 from matrix_oracle import U_P, generic_product, mat_inv, mat_mul, reference_point
 
 C8 = fix_vertex(D8)

@@ -14,10 +14,8 @@ from cox245.coxeter import (
     D10,
     GroupElement,
     PARABOLICS,
-    bilinear_form_matrix,
     coset_key,
     element_of_word,
-    generator_matrix_field,
     identity,
     left_descents,
     min_coset_rep,
@@ -26,7 +24,8 @@ from cox245.coxeter import (
     right_descents,
     translate_key,
 )
-from cox245.numberfield import IQ_ONE, ZERO, iq_add, iq_mul, iq_neg, iq_to_field
+from cox245.exact import ONE, ZERO, bilinear_form_matrix, generator_matrix_field, iq_to_field
+from cox245.numberfield import IQ_ONE, iq_mul, iq_neg
 import matrix_oracle
 from matrix_oracle import (
     U_P,
@@ -84,6 +83,32 @@ def test_generators_preserve_bilinear_form():
                     for l in range(3):
                         acc = acc + M[k][i] * B[k][l] * M[l][j]
                 assert acc == B[i][j]
+
+
+def field_product(word):
+    """The matrix of ``word`` over the field: the product of the Gram-matrix
+    reflections in letter order, sharing no code with the kernel."""
+    mat = tuple(tuple(ONE if i == j else ZERO for j in range(3)) for i in range(3))
+    for x in word:
+        gen = generator_matrix_field(x)
+        mat = tuple(tuple(sum((mat[i][k] * gen[k][j] for k in range(3)), ZERO)
+                          for j in range(3)) for i in range(3))
+    return mat
+
+
+def kernel_matrix(g):
+    f = [iq_to_field(x) for x in g.mat]
+    return (tuple(f[0:3]), tuple(f[3:6]), tuple(f[6:9]))
+
+
+@given(st.text(alphabet="rst", max_size=20))
+@settings(max_examples=60, deadline=None)
+def test_kernel_matches_the_gram_matrix_reflections(w):
+    """The integral kernel's matrix of every generator and of words of up to
+    20 letters equals the product of the exact field's reflections, built
+    from the Gram matrix alone."""
+    for word in ("r", "s", "t", w):
+        assert kernel_matrix(element_of_word(word)) == field_product(word), word
 
 
 def test_right_descents_examples():
@@ -523,6 +548,10 @@ def test_base_points_sit_in_the_negated_chamber():
         assert coxeter._least_descent(key) is None
     rho = points[coxeter.CAY.name][1:]
     assert rho == tuple(sum(points[p.name][1 + c] for p in (D8, D10, D4)) for c in range(12))
+
+
+def iq_add(x, y):
+    return tuple(a + b for a, b in zip(x, y))
 
 
 def shear(u, f):

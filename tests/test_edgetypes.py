@@ -13,11 +13,11 @@ import cox245.edgetypes as edgetypes
 import cox245.implications as implications
 import matrix_oracle
 from matrix_oracle import generic_product, mat_inv, mat_mul
+from certificate_lines import builtin_lines
 from cox245.certificates import (
     FAMILIES,
     StringSpec,
     family_implication,
-    load_certificate_lines,
     parse_key,
     string_key,
     verify_pentagon_suite,
@@ -292,7 +292,7 @@ def suite_keys():
     d10 = build_ball(center, 6, "d10-orbit")
     keys += [type_key_complex(center, v)
              for i, v in enumerate(d10.vertices) if 0 < d10.depth[i] <= 4]
-    for line in load_certificate_lines():
+    for line in builtin_lines():
         keys += [parse_key(k) for k in (*line.get("sources", ()), line.get("target"))
                  if k is not None]
     return list(dict.fromkeys(keys))

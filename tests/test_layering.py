@@ -2,8 +2,9 @@
 the submodules, private names stay inside the module that defines them
 (dunders such as ``__version__`` are public), a group element's lazy fields
 stay inside ``coxeter``, code is generated at one site, every exported
-name exists, and the CLI imports everything it runs up front and no
-introspection module."""
+name exists, the CLI imports everything it runs up front and no
+introspection module or rational arithmetic, and the exact field stands
+apart from the kernel."""
 
 import ast
 import importlib
@@ -46,16 +47,49 @@ def test_cli_run_imports_no_module():
 
 def test_cli_import_loads_no_introspection_module():
     """Start-up stays lean: ``import cox245.cli`` loads neither
-    ``dataclasses`` nor what it pulls in (``inspect``), nor ``typing``."""
+    ``dataclasses`` nor what it pulls in (``inspect``), nor ``typing``, nor
+    the rational arithmetic of ``cox245.exact`` (``fractions`` and what it
+    pulls in, ``decimal`` and ``numbers``)."""
+    forbidden = ("dataclasses", "inspect", "typing", "fractions", "decimal", "numbers")
     code = (
         "import sys\n"
         "import cox245.cli\n"
-        "print([m for m in ('dataclasses', 'inspect', 'typing') if m in sys.modules])\n"
+        f"print([m for m in {forbidden!r} if m in sys.modules])\n"
     )
     env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
     out = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True,
                          text=True, timeout=120, check=True)
     assert out.stdout.splitlines()[-1] == "[]"
+
+
+def package_imports(path):
+    """The package submodules that the module at ``path`` imports, by name
+    (with ``from . import``, any name it imports from the package)."""
+    out = set()
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Import):
+            out.update(alias.name.split(".")[1] for alias in node.names
+                       if alias.name.startswith("cox245."))
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level == 0:
+                if module.split(".")[0] != "cox245":
+                    continue
+                module = module[len("cox245"):].lstrip(".")
+            if module:
+                out.add(module.split(".")[0])
+            else:
+                out.update(alias.name for alias in node.names)
+    return out
+
+
+def test_exact_field_stands_apart():
+    """``exact`` imports only ``numberfield`` from the package, and no other
+    module imports ``exact``: the check shares nothing with the kernel but
+    the integral layer, and nothing the suites run depends on it."""
+    assert package_imports(PACKAGE / "exact.py") == {"numberfield"}
+    assert [path.name for path in sorted(PACKAGE.glob("*.py"))
+            if path.name != "exact.py" and "exact" in package_imports(path)] == []
 
 
 def test_no_module_imports_a_private_name_from_another():

@@ -1,25 +1,15 @@
 """Exact arithmetic in Q(sqrt2, sqrt5)."""
 
 import itertools
+import operator
 from fractions import Fraction
 from math import isqrt
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cox245.numberfield import (
-    COS_PI_5,
-    FieldElement,
-    IQ_ONE,
-    ONE,
-    SQRT2,
-    SQRT5,
-    SQRT10,
-    ZERO,
-    iq_mul,
-    iq_sign,
-    iq_to_field,
-)
+from cox245.exact import COS_PI_5, FieldElement, ONE, SQRT2, SQRT5, SQRT10, ZERO, iq_to_field
+from cox245.numberfield import IQ_ONE, iq_mul, iq_sign
 from cox245.numberfield import _sign_int_vector
 
 rationals = st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**4)
@@ -111,6 +101,34 @@ def test_rational_elements_hash_as_their_value(q):
     assert x == q and hash(x) == hash(q)
     assert len({q, x}) == 1 and {q: 1}[x] == 1
     assert len({q, x + SQRT2}) == 2
+
+
+OPERANDS = [1, -2, Fraction(7, 5), FieldElement(1), SQRT2 - 1, -SQRT5, SQRT10 - 3,
+            FieldElement(Fraction(7, 5))]
+COMPARISONS = [operator.lt, operator.le, operator.gt, operator.ge]
+
+
+@pytest.mark.parametrize("x, y", [(x, y) for x in OPERANDS for y in OPERANDS
+                                  if isinstance(x, FieldElement) or isinstance(y, FieldElement)])
+def test_comparisons_follow_the_exact_sign(x, y):
+    """Every order comparison, with an int, a Fraction or a field element
+    on either side, is the exact sign of the difference (reflected for an
+    int or a Fraction on the left); a float never compares."""
+    sign = (x - y).sign()
+    assert [op(x, y) for op in COMPARISONS] == [sign < 0, sign <= 0, sign > 0, sign >= 0]
+    assert (x / y) * y == x
+    field = x if isinstance(x, FieldElement) else y
+    for op in COMPARISONS + [operator.add, operator.sub, operator.mul, operator.truediv]:
+        for a, b in ((field, 1.5), (1.5, field)):
+            with pytest.raises(TypeError):
+                op(a, b)
+
+
+def test_unsupported_operands_name_their_operator():
+    with pytest.raises(TypeError, match="for -: 'str' and 'FieldElement'"):
+        "a" - ONE
+    with pytest.raises(TypeError, match="for /: 'float' and 'FieldElement'"):
+        1.5 / ONE
 
 
 @given(elements, elements, elements)
