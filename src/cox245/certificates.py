@@ -298,9 +298,9 @@ def verify_d8_chain(max_n: int, slab: GraphSlab) -> dict:
 
 def verify_pentagon_suite(max_n: int, radius: int) -> dict:
     """Families at 1..max_n plus the chain plus the distance audit, all
-    searched in one ball with one shared partner memo.  A failed step fails
-    the suite; else an inconclusive one leaves it inconclusive; else the
-    audit decides."""
+    searched in one ball whose two partner caches every search shares.  A
+    failed step fails the suite; else an inconclusive one leaves it
+    inconclusive; else the audit decides."""
     slab = build_ball(fix_vertex(D8), radius, "pentagon-subcomplex")
     family_steps = [verify_family(family, n, slab)
                     for family in FAMILIES for n in range(1, max_n + 1)]

@@ -32,14 +32,15 @@ two partner oracles, so the same search serves three settings:
   finite orbit until no new type is forced; the latter is how the
   diagonal-implies-clique closures of the 8-gon and 10-gon are checked.
 
-The precheck and the sweep draw their partner sets from one memo per slab
-(a ``_SearchSpace`` in ``_SPACES``, kept while the slab lives), so every
-search on a slab shares every ``partner_keys`` result.  That memo maps
-(vertex key, edge key) to the partners' vertex keys (see
-``complexgraph.vertex_key``) and is the space's only one: the precheck
-works on keys, the sweep reads them as slab indices through the slab's key
-index.  A vertex is peeled only when the precheck expands a point outside
-the slab; a witness is read off the slab's own vertices.
+Every search on a slab draws its partner sets from the slab's
+``_SearchSpace`` (in ``_SPACES``, kept while the slab lives), which holds
+two caches of ``partner_keys`` results.  The precheck's maps (vertex key,
+edge key) to the partners' vertex keys (see ``complexgraph.vertex_key``),
+in and out of the slab, for the points it visits; the sweep's maps (slab
+index, edge key) to the sorted slab indices of the in-slab partners only,
+since the sweep never reads any other.  A vertex is peeled only when the
+precheck expands a point outside the slab; a witness is read off the
+slab's own vertices.
 """
 
 from __future__ import annotations
@@ -210,12 +211,16 @@ def _extend(path, succ, tsets, close, tails, known, target):
 class _SearchSpace:
     """The partner sets of one slab, kept for the slab's lifetime.
 
-    ``vertex_partners`` is the one memo of ``partner_keys``, keyed by
-    (vertex key, edge key), with every in-slab partner stored as the slab's
-    own key object.  The precheck reads it directly, the slab sweep through
-    ``partners`` as sorted slab indices.  A space keeps the slab's vertices
-    and key index but not the slab, so its ``_SPACES`` entry goes with the
-    slab.
+    Two caches of ``partner_keys``.  ``vertex_partners``, which the
+    precheck reads, keys its memo by (vertex key, edge key) and keeps every
+    partner, with each in-slab one stored as the slab's own key object.
+    ``partners``, which the slab sweep reads, keys its cache by (slab
+    index, edge key) and keeps only the sorted slab indices of the in-slab
+    partners, filled from the precheck's entry when there is one.  The
+    sweep never reads an out-of-slab partner, so it keeps none: in one
+    memo shared with the precheck, such keys held most of a large run's
+    memory.  A space keeps the slab's vertices and key index but not the slab, so its
+    ``_SPACES`` entry goes with the slab.
     """
 
     def __init__(self, slab: GraphSlab):
@@ -224,6 +229,7 @@ class _SearchSpace:
         self.index = slab.key_index
         self.keys = tuple(slab.key_index)  # in slab index order
         self._memo: dict[tuple[tuple, EdgeTypeKey], tuple[tuple, ...]] = {}
+        self._sweep: dict[tuple[int, EdgeTypeKey], tuple[int, ...]] = {}
         self._outside: dict[tuple, Vertex] = {}  # points expanded outside the slab
 
     def vertex_partners(self, v: tuple, key: EdgeTypeKey) -> tuple[tuple, ...]:
@@ -243,10 +249,16 @@ class _SearchSpace:
 
     def partners(self, i: int, keys) -> list[int]:
         """Sorted slab indices of vertex i's in-slab partners for any of ``keys``."""
-        idx = self.index
-        v = self.keys[i]
-        got = {idx.get(u) for k in keys for u in self.vertex_partners(v, k)}
-        got.discard(None)
+        sweep, idx = self._sweep, self.index
+        got = set()
+        for k in keys:
+            part = sweep.get((i, k))
+            if part is None:
+                full = self._memo.get((self.keys[i], k))
+                if full is None:
+                    full = partner_keys(self.vertices[i], k)
+                part = sweep[(i, k)] = tuple(sorted({idx[u] for u in full if u in idx}))
+            got.update(part)
         return sorted(got)
 
     def known_vertices(self, v: tuple, keys) -> dict[tuple, None]:
@@ -287,8 +299,8 @@ def find_witness(state: ImplicationState, target: EdgeTypeKey,
 
     Returns None when no witness lies in the slab; that is an
     "inconclusive", never a refutation.  Deterministic by search order.
-    The precheck and the sweep read the slab's one partner memo, which
-    lives as long as the slab, so every search on a slab shares it.
+    The precheck and the sweep read the slab's two partner caches, which
+    live as long as the slab, so every search on a slab shares them.
     """
     space = _SPACES.get(slab) or _SPACES.setdefault(slab, _SearchSpace(slab))
     newest_first = state.known[::-1]

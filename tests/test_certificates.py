@@ -350,9 +350,9 @@ def test_pentagon_suite_small():
 
 
 def test_pentagon_suite_shared_memo_matches_fresh_spaces():
-    # the suite runs every family and the chain through its slab's one
-    # partner memo; each search on a fresh, identical slab (so with a fresh
-    # memo) must find the same witnesses
+    # the suite runs every family and the chain through its slab's partner
+    # caches; each search on a fresh, identical slab (so with fresh caches)
+    # must find the same witnesses
     rep = verify_pentagon_suite(2, 6)
 
     def fresh_slab():

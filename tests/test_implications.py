@@ -13,12 +13,15 @@ import pytest
 
 import cox245
 from cox245.certificates import (
+    FAMILIES,
     StringSpec,
     auto_search_d10,
+    family_implication,
     parse_key,
     parse_point,
     string_key,
     verify_d8_chain,
+    verify_family,
 )
 from cox245.complexgraph import (
     Vertex,
@@ -29,7 +32,7 @@ from cox245.complexgraph import (
     vertex_key,
 )
 from cox245.coxeter import D4, D8, D10, element_of_word, identity
-from cox245.edgetypes import type_key_cayley, type_key_complex
+from cox245.edgetypes import partner_keys, type_key_cayley, type_key_complex
 from cox245.implications import (
     CycleWitness,
     DIHEDRAL_CHORD_LABELS,
@@ -388,7 +391,7 @@ def test_precheck_up_to_the_stabiliser_matches_the_full_anchored_search(monkeypa
     for slab, cases in (pentagon_precheck_cases(), d10_search_cases()):
         answers, work = [], []
         for precheck in (_SearchSpace.abstract_cycle_exists, anchored_cycle_exists):
-            space = _SearchSpace(slab)  # a fresh memo for each precheck
+            space = _SearchSpace(slab)  # fresh caches for each precheck
             calls[0] = 0
             answers.append([precheck(space, known[::-1], target, length)
                             for known, target in cases for length in (4, 5)])
@@ -401,7 +404,7 @@ def test_precheck_up_to_the_stabiliser_matches_the_full_anchored_search(monkeypa
 
 
 def test_second_search_on_a_slab_makes_no_partner_calls(monkeypatch):
-    # the precheck and the sweep share the slab's memo, kept across calls
+    # the precheck and the sweep keep their caches on the slab across calls
     import cox245.implications as implications
 
     calls = []
@@ -429,21 +432,60 @@ def test_memo_partners_are_the_slab_vertices():
     for t in ("R", "S", "SS", "LR"):
         find_witness(ImplicationState.initial([base]), string_key(StringSpec.parse(t)), slab)
     space = _SPACES[slab]
-    memo = space._memo
+    memo, sweep = space._memo, space._sweep
     keys = tuple(slab.key_index)
     partners = [u for got in memo.values() for u in got]
     inside = [u for u in partners if u in slab.key_index]
-    assert len(inside) == 90
+    # the precheck's memo holds full partner lists; the sweep keeps slab indices
+    assert len(inside) == 65
+    assert (len(sweep), sum(map(len, sweep.values()))) == (7, 37)
     assert all(u is keys[slab.key_index[u]] for u in inside)
     # vertices and partners are held as keys, never as peeled vertices
     assert not any(isinstance(x, Vertex) for entry in memo.items() for x in itertools.chain(*entry))
     # the precheck runs with no radius bound, so it also meets outside points
     assert any(u not in slab.key_index for u in partners)
-    # the memo does not keep its slab alive
+    # neither cache keeps its slab alive
     ref = weakref.ref(slab)
-    del slab, space, memo, keys, partners, inside
+    del slab, space, memo, sweep, keys, partners, inside
     gc.collect()
     assert ref() is None
+
+
+def test_sweep_cache_is_the_in_slab_partners():
+    """Each sweep entry, filled from the precheck's memo or from
+    ``partner_keys``, is the sorted slab indices of the in-slab partners."""
+    slab = build_ball(fix_vertex(D8), 5, "pentagon-subcomplex")
+    searched = {}  # every source and target key, in order
+    for family in FAMILIES:
+        for n in (1, 2):
+            assert verify_family(family, n, slab)["status"] == "verified"
+            sources, target = family_implication(family, n)
+            searched.update(dict.fromkeys(string_key(s) for s in (*sources, target)))
+    space = _SPACES[slab]
+    idx = slab.key_index
+    assert {k for _, k in space._sweep} == set(searched)
+    filled = list(space._sweep)
+    for i in range(len(slab)):
+        for key in searched:
+            want = sorted({idx[u] for u in partner_keys(slab.vertices[i], key) if u in idx})
+            assert space.partners(i, (key,)) == want
+            assert space._sweep[(i, key)] == tuple(want)
+    # both ways of filling an entry ran
+    from_memo = [i for i, key in filled if (space.keys[i], key) in space._memo]
+    assert 0 < len(from_memo) < len(filled)
+
+
+def test_sweep_cache_holds_only_slab_indices():
+    slab = build_ball(fix_vertex(D8), 3, "pentagon-subcomplex")
+    for family in FAMILIES:
+        for n in (1, 2):
+            verify_family(family, n, slab)
+    sweep = _SPACES[slab]._sweep
+    assert len(sweep) > 0
+    for part in sweep.values():
+        assert type(part) is tuple
+        assert all(type(j) is int and 0 <= j < len(slab) for j in part)
+        assert list(part) == sorted(set(part))
 
 
 def test_search_work_does_not_depend_on_hash_seed():

@@ -8,7 +8,9 @@ from math import isqrt
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cox245.exact import COS_PI_5, FieldElement, ONE, SQRT2, SQRT5, SQRT10, ZERO, iq_to_field
+from cox245.exact import (
+    COS_PI_4, COS_PI_5, FieldElement, ONE, SQRT2, SQRT5, SQRT10, ZERO, iq_to_field,
+)
 from cox245.numberfield import IQ_ONE, iq_mul, iq_sign
 from cox245.numberfield import _sign_int_vector
 
@@ -48,6 +50,14 @@ def test_cos_pi_5_minimal_polynomial():
     x = COS_PI_5
     assert 4 * x * x - 2 * x - 1 == ZERO
     assert (4 * x * x - 2 * x - 1).sign() == 0
+    # the real root, not its Galois conjugate (1 - sqrt5)/4, which is negative
+    assert x > 0
+
+
+def test_cos_pi_4_is_the_positive_root():
+    x = COS_PI_4
+    assert 2 * x * x == 1
+    assert x > 0
 
 
 def test_sign_separates_close_values():
