@@ -27,7 +27,33 @@ the base point's (M_g times a coset key moves a known coset by g without a
 word walk).  The rest of a P-orbit of cosets is reached from its seed by
 simple reflections s_x c = c - 2B(a_x, c) a_x, so ``orbit_keys`` moves
 each other point by g as the point it reflects minus a multiple of column
-x of M_g; ``orbit_plan`` reads each multiplier once, as an integer matrix.
+x of M_g; ``orbit_plan`` reads each multiplier once, as its two on-grade
+ints.  All these kernels hold only the terms that the sqrt2-grading below
+leaves nonzero.
+
+The sqrt2-grading.  Write Z[phi] for the integer span of 1 and phi, so the
+integral basis spans Z[phi] + sqrt2 Z[phi], and call sum_j c_j a_j a
+vector of type e (mod 2) when c_r lies in sqrt2^(1+e) Z[phi] and c_s, c_t
+in sqrt2^e Z[phi] (sqrt2^2 Z[phi] = 2 Z[phi] lies in Z[phi]).  So each
+coordinate uses only the ints of 1 and phi, or only those of sqrt2 and
+sqrt2 phi.  a_r has type 1 and a_s, a_t type 0.  *Lemma:* every element of
+W maps each type to itself.  *Proof:* s_x c = c - 2B(a_x, c) a_x changes
+coordinate x only.  2B(a_x, a_y) lies in Z[phi] except for the -sqrt2
+between r and s, so for c of type e, 2B(a_r, c) = 2 c_r - sqrt2 c_s lies in
+sqrt2^(1+e) Z[phi], as c_r does, and 2B(a_s, c) = -sqrt2 c_r + 2 c_s - phi
+c_t and 2B(a_t, c) = -phi c_s + 2 c_t lie in sqrt2^e Z[phi], as c_s and c_t
+do; the new coordinate x keeps its grade.  So the generators keep the
+type, and so does W.  Hence column j of M_g, the image of a_j, has a_j's
+type, and entry (i, j) of every matrix in W lies in sqrt2 Z[phi] exactly
+when one of i, j is r, and in Z[phi] otherwise: 18 of its 36 ints are
+zero.  The base points u_P and rho below have type 0, so every coset key
+has type 0, and its ints of 1 and phi in r and of sqrt2 and sqrt2 phi in s
+and t (positions 1, 3, 6, 8, 10 and 12 of the key) are zero.  The kernels
+neither read nor compute these off-grade ints: they unpack them into
+``_`` and return them as the literal 0.  Such a kernel is exact on graded
+input only, so a matrix with no word is checked before a product or a
+peel reads it (``_graded_mat``), and ``coset_rep`` rejects an off-grade
+key before any descent.
 
 A coset g*P is identified without stripping by ``coset_key``: the image
 M_g u_P of a vector u_P whose stabiliser is exactly P, read with the same
@@ -56,6 +82,7 @@ that of its word's length.
 from __future__ import annotations
 
 from functools import cache
+from operator import itemgetter
 
 from .numberfield import (
     IQ_ONE,
@@ -125,15 +152,26 @@ _BASE_POINTS = {
 }
 _BASE_POINTS["CAY"] = tuple(tuple(map(sum, zip(*us))) for us in zip(*_BASE_POINTS.values()))
 
+# The sqrt2-grading (see the module docstring): the grade of each coordinate
+# of a type-0 vector, r, s, t in order.  Grade 1 coordinates lie in sqrt2
+# Z[phi] (ints 1 and 3 of the integral basis), grade 0 ones in Z[phi] (ints
+# 0 and 2); entry (i, j) of a matrix in W has the grade of coordinate i plus
+# that of j, mod 2.
+_GRADES = (1, 0, 0)
+
 # Each kernel below is a constant (a generator matrix, a base point, a row of
 # _TWOB) times the ints of its argument, compiled once to straight-line
 # source: int c of entry k of a matrix is the symbol m{4k + c}, of a key's
 # point p_{4k + c}, and each int of a product is a form {symbol: coefficient}
-# (``translate_key``'s symbols are products 'm1 * p_2').
-_M = [tuple(f"m{4 * k + c}" for c in range(4)) for k in range(9)]
-_P = [tuple(f"p_{4 * k + c}" for c in range(4)) for k in range(3)]
-_UNPACK_M = ", ".join(f"({', '.join(e)})" for e in _M)
-_UNPACK_P = "_, " + ", ".join(v for e in _P for v in e)
+# (``translate_key``'s symbols are products 'm1 * p_2').  An int the grading
+# makes zero is the symbol None: it is unpacked into ``_`` and no form holds it.
+_M = [tuple(f"m{4 * k + c}" if c % 2 == _GRADES[k // 3] ^ _GRADES[k % 3] else None for c in range(4))
+      for k in range(9)]
+_P = [tuple(f"p_{4 * k + c}" if c % 2 == _GRADES[k] else None for c in range(4)) for k in range(3)]
+_UNPACK_M = ", ".join(f"({', '.join(v or '_' for v in e)})" for e in _M)
+_UNPACK_P = "_, " + ", ".join(v or "_" for e in _P for v in e)
+# the positions of a key's off-grade ints, all zero on the orbits of W
+_OFF_GRADE = tuple(1 + n for n, v in enumerate(v for e in _P for v in e) if v is None)
 
 
 def _shifts(q):
@@ -150,12 +188,18 @@ def _dot(consts, entries) -> tuple[dict[str, int], ...]:
     """sum_j consts[j] entries[j] for entries of distinct symbols and consts
     constant quartic integers or symbol quartets: q e is sum_c e_c (q times
     basis element c), by the shifts of q, and a symbol quartet q is
-    sum_d q_d (basis element d), a product term 'e_c * q_d'."""
+    sum_d q_d (basis element d), a product term 'e_c * q_d'.  Symbols None
+    (off-grade ints) add no term."""
     out = ({}, {}, {}, {})
     for q, symbols in zip(consts, entries):
-        terms = [(q, "")] if isinstance(q[0], int) else [(u, f" * {s}") for u, s in zip(_UNITS, q)]
+        if all(type(a) is int for a in q):
+            terms = [(q, "")]
+        else:
+            terms = [(u, f" * {s}") for u, s in zip(_UNITS, q) if s]
         for k, factor in terms:
             for v, prod in zip(symbols, _shifts(k)):
+                if v is None:
+                    continue
                 for o, a in enumerate(prod):
                     if a:
                         out[o][v + factor] = a
@@ -171,7 +215,7 @@ def _point_forms(u) -> list[dict[str, int]]:
 def _sum_source(form: dict[str, int]) -> str:
     """Source of sum_v form[v] v, symbols grouped by the size of their
     coefficient, positive terms first: {'m5': 2, 'm0': -2, 'm1': -1, 'm2':
-    -1} reads ``2 * (m5 - m0) - (m1 + m2)``."""
+    -1} reads ``2 * (m5 - m0) - (m1 + m2)``, and the empty form ``0``."""
     groups: dict[int, list[tuple[bool, str]]] = {}
     for v, a in form.items():
         groups.setdefault(abs(a), []).append((a < 0, v))
@@ -185,7 +229,7 @@ def _sum_source(form: dict[str, int]) -> str:
         if k != 1:
             group = f"{k} * {group}"
         out += f" {'-' if neg else '+'} {group}" if out else f"-{group}" if neg else group
-    return out
+    return out or "0"
 
 
 def _entry_source(forms) -> str:
@@ -197,7 +241,7 @@ def _product_source(c, left: bool) -> str:
     the product leaves alone is passed through as m[k]."""
     pairs = [(c[3 * i:3 * i + 3], _M[j::3]) if left else (c[j::3], _M[3 * i:3 * i + 3])
              for i in range(3) for j in range(3)]
-    same = [tuple({v: 1} for v in e) for e in _M]  # the forms of m's own entries
+    same = [tuple({v: 1} if v else {} for v in e) for e in _M]  # the forms of m's own entries
     entries = (_dot(q, e) for q, e in pairs)
     return f"({', '.join(f'm[{same.index(f)}]' if f in same else _entry_source(f) for f in entries)})"
 
@@ -274,6 +318,13 @@ CAY = ParabolicId("CAY", ())
 PARABOLICS = {"D8": D8, "D10": D10, "D4": D4}  # the maximal ones
 PARABOLIC_BY_NAME = {**PARABOLICS, "CAY": CAY}
 _PEEL_STEPS = range(10_000)  # the peel bound, built once so that a call makes no range
+_off_grade = itemgetter(*_OFF_GRADE)
+# the first nonzero off-grade int of a matrix, or 0 (for every matrix in W)
+_OFF_M = [tuple("_" if v else f"o{4 * k + c}" for c, v in enumerate(e)) for k, e in enumerate(_M)]
+_off_grade_mat = _compile("_off_grade_mat", [
+    "def _off_grade_mat(m):",
+    "    " + ", ".join("(" + ", ".join(e) + ")" for e in _OFF_M) + " = m",
+    "    return " + " or ".join(v for e in _OFF_M for v in e if v != "_")])
 
 
 @_kernel(_UNPACK_M, {name: f"(name, {', '.join(map(_sum_source, _point_forms(u)))})"
@@ -324,15 +375,18 @@ def coset_rep(key: tuple) -> "GroupElement":
     M_x times the suffix's is built only when first read (``GroupElement``).
     An orbit meets the closed negated chamber only in its base point
     (Tits), so a point there that is not memoised raises.  The key must
-    come from a group element: a point outside the cone of rho
-    never reaches the chamber, so keys read off raw matrices go through
-    ``_checked_rep``; any other key off the orbit, or of an element longer
-    than 10,000 letters, raises after 10,000 descents (one per letter; the
-    r12 pentagon ball's reps have at most 48).
+    come from a group element: a key with a nonzero off-grade int raises
+    before any descent (the peel reads only on-grade ints), a point outside
+    the cone of rho never reaches the chamber, so keys read off raw matrices
+    go through ``_checked_rep``; any other key off the orbit, or of an
+    element longer than 10,000 letters, raises after 10,000 descents (one
+    per letter; the r12 pentagon ball's reps have at most 48).
     """
     rep = _REPS.get(key)
     if rep is not None:
         return rep
+    if any(_off_grade(key)):
+        raise ArithmeticError("key off the orbit: an int that the sqrt2-grading makes zero is not")
     passed = []
     for _ in _PEEL_STEPS:
         step = _least_descent(key)
@@ -372,13 +426,14 @@ def orbit_plan(parabolic: ParabolicId, seeds: tuple[tuple, ...]) -> tuple[tuple,
     occurrence; a seed met before adds nothing, as orbits are equal or
     disjoint.
 
-    A seed is the step (None, c_0, None): one ``translate_key``.  The point
-    M_p c_0 of p = x p' (p's ShortLex word) is the reflection s_x c =
-    c - beta a_x of the point c of p', with beta = 2B(a_x, c), so g.s_x c
-    is g.c minus beta times column x of M_g.  Its step is (slot of c, index
-    of x, beta), beta as the row-major 4x4 integer matrix whose column j is
-    beta times the j-th unit of the integral basis, read once through
-    ``_shifts``.  The plan depends on P and the seeds only; callers build it
+    A seed is the step (None, c_0, None, None): one ``translate_key``.  The
+    point M_p c_0 of p = x p' (p's ShortLex word) is the reflection s_x c =
+    c - beta a_x of the point c of p', with beta = 2B(a_x, c), so g.s_x c is
+    g.c minus beta times column x of M_g.  Its step is (slot of c, index of
+    x, b, d) for beta = sqrt2 (b + d phi) when x is r and beta = b + d phi
+    otherwise: c has type 0, so beta lies in sqrt2 Z[phi] for r and in
+    Z[phi] for s and t (see the module docstring), and these two ints are
+    all of it.  The plan depends on P and the seeds only; callers build it
     once and run it per element.
     """
     slots: dict[tuple, int] = {}
@@ -387,7 +442,7 @@ def orbit_plan(parabolic: ParabolicId, seeds: tuple[tuple, ...]) -> tuple[tuple,
         if seed in slots:
             continue
         slots[seed] = len(plan)
-        plan.append((None, seed, None))
+        plan.append((None, seed, None, None))
         points = {"": seed}
         for p in parabolic_elements(parabolic)[1:]:
             word = p.canonical_word()
@@ -396,39 +451,42 @@ def orbit_plan(parabolic: ParabolicId, seeds: tuple[tuple, ...]) -> tuple[tuple,
             point = points[word] = _reflected(c, x, beta)
             if point not in slots:
                 slots[point] = len(plan)
-                columns = _shifts(beta)
-                plan.append((slots[c], _INDEX[x], tuple(col[o] for o in range(4) for col in columns)))
+                i = _INDEX[x]
+                plan.append((slots[c], i, *beta[_GRADES[i]::2]))
     return tuple(plan)
 
 
 def orbit_keys(plan: tuple[tuple, ...], g: "GroupElement") -> list[tuple]:
     """g.c for the points c of an ``orbit_plan``, in its order: a seed by
     ``translate_key``, each other key as an earlier key k minus beta times
-    column x of M_g, 48 integer products with no general matrix product."""
+    column x of M_g.  Only the on-grade ints are computed, each as the int
+    of 1 or phi in (b + d phi)(e + g phi) = (b e + d g) + (b g + d (e +
+    g)) phi, by phi^2 = phi + 1, for the two nonzero ints (e, g) of an
+    entry of the column: 6 ints of 2 products each, and an odd beta times
+    an odd entry gains the factor sqrt2^2 = 2."""
     m = g.mat
     out = []
-    for slot, x, beta in plan:
+    for slot, x, b, d in plan:
         if slot is None:
             out.append(translate_key(g, x))
             continue
-        b0, b1, b2, b3, b4, b5, b6, b7, b8, b9, b10, b11, b12, b13, b14, b15 = beta
-        (a0, c0, e0, f0), (a1, c1, e1, f1), (a2, c2, e2, f2) = m[x], m[3 + x], m[6 + x]
-        name, k0, k1, k2, k3, k4, k5, k6, k7, k8, k9, k10, k11 = out[slot]
-        out.append((
-            name,
-            k0 - (b0 * a0 + b1 * c0 + b2 * e0 + b3 * f0),
-            k1 - (b4 * a0 + b5 * c0 + b6 * e0 + b7 * f0),
-            k2 - (b8 * a0 + b9 * c0 + b10 * e0 + b11 * f0),
-            k3 - (b12 * a0 + b13 * c0 + b14 * e0 + b15 * f0),
-            k4 - (b0 * a1 + b1 * c1 + b2 * e1 + b3 * f1),
-            k5 - (b4 * a1 + b5 * c1 + b6 * e1 + b7 * f1),
-            k6 - (b8 * a1 + b9 * c1 + b10 * e1 + b11 * f1),
-            k7 - (b12 * a1 + b13 * c1 + b14 * e1 + b15 * f1),
-            k8 - (b0 * a2 + b1 * c2 + b2 * e2 + b3 * f2),
-            k9 - (b4 * a2 + b5 * c2 + b6 * e2 + b7 * f2),
-            k10 - (b8 * a2 + b9 * c2 + b10 * e2 + b11 * f2),
-            k11 - (b12 * a2 + b13 * c2 + b14 * e2 + b15 * f2),
-        ))
+        name, _, k1, _, k3, k4, _, k6, _, k8, _, k10, _ = out[slot]
+        if x:  # beta even: the r entry of the column is odd, the others even
+            (_, e0, _, g0), (e1, _, g1, _), (e2, _, g2, _) = m[x], m[3 + x], m[6 + x]
+            out.append((
+                name,
+                0, k1 - (b * e0 + d * g0), 0, k3 - (b * g0 + d * (e0 + g0)),
+                k4 - (b * e1 + d * g1), 0, k6 - (b * g1 + d * (e1 + g1)), 0,
+                k8 - (b * e2 + d * g2), 0, k10 - (b * g2 + d * (e2 + g2)), 0,
+            ))
+        else:  # beta odd: the r entry of the column is even, the others odd
+            (e0, _, g0, _), (_, e1, _, g1), (_, e2, _, g2) = m[0], m[3], m[6]
+            out.append((
+                name,
+                0, k1 - (b * e0 + d * g0), 0, k3 - (b * g0 + d * (e0 + g0)),
+                k4 - 2 * (b * e1 + d * g1), 0, k6 - 2 * (b * g1 + d * (e1 + g1)), 0,
+                k8 - 2 * (b * e2 + d * g2), 0, k10 - 2 * (b * g2 + d * (e2 + g2)), 0,
+            ))
     return out
 
 
@@ -453,10 +511,11 @@ def wall_keys(parabolic: ParabolicId, words: tuple[str, ...]):
     so each int of M_g delta_w is a fixed integer combination of a few ints of
     g's matrix: the sqrt2 and phi shifts of its columns, as in ``_point``.
     The function is compiled once from straight-line source holding only the
-    nonzero terms, and each key starts from p or the earlier key that leaves
-    the fewest terms.  For the pentagon tiling (D8, rot = rs, e = t) the
-    first key is p - (2 - 2 phi) T and its first int reads
-    ``q0_0 = p_0 + 2 * m10 - 2 * m8``; the second adds 2 S + 2 sqrt2 R to it.
+    nonzero terms of the on-grade ints (the others are the literal 0), and
+    each key starts from p or the earlier key that leaves the fewest terms.
+    For the pentagon tiling (D8, rot = rs, e = t) the first key is
+    p - (2 - 2 phi) T and its first on-grade int reads
+    ``q0_1 = p_1 + 2 * (m11 - m9)``; the second adds 2 S + 2 sqrt2 R to it.
     No general product of quartic integers is evaluated per call.
     """
     lines = ["def keys(p, m):", f"    {_UNPACK_P} = p", f"    {_UNPACK_M} = m"]
@@ -468,11 +527,13 @@ def wall_keys(parabolic: ParabolicId, words: tuple[str, ...]):
                  for prefix, base in done.items()}
         prefix, rest = min(rests.items(), key=lambda item: sum(map(len, item[1])))
         for n, terms in enumerate(rest):
-            form = {f"{prefix}_{n}": 1, **{x: -c for x, c in terms.items()}}
-            lines.append(f"    q{w}_{n} = {_sum_source(form)}")
+            if 1 + n not in _OFF_GRADE:
+                form = {f"{prefix}_{n}": 1, **{x: -c for x, c in terms.items()}}
+                lines.append(f"    q{w}_{n} = {_sum_source(form)}")
         done[f"q{w}"] = forms
-    keys = (f"({parabolic.name!r}, {', '.join(f'q{w}_{n}' for n in range(12))})" for w in range(len(words)))
-    lines.append(f"    return {', '.join(keys)},")
+    keys = (", ".join("0" if 1 + n in _OFF_GRADE else f"q{w}_{n}" for n in range(12))
+            for w in range(len(words)))
+    lines.append(f"    return {', '.join(f'({parabolic.name!r}, {key})' for key in keys)},")
     return _compile("keys", lines)
 
 
@@ -516,6 +577,10 @@ class GroupElement:
     it has none either, and drops the link.  The chain is walked by a loop,
     not by recursion, as it can be as long as the peel bound of 10,000
     letters.  Every other constructor is eager.
+
+    The generator products read only a matrix's on-grade ints (see the
+    module docstring), so a matrix with no word is checked for the grading
+    before a product or a peel reads it (``_graded_mat``).
     """
 
     __slots__ = ("_mat", "_word", "_up")
@@ -562,7 +627,7 @@ class GroupElement:
     def times(self, word: str) -> "GroupElement":
         """This element times the product of the letters of ``word``, one
         add-only generator product per letter."""
-        mat = self.mat
+        mat = _graded_mat(self)
         for x in word:
             mat = _mat_mul_gen_right(mat, x)
         return GroupElement(mat)
@@ -571,7 +636,7 @@ class GroupElement:
         """self^-1 * other: other's matrix left-multiplied by the letters of
         this element's ShortLex word in order, one add-only generator
         product per letter (generators are involutions)."""
-        mat = other.mat
+        mat = _graded_mat(other)
         for x in self.canonical_word():
             mat = _mat_mul_gen_left(mat, x)
         return GroupElement(mat)
@@ -587,8 +652,9 @@ class GroupElement:
         """ShortLex-least (r < s < t) reduced word for this element, peeled
         off its point ``g rho``, which only this element maps rho to."""
         if self._word is None:
-            rep = _checked_rep(_point(self.mat, "CAY"))
-            if rep.mat != self.mat:
+            mat = _graded_mat(self)
+            rep = _checked_rep(_point(mat, "CAY"))
+            if rep.mat != mat:
                 raise ArithmeticError("matrix is not in the reflection group "
                                       "(it moves rho like another element)")
             self._word = rep._word
@@ -601,6 +667,18 @@ class GroupElement:
         """True iff det = +1, i.e. the Coxeter length is even (each
         reflection has det -1)."""
         return len(self.canonical_word()) % 2 == 0
+
+
+def _graded_mat(g: GroupElement):
+    """g's matrix, checked to be zero at its off-grade ints unless g carries
+    a word (a product of generators is graded): the generator products and
+    ``_point`` read only the on-grade ints, so a raw matrix that is not
+    graded raises before it reaches them."""
+    mat = g.mat
+    if g._word is None and _off_grade_mat(mat):
+        raise ArithmeticError("matrix is not in the reflection group "
+                              "(an int that the sqrt2-grading makes zero is not)")
+    return mat
 
 
 _IDENT = GroupElement(_IDENTITY_MAT)

@@ -1,12 +1,20 @@
 """Kernel: relations, canonical words, descents, coset canonicalization."""
 
+import itertools
 import signal
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import cox245.coxeter as coxeter
-from cox245.complexgraph import Vertex, build_ball, cayley_vertex, fix_vertex
+from cox245.complexgraph import (
+    Vertex,
+    _intersection_plan,
+    build_ball,
+    cayley_vertex,
+    fix_vertex,
+    vertex_key,
+)
 from cox245.coxeter import (
     CAY,
     D4,
@@ -20,6 +28,8 @@ from cox245.coxeter import (
     left_descents,
     min_coset_rep,
     min_double_coset_rep,
+    orbit_keys,
+    orbit_plan,
     parabolic_elements,
     right_descents,
     translate_key,
@@ -363,15 +373,12 @@ def reference_coset_key(g, p):
 @settings(max_examples=100, deadline=None)
 def test_translate_key_is_the_generic_product(w, v, name, ints):
     """g.(Q, u) = (Q, M_g u): on a coset key it is the key of g h, and on any
-    integer vector it is the row-by-row ``iq_mul`` sum."""
+    graded integer vector (type 0, as every coset key is) it is the
+    row-by-row ``iq_mul`` sum."""
     g, h = element_of_word(w), element_of_word(v)
     assert translate_key(g, coxeter._point(h.mat, name)) == reference_point((g * h).mat, name)
-    u = [tuple(ints[4 * j:4 * j + 4]) for j in range(3)]
-    want = ["Q"]
-    for i in range(3):
-        terms = [iq_mul(g.mat[3 * i + j], u[j]) for j in range(3)]
-        want.extend(sum(t[c] for t in terms) for c in range(4))
-    assert translate_key(g, ("Q", *ints)) == tuple(want)
+    key = ("Q", *(0 if 1 + n in OFF_GRADE_KEY else a for n, a in enumerate(ints)))
+    assert translate_key(g, key) == mat_vec(g.mat, key)
 
 
 @given(st.text(alphabet="rst", max_size=20), st.text(alphabet="rst", max_size=20),
@@ -393,6 +400,125 @@ def test_coset_key_injective_on_full_y_ball():
     slab = build_ball(fix_vertex(D8), 7, "full-Y")
     keys = {coset_key(v.rep, v.parabolic) for v in slab.vertices}
     assert (len(slab), len(keys)) == (4197, 4197)
+
+
+# --- the sqrt2-grading ------------------------------------------------------
+
+# Written out here, not read off the kernel: the off-grade positions of a
+# coset key (r's ints of 1 and phi, s's and t's of sqrt2 and sqrt2 phi) and
+# of a matrix (entry (i, j) has only sqrt2 ints when one of i, j is r, and
+# only ints of 1 and phi otherwise).
+OFF_GRADE_KEY = (1, 3, 6, 8, 10, 12)
+OFF_GRADE_MAT = tuple((3 * i + j, c) for i in range(3) for j in range(3)
+                      for c in ((0, 2) if (i == 0) != (j == 0) else (1, 3)))
+
+
+def on_grade(key=None, mat=None):
+    return ((key is None or all(key[n] == 0 for n in OFF_GRADE_KEY))
+            and (mat is None or all(mat[k][c] == 0 for k, c in OFF_GRADE_MAT)))
+
+
+def test_keys_matrices_and_plan_steps_are_graded(monkeypatch):
+    """Every coset key and representative matrix of four balls is zero at
+    its off-grade ints, and every plan step's beta = 2B(a_x, c) has only
+    sqrt2 ints for x = r and only ints of 1 and phi for s and t; the step
+    stores its two nonzero ints."""
+    monkeypatch.setattr(coxeter, "_REPS", base_points())
+    balls = [(fix_vertex(D8), 10, "pentagon-subcomplex"), (fix_vertex(D10), 7, "d10-orbit"),
+             (cayley_vertex(identity()), 12, "cayley"), (fix_vertex(D8), 8, "full-Y")]
+    seen = 0
+    for center, radius, mode in balls:
+        for v in build_ball(center, radius, mode).vertices:
+            assert on_grade(vertex_key(v), v.rep.mat), (mode, v)
+            seen += 1
+    assert seen == 16737 + 3046 + 411 + 9665
+    # the full-Y intersection plans, and the plans of the orbits of every
+    # coset key of an element of up to 3 letters
+    seeds = tuple(coset_key(element_of_word("".join(w)), q) for n in range(4)
+                  for w in itertools.product("rst", repeat=n) for q in (D8, D10, D4, CAY))
+    plans = [_intersection_plan(p) for p in (D8, D10, D4)] + [orbit_plan(p, seeds) for p in (D8, D10, D4)]
+    for plan in plans:
+        points = orbit_keys(plan, identity())
+        for slot, x, b, d in plan:
+            if slot is None:
+                assert on_grade(x)
+                continue
+            beta = coxeter._twob(points[slot], "rst"[x])
+            zero, kept = (beta[0::2], beta[1::2]) if x == 0 else (beta[1::2], beta[0::2])
+            assert zero == (0, 0) and (b, d) == kept
+
+
+@given(st.text(alphabet="rst", max_size=40), st.sampled_from([D8, D10, D4, CAY]))
+@settings(max_examples=100, deadline=None)
+def test_words_are_graded(w, p):
+    g = element_of_word(w)
+    assert on_grade(coset_key(g, p), g.mat)
+
+
+big = st.integers(-50, 50) | st.integers(-2 ** 80, 2 ** 80)
+graded_mats = st.lists(big, min_size=36, max_size=36).map(lambda a: tuple(
+    tuple(0 if (k, c) in OFF_GRADE_MAT else a[4 * k + c] for c in range(4)) for k in range(9)))
+
+
+def graded_keys(name):
+    return st.lists(big, min_size=12, max_size=12).map(lambda a: (name, *(
+        0 if 1 + n in OFF_GRADE_KEY else x for n, x in enumerate(a))))
+
+
+def mat_vec(mat, key):
+    """(name, M u) for a key (name, u), by generic ``iq_mul`` products."""
+    u = [key[1 + 4 * j:5 + 4 * j] for j in range(3)]
+    out = [key[0]]
+    for i in range(3):
+        terms = [iq_mul(mat[3 * i + j], u[j]) for j in range(3)]
+        out.extend(sum(t[c] for t in terms) for c in range(4))
+    return tuple(out)
+
+
+@given(graded_mats, graded_keys("Q"), st.sampled_from("rst"), st.sampled_from(sorted(U_P)))
+@settings(max_examples=150, deadline=None)
+def test_compiled_kernels_are_the_generic_products_on_graded_ints(m, key, x, name):
+    """The generator products, orbit points, forms 2B(a_x, -) and
+    ``translate_key``, each reading only on-grade ints, equal the ``iq_mul``
+    products on any graded input, large ints included."""
+    gen = coxeter._GEN_MATS[x]
+    assert coxeter._mat_mul_gen_right(m, x) == mat_mul(m, gen)
+    assert coxeter._mat_mul_gen_left(m, x) == mat_mul(gen, m)
+    assert coxeter._point(m, name) == reference_point(m, name)
+    twob = [iq_mul(coxeter._TWOB[x][j], key[1 + 4 * j:5 + 4 * j]) for j in range(3)]
+    assert coxeter._twob(key, x) == tuple(map(sum, zip(*twob)))
+    assert translate_key(GroupElement(m), key) == mat_vec(m, key)
+
+
+@given(graded_mats, st.sampled_from([D8, D10, D4]),
+       st.lists(st.text(alphabet="rst", min_size=1, max_size=6), min_size=1, max_size=4), st.data())
+@settings(max_examples=40, deadline=None)
+def test_wall_keys_are_the_generic_products_on_graded_ints(m, p, ws, data):
+    """Key w of ``wall_keys`` is p - M delta_w, delta_w = u_P - M_w u_P."""
+    key = data.draw(graded_keys(p.name))
+    base = reference_point(coxeter._IDENTITY_MAT, p.name)
+    want = []
+    for w in ws:
+        image = reference_point(generic_product(w), p.name)
+        delta = (p.name, *(b - q for b, q in zip(base[1:], image[1:])))
+        want.append((p.name, *(a - b for a, b in zip(key[1:], mat_vec(m, delta)[1:]))))
+    assert list(coxeter.wall_keys(p, tuple(ws))(key, m)) == want
+
+
+@given(graded_mats, st.sampled_from([D8, D10, D4]),
+       st.lists(st.tuples(st.text(alphabet="rst", max_size=6), st.sampled_from([D8, D10, D4, CAY])),
+                min_size=1, max_size=3))
+@settings(max_examples=60, deadline=None)
+def test_orbit_keys_are_the_generic_products_on_graded_ints(m, p, seeds):
+    """``orbit_keys`` gives M c for the points c of the P-orbits of the
+    seeds, in ``orbit_plan``'s order, the orbit points themselves by generic
+    products of the members' word matrices."""
+    seeds = tuple(coset_key(element_of_word(w), q) for w, q in seeds)
+    points = {}
+    for seed in seeds:
+        for member in parabolic_elements(p):
+            points.setdefault(mat_vec(generic_product(member.canonical_word()), seed), None)
+    assert orbit_keys(orbit_plan(p, seeds), GroupElement(m)) == [mat_vec(m, c) for c in points]
 
 
 # --- the matrix descent kernel, kept as the oracle for the point peel ------
@@ -639,14 +765,43 @@ def test_points_off_the_orbit_cone_raise_before_the_peel():
     assert coset_key(pushed, D8) == coset_key(identity(), D8)
 
 
-def test_keys_off_the_orbit_raise_after_the_peel_bound():
-    """The rst*D8 key with its first integer + 1 is no orbit point, and it
-    has a descent at every step (its coordinates grow by about 0.4 bits a
-    descent), so the peel never meets a memoised point.  It stops after
-    ``len(_PEEL_STEPS)`` descents and memoises nothing."""
+def counted_descents(monkeypatch):
+    calls = []
+    peel = coxeter._least_descent
+    monkeypatch.setattr(coxeter, "_least_descent", lambda *args: calls.append(1) or peel(*args))
+    return calls
+
+
+def test_off_grade_input_raises_before_the_peel(monkeypatch):
+    """The rst*D8 key with its first integer + 1, an int the grading makes
+    zero, and a matrix with a sqrt2 on its diagonal raise at once: no
+    descent is tried and nothing is memoised.  A product with such a matrix
+    raises too, rather than drop the sqrt2 and give an element of W."""
     key = coset_key(element_of_word("rst"), D8)
     bad = (key[0], key[1] + 1) + key[2:]
     assert bad == ("D8", 1, 2, 0, 1, 2, 0, 2, 0, 0, 0, 2, 0)
+    off = GroupElement(((1, 1, 0, 0),) + coxeter._IDENTITY_MAT[1:])
+    calls = counted_descents(monkeypatch)
+    known = dict(coxeter._REPS)
+    with pytest.raises(ArithmeticError, match="off the orbit"):
+        coxeter.coset_rep(bad)
+    for call in (off.canonical_word, lambda: min_coset_rep(off, D8), lambda: cayley_vertex(off),
+                 lambda: off.times("r"), lambda: off * identity(), lambda: identity().inverse_times(off)):
+        with pytest.raises(ArithmeticError, match="sqrt2-grading"):
+            call()
+    assert calls == [] and coxeter._REPS == known
+
+
+def test_keys_off_the_orbit_raise_after_the_peel_bound(monkeypatch):
+    """The rst*D8 key with its second integer + 1 is graded but no orbit
+    point, and it has a descent at every step, so the peel never meets a
+    memoised point.  It stops after ``len(_PEEL_STEPS)`` descents and
+    memoises nothing."""
+    key = coset_key(element_of_word("rst"), D8)
+    bad = key[:2] + (key[2] + 1,) + key[3:]
+    assert bad == ("D8", 0, 3, 0, 1, 2, 0, 2, 0, 0, 0, 2, 0)
+    calls = counted_descents(monkeypatch)
     known = dict(coxeter._REPS)
     raises_within(lambda: coxeter.coset_rep(bad), seconds=30.0, match="off the orbit")
+    assert len(calls) == len(coxeter._PEEL_STEPS)
     assert coxeter._REPS == known
