@@ -7,52 +7,41 @@ representation is faithful, so equality of group elements is equality of
 matrices, and the word problem costs nothing beyond exact arithmetic.
 
 Matrices are flat 9-tuples (row major) of integral quartic vectors from
-:mod:`cox245.numberfield`.  Multiplying by a generator, on either side,
-needs only negations, additions and the shifts that multiply by sqrt2 and
-phi in the integral basis; these generator products, the orbit points and
-the forms 2B(a_x, -) are compiled once at import from the Gram matrix, the
-base points and the shifts (``_kernel``).  Every product goes through such
-generator products, one per letter: ``GroupElement.times`` by a known word,
-``g * h`` by h's ShortLex word, ``g.inverse()`` along g's reversed word and
-``g.inverse_times(h)`` by g's letters on the left of h, as generators are
-involutions.  No matrix is inverted.  The keys of the cosets g*w*P for
-fixed words w (a vertex's neighbors) need no walk at all: ``wall_keys``
-subtracts M_g delta_w from the key of g*P, where the constant offset
-delta_w = u_P - M_w u_P is read once off the base point, so each key is a
-compiled sum of a few shifted entries of g's columns.  General products of
-quartic integers (``iq_mul``) remain only in ``_form``, the orbit-point
-check of the raw-matrix entry points.  A seed is moved by
-``translate_key``, compiled from ``_point``'s forms with a key's ints for
-the base point's (M_g times a coset key moves a known coset by g without a
-word walk).  The rest of a P-orbit of cosets is reached from its seed by
-simple reflections s_x c = c - 2B(a_x, c) a_x, so ``orbit_keys`` moves
-each other point by g as the point it reflects minus a multiple of column
-x of M_g; ``orbit_plan`` reads each multiplier once, as its two on-grade
-ints.  All these kernels hold only the terms that the sqrt2-grading below
-leaves nonzero.
+:mod:`cox245.numberfield`.  A generator product, on either side, needs
+only negations, additions and the sqrt2 and phi shifts of the integral
+basis.  It and the other kernels (orbit points, forms 2B(a_x, -), simple
+reflections of points, ``translate_key`` and ``wall_keys``) are compiled
+at import from the Gram matrix, the base points and the shifts
+(``_kernel``), with only the terms the sqrt2-grading below leaves nonzero.
+``GroupElement.times``, ``g * h`` and ``g.inverse()`` walk a word, one
+generator product per letter; no matrix is inverted.  Keys need no walk:
+``wall_keys`` gives the cosets g*w*P of fixed words w as the key of g*P
+minus M_g delta_w, delta_w = u_P - M_w u_P; ``translate_key`` moves a seed
+key by g, and ``orbit_keys`` the rest of its P-orbit, each point as the
+one it reflects (s_x c = c - 2B(a_x, c) a_x) minus a multiple of column x
+of M_g, read once by ``orbit_plan``.  ``iq_mul`` remains only in
+``_form``, the orbit-point check of the raw-matrix entry points.
 
 The sqrt2-grading.  Write Z[phi] for the integer span of 1 and phi, so the
 integral basis spans Z[phi] + sqrt2 Z[phi], and call sum_j c_j a_j a
 vector of type e (mod 2) when c_r lies in sqrt2^(1+e) Z[phi] and c_s, c_t
-in sqrt2^e Z[phi] (sqrt2^2 Z[phi] = 2 Z[phi] lies in Z[phi]).  So each
-coordinate uses only the ints of 1 and phi, or only those of sqrt2 and
-sqrt2 phi.  a_r has type 1 and a_s, a_t type 0.  *Lemma:* every element of
-W maps each type to itself.  *Proof:* s_x c = c - 2B(a_x, c) a_x changes
-coordinate x only.  2B(a_x, a_y) lies in Z[phi] except for the -sqrt2
-between r and s, so for c of type e, 2B(a_r, c) = 2 c_r - sqrt2 c_s lies in
-sqrt2^(1+e) Z[phi], as c_r does, and 2B(a_s, c) = -sqrt2 c_r + 2 c_s - phi
-c_t and 2B(a_t, c) = -phi c_s + 2 c_t lie in sqrt2^e Z[phi], as c_s and c_t
-do; the new coordinate x keeps its grade.  So the generators keep the
-type, and so does W.  Hence column j of M_g, the image of a_j, has a_j's
-type, and entry (i, j) of every matrix in W lies in sqrt2 Z[phi] exactly
-when one of i, j is r, and in Z[phi] otherwise: 18 of its 36 ints are
-zero.  The base points u_P and rho below have type 0, so every coset key
-has type 0, and its ints of 1 and phi in r and of sqrt2 and sqrt2 phi in s
-and t (positions 1, 3, 6, 8, 10 and 12 of the key) are zero.  The kernels
-neither read nor compute these off-grade ints: they unpack them into
-``_`` and return them as the literal 0.  Such a kernel is exact on graded
-input only, so a matrix with no word is checked before a product or a
-peel reads it (``_graded_mat``), and ``coset_rep`` rejects an off-grade
+in sqrt2^e Z[phi] (sqrt2^2 Z[phi] = 2 Z[phi] lies in Z[phi]).  a_r has
+type 1 and a_s, a_t type 0.  *Lemma:* every element of W maps each type to
+itself.  *Proof:* s_x c = c - 2B(a_x, c) a_x changes coordinate x only.
+2B(a_x, a_y) lies in Z[phi] except for the -sqrt2 between r and s, so for
+c of type e, 2B(a_r, c) = 2 c_r - sqrt2 c_s lies in sqrt2^(1+e) Z[phi], as
+c_r does, and 2B(a_s, c) = -sqrt2 c_r + 2 c_s - phi c_t and 2B(a_t, c) =
+-phi c_s + 2 c_t lie in sqrt2^e Z[phi], as c_s and c_t do; the new
+coordinate x keeps its grade.  So the generators keep the type, and so
+does W.  Hence column j of M_g, the image of a_j, has a_j's type, and
+entry (i, j) of every matrix in W lies in sqrt2 Z[phi] exactly when one of
+i, j is r, and in Z[phi] otherwise: 18 of its 36 ints are zero.  The base
+points u_P and rho below have type 0, so every coset key has type 0, and
+its ints of 1 and phi in r and of sqrt2 and sqrt2 phi in s and t
+(positions 1, 3, 6, 8, 10 and 12 of the key) are zero.  The kernels
+neither read nor compute these off-grade ints (they unpack them into ``_``
+and return the literal 0), so a matrix with no word is checked before a
+kernel reads it (``_graded_mat``), and ``coset_rep`` rejects an off-grade
 key before any descent.
 
 A coset g*P is identified without stripping by ``coset_key``: the image
@@ -73,10 +62,10 @@ a coset costs one peeled letter per suffix not seen before, and a ball's
 outer level, whose matrices nothing reads, builds none.
 
 The minimal representative of a double coset P*g*Q is peeled the same way:
-left descents in P only, off the point of g*Q (Deodhar's lemma).  The
-right descents of g are the left descents of g^-1.  Each descent test is
-an exact sign of a shift-and-add form, and the parity of an element is
-that of its word's length.
+left descents in P only, off the point of g*Q (Deodhar's lemma), and
+``pair_words`` reads both double cosets of a pair (g*P, h*Q) off points
+alone.  The right descents of g are the left descents of g^-1, and the
+parity of an element is that of its word's length.
 """
 
 from __future__ import annotations
@@ -94,6 +83,7 @@ from .numberfield import (
     iq_neg,
     iq_sign,
     iq_sub,
+    phi_sign,
 )
 
 __all__ = [
@@ -118,6 +108,7 @@ __all__ = [
     "orbit_keys",
     "wall_keys",
     "min_double_coset_rep",
+    "pair_words",
     "parabolic_elements",
 ]
 
@@ -337,29 +328,41 @@ def _point(m, name: str) -> tuple:
     """
 
 
-@_kernel(_UNPACK_P, {x: _entry_source(_dot(_TWOB[x], _P)) for x in GENERATORS}, _BAD_GENERATOR)
+@_kernel(_UNPACK_P, {x: _entry_source(_dot(_TWOB[x], _P)[_GRADES[i]::2])
+                     for i, x in enumerate(GENERATORS)}, _BAD_GENERATOR)
 def _twob(p, x: str):
-    """2B(a_x, v) for the point v of a key ``p``: row x of ``_TWOB`` against
-    v's coordinates, by the sqrt2 and phi shifts."""
+    """(b, d) with 2B(a_x, v) = sqrt2 (b + d phi) for x = r and b + d phi
+    for s and t, v the point of a key ``p``: v has type 0, so these are all
+    of its ints (see the module docstring)."""
+
+
+@_kernel(_UNPACK_P, {x: "(p[0], " + ", ".join(_sum_source(f) for k in range(3)
+                                               for f in _dot(_GEN_MATS[x][3 * k:3 * k + 3], _P)) + ")"
+                     for x in GENERATORS}, _BAD_GENERATOR)
+def _reflect(p, x: str):
+    """The key of s_x v = M_x v for the point v of a key ``p``: s_x v = v -
+    2B(a_x, v) a_x changes only the two on-grade ints of coordinate x."""
 
 
 def _least_descent(p, gens=GENERATORS):
-    """(x, key of s_x v) for the first x of ``gens`` with 2B(a_x, v) > 0, v
-    the point of ``p``, or None when there is none (with all of ``gens``:
-    when v lies in the closed negated chamber).  The reflection s_x v =
-    v - 2B(a_x, v) a_x changes coordinate x only."""
+    """(x, ``_reflect(p, x)``) for the first x of ``gens`` with 2B(a_x, v) >
+    0, v the point of ``p``, or None (with all of ``gens``: when v lies in
+    the closed negated chamber)."""
     for x in gens:
-        v = _twob(p, x)
-        if iq_sign(v) > 0:
-            return x, _reflected(p, x, v)
+        b, d = _twob(p, x)
+        if phi_sign(b, d) > 0:
+            return x, _reflect(p, x)
     return None
 
 
-def _reflected(p, x: str, v):
-    """The key of s_x u = u - v a_x for the point u of ``p`` and v =
-    2B(a_x, u): only coordinate x changes."""
-    i = 1 + 4 * _INDEX[x]
-    return p[:i] + (p[i] - v[0], p[i + 1] - v[1], p[i + 2] - v[2], p[i + 3] - v[3]) + p[i + 4:]
+def _peel(key: tuple, p: ParabolicId) -> tuple:
+    """The key of d*Q, d minimal in P*g*Q, from the key of g*Q: left
+    descents in P peeled off (see ``min_double_coset_rep``)."""
+    while True:
+        step = _least_descent(key, p.gens)
+        if step is None:
+            return key
+        key = step[1]
 
 
 def coset_rep(key: tuple) -> "GroupElement":
@@ -370,17 +373,15 @@ def coset_rep(key: tuple) -> "GroupElement":
     negative root g^-1 a_x pairs positively with u_P unless it is a root of
     P, which minimality excludes), and s_x g is minimal in the coset of the
     reflected point.  So least descents are peeled off the point until a
-    memoised one, and each representative passed gets its word, x followed
-    by its suffix's, and a link to its suffix's representative; its matrix
-    M_x times the suffix's is built only when first read (``GroupElement``).
-    An orbit meets the closed negated chamber only in its base point
-    (Tits), so a point there that is not memoised raises.  The key must
-    come from a group element: a key with a nonzero off-grade int raises
-    before any descent (the peel reads only on-grade ints), a point outside
-    the cone of rho never reaches the chamber, so keys read off raw matrices
-    go through ``_checked_rep``; any other key off the orbit, or of an
-    element longer than 10,000 letters, raises after 10,000 descents (one
-    per letter; the r12 pentagon ball's reps have at most 48).
+    memoised one; each representative passed gets its word, x and its
+    suffix's, and a link to the suffix's representative, so its matrix is
+    built only when first read (``GroupElement``).  An orbit meets the
+    closed negated chamber only in its base point (Tits), so a point there
+    that is not memoised raises, as does an off-grade key, before any
+    descent.  A point outside the cone of rho never reaches the chamber, so
+    keys read off raw matrices go through ``_checked_rep``; any other key
+    off the orbit, or of an element longer than 10,000 letters, raises
+    after 10,000 descents (the r12 pentagon ball's reps have at most 48).
     """
     rep = _REPS.get(key)
     if rep is not None:
@@ -421,20 +422,15 @@ translate_key.__doc__ = """g.k = (Q, M_g u) for a coset key k = (Q, u): the key 
 def orbit_plan(parabolic: ParabolicId, seeds: tuple[tuple, ...]) -> tuple[tuple, ...]:
     """The steps by which ``orbit_keys`` moves every point c of the P-orbits
     of the coset keys ``seeds`` by an element g (P = ``parabolic``), each
-    point once.  The orbits come in seed order, each walked in
-    ``parabolic_elements`` order with every point kept at its first
-    occurrence; a seed met before adds nothing, as orbits are equal or
-    disjoint.
+    point once, in seed order and ``parabolic_elements`` order, kept at its
+    first occurrence (orbits are equal or disjoint).
 
     A seed is the step (None, c_0, None, None): one ``translate_key``.  The
     point M_p c_0 of p = x p' (p's ShortLex word) is the reflection s_x c =
-    c - beta a_x of the point c of p', with beta = 2B(a_x, c), so g.s_x c is
-    g.c minus beta times column x of M_g.  Its step is (slot of c, index of
-    x, b, d) for beta = sqrt2 (b + d phi) when x is r and beta = b + d phi
-    otherwise: c has type 0, so beta lies in sqrt2 Z[phi] for r and in
-    Z[phi] for s and t (see the module docstring), and these two ints are
-    all of it.  The plan depends on P and the seeds only; callers build it
-    once and run it per element.
+    c - beta a_x of the point c of p', beta = 2B(a_x, c), so g.s_x c is g.c
+    minus beta times column x of M_g: the step (slot of c, index of x, b,
+    d) for (b, d) = ``_twob(c, x)``.  The plan depends on P and the seeds
+    only; callers build it once and run it per element.
     """
     slots: dict[tuple, int] = {}
     plan = []
@@ -447,12 +443,10 @@ def orbit_plan(parabolic: ParabolicId, seeds: tuple[tuple, ...]) -> tuple[tuple,
         for p in parabolic_elements(parabolic)[1:]:
             word = p.canonical_word()
             x, c = word[0], points[word[1:]]
-            beta = _twob(c, x)
-            point = points[word] = _reflected(c, x, beta)
+            point = points[word] = _reflect(c, x)
             if point not in slots:
                 slots[point] = len(plan)
-                i = _INDEX[x]
-                plan.append((slots[c], i, *beta[_GRADES[i]::2]))
+                plan.append((slots[c], _INDEX[x], *_twob(c, x)))
     return tuple(plan)
 
 
@@ -498,7 +492,7 @@ def _wall_offsets(parabolic: ParabolicId, words: tuple[str, ...]) -> tuple[tuple
     of g*P.  For w = rot^k e with rot in P, rot fixes u_P and delta_w =
     2B(a_e, u_P) rot^k a_e: p moved across the k-th wall of the coset.
     """
-    base = _point(_IDENTITY_MAT, parabolic.name)[1:]
+    base = _BASE_KEYS[parabolic.name][1:]
     return tuple(tuple(b - q for b, q in zip(base, _point(_IDENT.times(w).mat, parabolic.name)[1:]))
                  for w in words)
 
@@ -510,9 +504,9 @@ def wall_keys(parabolic: ParabolicId, words: tuple[str, ...]):
     Key w is p - M_g delta_w (``_wall_offsets``).  The offsets are constant,
     so each int of M_g delta_w is a fixed integer combination of a few ints of
     g's matrix: the sqrt2 and phi shifts of its columns, as in ``_point``.
-    The function is compiled once from straight-line source holding only the
-    nonzero terms of the on-grade ints (the others are the literal 0), and
-    each key starts from p or the earlier key that leaves the fewest terms.
+    The function is compiled from straight-line source of the nonzero
+    terms of the on-grade ints, each key starting from p or the earlier key
+    that leaves the fewest terms.
     For the pentagon tiling (D8, rot = rs, e = t) the first key is
     p - (2 - 2 phi) T and its first on-grade int reads
     ``q0_1 = p_1 + 2 * (m11 - m9)``; the second adds 2 S + 2 sqrt2 R to it.
@@ -541,7 +535,8 @@ def _form(p, q):
     """2B(v, w) for the points v, w of keys ``p`` and ``q``."""
     out = IQ_ZERO
     for i, x in enumerate(GENERATORS):
-        t = iq_mul(_twob(p, x), q[1 + 4 * i:5 + 4 * i])
+        b, d = _twob(p, x)
+        t = iq_mul((0, b, 0, d) if _GRADES[i] else (b, 0, d, 0), q[1 + 4 * i:5 + 4 * i])
         out = (out[0] + t[0], out[1] + t[1], out[2] + t[2], out[3] + t[3])
     return out
 
@@ -558,7 +553,7 @@ def _checked_rep(key: tuple) -> "GroupElement":
     """
     rep = _REPS.get(key)
     if rep is None:
-        if _form(key, key) != _NORMS[key[0]] or iq_sign(_form(key, _RHO)) >= 0:
+        if _form(key, key) != _NORMS[key[0]] or iq_sign(_form(key, _BASE_KEYS["CAY"])) >= 0:
             raise ArithmeticError("matrix is not in the reflection group "
                                   "(it does not preserve the cone of rho)")
         rep = coset_rep(key)
@@ -577,10 +572,6 @@ class GroupElement:
     it has none either, and drops the link.  The chain is walked by a loop,
     not by recursion, as it can be as long as the peel bound of 10,000
     letters.  Every other constructor is eager.
-
-    The generator products read only a matrix's on-grade ints (see the
-    module docstring), so a matrix with no word is checked for the grading
-    before a product or a peel reads it (``_graded_mat``).
     """
 
     __slots__ = ("_mat", "_word", "_up")
@@ -632,15 +623,6 @@ class GroupElement:
             mat = _mat_mul_gen_right(mat, x)
         return GroupElement(mat)
 
-    def inverse_times(self, other: "GroupElement") -> "GroupElement":
-        """self^-1 * other: other's matrix left-multiplied by the letters of
-        this element's ShortLex word in order, one add-only generator
-        product per letter (generators are involutions)."""
-        mat = _graded_mat(other)
-        for x in self.canonical_word():
-            mat = _mat_mul_gen_left(mat, x)
-        return GroupElement(mat)
-
     def inverse(self) -> "GroupElement":
         """The walk along this element's reversed ShortLex word."""
         return _IDENT.times(self.canonical_word()[::-1])
@@ -671,9 +653,8 @@ class GroupElement:
 
 def _graded_mat(g: GroupElement):
     """g's matrix, checked to be zero at its off-grade ints unless g carries
-    a word (a product of generators is graded): the generator products and
-    ``_point`` read only the on-grade ints, so a raw matrix that is not
-    graded raises before it reaches them."""
+    a word (a product of generators is graded): the kernels read only the
+    on-grade ints, so an off-grade raw matrix raises before it reaches them."""
     mat = g.mat
     if g._word is None and _off_grade_mat(mat):
         raise ArithmeticError("matrix is not in the reflection group "
@@ -687,11 +668,10 @@ _IDENT._word = ""
 # Minimal coset representatives by orbit-point key, seeded with the base
 # points.  Representatives in use (as in a BFS ball) are the stored
 # objects themselves.  The memo grows for the life of the process.
-_REPS: dict[tuple, GroupElement] = {
-    _point(_IDENTITY_MAT, name): _IDENT for name in PARABOLIC_BY_NAME}
-_RHO = _point(_IDENTITY_MAT, "CAY")
+_BASE_KEYS = {name: _point(_IDENTITY_MAT, name) for name in PARABOLIC_BY_NAME}
+_REPS: dict[tuple, GroupElement] = dict.fromkeys(_BASE_KEYS.values(), _IDENT)
 # 2B(u, u) for each base point u, keyed by name
-_NORMS = {key[0]: _form(key, key) for key in _REPS}
+_NORMS = {name: _form(key, key) for name, key in _BASE_KEYS.items()}
 
 
 def identity() -> GroupElement:
@@ -714,7 +694,7 @@ def left_descents(g: GroupElement) -> set[str]:
     own rho-point is checked first, as by ``right_descents``."""
     g.canonical_word()
     p = _point(g.mat, "CAY")
-    return {x for x in GENERATORS if iq_sign(_twob(p, x)) > 0}
+    return {x for x in GENERATORS if phi_sign(*_twob(p, x)) > 0}
 
 
 @cache
@@ -758,29 +738,44 @@ def coset_key(g: GroupElement, p: ParabolicId) -> tuple:
     whose points have as stabiliser the standard parabolic fixing them
     (Tits), so g u_P = h u_P iff g*P = h*P.
 
-    g is not checked: this is the hot path of the ball walk, and a matrix
-    outside W gets a key all the same.  ``min_coset_rep`` and
+    g is checked for the grading only (``_graded_mat``), so a graded matrix
+    outside W gets a key all the same; ``min_coset_rep`` and
     ``complexgraph.make_vertex`` are the checked entry points.
     """
-    return _point(g.mat, p.name)
+    return _point(_graded_mat(g), p.name)
 
 
 def min_double_coset_rep(g: GroupElement, p: ParabolicId, q: ParabolicId) -> GroupElement:
     """Unique shortest element of P*g*Q, carrying its ShortLex word.
 
-    Left descents in P are peeled off the point of g*Q, as ``coset_rep``
-    peels any descent.  By Deodhar's lemma (Bjorner & Brenti, ch. 2) x w is
-    minimal in x w Q whenever w is minimal in w Q and x is a left descent
-    of w, so every point passed keys the minimal representative of its
-    coset, and the last one, with no left descent in P, keys the minimal
-    representative of the double coset.  g's own rho-point is checked
-    first, as by ``min_coset_rep``, so a matrix outside W raises
-    ``ArithmeticError`` and is never peeled.
+    Left descents in P are peeled off the point of g*Q (``_peel``).  By
+    Deodhar's lemma (Bjorner & Brenti, ch. 2) x w is minimal in x w Q
+    whenever w is minimal in w Q and x is a left descent of w, so every
+    point passed keys the minimal element of its coset, and the last, with
+    no left descent in P, that of the double coset.  g is checked first, as
+    by ``min_coset_rep``, so a matrix outside W raises ``ArithmeticError``.
     """
     g.canonical_word()
-    key = coset_key(g, q)
-    while True:
-        step = _least_descent(key, p.gens)
-        if step is None:
-            return coset_rep(key)
-        key = step[1]
+    return coset_rep(_peel(coset_key(g, q), p))
+
+
+def pair_words(g: GroupElement, h: GroupElement, p: ParabolicId, q: ParabolicId) -> tuple[str, str]:
+    """The words of d, minimal in P*g^-1*h*Q, and of d^-1, minimal in
+    Q*h^-1*g*P: the pair (g*P, h*Q) in both orientations, no matrix built.
+
+    g^-1 h u_Q = x_k(...(x_1 h u_Q)) for g's word x_1...x_k, so h's key
+    reflected by g's letters in order is the point of g^-1 h Q; its P-peel
+    keys d*Q, whose ``coset_rep`` carries d's word w.  d^-1 is minimal in
+    d^-1 P (d has no left descent in P), whose point is u_P reflected by
+    w's letters in order.  g and h are checked first (``canonical_word``).
+    """
+    walk = g.canonical_word()
+    h.canonical_word()
+    key = coset_key(h, q)
+    for x in walk:
+        key = _reflect(key, x)
+    word = coset_rep(_peel(key, p))._word
+    key = _BASE_KEYS[p.name]
+    for x in word:
+        key = _reflect(key, x)
+    return word, coset_rep(key)._word

@@ -10,11 +10,10 @@ itself, and the key is the smaller of the canonical words of d and d^-1.
 Cayley keys serialize as ``CAY:word``, the others as ``CPLX:P:Q:word``;
 a Cayley vertex never pairs with a coset of a maximal parabolic.
 
-Keys are read off word walks and orbit points: g^-1 h is h's matrix
-left-multiplied by g's ShortLex letters (``GroupElement.inverse_times``),
-its inverse is the walk along its reversed word, and the double-coset
-representative is peeled off the point of its coset (see
-``coxeter.min_double_coset_rep``).  No matrix is inverted.
+Keys are read off orbit points, with no product matrix: the point of
+g^-1 h Q is h's reflected by g's ShortLex letters, the double-coset
+representative d is peeled off it, and d^-1's coset point is u_P reflected
+by d's word (``coxeter.pair_words``).
 
 Keys are exact: equal keys if and only if the pairs lie in one W-orbit.
 """
@@ -32,9 +31,9 @@ from .coxeter import (
     ParabolicId,
     coset_key,
     element_of_word,
-    min_double_coset_rep,
     orbit_keys,
     orbit_plan,
+    pair_words,
     parabolic_elements,
 )
 
@@ -76,23 +75,21 @@ class EdgeTypeKey(namedtuple("EdgeTypeKey", "p q word")):
         return self.serialize()
 
 
-def _type_key(p: ParabolicId, q: ParabolicId, d: GroupElement) -> EdgeTypeKey:
-    """The key of a pair (gP, hQ) with g^-1 h = d."""
+def _type_key(p: ParabolicId, q: ParabolicId, g: GroupElement, h: GroupElement) -> EdgeTypeKey:
+    """The key of the pair (gP, hQ)."""
     if (p is CAY) != (q is CAY):
         raise ValueError("a Cayley vertex pairs only with a Cayley vertex")
-    d1 = min_double_coset_rep(d, p, q)
-    d2 = d1.inverse()  # the minimal rep of the reversed pair's double coset
-    return EdgeTypeKey(*min((p.name, q.name, d1.canonical_word()),
-                            (q.name, p.name, d2.canonical_word())))
+    w1, w2 = pair_words(g, h, p, q)
+    return EdgeTypeKey(*min((p.name, q.name, w1), (q.name, p.name, w2)))
 
 
 def type_key_cayley(g: GroupElement, h: GroupElement) -> EdgeTypeKey:
     """The key of the Cayley pair (g, h)."""
-    return _type_key(CAY, CAY, g.inverse_times(h))
+    return _type_key(CAY, CAY, g, h)
 
 
 def type_key_complex(u: Vertex, v: Vertex) -> EdgeTypeKey:
-    return _type_key(u.parabolic, v.parabolic, u.rep.inverse_times(v.rep))
+    return _type_key(u.parabolic, v.parabolic, u.rep, v.rep)
 
 
 def pair_key(u: Vertex, v: Vertex) -> EdgeTypeKey:

@@ -8,8 +8,8 @@ of ints (a, b, c, d) standing for a + b*sqrt2 + c*phi + d*sqrt2*phi.
 
 Sign computation is exact and uses integers only: the sign of x + y*sqrt5,
 with x and y in Z[sqrt2], is decided by the signs of x, y and the norm
-x^2 - 5y^2, each element of Z[sqrt2] by comparing squares (nested norms).
-No float and no approximation of a root decides a sign.
+x^2 - 5y^2, each element of Z[sqrt2] by comparing squares (nested norms),
+and b + d*phi by one (``phi_sign``); no float or root approximation decides.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ __all__ = [
     "iq_sub",
     "iq_neg",
     "iq_sign",
+    "phi_sign",
     "IQ_ZERO",
     "IQ_ONE",
     "IQ_TWO",
@@ -27,15 +28,15 @@ __all__ = [
 ]
 
 
-def _sign_sqrt2(p: int, q: int) -> int:
-    """Sign of p + q*sqrt2 for integers p, q: the common sign when p and q
-    agree, otherwise that of the larger of p^2 and 2q^2 (never equal, as
-    sqrt2 is irrational)."""
+def _sign_surd(p: int, q: int, n: int) -> int:
+    """Sign of p + q*sqrt(n) for integers p, q and a non-square n > 0: the
+    common sign when p and q agree, otherwise that of the larger of p^2 and
+    n q^2 (never equal, as sqrt(n) is irrational)."""
     if p >= 0 and q >= 0:
         return 1 if p or q else 0
     if p <= 0 and q <= 0:
         return -1
-    if p * p > 2 * q * q:
+    if p * p > n * q * q:
         return 1 if p > 0 else -1
     return 1 if q > 0 else -1
 
@@ -46,13 +47,13 @@ def _sign_int_vector(a: int, b: int, c: int, d: int) -> int:
     and y agree, otherwise sign(x) times the sign of x^2 - 5y^2 = (a^2 +
     2b^2 - 5c^2 - 10d^2) + 2(ab - 5cd)*sqrt2, which is nonzero as sqrt5 is
     not in Q(sqrt2)."""
-    x = _sign_sqrt2(a, b)
-    y = _sign_sqrt2(c, d)
+    x = _sign_surd(a, b, 2)
+    y = _sign_surd(c, d, 2)
     if x == y or y == 0:
         return x
     if x == 0:
         return y
-    return x * _sign_sqrt2(a * a + 2 * b * b - 5 * c * c - 10 * d * d, 2 * (a * b - 5 * c * d))
+    return x * _sign_surd(a * a + 2 * b * b - 5 * c * c - 10 * d * d, 2 * (a * b - 5 * c * d), 2)
 
 
 # phi^2 = phi + 1 and sqrt2^2 = 2, so products of integer vectors stay
@@ -91,3 +92,8 @@ def iq_sign(x) -> int:
     a, b, c, d = x
     # 2*(a + b sqrt2 + c phi + d sqrt2 phi) = (2a+c) + (2b+d) sqrt2 + c sqrt5 + d sqrt10
     return _sign_int_vector(2 * a + c, 2 * b + d, c, d)
+
+
+def phi_sign(b: int, d: int) -> int:
+    """Sign of b + d*phi for integers b, d: 2(b + d phi) = (2b + d) + d sqrt5."""
+    return _sign_surd(2 * b + d, d, 5)

@@ -35,7 +35,7 @@ from cox245.coxeter import (
     translate_key,
 )
 from cox245.exact import ONE, ZERO, bilinear_form_matrix, generator_matrix_field, iq_to_field
-from cox245.numberfield import IQ_ONE, iq_mul, iq_neg
+from cox245.numberfield import IQ_ONE, iq_mul, iq_neg, iq_sign, phi_sign
 import matrix_oracle
 from matrix_oracle import (
     U_P,
@@ -443,7 +443,7 @@ def test_keys_matrices_and_plan_steps_are_graded(monkeypatch):
             if slot is None:
                 assert on_grade(x)
                 continue
-            beta = coxeter._twob(points[slot], "rst"[x])
+            beta = generic_twob(points[slot], "rst"[x])
             zero, kept = (beta[0::2], beta[1::2]) if x == 0 else (beta[1::2], beta[0::2])
             assert zero == (0, 0) and (b, d) == kept
 
@@ -465,6 +465,19 @@ def graded_keys(name):
         0 if 1 + n in OFF_GRADE_KEY else x for n, x in enumerate(a))))
 
 
+def generic_twob(key, x):
+    """2B(a_x, v) for the point v of ``key``, by generic ``iq_mul`` products."""
+    terms = [iq_mul(coxeter._TWOB[x][j], key[1 + 4 * j:5 + 4 * j]) for j in range(3)]
+    return tuple(map(sum, zip(*terms)))
+
+
+def twob_ints(key, x):
+    """``coxeter._twob``'s two ints (b, d) as the quartic integer sqrt2 (b +
+    d phi) for x = r and b + d phi for s and t."""
+    b, d = coxeter._twob(key, x)
+    return (0, b, 0, d) if x == "r" else (b, 0, d, 0)
+
+
 def mat_vec(mat, key):
     """(name, M u) for a key (name, u), by generic ``iq_mul`` products."""
     u = [key[1 + 4 * j:5 + 4 * j] for j in range(3)]
@@ -478,15 +491,18 @@ def mat_vec(mat, key):
 @given(graded_mats, graded_keys("Q"), st.sampled_from("rst"), st.sampled_from(sorted(U_P)))
 @settings(max_examples=150, deadline=None)
 def test_compiled_kernels_are_the_generic_products_on_graded_ints(m, key, x, name):
-    """The generator products, orbit points, forms 2B(a_x, -) and
-    ``translate_key``, each reading only on-grade ints, equal the ``iq_mul``
-    products on any graded input, large ints included."""
+    """The generator products, orbit points, forms 2B(a_x, -), reflected
+    keys and ``translate_key``, each reading only on-grade ints, equal the
+    ``iq_mul`` products on any graded input, large ints included; so does
+    the sign of a descent test."""
     gen = coxeter._GEN_MATS[x]
     assert coxeter._mat_mul_gen_right(m, x) == mat_mul(m, gen)
     assert coxeter._mat_mul_gen_left(m, x) == mat_mul(gen, m)
     assert coxeter._point(m, name) == reference_point(m, name)
-    twob = [iq_mul(coxeter._TWOB[x][j], key[1 + 4 * j:5 + 4 * j]) for j in range(3)]
-    assert coxeter._twob(key, x) == tuple(map(sum, zip(*twob)))
+    beta = generic_twob(key, x)
+    assert twob_ints(key, x) == beta
+    assert phi_sign(*coxeter._twob(key, x)) == iq_sign(beta)
+    assert coxeter._reflect(key, x) == mat_vec(gen, key)
     assert translate_key(GroupElement(m), key) == mat_vec(m, key)
 
 
@@ -647,7 +663,7 @@ def test_descents_inverse_parity_and_products_match_matrix_kernel_on_shortlex_12
     for g in elems[::7]:
         for h in elems[::11]:
             assert (g * h).mat == mat_mul(g.mat, h.mat)
-            assert g.inverse_times(h).mat == mat_mul(mat_inv(g.mat), h.mat)
+            assert (g.inverse() * h).mat == mat_mul(mat_inv(g.mat), h.mat)
 
 
 @given(words, st.sampled_from(sorted(U_P)))
@@ -659,7 +675,7 @@ def test_twob_forms_match_bilinear_form(w, name):
     coords = [iq_to_field(key[1 + 4 * j:5 + 4 * j]) for j in range(3)]
     for i, x in enumerate("rst"):
         want = sum((2 * B[i][j] * coords[j] for j in range(3)), ZERO)
-        assert iq_to_field(coxeter._twob(key, x)) == want
+        assert iq_to_field(twob_ints(key, x)) == want
 
 
 def test_base_points_sit_in_the_negated_chamber():
@@ -669,7 +685,7 @@ def test_base_points_sit_in_the_negated_chamber():
     for name, key in points.items():
         gens = PARABOLICS[name].gens if name in PARABOLICS else ()
         for x in "rst":
-            sign = iq_to_field(coxeter._twob(key, x)).sign()
+            sign = iq_to_field(twob_ints(key, x)).sign()
             assert sign == (0 if x in gens else -1), (name, x)
         assert coxeter._least_descent(key) is None
     rho = points[coxeter.CAY.name][1:]
@@ -749,7 +765,6 @@ def test_points_off_the_orbit_cone_raise_before_the_peel():
         raises_within(g.canonical_word)
         raises_within(g.inverse)
         raises_within(lambda: identity() * g)
-        raises_within(lambda: g.inverse_times(identity()))
         raises_within(lambda: right_descents(g))
         raises_within(lambda: left_descents(g))
         raises_within(lambda: cayley_vertex(g))
@@ -776,7 +791,8 @@ def test_off_grade_input_raises_before_the_peel(monkeypatch):
     """The rst*D8 key with its first integer + 1, an int the grading makes
     zero, and a matrix with a sqrt2 on its diagonal raise at once: no
     descent is tried and nothing is memoised.  A product with such a matrix
-    raises too, rather than drop the sqrt2 and give an element of W."""
+    raises too, rather than drop the sqrt2 and give an element of W, and so
+    does its coset key, rather than key the identity's coset."""
     key = coset_key(element_of_word("rst"), D8)
     bad = (key[0], key[1] + 1) + key[2:]
     assert bad == ("D8", 1, 2, 0, 1, 2, 0, 2, 0, 0, 0, 2, 0)
@@ -786,7 +802,7 @@ def test_off_grade_input_raises_before_the_peel(monkeypatch):
     with pytest.raises(ArithmeticError, match="off the orbit"):
         coxeter.coset_rep(bad)
     for call in (off.canonical_word, lambda: min_coset_rep(off, D8), lambda: cayley_vertex(off),
-                 lambda: off.times("r"), lambda: off * identity(), lambda: identity().inverse_times(off)):
+                 lambda: off.times("r"), lambda: off * identity(), lambda: coset_key(off, D8)):
         with pytest.raises(ArithmeticError, match="sqrt2-grading"):
             call()
     assert calls == [] and coxeter._REPS == known

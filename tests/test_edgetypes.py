@@ -139,7 +139,8 @@ def matrix_pair_key(u, v):
 
 
 @pytest.mark.parametrize("center, radius, mode, size, types", [
-    (C8, 3, "full-Y", 133, 399), (cayley_vertex(identity()), 6, "cayley", 66, 232)])
+    (C8, 3, "full-Y", 133, 399), (cayley_vertex(identity()), 6, "cayley", 66, 232),
+    (C8, 4, "pentagon-subcomplex", 109, 233), (fix_vertex(D10), 4, "d10-orbit", 166, 446)])
 def test_type_keys_match_matrix_kernel(center, radius, mode, size, types):
     """Both type keys on every pair of a ball, in both orientations."""
     verts = build_ball(center, radius, mode).vertices
@@ -150,6 +151,31 @@ def test_type_keys_match_matrix_kernel(center, radius, mode, size, types):
             assert pair_key(u, v) == pair_key(v, u) == key, (u.label(), v.label())
             seen.add(key)
     assert (len(verts), len(seen)) == (size, types)
+
+
+@given(st.text(alphabet="rst", max_size=14), st.text(alphabet="rst", max_size=14))
+@settings(max_examples=80, deadline=None)
+def test_raw_cayley_keys_match_matrix_kernel(gw, hw):
+    """Elements that carry a matrix and no word are checked, then keyed as
+    the matrix oracle keys them."""
+    g, h = element_of_word(gw), element_of_word(hw)
+    assert g._word is None and h._word is None
+    want = matrix_pair_key(Vertex(CAY, element_of_word(gw)), Vertex(CAY, element_of_word(hw)))
+    assert type_key_cayley(g, h) == want
+
+
+def test_type_keys_of_built_vertices_make_no_generator_products(monkeypatch):
+    """Two vertices whose matrices are built are keyed by reflecting orbit
+    points only: no generator product on either side, so no product matrix,
+    inverse or lazy representative's matrix."""
+    verts = build_ball(C8, 3, "full-Y").vertices
+    assert all(v.rep.mat for v in verts)
+    calls = []
+    for name in ("_mat_mul_gen_right", "_mat_mul_gen_left"):
+        fn = getattr(coxeter, name)
+        monkeypatch.setattr(coxeter, name, lambda m, x, _fn=fn: calls.append(x) or _fn(m, x))
+    keys = {type_key_complex(u, v) for u in verts[::4] for v in verts}
+    assert len(keys) == 398 and calls == []
 
 
 def test_orbit_sample_pentagon_edges():

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from cox245.exact import (
     COS_PI_4, COS_PI_5, FieldElement, ONE, SQRT2, SQRT5, SQRT10, ZERO, iq_to_field,
 )
-from cox245.numberfield import IQ_ONE, iq_mul, iq_sign
+from cox245.numberfield import IQ_ONE, iq_mul, iq_sign, phi_sign
 from cox245.numberfield import _sign_int_vector
 
 rationals = st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**4)
@@ -245,3 +245,14 @@ def test_nested_norm_sign_matches_intervals_near_zero(e1, e2, k1, k2):
     coeffs = tuple(int(c) for c in x.coeffs)
     assert all(c.denominator == 1 for c in x.coeffs)
     assert _sign_int_vector(*coeffs) == interval_sign(*coeffs)
+
+
+zero_or_big = st.just(0) | st.integers(-50, 50) | st.integers(-2 ** 80, 2 ** 80)
+
+
+@given(zero_or_big, zero_or_big)
+@settings(max_examples=400, deadline=None)
+def test_phi_sign_is_the_quartic_sign(b, d):
+    """The one-comparison sign of b + d phi agrees with the nested-norm sign
+    of the quartic integer (b, 0, d, 0), zeros and large ints included."""
+    assert phi_sign(b, d) == iq_sign((b, 0, d, 0))
