@@ -29,13 +29,11 @@ from .complexgraph import (
     GraphSlab,
     Vertex,
     build_ball,
-    cayley_vertex,
     fix_vertex,
     graph_distance,
-    make_vertex,
     neighbors,
 )
-from .coxeter import D8, D10, PARABOLICS, element_of_word, identity, parabolic_elements
+from .coxeter import CAY, D8, D10, PARABOLICS, identity, parabolic_elements, word_coset_rep
 from .edgetypes import EdgeTypeKey, pair_key, type_key_cayley, type_key_complex
 from .implications import (
     DIHEDRAL_CHORD_LABELS,
@@ -107,7 +105,12 @@ class PathTrace(namedtuple("PathTrace", "vertices key")):
     __slots__ = ()
 
 
-_BASE_EDGE = (fix_vertex(D8), make_vertex(D8, element_of_word("t")))
+def _word_vertex(parabolic, word: str) -> Vertex:
+    """The coset g*P of the element g of ``word``, P = ``parabolic``."""
+    return Vertex(parabolic, word_coset_rep(word, parabolic))
+
+
+_BASE_EDGE = (fix_vertex(D8), _word_vertex(D8, "t"))
 
 
 def _trace_vertices(spec: StringSpec) -> tuple[Vertex, ...]:
@@ -342,7 +345,7 @@ CONNECTING_FINAL_WORDS = (
 
 
 def _cayley_key(word: str) -> EdgeTypeKey:
-    return type_key_cayley(identity(), element_of_word(word))
+    return type_key_cayley(identity(), word_coset_rep(word, CAY))
 
 
 def parse_key(text: str) -> EdgeTypeKey:
@@ -353,8 +356,7 @@ def parse_key(text: str) -> EdgeTypeKey:
         return _cayley_key(parts[1])
     if parts[0] == "CPLX" and len(parts) == 4 and {parts[1], parts[2]} <= PARABOLICS.keys():
         p, q, w = parts[1], parts[2], parts[3]
-        return type_key_complex(fix_vertex(PARABOLICS[p]),
-                                make_vertex(PARABOLICS[q], element_of_word(w)))
+        return type_key_complex(fix_vertex(PARABOLICS[p]), _word_vertex(PARABOLICS[q], w))
     raise ValueError(f"bad key serialization {text!r}")
 
 
@@ -391,13 +393,11 @@ def parse_point(text: str, mode: str) -> Vertex:
     "P:word" (P one of D8/D10/D4, 'e' or empty for the identity) in complex
     mode."""
     if _checked_mode(mode) == "cayley":
-        word = "" if text == "e" else text
-        return cayley_vertex(element_of_word(word))
+        return _word_vertex(CAY, "" if text == "e" else text)
     parab, _, word = text.partition(":")
     if parab not in PARABOLICS:
         raise ValueError(f"bad point {text!r}; write P:word with P one of D8, D10, D4")
-    word = "" if word == "e" else word
-    return make_vertex(PARABOLICS[parab], element_of_word(word))
+    return _word_vertex(PARABOLICS[parab], "" if word == "e" else word)
 
 
 def _field(name: str, value, kind: type):
@@ -417,7 +417,7 @@ def _orbit_points(line) -> list[Vertex]:
     if parab is None:
         raise ValueError(f"orbit generators {gens} span no dihedral parabolic subgroup")
     base = _field("orbit_base", line["orbit_base"], str)
-    return [cayley_vertex(d.times(base)) for d in parabolic_elements(parab)]
+    return [_word_vertex(CAY, d.canonical_word() + base) for d in parabolic_elements(parab)]
 
 
 def _parse_line(lineno: int, line: dict):
@@ -601,7 +601,7 @@ def auto_search_d10(max_depth: int, radius: int) -> dict:
         raise ValueError("max_depth must be nonnegative")
     center = fix_vertex(D10)
     slab = build_ball(center, radius, "d10-orbit")
-    seed = type_key_complex(center, make_vertex(D10, element_of_word("r")))
+    seed = type_key_complex(center, _word_vertex(D10, "r"))
     state = ImplicationState.initial([seed])
     cap = max(2, radius - 2)
     candidates: list[tuple[int, EdgeTypeKey]] = []

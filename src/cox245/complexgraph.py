@@ -19,11 +19,14 @@ wired and never mixed silently:
     CAY-cosets, i.e. group elements; edges = right multiplication by a
     generator.
 
-Neighbors in the tilings and the Cayley graph are wall reflections of the
-vertex's key p = M_g u_P: the coset g*w*P, w = rot^k * edge (the rotation
-reversed at odd-length representatives) or a generator, has key
-p - M_g delta_w with a constant offset delta_w (``coxeter.wall_keys``), a
-few sqrt2 and phi shifts of g's columns added to p.  The cosets meeting
+A vertex's key is its coset's ``coxeter.coset_key``: a 7-tuple, the
+parabolic's name and the six ints of the orbit point M_g u_P that the
+sqrt2-grading leaves nonzero.  Neighbors in the tilings and the Cayley
+graph are wall reflections of the vertex's key p: the coset g*w*P, w =
+rot^k * edge (the rotation reversed at odd-length representatives) or a
+generator, has key p - M_g delta_w with a constant offset delta_w
+(``coxeter.wall_keys``), a few sqrt2 and phi shifts of g's columns added
+to p.  The cosets meeting
 g*P (full-Y) are g times the P-orbits of the other two base points: one
 ``coxeter.orbit_plan`` per P, run by ``orbit_keys``.  Every mode yields
 keys, deduplicated (``vertex_key``; ``key_vertex`` goes back), and checks

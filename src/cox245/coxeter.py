@@ -36,13 +36,13 @@ coordinate x keeps its grade.  So the generators keep the type, and so
 does W.  Hence column j of M_g, the image of a_j, has a_j's type, and
 entry (i, j) of every matrix in W lies in sqrt2 Z[phi] exactly when one of
 i, j is r, and in Z[phi] otherwise: 18 of its 36 ints are zero.  The base
-points u_P and rho below have type 0, so every coset key has type 0, and
-its ints of 1 and phi in r and of sqrt2 and sqrt2 phi in s and t
-(positions 1, 3, 6, 8, 10 and 12 of the key) are zero.  The kernels
-neither read nor compute these off-grade ints (they unpack them into ``_``
-and return the literal 0), so a matrix with no word is checked before a
-kernel reads it (``_graded_mat``), and ``coset_rep`` rejects an off-grade
-key before any descent.
+points u_P and rho below have type 0, so every orbit point has type 0:
+its ints of 1 and phi in r and of sqrt2 and sqrt2 phi in s and t are
+zero.  A coset key holds only the other six, the on-grade ints (``_ON_GRADE``),
+so it has no place for an off-grade int.  The matrix kernels neither read
+nor compute the off-grade ints of a matrix (they unpack them into ``_``),
+so a matrix with no word is checked before a kernel reads it
+(``_graded_mat``).
 
 A coset g*P is identified without stripping by ``coset_key``: the image
 M_g u_P of a vector u_P whose stabiliser is exactly P, read with the same
@@ -103,6 +103,7 @@ __all__ = [
     "min_coset_rep",
     "coset_key",
     "coset_rep",
+    "word_coset_rep",
     "translate_key",
     "orbit_plan",
     "orbit_keys",
@@ -150,19 +151,24 @@ _BASE_POINTS["CAY"] = tuple(tuple(map(sum, zip(*us))) for us in zip(*_BASE_POINT
 # that of j, mod 2.
 _GRADES = (1, 0, 0)
 
+# The on-grade ints of a type-0 point, by their position among its 12 ints
+# over the integral basis (int c of coordinate k is position 4k + c): a
+# coset key is its parabolic's name and these six, in this order.
+_ON_GRADE = tuple(4 * k + c for k in range(3) for c in range(4) if c % 2 == _GRADES[k])
+
 # Each kernel below is a constant (a generator matrix, a base point, a row of
 # _TWOB) times the ints of its argument, compiled once to straight-line
-# source: int c of entry k of a matrix is the symbol m{4k + c}, of a key's
-# point p_{4k + c}, and each int of a product is a form {symbol: coefficient}
-# (``translate_key``'s symbols are products 'm1 * p_2').  An int the grading
-# makes zero is the symbol None: it is unpacked into ``_`` and no form holds it.
+# source: int c of entry k of a matrix is the symbol m{4k + c}, int n of a
+# key p_n, and each int of a product is a form {symbol: coefficient}
+# (``translate_key``'s symbols are products 'm1 * p_2').  An off-grade int
+# is the symbol None, unpacked into ``_``; no form holds it.
 _M = [tuple(f"m{4 * k + c}" if c % 2 == _GRADES[k // 3] ^ _GRADES[k % 3] else None for c in range(4))
       for k in range(9)]
-_P = [tuple(f"p_{4 * k + c}" if c % 2 == _GRADES[k] else None for c in range(4)) for k in range(3)]
+_P = [tuple(f"p_{_ON_GRADE.index(4 * k + c)}" if 4 * k + c in _ON_GRADE else None for c in range(4))
+      for k in range(3)]
 _UNPACK_M = ", ".join(f"({', '.join(v or '_' for v in e)})" for e in _M)
-_UNPACK_P = "_, " + ", ".join(v or "_" for e in _P for v in e)
-# the positions of a key's off-grade ints, all zero on the orbits of W
-_OFF_GRADE = tuple(1 + n for n, v in enumerate(v for e in _P for v in e) if v is None)
+_UNPACK_P = "_, " + ", ".join(f"p_{n}" for n in range(len(_ON_GRADE)))
+_on_grade = itemgetter(*_ON_GRADE)  # a key's ints among a point's 12
 
 
 def _shifts(q):
@@ -172,21 +178,16 @@ def _shifts(q):
     return q, (2 * b, a, 2 * d, c), (c, d, a + c, b + d), (2 * d, c, 2 * (b + d), a + c)
 
 
-_UNITS = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
-
-
 def _dot(consts, entries) -> tuple[dict[str, int], ...]:
     """sum_j consts[j] entries[j] for entries of distinct symbols and consts
     constant quartic integers or symbol quartets: q e is sum_c e_c (q times
     basis element c), by the shifts of q, and a symbol quartet q is
-    sum_d q_d (basis element d), a product term 'e_c * q_d'.  Symbols None
-    (off-grade ints) add no term."""
+    sum_d q_d (basis element d, the d-th shift of 1), a product term
+    'e_c * q_d'.  Symbols None (off-grade ints) add no term."""
     out = ({}, {}, {}, {})
     for q, symbols in zip(consts, entries):
-        if all(type(a) is int for a in q):
-            terms = [(q, "")]
-        else:
-            terms = [(u, f" * {s}") for u, s in zip(_UNITS, q) if s]
+        terms = ([(q, "")] if all(type(a) is int for a in q)
+                 else [(u, f" * {s}") for u, s in zip(_shifts(IQ_ONE), q) if s])
         for k, factor in terms:
             for v, prod in zip(symbols, _shifts(k)):
                 if v is None:
@@ -198,9 +199,9 @@ def _dot(consts, entries) -> tuple[dict[str, int], ...]:
 
 
 def _point_forms(u) -> list[dict[str, int]]:
-    """M u as 12 forms in the ints of M, for a constant vector u or a key's
-    point ``_P``."""
-    return [f for i in range(3) for f in _dot(u, _M[3 * i:3 * i + 3])]
+    """The on-grade ints of M u as forms in the ints of M, for a constant
+    vector u or a key's point ``_P``."""
+    return _on_grade([f for i in range(3) for f in _dot(u, _M[3 * i:3 * i + 3])])
 
 
 def _sum_source(form: dict[str, int]) -> str:
@@ -309,7 +310,6 @@ CAY = ParabolicId("CAY", ())
 PARABOLICS = {"D8": D8, "D10": D10, "D4": D4}  # the maximal ones
 PARABOLIC_BY_NAME = {**PARABOLICS, "CAY": CAY}
 _PEEL_STEPS = range(10_000)  # the peel bound, built once so that a call makes no range
-_off_grade = itemgetter(*_OFF_GRADE)
 # the first nonzero off-grade int of a matrix, or 0 (for every matrix in W)
 _OFF_M = [tuple("_" if v else f"o{4 * k + c}" for c, v in enumerate(e)) for k, e in enumerate(_M)]
 _off_grade_mat = _compile("_off_grade_mat", [
@@ -321,11 +321,9 @@ _off_grade_mat = _compile("_off_grade_mat", [
 @_kernel(_UNPACK_M, {name: f"(name, {', '.join(map(_sum_source, _point_forms(u)))})"
                      for name, u in _BASE_POINTS.items()}, "unknown parabolic {name!r}")
 def _point(m, name: str) -> tuple:
-    """``name`` and M u_P as 12 ints over the integral basis, P the
-    parabolic named ``name`` (see ``coset_key``; u_CAY = rho = (4 sqrt2,
-    6 + 2 phi, 2 + 3 phi)).  Coordinate i is sum_j u_P[j] m_ij, by the
-    sqrt2 and phi shifts of ``_shifts``, so no ``iq_mul``.
-    """
+    """``name`` and the six ints of the key M u_P, P the parabolic named
+    ``name`` (see ``coset_key``; u_CAY = rho = (4 sqrt2, 6 + 2 phi, 2 + 3
+    phi)).  Coordinate i is sum_j u_P[j] m_ij, by ``_shifts``: no ``iq_mul``."""
 
 
 @_kernel(_UNPACK_P, {x: _entry_source(_dot(_TWOB[x], _P)[_GRADES[i]::2])
@@ -336,8 +334,8 @@ def _twob(p, x: str):
     of its ints (see the module docstring)."""
 
 
-@_kernel(_UNPACK_P, {x: "(p[0], " + ", ".join(_sum_source(f) for k in range(3)
-                                               for f in _dot(_GEN_MATS[x][3 * k:3 * k + 3], _P)) + ")"
+@_kernel(_UNPACK_P, {x: "(p[0], " + ", ".join(map(_sum_source, _on_grade(
+    [f for k in range(3) for f in _dot(_GEN_MATS[x][3 * k:3 * k + 3], _P)]))) + ")"
                      for x in GENERATORS}, _BAD_GENERATOR)
 def _reflect(p, x: str):
     """The key of s_x v = M_x v for the point v of a key ``p``: s_x v = v -
@@ -377,17 +375,18 @@ def coset_rep(key: tuple) -> "GroupElement":
     suffix's, and a link to the suffix's representative, so its matrix is
     built only when first read (``GroupElement``).  An orbit meets the
     closed negated chamber only in its base point (Tits), so a point there
-    that is not memoised raises, as does an off-grade key, before any
-    descent.  A point outside the cone of rho never reaches the chamber, so
-    keys read off raw matrices go through ``_checked_rep``; any other key
-    off the orbit, or of an element longer than 10,000 letters, raises
-    after 10,000 descents (the r12 pentagon ball's reps have at most 48).
+    that is not memoised raises.  A point outside the cone of rho never
+    reaches the chamber, so keys read off raw matrices go through
+    ``_checked_rep``; any other key off the orbit, or of an element longer
+    than 10,000 letters, raises after 10,000 descents (the r12 pentagon
+    ball's reps have at most 48), and a key that is not a parabolic's name
+    and six ints raises ValueError before any descent.
     """
     rep = _REPS.get(key)
     if rep is not None:
         return rep
-    if any(_off_grade(key)):
-        raise ArithmeticError("key off the orbit: an int that the sqrt2-grading makes zero is not")
+    if len(key) != 7 or key[0] not in _BASE_KEYS:
+        raise ValueError(f"not a coset key (a parabolic's name and 6 ints): {key!r}")
     passed = []
     for _ in _PEEL_STEPS:
         step = _least_descent(key)
@@ -411,12 +410,24 @@ def coset_rep(key: tuple) -> "GroupElement":
     return rep
 
 
+def word_coset_rep(word: str, p: ParabolicId) -> "GroupElement":
+    """The minimal representative of g*P for the element g of ``word``, with
+    no matrix: ``coset_rep`` of u_P reflected by its letters, last first.
+    The first bad letter raises, as in ``element_of_word``."""
+    bad = word.lstrip(GENERATORS)
+    if bad:
+        raise ValueError(_BAD_GENERATOR.format(x=bad[0]))
+    key = _BASE_KEYS[p.name]
+    for x in reversed(word):
+        key = _reflect(key, x)
+    return coset_rep(key)
+
+
 translate_key = _compile("translate_key", [
     "def translate_key(g, key):", f"    {_UNPACK_P} = key", f"    {_UNPACK_M} = g.mat",
     f"    return (key[0], {', '.join(map(_sum_source, _point_forms(_P)))})"])
 translate_key.__doc__ = """g.k = (Q, M_g u) for a coset key k = (Q, u): the key of g*h*Q when k
-    keys h*Q.  Compiled from ``_point``'s forms, with k's ints in place of a
-    base point's."""
+    keys h*Q.  Compiled from ``_point``'s forms, with k's ints for u_P's."""
 
 
 def orbit_plan(parabolic: ParabolicId, seeds: tuple[tuple, ...]) -> tuple[tuple, ...]:
@@ -464,36 +475,36 @@ def orbit_keys(plan: tuple[tuple, ...], g: "GroupElement") -> list[tuple]:
         if slot is None:
             out.append(translate_key(g, x))
             continue
-        name, _, k1, _, k3, k4, _, k6, _, k8, _, k10, _ = out[slot]
+        name, k0, k1, k2, k3, k4, k5 = out[slot]
         if x:  # beta even: the r entry of the column is odd, the others even
             (_, e0, _, g0), (e1, _, g1, _), (e2, _, g2, _) = m[x], m[3 + x], m[6 + x]
-            out.append((
-                name,
-                0, k1 - (b * e0 + d * g0), 0, k3 - (b * g0 + d * (e0 + g0)),
-                k4 - (b * e1 + d * g1), 0, k6 - (b * g1 + d * (e1 + g1)), 0,
-                k8 - (b * e2 + d * g2), 0, k10 - (b * g2 + d * (e2 + g2)), 0,
-            ))
+            out.append((name, k0 - (b * e0 + d * g0), k1 - (b * g0 + d * (e0 + g0)),
+                        k2 - (b * e1 + d * g1), k3 - (b * g1 + d * (e1 + g1)),
+                        k4 - (b * e2 + d * g2), k5 - (b * g2 + d * (e2 + g2))))
         else:  # beta odd: the r entry of the column is even, the others odd
             (e0, _, g0, _), (_, e1, _, g1), (_, e2, _, g2) = m[0], m[3], m[6]
-            out.append((
-                name,
-                0, k1 - (b * e0 + d * g0), 0, k3 - (b * g0 + d * (e0 + g0)),
-                k4 - 2 * (b * e1 + d * g1), 0, k6 - 2 * (b * g1 + d * (e1 + g1)), 0,
-                k8 - 2 * (b * e2 + d * g2), 0, k10 - 2 * (b * g2 + d * (e2 + g2)), 0,
-            ))
+            out.append((name, k0 - (b * e0 + d * g0), k1 - (b * g0 + d * (e0 + g0)),
+                        k2 - 2 * (b * e1 + d * g1), k3 - 2 * (b * g1 + d * (e1 + g1)),
+                        k4 - 2 * (b * e2 + d * g2), k5 - 2 * (b * g2 + d * (e2 + g2))))
     return out
 
 
-def _wall_offsets(parabolic: ParabolicId, words: tuple[str, ...]) -> tuple[tuple[int, ...], ...]:
-    """delta_w = u_P - M_w u_P for each word w, as 12 ints over the integral
-    basis, read off the base point and its image under the walk of w.
+def _ints(key) -> list[int]:
+    """The 12 ints of a key's point over the integral basis, off-grade ints 0."""
+    ints = dict(zip(_ON_GRADE, key[1:]))
+    return [ints.get(n, 0) for n in range(12)]
+
+
+def _wall_offsets(parabolic: ParabolicId, words: tuple[str, ...]) -> tuple[list[int], ...]:
+    """delta_w = u_P - M_w u_P for each word w, as 12 ints (``_ints``), read
+    off the base point and its image under the walk of w.
 
     The coset g*w*P has key M_g (u_P - delta_w) = p - M_g delta_w, p the key
     of g*P.  For w = rot^k e with rot in P, rot fixes u_P and delta_w =
     2B(a_e, u_P) rot^k a_e: p moved across the k-th wall of the coset.
     """
-    base = _BASE_KEYS[parabolic.name][1:]
-    return tuple(tuple(b - q for b, q in zip(base, _point(_IDENT.times(w).mat, parabolic.name)[1:]))
+    base = _ints(_BASE_KEYS[parabolic.name])
+    return tuple([b - q for b, q in zip(base, _ints(_point(_IDENT.times(w).mat, parabolic.name)))]
                  for w in words)
 
 
@@ -505,15 +516,15 @@ def wall_keys(parabolic: ParabolicId, words: tuple[str, ...]):
     so each int of M_g delta_w is a fixed integer combination of a few ints of
     g's matrix: the sqrt2 and phi shifts of its columns, as in ``_point``.
     The function is compiled from straight-line source of the nonzero
-    terms of the on-grade ints, each key starting from p or the earlier key
+    terms of the six ints, each key starting from p or the earlier key
     that leaves the fewest terms.
     For the pentagon tiling (D8, rot = rs, e = t) the first key is
-    p - (2 - 2 phi) T and its first on-grade int reads
-    ``q0_1 = p_1 + 2 * (m11 - m9)``; the second adds 2 S + 2 sqrt2 R to it.
+    p - (2 - 2 phi) T and its first int reads
+    ``q0_0 = p_0 + 2 * (m11 - m9)``; the second adds 2 S + 2 sqrt2 R to it.
     No general product of quartic integers is evaluated per call.
     """
     lines = ["def keys(p, m):", f"    {_UNPACK_P} = p", f"    {_UNPACK_M} = m"]
-    done = {"p": [{}] * 12}  # forms already subtracted, by variable prefix
+    done = {"p": [{}] * len(_ON_GRADE)}  # forms already subtracted, by variable prefix
     for w, delta in enumerate(_wall_offsets(parabolic, words)):
         forms = _point_forms([delta[4 * j:4 * j + 4] for j in range(3)])
         rests = {prefix: [{x: f.get(x, 0) - b.get(x, 0) for x in {**f, **b}
@@ -521,22 +532,20 @@ def wall_keys(parabolic: ParabolicId, words: tuple[str, ...]):
                  for prefix, base in done.items()}
         prefix, rest = min(rests.items(), key=lambda item: sum(map(len, item[1])))
         for n, terms in enumerate(rest):
-            if 1 + n not in _OFF_GRADE:
-                form = {f"{prefix}_{n}": 1, **{x: -c for x, c in terms.items()}}
-                lines.append(f"    q{w}_{n} = {_sum_source(form)}")
+            form = {f"{prefix}_{n}": 1, **{x: -c for x, c in terms.items()}}
+            lines.append(f"    q{w}_{n} = {_sum_source(form)}")
         done[f"q{w}"] = forms
-    keys = (", ".join("0" if 1 + n in _OFF_GRADE else f"q{w}_{n}" for n in range(12))
-            for w in range(len(words)))
+    keys = (", ".join(f"q{w}_{n}" for n in range(len(_ON_GRADE))) for w in range(len(words)))
     lines.append(f"    return {', '.join(f'({parabolic.name!r}, {key})' for key in keys)},")
     return _compile("keys", lines)
 
 
 def _form(p, q):
     """2B(v, w) for the points v, w of keys ``p`` and ``q``."""
-    out = IQ_ZERO
+    out, q = IQ_ZERO, _ints(q)
     for i, x in enumerate(GENERATORS):
         b, d = _twob(p, x)
-        t = iq_mul((0, b, 0, d) if _GRADES[i] else (b, 0, d, 0), q[1 + 4 * i:5 + 4 * i])
+        t = iq_mul((0, b, 0, d) if _GRADES[i] else (b, 0, d, 0), q[4 * i:4 * i + 4])
         out = (out[0] + t[0], out[1] + t[1], out[2] + t[2], out[3] + t[3])
     return out
 
@@ -699,37 +708,30 @@ def left_descents(g: GroupElement) -> set[str]:
 
 @cache
 def parabolic_elements(p: ParabolicId) -> tuple[GroupElement, ...]:
-    """All elements of the subgroup, by closure; sorted by (length, word)."""
-    seen = {_IDENTITY_MAT: _IDENT}
-    frontier = [_IDENT]
+    """All elements of the subgroup, by closure on words, each peeled to
+    its ShortLex word (``word_coset_rep``); sorted by (length, word)."""
+    seen = {"": _IDENT}
+    frontier = [""]
     while frontier:
-        nxt = []
-        for g in frontier:
-            for x in p.gens:
-                mat = _mat_mul_gen_right(g.mat, x)
-                if mat not in seen:
-                    h = GroupElement(mat)
-                    seen[mat] = h
-                    nxt.append(h)
-        frontier = nxt
-    return tuple(sorted(seen.values(), key=lambda g: (g.length(), g.canonical_word())))
+        found = {g._word: g for g in (word_coset_rep(w + x, CAY) for w in frontier for x in p.gens)}
+        frontier = [w for w in found if w not in seen]
+        seen.update(found)
+    return tuple(sorted(seen.values(), key=lambda g: (len(g._word), g._word)))
 
 
 def min_coset_rep(g: GroupElement, p: ParabolicId) -> GroupElement:
     """Unique shortest element of the coset g*P (no right descent in P),
-    peeled off its key; callers holding the key call ``coset_rep``.
-
-    g's own rho-point is checked first, as by ``canonical_word``, so a
-    matrix outside W raises ``ArithmeticError`` (see ``_checked_rep``) even
-    where it fixes u_P, whose key is a memoised base point.
-    """
+    peeled off its key; callers holding the key call ``coset_rep``.  g's
+    own rho-point is checked first (``canonical_word``), so a matrix outside
+    W raises ``ArithmeticError`` even where it fixes u_P, whose key is a
+    memoised base point."""
     g.canonical_word()
     return coset_rep(coset_key(g, p))
 
 
 def coset_key(g: GroupElement, p: ParabolicId) -> tuple:
     """Exact identity of the coset g*P without stripping: P's name and the
-    image M_g u_P as 12 ints over the integral basis.
+    six on-grade ints of the image M_g u_P (``_ON_GRADE``).
 
     u_P is fixed by exactly the generators of P (2B(a_x, u_P) = 0 for x in
     P): u_D8 = (sqrt2 phi, 2 phi, 2), u_D10 = (sqrt2 (3 - phi), 4, 2 phi),
@@ -766,8 +768,8 @@ def pair_words(g: GroupElement, h: GroupElement, p: ParabolicId, q: ParabolicId)
     g^-1 h u_Q = x_k(...(x_1 h u_Q)) for g's word x_1...x_k, so h's key
     reflected by g's letters in order is the point of g^-1 h Q; its P-peel
     keys d*Q, whose ``coset_rep`` carries d's word w.  d^-1 is minimal in
-    d^-1 P (d has no left descent in P), whose point is u_P reflected by
-    w's letters in order.  g and h are checked first (``canonical_word``).
+    d^-1 P (d has no left descent in P), keyed by ``word_coset_rep`` of w
+    reversed.  g and h are checked first (``canonical_word``).
     """
     walk = g.canonical_word()
     h.canonical_word()
@@ -775,7 +777,4 @@ def pair_words(g: GroupElement, h: GroupElement, p: ParabolicId, q: ParabolicId)
     for x in walk:
         key = _reflect(key, x)
     word = coset_rep(_peel(key, p))._word
-    key = _BASE_KEYS[p.name]
-    for x in word:
-        key = _reflect(key, x)
-    return word, coset_rep(key)._word
+    return word, word_coset_rep(word[::-1], p)._word

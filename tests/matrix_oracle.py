@@ -2,7 +2,7 @@
 orbit-point peels of ``cox245.coxeter``: the product by ``iq_mul``, the
 adjugate inverse and determinant, root-sign descent tests, the
 alternating double-coset strip and the base points u_P with their images
-M u_P.  The package itself uses none of them.
+M u_P, read as coset keys.  The package itself uses none of them.
 """
 
 import cox245.coxeter as coxeter
@@ -59,14 +59,41 @@ U_P = {
 }
 
 
-def reference_point(mat, name):
-    """M u_P (or M rho) by generic ``iq_mul`` products: the oracle for the
-    kernel's orbit points and coset keys."""
-    out = [name]
+# The ints of a point that the sqrt2-grading makes zero, by position among
+# its 12 over the integral basis: r's ints of 1 and phi, s's and t's of sqrt2
+# and sqrt2 phi.  A coset key is the name and the other six, in order.
+OFF_GRADE = (0, 2, 5, 7, 9, 11)
+
+
+def graded_key(point):
+    """The coset key of a point (name, 12 ints), once its off-grade ints
+    are asserted to be 0."""
+    name, *ints = point
+    assert [ints[n] for n in OFF_GRADE] == [0] * len(OFF_GRADE), f"off-grade point {point}"
+    return (name, *(a for n, a in enumerate(ints) if n not in OFF_GRADE))
+
+
+def key_point(key):
+    """The point (name, 12 ints) of a coset key, its off-grade ints 0: the
+    inverse of ``graded_key``."""
+    ints = iter(key[1:])
+    return (key[0], *(0 if n in OFF_GRADE else next(ints) for n in range(12)))
+
+
+def mat_vec(mat, key):
+    """The key (name, M u) of a key (name, u), by generic ``iq_mul`` products."""
+    point = key_point(key)
+    out = [key[0]]
     for i in range(3):
-        terms = [iq_mul(mat[3 * i + j], U_P[name][j]) for j in range(3)]
+        terms = [iq_mul(mat[3 * i + j], point[1 + 4 * j:5 + 4 * j]) for j in range(3)]
         out.extend(sum(t[c] for t in terms) for c in range(4))
-    return tuple(out)
+    return graded_key(out)
+
+
+def reference_point(mat, name):
+    """The key of M u_P (or M rho) by generic ``iq_mul`` products: the
+    oracle for the kernel's orbit points and coset keys."""
+    return mat_vec(mat, graded_key((name, *(a for u in U_P[name] for a in u))))
 
 
 def column_root_sign(m, x: str) -> int:

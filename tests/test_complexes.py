@@ -323,6 +323,19 @@ def test_every_vertex_is_keyed_by_its_coset(center, radius, mode):
         assert key_vertex(key) == v
 
 
+def test_keys_have_seven_fields(monkeypatch):
+    """A key is its parabolic's name and six ints: so is every key of four
+    balls' indexes and every key the peels memoise."""
+    monkeypatch.setattr(coxeter, "_REPS", {
+        key: g for key, g in coxeter._REPS.items() if g is coxeter._IDENT})
+    for center, radius, mode in [(C8, 10, "pentagon-subcomplex"), (C10, 6, "d10-orbit"),
+                                 (cayley_vertex(identity()), 12, "cayley"), (C8, 4, "full-Y")]:
+        slab = build_ball(center, radius, mode)
+        assert {len(key) for key in slab.key_index} == {7}, mode
+    assert len(coxeter._REPS) > 16737
+    assert {len(key) for key in coxeter._REPS} == {7}
+
+
 def reference_vertex_key(v):
     """A vertex's key computed apart from the kernel: M u_P by generic
     ``iq_mul`` products, where M is the representative's matrix for a

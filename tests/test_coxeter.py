@@ -13,6 +13,7 @@ from cox245.complexgraph import (
     build_ball,
     cayley_vertex,
     fix_vertex,
+    make_vertex,
     vertex_key,
 )
 from cox245.coxeter import (
@@ -41,9 +42,12 @@ from matrix_oracle import (
     U_P,
     column_root_sign,
     generic_product,
+    graded_key,
+    key_point,
     mat_det,
     mat_inv,
     mat_mul,
+    mat_vec,
     reference_point,
 )
 
@@ -369,15 +373,15 @@ def reference_coset_key(g, p):
 
 
 @given(words, words, st.sampled_from(sorted(U_P)),
-       st.lists(st.integers(-50, 50), min_size=12, max_size=12))
+       st.lists(st.integers(-50, 50), min_size=6, max_size=6))
 @settings(max_examples=100, deadline=None)
 def test_translate_key_is_the_generic_product(w, v, name, ints):
     """g.(Q, u) = (Q, M_g u): on a coset key it is the key of g h, and on any
-    graded integer vector (type 0, as every coset key is) it is the
-    row-by-row ``iq_mul`` sum."""
+    key's six ints (a graded integer vector, type 0) it is the row-by-row
+    ``iq_mul`` sum."""
     g, h = element_of_word(w), element_of_word(v)
     assert translate_key(g, coxeter._point(h.mat, name)) == reference_point((g * h).mat, name)
-    key = ("Q", *(0 if 1 + n in OFF_GRADE_KEY else a for n, a in enumerate(ints)))
+    key = ("Q", *ints)
     assert translate_key(g, key) == mat_vec(g.mat, key)
 
 
@@ -405,43 +409,44 @@ def test_coset_key_injective_on_full_y_ball():
 # --- the sqrt2-grading ------------------------------------------------------
 
 # Written out here, not read off the kernel: the off-grade positions of a
-# coset key (r's ints of 1 and phi, s's and t's of sqrt2 and sqrt2 phi) and
-# of a matrix (entry (i, j) has only sqrt2 ints when one of i, j is r, and
-# only ints of 1 and phi otherwise).
-OFF_GRADE_KEY = (1, 3, 6, 8, 10, 12)
+# matrix (entry (i, j) has only sqrt2 ints when one of i, j is r, and only
+# ints of 1 and phi otherwise); a key's are ``matrix_oracle.OFF_GRADE``.
 OFF_GRADE_MAT = tuple((3 * i + j, c) for i in range(3) for j in range(3)
                       for c in ((0, 2) if (i == 0) != (j == 0) else (1, 3)))
 
 
-def on_grade(key=None, mat=None):
-    return ((key is None or all(key[n] == 0 for n in OFF_GRADE_KEY))
-            and (mat is None or all(mat[k][c] == 0 for k, c in OFF_GRADE_MAT)))
+def on_grade(mat):
+    return all(mat[k][c] == 0 for k, c in OFF_GRADE_MAT)
 
 
 def test_keys_matrices_and_plan_steps_are_graded(monkeypatch):
-    """Every coset key and representative matrix of four balls is zero at
-    its off-grade ints, and every plan step's beta = 2B(a_x, c) has only
-    sqrt2 ints for x = r and only ints of 1 and phi for s and t; the step
-    stores its two nonzero ints."""
+    """Every representative matrix of four balls is zero at its off-grade
+    ints, and every coset key is the generic product's point, itself zero
+    at its off-grade ints (``graded_key``); every plan step's beta =
+    2B(a_x, c) has only sqrt2 ints for x = r and only ints of 1 and phi for
+    s and t, and the step stores its two nonzero ints."""
     monkeypatch.setattr(coxeter, "_REPS", base_points())
     balls = [(fix_vertex(D8), 10, "pentagon-subcomplex"), (fix_vertex(D10), 7, "d10-orbit"),
              (cayley_vertex(identity()), 12, "cayley"), (fix_vertex(D8), 8, "full-Y")]
     seen = 0
     for center, radius, mode in balls:
         for v in build_ball(center, radius, mode).vertices:
-            assert on_grade(vertex_key(v), v.rep.mat), (mode, v)
+            assert on_grade(v.rep.mat), (mode, v)
+            assert vertex_key(v) == reference_point(v.rep.mat, v.parabolic.name), (mode, v)
             seen += 1
     assert seen == 16737 + 3046 + 411 + 9665
     # the full-Y intersection plans, and the plans of the orbits of every
     # coset key of an element of up to 3 letters
-    seeds = tuple(coset_key(element_of_word("".join(w)), q) for n in range(4)
-                  for w in itertools.product("rst", repeat=n) for q in (D8, D10, D4, CAY))
+    cosets = [("".join(w), q) for n in range(4)
+              for w in itertools.product("rst", repeat=n) for q in (D8, D10, D4, CAY)]
+    seeds = tuple(coset_key(element_of_word(w), q) for w, q in cosets)
+    generic = {reference_point(generic_product(w), q.name) for w, q in cosets}
     plans = [_intersection_plan(p) for p in (D8, D10, D4)] + [orbit_plan(p, seeds) for p in (D8, D10, D4)]
     for plan in plans:
         points = orbit_keys(plan, identity())
         for slot, x, b, d in plan:
             if slot is None:
-                assert on_grade(x)
+                assert x in generic
                 continue
             beta = generic_twob(points[slot], "rst"[x])
             zero, kept = (beta[0::2], beta[1::2]) if x == 0 else (beta[1::2], beta[0::2])
@@ -452,7 +457,7 @@ def test_keys_matrices_and_plan_steps_are_graded(monkeypatch):
 @settings(max_examples=100, deadline=None)
 def test_words_are_graded(w, p):
     g = element_of_word(w)
-    assert on_grade(coset_key(g, p), g.mat)
+    assert on_grade(g.mat) and coset_key(g, p) == reference_point(g.mat, p.name)
 
 
 big = st.integers(-50, 50) | st.integers(-2 ** 80, 2 ** 80)
@@ -461,13 +466,13 @@ graded_mats = st.lists(big, min_size=36, max_size=36).map(lambda a: tuple(
 
 
 def graded_keys(name):
-    return st.lists(big, min_size=12, max_size=12).map(lambda a: (name, *(
-        0 if 1 + n in OFF_GRADE_KEY else x for n, x in enumerate(a))))
+    return st.lists(big, min_size=6, max_size=6).map(lambda a: (name, *a))
 
 
 def generic_twob(key, x):
     """2B(a_x, v) for the point v of ``key``, by generic ``iq_mul`` products."""
-    terms = [iq_mul(coxeter._TWOB[x][j], key[1 + 4 * j:5 + 4 * j]) for j in range(3)]
+    point = key_point(key)
+    terms = [iq_mul(coxeter._TWOB[x][j], point[1 + 4 * j:5 + 4 * j]) for j in range(3)]
     return tuple(map(sum, zip(*terms)))
 
 
@@ -476,16 +481,6 @@ def twob_ints(key, x):
     d phi) for x = r and b + d phi for s and t."""
     b, d = coxeter._twob(key, x)
     return (0, b, 0, d) if x == "r" else (b, 0, d, 0)
-
-
-def mat_vec(mat, key):
-    """(name, M u) for a key (name, u), by generic ``iq_mul`` products."""
-    u = [key[1 + 4 * j:5 + 4 * j] for j in range(3)]
-    out = [key[0]]
-    for i in range(3):
-        terms = [iq_mul(mat[3 * i + j], u[j]) for j in range(3)]
-        out.extend(sum(t[c] for t in terms) for c in range(4))
-    return tuple(out)
 
 
 @given(graded_mats, graded_keys("Q"), st.sampled_from("rst"), st.sampled_from(sorted(U_P)))
@@ -672,7 +667,8 @@ def test_twob_forms_match_bilinear_form(w, name):
     """2B(a_x, v) read off a key equals 2 sum_j B[x][j] v_j over the field."""
     B = bilinear_form_matrix()
     key = coxeter._point(element_of_word(w).mat, name)
-    coords = [iq_to_field(key[1 + 4 * j:5 + 4 * j]) for j in range(3)]
+    point = key_point(key)
+    coords = [iq_to_field(point[1 + 4 * j:5 + 4 * j]) for j in range(3)]
     for i, x in enumerate("rst"):
         want = sum((2 * B[i][j] * coords[j] for j in range(3)), ZERO)
         assert iq_to_field(twob_ints(key, x)) == want
@@ -683,13 +679,14 @@ def test_base_points_sit_in_the_negated_chamber():
     < 0 otherwise; rho is the sum of the three u_P."""
     points = {name: coxeter._point(coxeter._IDENTITY_MAT, name) for name in U_P}
     for name, key in points.items():
+        assert key == graded_key((name, *(a for u in U_P[name] for a in u)))
         gens = PARABOLICS[name].gens if name in PARABOLICS else ()
         for x in "rst":
             sign = iq_to_field(twob_ints(key, x)).sign()
             assert sign == (0 if x in gens else -1), (name, x)
         assert coxeter._least_descent(key) is None
     rho = points[coxeter.CAY.name][1:]
-    assert rho == tuple(sum(points[p.name][1 + c] for p in (D8, D10, D4)) for c in range(12))
+    assert rho == tuple(sum(points[p.name][1 + c] for p in (D8, D10, D4)) for c in range(6))
 
 
 def iq_add(x, y):
@@ -788,18 +785,23 @@ def counted_descents(monkeypatch):
 
 
 def test_off_grade_input_raises_before_the_peel(monkeypatch):
-    """The rst*D8 key with its first integer + 1, an int the grading makes
-    zero, and a matrix with a sqrt2 on its diagonal raise at once: no
+    """The rst*D8 point with its first integer + 1, an int the grading
+    makes zero, has no key: the oracle refuses it, and as a 13-field key it
+    raises at once; so does a matrix with a sqrt2 on its diagonal: no
     descent is tried and nothing is memoised.  A product with such a matrix
     raises too, rather than drop the sqrt2 and give an element of W, and so
     does its coset key, rather than key the identity's coset."""
     key = coset_key(element_of_word("rst"), D8)
-    bad = (key[0], key[1] + 1) + key[2:]
+    assert key == ("D8", 2, 1, 2, 2, 0, 2)
+    point = key_point(key)
+    bad = (point[0], point[1] + 1) + point[2:]
     assert bad == ("D8", 1, 2, 0, 1, 2, 0, 2, 0, 0, 0, 2, 0)
+    with pytest.raises(AssertionError, match="off-grade point"):
+        graded_key(bad)
     off = GroupElement(((1, 1, 0, 0),) + coxeter._IDENTITY_MAT[1:])
     calls = counted_descents(monkeypatch)
     known = dict(coxeter._REPS)
-    with pytest.raises(ArithmeticError, match="off the orbit"):
+    with pytest.raises(ValueError, match="not a coset key"):
         coxeter.coset_rep(bad)
     for call in (off.canonical_word, lambda: min_coset_rep(off, D8), lambda: cayley_vertex(off),
                  lambda: off.times("r"), lambda: off * identity(), lambda: coset_key(off, D8)):
@@ -809,15 +811,55 @@ def test_off_grade_input_raises_before_the_peel(monkeypatch):
 
 
 def test_keys_off_the_orbit_raise_after_the_peel_bound(monkeypatch):
-    """The rst*D8 key with its second integer + 1 is graded but no orbit
-    point, and it has a descent at every step, so the peel never meets a
-    memoised point.  It stops after ``len(_PEEL_STEPS)`` descents and
-    memoises nothing."""
+    """The rst*D8 key with its first integer + 1 (its point's second) is
+    graded but no orbit point, and it has a descent at every step, so the
+    peel never meets a memoised point.  It stops after
+    ``len(_PEEL_STEPS)`` descents and memoises nothing."""
     key = coset_key(element_of_word("rst"), D8)
-    bad = key[:2] + (key[2] + 1,) + key[3:]
-    assert bad == ("D8", 0, 3, 0, 1, 2, 0, 2, 0, 0, 0, 2, 0)
+    bad = key[:1] + (key[1] + 1,) + key[2:]
+    assert key_point(bad) == ("D8", 0, 3, 0, 1, 2, 0, 2, 0, 0, 0, 2, 0)
     calls = counted_descents(monkeypatch)
     known = dict(coxeter._REPS)
     raises_within(lambda: coxeter.coset_rep(bad), seconds=30.0, match="off the orbit")
     assert len(calls) == len(coxeter._PEEL_STEPS)
     assert coxeter._REPS == known
+
+
+def test_malformed_keys_raise_before_the_peel(monkeypatch):
+    """A key that is not a parabolic's name and six ints raises ValueError:
+    the rst*D8 point as 12 ints (on the orbit, but a 13-field key) and its
+    six under a name no parabolic has, as well as a base point's.  No
+    descent is tried and nothing is memoised."""
+    key = coset_key(element_of_word("rst"), D8)
+    calls = counted_descents(monkeypatch)
+    known = dict(coxeter._REPS)
+    for bad in (key_point(key), ("D6", *key[1:]), ("Q", *coset_key(identity(), D8)[1:])):
+        with pytest.raises(ValueError, match="not a coset key"):
+            coxeter.coset_rep(bad)
+    assert len(key_point(key)) == 13
+    assert calls == [] and coxeter._REPS == known
+
+
+def test_word_coset_rep_is_the_word_walk():
+    """For every word of up to 8 letters and every parabolic, CAY included,
+    the representative peeled off u_P reflected by the word is the one of
+    the walked matrix, with the same word."""
+    for n in range(9):
+        for letters in itertools.product("rst", repeat=n):
+            w = "".join(letters)
+            for p in (D8, D10, D4, CAY):
+                rep = coxeter.word_coset_rep(w, p)
+                want = make_vertex(p, element_of_word(w))
+                assert rep == want.rep and rep.canonical_word() == want.word(), (w, p)
+
+
+@pytest.mark.parametrize("word", ["q", "rqs", "rsqxt", "tsR", "r s"])
+def test_word_coset_rep_names_the_first_bad_letter(word):
+    """A bad letter raises the message ``element_of_word`` gives, which
+    names the first bad letter."""
+    with pytest.raises(ValueError) as walked:
+        element_of_word(word)
+    for p in (D8, CAY):
+        with pytest.raises(ValueError) as peeled:
+            coxeter.word_coset_rep(word, p)
+        assert str(peeled.value) == str(walked.value)
