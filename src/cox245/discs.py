@@ -38,11 +38,14 @@ prune the search after every move:
   completion fills each open region with a triangulation of its polygon,
   which has a triangle at each of its corners, and the fills of distinct
   regions share no triangle.  For each non-identity order the positions
-  are scanned while they are certainly equal (the same vertex, or two
-  equal exact angles, low = bound).  If at the first other position the
-  identity's low exceeds the bound of the vertex that order puts there,
-  every completion has a smaller image and is not kept, so the state is
-  dropped.  At a leaf no region is open and low = angle = bound, so leaf
+  i are scanned while the identity's angle is certainly at least the one
+  that order puts there, from vertex j: the same vertex, or low[i] =
+  bound[j], as then final[i] >= low[i] = bound[j] >= final[j] in every
+  completion.  The scan stops at the first position with low[i] <
+  bound[j].  If instead low[i] > bound[j], every completion's image under
+  that order is smaller (at the first position where the two sequences
+  differ, the identity's is the larger), so it is not kept, and the state
+  is dropped.  At a leaf no region is open and low = angle = bound, so leaf
   acceptance does not depend on these bounds: a tighter bound only drops
   subtrees without a kept leaf, and the output is the same.
 
@@ -418,7 +421,7 @@ def enumerate_discs(boundary_len: int, max_triangles: int,
                     continue
                 if low[i] > hi[j]:
                     return True  # this order's sequence is certainly smaller
-                if not low[i] == hi[i] == low[j] == hi[j]:
+                if low[i] < hi[j]:
                     break
         return False
 
@@ -484,6 +487,9 @@ def enumerate_discs(boundary_len: int, max_triangles: int,
 
     if slack() >= 0:
         step()
+    # step reaches itself through its closure cell; clearing the cell frees
+    # the closures and the fill by reference counting, leaving no cycle
+    del step
     return sorted(classes.values(), key=lambda d: (len(d.triangles), d.canonical))
 
 

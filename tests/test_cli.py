@@ -1,10 +1,17 @@
 """CLI contract: subcommands, exit codes, JSON stream."""
 
+import gc
 import json
 
 import pytest
 
 from cox245 import reports
+from cox245.certificates import (
+    auto_search_d10,
+    verify_connecting_list,
+    verify_dihedral_suite,
+    verify_pentagon_suite,
+)
 from cox245.cli import main
 from cox245.complexgraph import make_vertex
 from cox245.coxeter import CAY, D8, element_of_word
@@ -245,3 +252,59 @@ def test_to_dict_serialises_like_asdict():
     assert rep.to_json() == json.dumps(expected, sort_keys=True)
     assert Report.from_dict(rep.to_dict()) == rep
     assert Report.from_json(rep.to_json()) == rep
+
+
+@pytest.fixture
+def collector():
+    """Puts the cyclic collector back as it was before the test."""
+    enabled = gc.isenabled()
+    yield
+    if enabled:
+        gc.enable()
+    else:
+        gc.disable()
+
+
+@pytest.mark.parametrize("raises", [False, True], ids=["returns", "raises"])
+@pytest.mark.parametrize("on_entry", [True, False], ids=["enabled", "disabled"])
+def test_suite_runs_with_the_collector_paused(collector, on_entry, raises):
+    """The collector is off inside the suite, and afterwards, whether the
+    suite returned or raised, in the state the caller left it."""
+    seen = []
+
+    def suite():
+        seen.append(gc.isenabled())
+        if raises:
+            raise ValueError("suite failed")
+        return {"suite": "x", "status": "verified"}
+
+    if on_entry:
+        gc.enable()
+    else:
+        gc.disable()
+    if raises:
+        with pytest.raises(ValueError, match="suite failed"):
+            timed_suite({}, suite)
+    else:
+        assert timed_suite({}, suite).status == "verified"
+    assert seen == [False]
+    assert gc.isenabled() == on_entry
+
+
+@pytest.mark.parametrize("fn, args", [
+    (verify_connecting_list, (None,)),
+    (verify_dihedral_suite, (4,)),
+    (verify_dihedral_suite, (5,)),
+    (verify_pentagon_suite, (2, 6)),
+    (auto_search_d10, (3, 4)),
+    (discs_suite, (8, 10, False, 0, False)),
+    (discs_suite, (6, 8, True, 0, True)),
+], ids=["cayley-certs", "dihedral-4", "dihedral-5", "pentagon", "d10", "discs-8", "discs-6"])
+def test_no_suite_leaves_cyclic_garbage(collector, fn, args):
+    """Suites run with the collector paused, which is safe while they make
+    no reference cycles: everything a run allocates is freed by reference
+    counting, so a collection right after it finds nothing."""
+    gc.disable()  # so that no automatic collection runs before the check
+    gc.collect()
+    timed_suite({}, fn, *args)
+    assert gc.collect() == 0

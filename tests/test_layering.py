@@ -3,8 +3,8 @@ the submodules, private names stay inside the module that defines them
 (dunders such as ``__version__`` are public), a group element's lazy fields
 stay inside ``coxeter``, code is generated at one site, every exported
 name exists, the CLI imports everything it runs up front and no
-introspection module or rational arithmetic, and the exact field stands
-apart from the kernel."""
+introspection module or rational arithmetic, the exact field stands
+apart from the kernel, and only ``reports`` touches the garbage collector."""
 
 import ast
 import importlib
@@ -90,6 +90,23 @@ def test_exact_field_stands_apart():
     assert package_imports(PACKAGE / "exact.py") == {"numberfield"}
     assert [path.name for path in sorted(PACKAGE.glob("*.py"))
             if path.name != "exact.py" and "exact" in package_imports(path)] == []
+
+
+def test_gc_is_imported_by_reports_alone():
+    """The collector pause has one home: ``reports`` is the one module of
+    the package that imports ``gc``."""
+    importers = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            if "gc" in names:
+                importers.append(path.name)
+    assert importers == ["reports.py"]
 
 
 def test_no_module_imports_a_private_name_from_another():
