@@ -33,18 +33,28 @@ keys, deduplicated (``vertex_key``; ``key_vertex`` goes back), and checks
 that the vertex belongs to its universe.  ``neighbors`` peels each
 distinct key once to its minimal representative (``coxeter.coset_rep``).
 
-A ball is a keyed BFS: each level is the dict of new keys met from the
-level before, and a coset is peeled only the first time its key is met, so
-each vertex but the center is peeled exactly once and the frontier is
-never expanded.  The ball's dict is the slab's only index.  It
+A ball is a keyed BFS that walks orbits.  The center's stabiliser P (the
+parabolic of a fixed vertex (P, e), else the trivial group) preserves
+depth, so every level is a union of P-orbits, and the walk expands one
+vertex per orbit: a neighbor key met in neither the ball nor the level
+brings its whole orbit into the level (``coxeter.key_orbit``, one
+reflection per element of P), and only that key is expanded at the next
+depth.  The radius-10 pentagon ball expands 917 of its 7,285 inner
+vertices.  A coset is peeled only the first time its key is met, so each
+vertex but the center is peeled exactly once and the frontier is never
+expanded.  The ball's dict is the slab's only index.  It
 holds the key tuples the walk built, which the peel memoises the
 representatives under, so the index costs no new tuples.
 Vertex order is BFS depth with canonical-word tie-break inside each level,
-which makes slab dumps reproducible; a peeled representative carries its
-word, so the sort peels nothing more, and its matrix is built only when
-the walk expands it or a search reads it (so the outer level builds
-none).  A ball keeps one ``Vertex`` per coset, its depth and the key
-index; its adjacency is derived on first use from the same walk.
+which makes slab dumps reproducible and independent of which vertex of an
+orbit was expanded; a peeled representative carries its word, so the sort
+peels nothing more.  Its matrix is built only when read: by the walk at
+the vertices it expands, which builds the matrices of their words'
+suffixes too, or by a search.  So no other vertex of an expanded orbit and
+none of the outer level builds one (2,926 of 16,737 in the radius-10
+pentagon ball).  A ball keeps one ``Vertex`` per coset, its depth and the
+key index; its adjacency is derived on first use from the neighbor keys
+of every vertex.
 ``graph_distance`` runs a bidirectional BFS on keys in the infinite graph.
 """
 
@@ -66,6 +76,7 @@ from .coxeter import (
     coset_key,
     coset_rep,
     identity,
+    key_orbit,
     min_coset_rep,
     orbit_keys,
     orbit_plan,
@@ -232,7 +243,9 @@ def neighbors(v: Vertex, mode: str) -> list[Vertex]:
 class GraphSlab:
     """Immutable BFS ball.  Vertices are indexed in (depth, canonical word)
     order.  ``key_index`` maps each vertex's key (see ``vertex_key``) to its
-    index, in index order."""
+    index, in index order.  A vertex comes with its matrix built only if
+    the walk expanded it (one per orbit of the center's stabiliser below
+    the outer level) or a vertex whose word ends in its word."""
 
     def __init__(self, mode, center, radius, vertices, depth, key_index):
         self.mode = mode
@@ -281,29 +294,39 @@ class GraphSlab:
 
 
 def build_ball(center: Vertex, radius: int, mode: str) -> GraphSlab:
-    """BFS-complete ball of the given radius around ``center``."""
+    """BFS-complete ball of the given radius around ``center``, walked one
+    vertex per orbit of the center's stabiliser (see the module docstring)."""
     if radius < 0:
         raise ValueError("radius must be nonnegative")
     _check_mode(mode, center)
     center.word()  # raises off W, where the walk's unchecked peels would not end
+    stabiliser = center.parabolic if center.rep.is_identity() else CAY
     vertices = [center]
     depth = [0]
     key = vertex_key(center)
     index = {key: 0}
-    level = [(center, key)]  # (vertex, key) pairs
+    walk = [(center, key)]  # (vertex, key) pairs, one per orbit of the last level
     for d in range(1, radius + 1):
-        # the level's new keys, in discovery order
-        found = dict.fromkeys(k for v, key in level for k in _candidates(v, key, mode)
-                              if k not in index)
+        # the level's keys, each orbit in discovery order; True marks the
+        # key that met it, which the next level expands
+        found = {}
+        for v, key in walk:
+            for k in _candidates(v, key, mode):
+                if k not in index and k not in found:
+                    found.update(dict.fromkeys(key_orbit(k, stabiliser), False))
+                    found[k] = True
         if len(vertices) + len(found) > MAX_BALL_VERTICES:
             raise ResourceLimitExceeded(
                 f"ball exceeds {MAX_BALL_VERTICES} vertices at depth {d}")
         level = sorted(zip(map(key_vertex, found), found),
                        key=lambda vk: (vk[0].word(), vk[0].parabolic.name))
+        walk = []
         for v, key in level:
             index[key] = len(vertices)
             vertices.append(v)
             depth.append(d)
+            if found[key]:
+                walk.append((v, key))
     return GraphSlab(mode, center, radius, tuple(vertices), tuple(depth), index)
 
 

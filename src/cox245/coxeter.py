@@ -19,8 +19,10 @@ generator product per letter; no matrix is inverted.  Keys need no walk:
 minus M_g delta_w, delta_w = u_P - M_w u_P; ``translate_key`` moves a seed
 key by g, and ``orbit_keys`` the rest of its P-orbit, each point as the
 one it reflects (s_x c = c - 2B(a_x, c) a_x) minus a multiple of column x
-of M_g, read once by ``orbit_plan``.  ``iq_mul`` remains only in
-``_form``, the orbit-point check of the raw-matrix entry points.
+of M_g, read once by ``orbit_plan``; ``key_orbit`` gives the P-orbit of a
+key itself, each point a simple reflection of an earlier one.  ``iq_mul``
+remains only in ``_form``, the orbit-point check of the raw-matrix entry
+points.
 
 The sqrt2-grading.  Write Z[phi] for the integer span of 1 and phi, so the
 integral basis spans Z[phi] + sqrt2 Z[phi], and call sum_j c_j a_j a
@@ -58,8 +60,8 @@ coordinate x.  Peeling the least such x until a known point is reached
 gives the ShortLex word at once; the minimal representative's matrix is
 built from the known suffix's by one add-only generator product per
 letter, when it is first read.  Representatives are memoised by point, so
-a coset costs one peeled letter per suffix not seen before, and a ball's
-outer level, whose matrices nothing reads, builds none.
+a coset costs one peeled letter per suffix not seen before, and a ball
+builds the matrices of the vertices it expands and their suffixes only.
 
 The minimal representative of a double coset P*g*Q is peeled the same way:
 left descents in P only, off the point of g*Q (Deodhar's lemma), and
@@ -107,6 +109,7 @@ __all__ = [
     "translate_key",
     "orbit_plan",
     "orbit_keys",
+    "key_orbit",
     "wall_keys",
     "min_double_coset_rep",
     "pair_words",
@@ -430,6 +433,27 @@ translate_key.__doc__ = """g.k = (Q, M_g u) for a coset key k = (Q, u): the key 
     keys h*Q.  Compiled from ``_point``'s forms, with k's ints for u_P's."""
 
 
+@cache
+def _orbit_steps(parabolic: ParabolicId) -> tuple[tuple[int, str], ...]:
+    """(index of p', x) for each element p = x p' of ``parabolic_elements``
+    after the identity, p' its ShortLex word's suffix: p' comes first."""
+    elements = parabolic_elements(parabolic)
+    index = {g._word: i for i, g in enumerate(elements)}
+    return tuple((index[g._word[1:]], g._word[0]) for g in elements[1:])
+
+
+def key_orbit(key: tuple, parabolic: ParabolicId) -> list[tuple]:
+    """The keys M_p c, p in ``parabolic_elements`` order, of the point c of
+    a coset key ``key``: the P-orbit of the coset, with repeats where the
+    coset has a stabiliser in P.  M_p c for p = x p' is the reflection s_x
+    of M_p' c, one ``_reflect`` per element, which passes four of its six
+    ints on unchanged."""
+    out = [key]
+    for i, x in _orbit_steps(parabolic):
+        out.append(_reflect(out[i], x))
+    return out
+
+
 def orbit_plan(parabolic: ParabolicId, seeds: tuple[tuple, ...]) -> tuple[tuple, ...]:
     """The steps by which ``orbit_keys`` moves every point c of the P-orbits
     of the coset keys ``seeds`` by an element g (P = ``parabolic``), each
@@ -438,10 +462,10 @@ def orbit_plan(parabolic: ParabolicId, seeds: tuple[tuple, ...]) -> tuple[tuple,
 
     A seed is the step (None, c_0, None, None): one ``translate_key``.  The
     point M_p c_0 of p = x p' (p's ShortLex word) is the reflection s_x c =
-    c - beta a_x of the point c of p', beta = 2B(a_x, c), so g.s_x c is g.c
-    minus beta times column x of M_g: the step (slot of c, index of x, b,
-    d) for (b, d) = ``_twob(c, x)``.  The plan depends on P and the seeds
-    only; callers build it once and run it per element.
+    c - beta a_x of the point c of p' (``key_orbit``), beta = 2B(a_x, c),
+    so g.s_x c is g.c minus beta times column x of M_g: the step (slot of
+    c, index of x, b, d) for (b, d) = ``_twob(c, x)``.  The plan depends on
+    P and the seeds only; callers build it once and run it per element.
     """
     slots: dict[tuple, int] = {}
     plan = []
@@ -450,12 +474,10 @@ def orbit_plan(parabolic: ParabolicId, seeds: tuple[tuple, ...]) -> tuple[tuple,
             continue
         slots[seed] = len(plan)
         plan.append((None, seed, None, None))
-        points = {"": seed}
-        for p in parabolic_elements(parabolic)[1:]:
-            word = p.canonical_word()
-            x, c = word[0], points[word[1:]]
-            point = points[word] = _reflect(c, x)
+        points = key_orbit(seed, parabolic)
+        for (i, x), point in zip(_orbit_steps(parabolic), points[1:]):
             if point not in slots:
+                c = points[i]
                 slots[point] = len(plan)
                 plan.append((slots[c], _INDEX[x], *_twob(c, x)))
     return tuple(plan)

@@ -291,6 +291,37 @@ def test_suite_runs_with_the_collector_paused(collector, on_entry, raises):
     assert gc.isenabled() == on_entry
 
 
+def test_suite_survivors_skip_the_young_generations(collector):
+    """Once the collector is back on, what the suite kept sits in the oldest
+    generation and nothing is left frozen: the next young collection does
+    not scan the suite's survivors."""
+    kept = []
+
+    def suite():
+        kept.extend([i] for i in range(10_000))  # tracked containers
+        return {"suite": "x", "status": "verified"}
+
+    gc.enable()
+    timed_suite({}, suite)
+    young = len(gc.get_objects(0))
+    assert gc.get_freeze_count() == 0
+    assert young < 100
+
+
+def test_suite_leaves_the_callers_frozen_objects_frozen(collector):
+    """A caller's own ``gc.freeze`` survives a suite: the freeze and
+    unfreeze are skipped, since the unfreeze would thaw the caller's
+    objects too."""
+    gc.enable()
+    gc.freeze()
+    try:
+        frozen = gc.get_freeze_count()
+        timed_suite({}, lambda: {"suite": "x", "status": "verified"})
+        assert gc.get_freeze_count() == frozen
+    finally:
+        gc.unfreeze()
+
+
 @pytest.mark.parametrize("fn, args", [
     (verify_connecting_list, (None,)),
     (verify_dihedral_suite, (4,)),

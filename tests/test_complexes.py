@@ -1,6 +1,7 @@
 """Coset-complex and Cayley balls: adjacency, degrees, distances, dumps."""
 
 import hashlib
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,12 +18,14 @@ from cox245.complexgraph import (
     key_vertex,
     make_vertex,
     neighbors,
+    translate,
     vertex_key,
 )
 from cox245.coxeter import (
     CAY,
     D8,
     D10,
+    D4,
     PARABOLICS,
     element_of_word,
     coset_key,
@@ -32,7 +35,8 @@ from cox245.coxeter import (
 )
 from cox245.edgetypes import key_partners, pair_key
 from cox245.exact import ONE, ZERO, bilinear_form_matrix, generator_matrix_field, iq_to_field
-from matrix_oracle import U_P, generic_product, mat_inv, mat_mul, reference_point
+from ball_oracle import plain_ball
+from matrix_oracle import U_P, generic_product, mat_inv, mat_mul, mat_vec, reference_point
 
 C8 = fix_vertex(D8)
 C10 = fix_vertex(D10)
@@ -297,17 +301,33 @@ def test_ball_and_partners_make_no_matrix_descent_tests(monkeypatch):
     assert calls == []
 
 
+def walked_vertices(monkeypatch):
+    """The list to which every vertex whose neighbors ``complexgraph``
+    walks is appended from now on."""
+    walked = []
+
+    def counted(v, key, mode, _fn=complexgraph._candidates):
+        walked.append(v)
+        return _fn(v, key, mode)
+    monkeypatch.setattr(complexgraph, "_candidates", counted)
+    return walked
+
+
 @pytest.mark.parametrize("center, radius, mode", [
     (C8, 8, "pentagon-subcomplex"), (C10, 6, "d10-orbit")])
 def test_ball_builds_only_the_expanded_matrices(monkeypatch, center, radius, mode):
     """A peeled representative builds its matrix when first read: after a
-    ball, the vertices it expanded (depth below the radius) have one and its
-    outer level has none."""
+    ball, every vertex it expanded has one, its outer level has none, and
+    fewer vertices have one than lie below the outer level (the rest of
+    an expanded vertex's orbit is never expanded)."""
     monkeypatch.setattr(coxeter, "_REPS", {
         key: g for key, g in coxeter._REPS.items() if g is coxeter._IDENT})
+    walked = walked_vertices(monkeypatch)
     slab = build_ball(center, radius, mode)
-    built = [v.rep._mat is not None for v in slab.vertices]
-    assert built == [d < radius for d in slab.depth]
+    assert all(v.rep._mat is not None for v in walked)
+    built = [d for v, d in zip(slab.vertices, slab.depth) if v.rep._mat is not None]
+    assert max(built) < radius
+    assert len(built) < sum(d < radius for d in slab.depth)
 
 
 @pytest.mark.parametrize("center, radius, mode", [
@@ -403,18 +423,57 @@ def test_adjacency_matches_pair_keys(center, radius, mode):
 
 @pytest.mark.parametrize("center, radius, mode", [
     (C8, 6, "pentagon-subcomplex"), (C10, 4, "d10-orbit"), (C8, 3, "full-Y"),
-    (cayley_vertex(identity()), 8, "cayley"),
+    (cayley_vertex(identity()), 8, "cayley"), (T8, 4, "pentagon-subcomplex"),
 ])
 def test_ball_walks_no_frontier_vertex(monkeypatch, center, radius, mode):
-    """``build_ball`` walks the neighbors of exactly the vertices of depth
-    below the radius, each once, and wires no adjacency."""
-    walked = []
-
-    def counted(v, key, mode, _fn=complexgraph._candidates):
-        walked.append(v)
-        return _fn(v, key, mode)
-    monkeypatch.setattr(complexgraph, "_candidates", counted)
+    """``build_ball`` walks the neighbors of one vertex of depth below the
+    radius per orbit of the center's stabiliser, and wires no adjacency:
+    the walked vertices' orbits, by ``translate``, are pairwise distinct and
+    cover the inner vertices.  With a trivial stabiliser (the Cayley
+    center, a center that is not fixed) it walks every inner vertex, in
+    slab order."""
+    walked = walked_vertices(monkeypatch)
     slab = build_ball(center, radius, mode)
     inner = [v for v, d in zip(slab.vertices, slab.depth) if d < radius]
-    assert walked == inner
+    stabiliser = parabolic_elements(center.parabolic) if center.rep.is_identity() else (identity(),)
+    orbits = {frozenset(translate(p, v) for p in stabiliser) for v in walked}
+    assert set(walked) <= set(inner)
+    assert len(orbits) == len(walked)
+    assert set().union(*orbits) == set(inner)
+    if len(stabiliser) == 1:
+        assert walked == inner
+    else:
+        assert len(walked) < len(inner)
     assert len(inner) < len(slab) and "adj" not in vars(slab)
+
+
+@pytest.mark.parametrize("center, radius, mode", [
+    (C8, 8, "pentagon-subcomplex"), (C10, 6, "d10-orbit"), (C8, 4, "full-Y"),
+    (fix_vertex(D4), 3, "full-Y"), (cayley_vertex(identity()), 8, "cayley"),
+    (T8, 6, "pentagon-subcomplex"),
+])
+def test_ball_matches_the_plain_bfs(center, radius, mode):
+    """The orbit walk builds the slab that expanding every inner vertex
+    builds (``ball_oracle``): the same vertices, depths, key index in the
+    same order, and dump."""
+    slab, plain = build_ball(center, radius, mode), plain_ball(center, radius, mode)
+    assert slab.vertices == plain.vertices
+    assert slab.depth == plain.depth
+    assert list(slab.key_index.items()) == list(plain.key_index.items())
+    assert slab.dump() == plain.dump()
+
+
+def test_key_orbit_is_the_stabiliser_translates():
+    """``key_orbit(k, P)`` is the key of p.v for each p of P, in
+    ``parabolic_elements`` order, v the vertex of k: checked against
+    ``translate`` and the generic matrix product, for random keys of all
+    three types and every P, the trivial one included."""
+    rng = random.Random(37)
+    keys = [*build_ball(C8, 4, "full-Y").key_index, *build_ball(C10, 6, "d10-orbit").key_index]
+    for key in rng.sample(keys, 60):
+        v = key_vertex(key)
+        for p in (D8, D10, D4, CAY):
+            elements = parabolic_elements(p)
+            want = [mat_vec(g.mat, key) for g in elements]
+            assert coxeter.key_orbit(key, p) == want
+            assert [vertex_key(translate(g, v)) for g in elements] == want
