@@ -35,13 +35,29 @@ from .reports import Report, timed_suite
 __all__ = ["main", "run_args"]
 
 
+def _fixed_width(prog: str) -> argparse.HelpFormatter:
+    """Help wraps at 78 columns, the default's width off a terminal: the
+    default reads the terminal's width through ``shutil``, which pulls in
+    ``bz2`` and ``lzma``, and argparse builds a formatter for each argument
+    added, so every run would import them."""
+    return argparse.HelpFormatter(prog, width=78)
+
+
+class _Parser(argparse.ArgumentParser):
+    """An ``ArgumentParser`` with the fixed-width help; its subparsers are
+    built with its class, so they share it."""
+
+    def __init__(self, **kwargs):
+        super().__init__(formatter_class=_fixed_width, **kwargs)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     # common flags accepted either before or after the subcommand; the leaf
     # copies use SUPPRESS so they never clobber a value given up front
-    common = argparse.ArgumentParser(add_help=False)
+    common = _Parser(add_help=False)
     common.add_argument("--json", action="store_true", default=argparse.SUPPRESS,
                         help="emit one JSON report per line on stdout")
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="cox245",
         description="verify the finite combinatorial certificates of the "
                     "(2,4,5) triangle Coxeter group")

@@ -27,6 +27,14 @@ prune the search after every move:
   vertices are distinct, so they number at most m - 2 + j.  A vertex on
   open regions therefore ends with at most ``angle + sum_{r on v}(|r| - 2)
   + slack // 2`` triangles, and a closed vertex keeps its angle exactly.
+  Under local 6-largeness a region takes a new vertex only if it is big
+  enough to hold one: a new vertex made in an m-region lies inside that
+  region's fill, and its link is a cycle of distinct vertices drawn from
+  the m corners and the fill's other new vertices, so it ends with at most
+  m + j - 1 <= m + slack // 2 - 1 triangles.  A region of fewer than
+  ``7 - slack // 2`` corners thus takes none, and the ``slack // 2`` term
+  counts only at a vertex with an open region of at least that many
+  corners (without local 6-largeness, at every vertex on an open region).
   A state is dropped when that bound is below what the vertex must reach
   (6 inside under local 6-largeness, the minimum boundary angle on the
   boundary).
@@ -137,8 +145,8 @@ class TriDisc(namedtuple("TriDisc", "boundary triangles")):
 
     def edges(self) -> dict[tuple[int, int], int]:
         counts: dict[tuple[int, int], int] = {}
-        for a, b, c in self.triangles:
-            for e in (_edge(a, b), _edge(b, c), _edge(a, c)):
+        for a, b, c in self.triangles:  # each triple sorted
+            for e in ((a, b), (b, c), (a, c)):
                 counts[e] = counts.get(e, 0) + 1
         return counts
 
@@ -157,10 +165,14 @@ class TriDisc(namedtuple("TriDisc", "boundary triangles")):
 
     def to_text(self) -> str:
         """Canonical serialization: counts line, boundary line, triangles."""
-        counts = self.counts()
-        lines = [" ".join(map(str, counts)), " ".join(map(str, range(counts[3])))]
-        lines.extend(" ".join(map(str, t)) for t in self.canonical)
-        return "\n".join(lines) + "\n"
+        return _text(self.counts(), self.canonical)
+
+
+def _text(counts, form) -> str:
+    """``to_text`` of a disc with these ``counts()`` and canonical form."""
+    lines = [" ".join(map(str, counts)), " ".join(map(str, range(counts[3])))]
+    lines.extend(" ".join(map(str, t)) for t in form)
+    return "\n".join(lines) + "\n"
 
 
 def _validate(d: TriDisc):
@@ -295,31 +307,44 @@ def _dihedral_orders(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(orders)
 
 
-def _least_relabeling(tris, boundary, interior) -> tuple:
-    """The least sorted triangle list over the relabelings that send
-    boundary[order[i]] to i, for a dihedral order of the boundary cycle,
-    and the interior onto len(boundary).. in any order; ``tris`` are sorted.
+@cache
+def _order_tables(n: int) -> tuple[tuple[tuple[int, int], tuple[int, ...]], ...]:
+    """For each dihedral order o of an n-cycle, its first edge (o[0], o[1]),
+    sorted, and its position table ``pos``: pos[o[i]] = i."""
+    tables = []
+    for order in _dihedral_orders(n):
+        pos = [0] * n
+        for i, j in enumerate(order):
+            pos[j] = i
+        tables.append((_edge(order[0], order[1]), tuple(pos)))
+    return tuple(tables)
 
-    Under an order o, labels 0 and 1 lie on the boundary edge (boundary[o[0]],
-    boundary[o[1]]), which is in exactly one triangle, so every list o gives
-    starts with (0, 1, h): h the apex's position under o, or at least n =
-    len(boundary) for an interior apex.  So only the orders of least head
-    (apex position, else n) can reach the least list; each is relabeled
-    under every interior order (k! for k interior vertices).
+
+def _least_relabeling(tris, n: int, nverts: int) -> tuple:
+    """The least sorted triangle list over the relabelings that send
+    boundary vertex o[i] to i, for a dihedral order o of the boundary cycle
+    0..n-1, and the interior n..nverts-1 onto itself in any order; ``tris``
+    are on the labels 0..nverts-1, each triple sorted.
+
+    Under an order o, labels 0 and 1 lie on the boundary edge (o[0], o[1]),
+    which is in exactly one triangle, so every list o gives starts with
+    (0, 1, h): h the apex's position under o, or at least n for an interior
+    apex.  So only the orders of least head (apex position, else n) can
+    reach the least list; each is relabeled under every interior order (k!
+    for k interior vertices), through one label list: the order's position
+    table followed by that interior order.
     """
-    n = len(boundary)
     apex = {}
     for a, b, c in tris:
         apex[a, b], apex[b, c], apex[a, c] = c, a, b
     heads = {}
-    for order in _dihedral_orders(n):
-        w = apex[_edge(boundary[order[0]], boundary[order[1]])]
-        heads.setdefault(order.index(boundary.index(w)) if w in boundary else n, []).append(order)
+    for edge, pos in _order_tables(n):
+        w = apex[edge]
+        heads.setdefault(pos[w] if w < n else n, []).append(pos)
     best = None
-    for order in heads[min(heads)]:
-        label = {boundary[j]: i for i, j in enumerate(order)}
-        for perm in permutations(range(n, n + len(interior))):
-            label.update(zip(interior, perm))
+    for pos in heads[min(heads)]:
+        for perm in permutations(range(n, nverts)):
+            label = pos + perm
             rel = []
             for a, b, c in tris:
                 x, y, z = label[a], label[b], label[c]
@@ -341,7 +366,10 @@ def canonical_form(d: TriDisc) -> tuple:
     interior = d.interior_vertices
     if len(interior) > MAX_INTERIOR:
         raise CapExceeded(f"more than {MAX_INTERIOR} interior vertices")
-    return _least_relabeling(d.triangles, d.boundary, interior)
+    # relabel the boundary cycle to 0..n-1 and the interior to n.. once
+    index = {v: i for i, v in enumerate((*d.boundary, *interior))}
+    tris = [_tri(index[a], index[b], index[c]) for a, b, c in d.triangles]
+    return _least_relabeling(tris, len(d.boundary), len(index))
 
 
 def is_isomorphic(d1: TriDisc, d2: TriDisc) -> bool:
@@ -403,16 +431,24 @@ def enumerate_discs(boundary_len: int, max_triangles: int,
         cannot reach the angle it needs, or the boundary-angle sequence is
         certainly not the least of its dihedral images."""
         spare = slack() // 2  # most new vertices any completion can add
+        # a new vertex in a region of m corners ends with at most m + spare
+        # - 1 triangles, so under local 6-largeness a region of fewer than
+        # `room` corners takes none
+        room = 7 - spare if locally_6_large else 0
         # hi[v] = angle[v] + the |r| - 2 of each open region r on v, plus
-        # spare if there is one; low[v] = angle[v] + the number of them
+        # spare if one of them can take a new vertex; low[v] = angle[v] +
+        # the number of them
         hi, low = angle[:], angle[:]
+        lifted = set()
         for r in regions:
-            extra = len(r) - 2
+            m = len(r)
+            if m >= room:
+                lifted.update(r)
             for v in r:
-                if low[v] == angle[v]:  # the first open region on v
-                    hi[v] += spare
-                hi[v] += extra
+                hi[v] += m - 2
                 low[v] += 1
+        for v in lifted:
+            hi[v] += spare
         if any(map(lt, hi, need)):
             return True
         for order in rivals:
@@ -426,7 +462,7 @@ def enumerate_discs(boundary_len: int, max_triangles: int,
         return False
 
     def emit():
-        form = _least_relabeling(tris, range(B), range(B, len(angle)))
+        form = _least_relabeling(tris, B, len(angle))
         if form not in classes:
             classes[form] = disc = TriDisc(tuple(range(B)), tuple(tris))
             vars(disc)["canonical"] = form  # the cached property, already known
@@ -506,12 +542,16 @@ def discs_suite(boundary: int, max_triangles: int, locally_6_large: bool,
     steps = []
     for d in discs:
         profile = curvature_profile(d)  # asserts the Gauss-Bonnet identity
+        # d.counts(), read off the profile's vertices (each disc's are
+        # gathered once)
+        nv, nf = len(profile.interior) + len(profile.boundary), len(d.triangles)
+        counts = (nv, nv + nf - 1, nf, len(d.boundary))
         steps.append({
-            "triangles": len(d.triangles),
-            "counts": list(d.counts()),
+            "triangles": nf,
+            "counts": list(counts),
             "interior_curvature_total": sum(profile.interior.values()),
             "boundary_curvature_total": sum(profile.boundary.values()),
-            "text": d.to_text(),
+            "text": _text(counts, d.canonical),
         })
     status = "verified"
     red_flags = []

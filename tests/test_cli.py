@@ -87,6 +87,18 @@ def test_config_error_exit_code(capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [[], ["discs", "enumerate"]])
+def test_help_exits_zero(capsys, argv):
+    """Help prints and exits 0 from the top parser and from a subparser,
+    both wrapped at the formatter's fixed 78 columns."""
+    with pytest.raises(SystemExit) as err:
+        main([*argv, "--help"])
+    assert err.value.code == 0
+    out = capsys.readouterr().out
+    assert out.startswith(f"usage: {' '.join(['cox245', *argv])}")
+    assert max(map(len, out.splitlines())) <= 78
+
+
 @pytest.mark.parametrize("limits, name", [
     (["--max-triangles", "-1"], "max_triangles"),
     (["--max-triangles", "8", "--min-angle", "-1"], "min_boundary_angle"),

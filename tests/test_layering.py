@@ -49,8 +49,11 @@ def test_cli_import_loads_no_introspection_module():
     """Start-up stays lean: ``import cox245.cli`` loads neither
     ``dataclasses`` nor what it pulls in (``inspect``), nor ``typing``, nor
     the rational arithmetic of ``cox245.exact`` (``fractions`` and what it
-    pulls in, ``decimal`` and ``numbers``)."""
-    forbidden = ("dataclasses", "inspect", "typing", "fractions", "decimal", "numbers")
+    pulls in, ``decimal`` and ``numbers``), nor the terminal-width lookup of
+    argparse's default help formatter (``shutil``, which pulls in ``bz2``
+    and ``lzma``)."""
+    forbidden = ("dataclasses", "inspect", "typing", "fractions", "decimal", "numbers",
+                 "shutil", "bz2", "lzma")
     code = (
         "import sys\n"
         "import cox245.cli\n"
