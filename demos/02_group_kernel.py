@@ -27,7 +27,7 @@ print()
 print("canonical words (ShortLex, r < s < t):")
 for w in ("tr", "tstst", "srsr", "rstrstst"):
     g = element_of_word(w)
-    print(f"  {w:>10} -> {g.canonical_word():<10} length {g.length()}  det even: {g.det_is_even()}")
+    print(f"  {w:>10} -> {g.canonical_word():<10} length {g.length()}")
 
 print()
 print("right descents of rt:", sorted(right_descents(element_of_word("rt"))))

@@ -7,9 +7,9 @@ smaller canonical word of the two quotients.  Keys are complete invariants
 of the left action.
 """
 
-from cox245.complexgraph import build_ball, fix_vertex, make_vertex, translate
+from cox245.complexgraph import fix_vertex, make_vertex, translate
 from cox245.coxeter import D8, element_of_word, identity
-from cox245.edgetypes import orbit_sample, type_key_cayley, type_key_complex
+from cox245.edgetypes import key_partners, type_key_cayley, type_key_complex
 
 c8 = fix_vertex(D8)
 t8 = make_vertex(D8, element_of_word("t"))
@@ -32,8 +32,7 @@ k2 = type_key_cayley(element_of_word("tr"), element_of_word("tst"))
 print("Cayley pairs (e, tsr) and (tr, tst):", k1.serialize(), "==", k2.serialize(), "->", k1 == k2)
 
 print()
-slab = build_ball(c8, 3, "pentagon-subcomplex")
-pairs = orbit_sample(key, slab, 5)
-print(f"{len(pairs)} sampled pentagon edges of type {key.serialize()}:")
-for u, v in pairs:
-    print("  ", u.label(), "--", v.label())
+partners = key_partners(c8, key)
+print(f"the {len(partners)} pentagon edges of type {key.serialize()} at {c8.label()}:")
+for v in partners:
+    print("  ", c8.label(), "--", v.label())

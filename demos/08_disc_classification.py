@@ -11,7 +11,6 @@ from cox245.discs import (
     TriDisc,
     curvature_profile,
     enumerate_discs,
-    is_isomorphic,
     p8_disc,
     p10_disc,
     wheel_disc,
@@ -34,13 +33,13 @@ for boundary, cap in ((4, 6), (5, 7), (6, 8)):
 print()
 wheel_only = enumerate_discs(6, 8, locally_6_large=True, forbid_boundary_chords=True)
 print("hexagon, locally 6-large, no chords:", len(wheel_only), "disc;",
-      "it is the wheel:", is_isomorphic(wheel_only[0], wheel_disc(6)))
+      "it is the wheel:", wheel_only[0].canonical == wheel_disc(6).canonical)
 
 octs = enumerate_discs(8, 10, locally_6_large=True, min_boundary_angle=2,
                        forbid_boundary_chords=True)
 print("octagon under the same constraints:", len(octs), "discs")
-print("  first is P8:", is_isomorphic(octs[0], p8_disc()),
-      " second is P10:", is_isomorphic(octs[1], p10_disc()))
+print("  first is P8:", octs[0].canonical == p8_disc().canonical,
+      " second is P10:", octs[1].canonical == p10_disc().canonical)
 print()
 print("canonical serialization of the wheel:")
 print(wheel_disc(6).to_text())

@@ -24,6 +24,7 @@ import json
 import os
 from collections import namedtuple
 from functools import cache
+from itertools import islice
 
 from .complexgraph import (
     GraphSlab,
@@ -43,6 +44,7 @@ from .implications import (
     SideNotKnown,
     apply_elementary,
     close_orbit,
+    closure,
     dihedral_closure,
     find_witness,
 )
@@ -89,13 +91,6 @@ class StringSpec(namedtuple("StringSpec", "letters")):
 
     def __str__(self):
         return "".join(self.letters) or "eps"
-
-    def reversed(self) -> "StringSpec":
-        return StringSpec(self.letters[::-1])
-
-    def mirrored(self) -> "StringSpec":
-        swap = {"L": "R", "S": "S", "R": "L"}
-        return StringSpec(tuple(swap[ch] for ch in self.letters))
 
 
 class PathTrace(namedtuple("PathTrace", "vertices key")):
@@ -586,12 +581,16 @@ def verify_dihedral_suite(order: int) -> dict:
 # --- exploratory search from the dual-tiling seed ---------------------------
 
 def auto_search_d10(max_depth: int, radius: int) -> dict:
-    """Breadth-first implication closure from the edge (FixD10, r FixD10).
+    """Implication closure from the edge (FixD10, r FixD10).
 
-    Exploratory only: the report carries whatever was derived within the
-    caps (``max_depth`` derived types, candidate endpoints at depth at most
-    max(2, radius - 2)) and the largest endpoint distance reached.  No
-    completeness claim is made and the status is always "inconclusive".
+    The candidates are the types of the center's pairs with endpoints at
+    depth at most max(2, radius - 2) in the ball, ordered by depth then by
+    serialized key.  ``closure`` makes passes over them in that order, each
+    derived type known before the next search, and the search ends after
+    ``max_depth`` derivations or after a pass that derives nothing.
+    Exploratory only: the report carries what was derived and the largest
+    endpoint distance reached.  No completeness claim is made and the
+    status is always "inconclusive".
 
     An endpoint's distance is its candidate's depth in the ball, with no
     BFS of its own: the ball is BFS-complete up to ``radius``, beyond every
@@ -615,21 +614,12 @@ def auto_search_d10(max_depth: int, radius: int) -> dict:
             candidates.append((slab.depth[i], k))
     candidates.sort(key=lambda t: (t[0], t[1].serialize()))
     derived = []
-    progress = True
-    while progress and len(derived) < max_depth:
-        progress = False
-        for depth, key in candidates:
-            if state.has(key):
-                continue
-            witness = find_witness(state, key, slab)
-            if witness is None:
-                continue
-            state, got = apply_elementary(state, witness)
-            derived.append({"key": got.serialize(), "endpoint_distance": depth,
-                            "witness": list(witness.labels())})
-            progress = True
-            if len(derived) >= max_depth:
-                break
+    steps = closure(candidates, lambda c: state.has(c[1]),
+                    lambda c: find_witness(state, c[1], slab))
+    for (depth, _), witness in islice(steps, max_depth):
+        state, got = apply_elementary(state, witness)
+        derived.append({"key": got.serialize(), "endpoint_distance": depth,
+                        "witness": list(witness.labels())})
     return {
         "suite": "d10-search",
         "status": "inconclusive",

@@ -676,11 +676,6 @@ class GroupElement:
     def length(self) -> int:
         return len(self.canonical_word())
 
-    def det_is_even(self) -> bool:
-        """True iff det = +1, i.e. the Coxeter length is even (each
-        reflection has det -1)."""
-        return len(self.canonical_word()) % 2 == 0
-
 
 def _graded_mat(g: GroupElement):
     """g's matrix, checked to be zero at its off-grade ints unless g carries

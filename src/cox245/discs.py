@@ -89,7 +89,6 @@ __all__ = [
     "enumerate_discs",
     "discs_suite",
     "canonical_form",
-    "is_isomorphic",
     "wheel_disc",
     "p8_disc",
     "p10_disc",
@@ -370,13 +369,6 @@ def canonical_form(d: TriDisc) -> tuple:
     index = {v: i for i, v in enumerate((*d.boundary, *interior))}
     tris = [_tri(index[a], index[b], index[c]) for a, b, c in d.triangles]
     return _least_relabeling(tris, len(d.boundary), len(index))
-
-
-def is_isomorphic(d1: TriDisc, d2: TriDisc) -> bool:
-    """Isomorphism of marked discs (boundary rotations/reflections only)."""
-    if len(d1.boundary) != len(d2.boundary) or len(d1.triangles) != len(d2.triangles):
-        return False
-    return d1.canonical == d2.canonical
 
 
 # --- enumeration -------------------------------------------------------------

@@ -23,7 +23,7 @@ from __future__ import annotations
 from collections import namedtuple
 from functools import cache
 
-from .complexgraph import GraphSlab, Vertex, key_vertex, translate
+from .complexgraph import Vertex, key_vertex, translate
 from .coxeter import (
     CAY,
     GroupElement,
@@ -45,7 +45,6 @@ __all__ = [
     "partner_keys",
     "key_partners",
     "anchor_orbit_reps",
-    "orbit_sample",
     "find_pair_transport",
 ]
 
@@ -56,10 +55,6 @@ class EdgeTypeKey(namedtuple("EdgeTypeKey", "p q word")):
     named tuple compares and hashes its fields in C."""
 
     __slots__ = ()
-
-    @property
-    def mode(self) -> str:
-        return "cayley" if self.p == "CAY" else "complex"
 
     def serialize(self) -> str:
         if self.p == "CAY":
@@ -157,20 +152,6 @@ def anchor_orbit_reps(parabolic: ParabolicId, key: EdgeTypeKey):
     these are the partners themselves."""
     return tuple(dict.fromkeys(coset_key(element_of_word(step), target)
                                for step, target in _orientations(parabolic, key)))
-
-
-def orbit_sample(key: EdgeTypeKey, slab: GraphSlab, count: int) -> list[tuple[Vertex, Vertex]]:
-    """Up to ``count`` distinct slab pairs of the given type, scanned in
-    index order (degenerate pairs included for the identity key)."""
-    out = []
-    verts = slab.vertices
-    for i in range(len(verts)):
-        for j in range(i, len(verts)):
-            if pair_key(verts[i], verts[j]) == key:
-                out.append((verts[i], verts[j]))
-                if len(out) >= count:
-                    return out
-    return out
 
 
 def find_pair_transport(pair_a, pair_b) -> GroupElement | None:

@@ -29,8 +29,10 @@ two partner oracles, so the same search serves three settings:
   first side point only the anchor and one representative per P-orbit of
   its partners (``edgetypes.anchor_orbit_reps``), with the same answer.
 * ``close_orbit`` and ``dihedral_closure`` run it over the pair table of a
-  finite orbit until no new type is forced; the latter is how the
-  diagonal-implies-clique closures of the 8-gon and 10-gon are checked.
+  finite orbit, through ``closure`` until no new type is forced; the
+  latter is how the diagonal-implies-clique closures of the 8-gon and
+  10-gon are checked.  ``closure`` is the package's one fixpoint loop:
+  ``certificates.auto_search_d10`` runs it with ``find_witness``.
 
 Every search on a slab draws its partner sets from the slab's
 ``_SearchSpace`` (in ``_SPACES``, kept while the slab lives), which holds
@@ -61,6 +63,7 @@ __all__ = [
     "ImplicationState",
     "check_elementary",
     "find_witness",
+    "closure",
     "close_orbit",
     "dihedral_closure",
     "DIHEDRAL_CHORD_LABELS",
@@ -316,33 +319,43 @@ def find_witness(state: ImplicationState, target: EdgeTypeKey,
     return None
 
 
-def _closure(table, has, starts):
-    """Derive labels of a finite pair table to a fixpoint.
+def closure(targets, has, find):
+    """Naive fixpoint evaluation of forced implications.
 
-    ``table[i][j]`` labels the pair (i, j); a label is known initially when
-    ``has`` accepts it.  Yields (cycle, label) for each label forced by a
-    cycle of indices that begins in ``starts`` (4-cycles before 5-cycles),
-    and treats it as known from then on.
+    Makes passes over ``targets`` in order and calls ``find`` on each target
+    that ``has`` rejects; yields ``(target, witness)`` for each non-None
+    witness found, and stops after a pass that derives nothing.  The caller
+    makes each yielded target known (to ``has`` and to ``find``) before it
+    asks for the next, so a target may be derived from one yielded earlier
+    in the same pass.
     """
-    rows = range(len(table))
-    labels = list(dict.fromkeys(x for row in table for x in row))
-    known = {x for x in labels if has(x)}
     progress = True
     while progress:
         progress = False
-        for label in labels:
-            if label in known:
-                continue
-            for length in (4, 5):
-                cycle = next(_cycles(starts, length,
-                                     lambda i: [j for j in rows if table[i][j] in known],
-                                     lambda i: [j for j in rows if table[i][j] == label]),
-                             None)
-                if cycle is not None:
-                    known.add(label)
+        for target in targets:
+            if not has(target):
+                witness = find(target)
+                if witness is not None:
                     progress = True
-                    yield cycle, label
-                    break
+                    yield target, witness
+
+
+def _table_finder(table, has, starts):
+    """The ``find`` of ``closure`` over a finite pair table.
+
+    ``table[i][j]`` labels the pair (i, j), and a label is known when
+    ``has`` accepts it.  ``find(label)`` is the first cycle of indices that
+    begins in ``starts`` (4-cycles before 5-cycles) whose sides are known
+    and whose diagonals all carry ``label``, or None.
+    """
+    rows = range(len(table))
+
+    def find(label):
+        return next(chain.from_iterable(
+            _cycles(starts, length, lambda i: [j for j in rows if has(table[i][j])],
+                    lambda i: [j for j in rows if table[i][j] == label])
+            for length in (4, 5)), None)
+    return find
 
 
 def close_orbit(state: ImplicationState, points: list[Vertex]) -> ImplicationState:
@@ -356,7 +369,12 @@ def close_orbit(state: ImplicationState, points: list[Vertex]) -> ImplicationSta
     for i in range(n):
         for j in range(i, n):  # pair keys are unordered
             table[i][j] = table[j][i] = pair_key(points[i], points[j])
-    for cycle, _ in _closure(table, state.has, range(n)):
+
+    def has(key):  # the state as it grows
+        return state.has(key)
+
+    labels = list(dict.fromkeys(chain.from_iterable(table)))
+    for _, cycle in closure(labels, has, _table_finder(table, has, range(n))):
         state, _ = apply_elementary(state, CycleWitness(tuple(points[i] for i in cycle)))
     return state
 
@@ -414,8 +432,10 @@ def dihedral_closure(m: int, seed: str) -> set[str]:
         raise ValueError("m must be 4 or 5")
     if seed not in DIHEDRAL_CHORD_LABELS[m]:
         raise ValueError(f"invalid seed {seed!r}; chord classes are {DIHEDRAL_CHORD_LABELS[m]}")
-    seeds = {"0", "1a", "1b", seed}
+    known = {"0", "1a", "1b", seed}
     # the group acts transitively on the orbit, so cycles through point 0
     # carry every implication
-    derived = {label for _, label in _closure(_dihedral_tables(m), seeds.__contains__, (0,))}
-    return (seeds | derived) & set(DIHEDRAL_CHORD_LABELS[m])
+    find = _table_finder(_dihedral_tables(m), known.__contains__, (0,))
+    for label, _ in closure(DIHEDRAL_CHORD_LABELS[m], known.__contains__, find):
+        known.add(label)
+    return known.intersection(DIHEDRAL_CHORD_LABELS[m])

@@ -80,10 +80,10 @@ def test_string_alias_properties_sampled():
     rng = random.Random(1)
     for _ in range(25):
         text = "".join(rng.choice("LSR") for _ in range(rng.randint(0, 6)))
-        spec = StringSpec.parse(text)
-        key = string_key(spec)
-        assert string_key(spec.mirrored()) == key
-        assert string_key(spec.reversed()) == key
+        key = string_key(StringSpec.parse(text))
+        mirrored = text.translate(str.maketrans("LR", "RL"))
+        assert string_key(StringSpec.parse(mirrored)) == key
+        assert string_key(StringSpec.parse(text[::-1])) == key
 
 
 def test_family_implication_shapes():
@@ -329,6 +329,26 @@ def test_d10_search_smoke():
     none_found = auto_search_d10(max_depth=0, radius=3)
     assert none_found["derived"] == []
     assert none_found["max_endpoint_distance"] == 1
+
+
+def test_d10_search_caps_derivations_and_ends_after_a_barren_pass(monkeypatch):
+    """``max_depth`` caps the derivations with no search past the cap, and
+    the search ends after a pass that derives nothing."""
+    calls = []
+    find = certificates.find_witness
+    monkeypatch.setattr(certificates, "find_witness",
+                        lambda *args: calls.append(args[1]) or find(*args))
+    runs = {}
+    for depth in (0, 1, 2, 3, 5, 10):
+        calls.clear()
+        keys = [d["key"] for d in auto_search_d10(depth, 5)["derived"]]
+        runs[depth] = (len(calls), keys)
+    assert {k: (n, len(keys)) for k, (n, keys) in runs.items()} == {
+        0: (0, 0), 1: (1, 1), 2: (2, 2), 3: (3, 3), 5: (8, 4), 10: (8, 4)}
+    for _, keys in runs.values():
+        assert keys == runs[10][1][:len(keys)]
+    calls.clear()
+    assert len(auto_search_d10(10, 6)["derived"]) == 10 and len(calls) == 13
 
 
 def test_d10_endpoint_distances_are_bfs_distances():

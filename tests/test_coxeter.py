@@ -208,7 +208,6 @@ def test_canonical_word_invariants(w):
     cw = g.canonical_word()
     assert element_of_word(cw) == g
     assert len(cw) <= len(w)
-    assert g.det_is_even() == (len(cw) % 2 == 0)
     # canonical word is itself canonical
     assert element_of_word(cw).canonical_word() == cw
 
@@ -654,7 +653,7 @@ def test_descents_inverse_parity_and_products_match_matrix_kernel_on_shortlex_12
         assert right_descents(g) == matrix_oracle.right_descents(g)
         assert left_descents(g) == matrix_oracle.left_descents(g)
         assert g.inverse().mat == mat_inv(g.mat)
-        assert g.det_is_even() == (mat_det(g.mat) == IQ_ONE)
+        assert (g.length() % 2 == 0) == (mat_det(g.mat) == IQ_ONE)
     for g in elems[::7]:
         for h in elems[::11]:
             assert (g * h).mat == mat_mul(g.mat, h.mat)

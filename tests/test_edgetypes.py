@@ -50,7 +50,6 @@ from cox245.edgetypes import (
     anchor_orbit_reps,
     find_pair_transport,
     key_partners,
-    orbit_sample,
     pair_key,
     partner_keys,
     type_key_cayley,
@@ -108,7 +107,7 @@ def test_cayley_key_symmetric_and_invariant(gw, hw):
     assert key == type_key_cayley(h, g)
     # a Cayley pair is a pair of CAY-cosets: the complex key agrees
     assert type_key_complex(cayley_vertex(g), cayley_vertex(h)) == key
-    assert key.mode == "cayley" and (key.p, key.q) == ("CAY", "CAY")
+    assert (key.p, key.q) == ("CAY", "CAY")
     w = element_of_word("stsr")
     assert type_key_cayley(w * g, w * h) == key
 
@@ -178,29 +177,6 @@ def test_type_keys_of_built_vertices_make_no_generator_products(monkeypatch):
     assert len(keys) == 398 and calls == []
 
 
-def test_orbit_sample_pentagon_edges():
-    slab = build_ball(C8, 3, "pentagon-subcomplex")
-    key = type_key_complex(C8, T8)
-    pairs = orbit_sample(key, slab, 6)
-    assert len(pairs) == 6
-    for u, v in pairs:
-        assert pair_key(u, v) == key
-
-
-def test_orbit_sample_degenerate_and_missing():
-    slab = build_ball(C8, 2, "pentagon-subcomplex")
-    ident = type_key_complex(C8, C8)
-    pairs = orbit_sample(ident, slab, 3)
-    assert pairs and all(u == v for u, v in pairs)
-    # endpoints of the straight two-step string sit at distance 3, which a
-    # radius-1 ball (diameter 2) cannot realize
-    from cox245.certificates import StringSpec, string_key
-
-    tiny = build_ball(C8, 1, "pentagon-subcomplex")
-    far = string_key(StringSpec.parse("SS"))
-    assert orbit_sample(far, tiny, 2) == []
-
-
 def test_key_partners_complete_and_correct():
     slab = build_ball(C8, 4, "pentagon-subcomplex")
     key = trace_key = pair_key(C8, T8)
@@ -255,7 +231,7 @@ def generic_pair(p, step):
 def reference_key_partners(v, key):
     """key_partners by generic matrix products and inverses (the oracle)."""
     w, back = generic_step(key.word)
-    if key.mode == "cayley":
+    if key.p == "CAY":
         out = [Vertex(CAY, generic_mul(v.rep, w))]
         back = Vertex(CAY, generic_mul(v.rep, back))
         return out if back == out[0] else out + [back]
@@ -293,7 +269,7 @@ def test_key_partners_match_generic_products():
     assert checked == 1350
     # the suites' complex keys on the d10 and pentagon balls (the Cayley
     # keys pair no vertex of these balls)
-    keys = [k for k in suite_keys() if k.mode == "complex"]
+    keys = [k for k in suite_keys() if k.p != "CAY"]
     for center, radius, mode, want in ((fix_vertex(D10), 4, "d10-orbit", 2490),
                                        (C8, 5, "pentagon-subcomplex", 6425)):
         checked = 0
@@ -379,7 +355,7 @@ def test_partner_plan_seeds_each_orbit_once(monkeypatch):
 def word_walk_key_partners(v, key):
     """Complex-mode key_partners as one word walk from v.rep per candidate,
     through p's word and the step (the oracle for the anchor translation)."""
-    assert key.mode == "complex"
+    assert key.p != "CAY"
     variants = []
     if v.parabolic.name == key.p:
         variants.append((key.word, PARABOLICS[key.q]))

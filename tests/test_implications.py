@@ -41,11 +41,12 @@ from cox245.implications import (
     SideNotKnown,
     _SPACES,
     _SearchSpace,
-    _closure,
     _cycles,
     _dihedral_tables,
+    _table_finder,
     apply_elementary,
     check_elementary,
+    closure,
     dihedral_closure,
     find_witness,
 )
@@ -302,6 +303,18 @@ def _signature_closure(m, known):
     return known
 
 
+def table_closure(table, known):
+    """The (label, cycle) pairs ``closure`` derives over the pair table with
+    the table finder through point 0, adding each label to ``known``."""
+    labels = list(dict.fromkeys(itertools.chain.from_iterable(table)))
+    steps = []
+    for label, cycle in closure(labels, known.__contains__,
+                                _table_finder(table, known.__contains__, (0,))):
+        known.add(label)
+        steps.append((label, cycle))
+    return steps
+
+
 def test_closure_matches_signature_oracle_on_every_label_subset():
     for m in (4, 5):
         table = _dihedral_tables(m)
@@ -309,12 +322,33 @@ def test_closure_matches_signature_oracle_on_every_label_subset():
         assert len(labels) == m + 3
         for size in range(len(labels) + 1):
             for subset in itertools.combinations(labels, size):
-                start = set(subset)
-                derived = {label for _, label in _closure(table, start.__contains__, (0,))}
-                assert start | derived == _signature_closure(m, start), (m, subset)
+                known = set(subset)
+                table_closure(table, known)
+                assert known == _signature_closure(m, subset), (m, subset)
     # the orbit sides alone force nothing
     for m in (4, 5):
-        assert list(_closure(_dihedral_tables(m), {"0", "1a", "1b"}.__contains__, (0,))) == []
+        assert table_closure(_dihedral_tables(m), {"0", "1a", "1b"}) == []
+
+
+def test_closure_passes_in_target_order_until_a_pass_derives_nothing():
+    """b is derivable only once c is known: the first pass derives a and c,
+    the second b, and the third, with nothing left to search, ends it."""
+    known, calls = set(), []
+
+    def find(target):
+        calls.append(target)
+        return None if target == "b" and "c" not in known else target.upper()
+
+    got = []
+    for target, witness in closure(("a", "b", "c"), known.__contains__, find):
+        known.add(target)
+        got.append((target, witness))
+    assert got == [("a", "A"), ("c", "C"), ("b", "B")]
+    assert calls == ["a", "b", "c", "b"]
+    # lazy: the first pair costs one search
+    calls.clear()
+    assert next(closure(("a", "b", "c"), set().__contains__, find)) == ("a", "A")
+    assert calls == ["a"]
 
 
 def pentagon_precheck_cases():

@@ -2,7 +2,7 @@
 the submodules, private names stay inside the module that defines them
 (dunders such as ``__version__`` are public), a group element's lazy fields
 stay inside ``coxeter``, code is generated at one site, every exported
-name exists, the CLI imports everything it runs up front and no
+name exists and is used outside the tests, the CLI imports everything it runs up front and no
 introspection module or rational arithmetic, the exact field stands
 apart from the kernel, and only ``reports`` touches the garbage collector."""
 
@@ -146,6 +146,46 @@ def test_every_exported_name_resolves():
         stale.extend(f"{path.name} {attr}" for attr in getattr(mod, "__all__", ())
                      if not hasattr(mod, attr))
     assert stale == []
+
+
+def used_names(path, strings=False):
+    """The names the code at ``path`` uses: names it loads, attributes it
+    reads and names it imports, and with ``strings`` its string constants
+    (``perfbench/layers.py`` names what it traces by strings)."""
+    out = set()
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.alias):
+            out.add(node.name.rpartition(".")[2])
+        elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
+            out.add(node.value)
+    return out
+
+
+# Test-only until the replay checker of ROADMAP item 4 takes it over.
+TEST_ONLY_EXPORTS = {"edgetypes.py find_pair_transport"}
+
+
+def test_every_exported_name_is_used_outside_the_tests():
+    """Each ``__all__`` name of a module other than ``exact`` (the kernel's
+    test-only check, by design) is used by package code, its own module's
+    included, or by a demo or ``perfbench/``: no name lives on for the
+    tests alone."""
+    root = PACKAGE.parents[1]
+    used = set().union(*(used_names(path) for path in PACKAGE.glob("*.py")),
+                       *(used_names(path) for path in (root / "demos").glob("*.py")),
+                       *(used_names(path, strings=True) for path in (root / "perfbench").glob("*.py")))
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.stem in ("__init__", "exact"):
+            continue
+        mod = importlib.import_module(f"cox245.{path.stem}")
+        unused.extend(f"{path.name} {name}" for name in getattr(mod, "__all__", ())
+                      if name not in used)
+    assert sorted(unused) == sorted(TEST_ONLY_EXPORTS)
 
 
 def test_code_is_generated_at_one_site():
