@@ -42,15 +42,19 @@ reflection per element of P), and only that key is expanded at the next
 depth.  The radius-10 pentagon ball expands 917 of its 7,285 inner
 vertices.  A coset is peeled only the first time its key is met, so each
 vertex but the center is peeled exactly once and the frontier is never
-expanded.  The ball's dict is the slab's only index.  It
-holds the key tuples the walk built, which the peel memoises the
+expanded.  All but 105 of the radius-10 pentagon ball's 16,736 new keys
+take one descent onto a memoised point, so each vertex but the center
+costs one descent.  The ball's dict is the slab's only index.  It holds
+the key tuples the walk built, which the peel memoises the
 representatives under, so the index costs no new tuples.
 Vertex order is BFS depth with canonical-word tie-break inside each level,
-which makes slab dumps reproducible and independent of which vertex of an
-orbit was expanded; a peeled representative carries its word, so the sort
-peels nothing more.  Its matrix is built only when read: by the walk at
-the vertices it expands, which builds the matrices of their words'
-suffixes too, or by a search.  So no other vertex of an expanded orbit and
+then the parabolic's name, which makes slab dumps reproducible and
+independent of which vertex of an orbit was expanded.  A level is sorted
+as (word, key, vertex) tuples, a key starting with its parabolic's name;
+a peeled representative carries its word, so the sort peels nothing
+more.  Its matrix is built only when read: by the walk at the vertices it
+expands, which builds the matrices of their words' suffixes too, or by a
+search.  So no other vertex of an expanded orbit and
 none of the outer level builds one (2,926 of 16,737 in the radius-10
 pentagon ball).  A ball keeps one ``Vertex`` per coset, its depth and the
 key index; its adjacency is derived on first use from the neighbor keys
@@ -318,10 +322,10 @@ def build_ball(center: Vertex, radius: int, mode: str) -> GraphSlab:
         if len(vertices) + len(found) > MAX_BALL_VERTICES:
             raise ResourceLimitExceeded(
                 f"ball exceeds {MAX_BALL_VERTICES} vertices at depth {d}")
-        level = sorted(zip(map(key_vertex, found), found),
-                       key=lambda vk: (vk[0].word(), vk[0].parabolic.name))
+        level = list(map(key_vertex, found))
+        level = sorted(zip(map(Vertex.word, level), found, level))
         walk = []
-        for v, key in level:
+        for _, key, v in level:
             index[key] = len(vertices)
             vertices.append(v)
             depth.append(d)

@@ -10,9 +10,10 @@ Matrices are flat 9-tuples (row major) of integral quartic vectors from
 :mod:`cox245.numberfield`.  A generator product, on either side, needs
 only negations, additions and the sqrt2 and phi shifts of the integral
 basis.  It and the other kernels (orbit points, forms 2B(a_x, -), simple
-reflections of points, ``translate_key`` and ``wall_keys``) are compiled
-at import from the Gram matrix, the base points and the shifts
-(``_kernel``), with only the terms the sqrt2-grading below leaves nonzero.
+reflections of points, the least-descent step, ``translate_key`` and
+``wall_keys``) are compiled at import from the Gram matrix, the base points
+and the shifts (``_compile``), with only the terms the sqrt2-grading below
+leaves nonzero.
 ``GroupElement.times``, ``g * h`` and ``g.inverse()`` walk a word, one
 generator product per letter; no matrix is inverted.  Keys need no walk:
 ``wall_keys`` gives the cosets g*w*P of fixed words w as the key of g*P
@@ -59,9 +60,14 @@ shift-and-add form, and reflecting the point by x changes only its
 coordinate x.  Peeling the least such x until a known point is reached
 gives the ShortLex word at once; the minimal representative's matrix is
 built from the known suffix's by one add-only generator product per
-letter, when it is first read.  Representatives are memoised by point, so
-a coset costs one peeled letter per suffix not seen before, and a ball
-builds the matrices of the vertices it expands and their suffixes only.
+letter, when it is first read.  One step, the sign tests of the letters
+in order and the reflection of the first that descends, is one compiled
+function per generator tuple (``_descent_kernel``): ``rst`` for cosets,
+each maximal parabolic's pair for double cosets.  Representatives are
+memoised by point, so a coset costs one peeled letter per suffix not seen
+before, and a ball builds the matrices of the vertices it expands and
+their suffixes only.  Most keys a ball meets take one descent onto a
+memoised point, and ``coset_rep`` links those in place.
 
 The minimal representative of a double coset P*g*Q is peeled the same way:
 left descents in P only, off the point of g*Q (Deodhar's lemma), and
@@ -81,6 +87,7 @@ from .numberfield import (
     IQ_SQRT2,
     IQ_TWO,
     IQ_ZERO,
+    PHI_POSITIVE,
     iq_mul,
     iq_neg,
     iq_sign,
@@ -329,41 +336,67 @@ def _point(m, name: str) -> tuple:
     phi)).  Coordinate i is sum_j u_P[j] m_ij, by ``_shifts``: no ``iq_mul``."""
 
 
-@_kernel(_UNPACK_P, {x: _entry_source(_dot(_TWOB[x], _P)[_GRADES[i]::2])
-                     for i, x in enumerate(GENERATORS)}, _BAD_GENERATOR)
+# per generator x: ``_twob``'s (b, d) as forms in a key's ints, and the
+# source of ``_reflect``'s key of s_x v
+_TWOB_FORMS = {x: _dot(_TWOB[x], _P)[_GRADES[i]::2] for i, x in enumerate(GENERATORS)}
+_REFLECTED = {x: "(p[0], " + ", ".join(map(_sum_source, _on_grade(
+    [f for k in range(3) for f in _dot(_GEN_MATS[x][3 * k:3 * k + 3], _P)]))) + ")"
+              for x in GENERATORS}
+
+
+@_kernel(_UNPACK_P, {x: _entry_source(_TWOB_FORMS[x]) for x in GENERATORS}, _BAD_GENERATOR)
 def _twob(p, x: str):
     """(b, d) with 2B(a_x, v) = sqrt2 (b + d phi) for x = r and b + d phi
     for s and t, v the point of a key ``p``: v has type 0, so these are all
     of its ints (see the module docstring)."""
 
 
-@_kernel(_UNPACK_P, {x: "(p[0], " + ", ".join(map(_sum_source, _on_grade(
-    [f for k in range(3) for f in _dot(_GEN_MATS[x][3 * k:3 * k + 3], _P)]))) + ")"
-                     for x in GENERATORS}, _BAD_GENERATOR)
+@_kernel(_UNPACK_P, _REFLECTED, _BAD_GENERATOR)
 def _reflect(p, x: str):
     """The key of s_x v = M_x v for the point v of a key ``p``: s_x v = v -
     2B(a_x, v) a_x changes only the two on-grade ints of coordinate x."""
 
 
-def _least_descent(p, gens=GENERATORS):
-    """(x, ``_reflect(p, x)``) for the first x of ``gens`` with 2B(a_x, v) >
-    0, v the point of ``p``, or None (with all of ``gens``: when v lies in
-    the closed negated chamber)."""
+def _descent_kernel(gens):
+    """The compiled least-descent step for the generators ``gens``: (x, the
+    key of s_x v) for the first x of ``gens``, in order, with 2B(a_x, v) >
+    0, v the point of a key, or None.  Each x tests the sign of b + d phi
+    from ``_twob``'s forms by ``PHI_POSITIVE`` (``phi_sign`` inlined over
+    the ints) and returns ``_reflect``'s key: one call, no loop."""
+    name = f"_descent_{''.join(gens)}"
+    lines = [f"def {name}(p):", f"    {_UNPACK_P} = p"]
     for x in gens:
-        b, d = _twob(p, x)
-        if phi_sign(b, d) > 0:
-            return x, _reflect(p, x)
-    return None
+        b, d = _TWOB_FORMS[x]
+        q = {v: a for v in {**b, **d} if (a := 2 * b.get(v, 0) + d.get(v, 0))}
+        lines += [f"    d = {_sum_source(d)}", f"    q = {_sum_source(q)}",
+                  f"    if {PHI_POSITIVE}:", f"        return {x!r}, {_REFLECTED[x]}"]
+    return _compile(name, [*lines, "    return None"])
+
+
+# the step of ``coset_rep``, over all of W's generators (None only in the
+# closed negated chamber), and of ``_peel``, per parabolic
+_least_descent = _descent_kernel(GENERATORS)
+_DESCENTS = {p: _descent_kernel(p.gens) for p in PARABOLIC_BY_NAME.values()}
 
 
 def _peel(key: tuple, p: ParabolicId) -> tuple:
     """The key of d*Q, d minimal in P*g*Q, from the key of g*Q: left
     descents in P peeled off (see ``min_double_coset_rep``)."""
-    while True:
-        step = _least_descent(key, p.gens)
-        if step is None:
-            return key
+    descent = _DESCENTS[p]
+    step = descent(key)
+    while step is not None:
         key = step[1]
+        step = descent(key)
+    return key
+
+
+def _linked(key: tuple, x: str, up: "GroupElement") -> "GroupElement":
+    """The representative x*up, memoised under ``key``: its word and a link
+    to ``up``, but no matrix (``GroupElement.mat`` builds it when read)."""
+    rep = _REPS[key] = GroupElement(None)
+    rep._word = x + up._word
+    rep._up = up
+    return rep
 
 
 def coset_rep(key: tuple) -> "GroupElement":
@@ -376,10 +409,11 @@ def coset_rep(key: tuple) -> "GroupElement":
     reflected point.  So least descents are peeled off the point until a
     memoised one; each representative passed gets its word, x and its
     suffix's, and a link to the suffix's representative, so its matrix is
-    built only when first read (``GroupElement``).  An orbit meets the
-    closed negated chamber only in its base point (Tits), so a point there
-    that is not memoised raises.  A point outside the cone of rho never
-    reaches the chamber, so keys read off raw matrices go through
+    built only when first read (``GroupElement``).  In a ball most keys
+    take one descent onto a memoised point and pass no other.  An orbit
+    meets the closed negated chamber only in its base point (Tits), so a
+    point there that is not memoised raises.  A point outside the cone of
+    rho never reaches the chamber, so keys read off raw matrices go through
     ``_checked_rep``; any other key off the orbit, or of an element longer
     than 10,000 letters, raises after 10,000 descents (the r12 pentagon
     ball's reps have at most 48), and a key that is not a parabolic's name
@@ -396,21 +430,19 @@ def coset_rep(key: tuple) -> "GroupElement":
         if step is None:
             raise ArithmeticError("matrix is not in the reflection group "
                                   "(its orbit point has no descent)")
-        passed.append((key, step[0]))
-        key = step[1]
-        rep = _REPS.get(key)
+        x, up = step
+        rep = _REPS.get(up)
         if rep is not None:
-            break
-    else:
-        n = len(_PEEL_STEPS)
-        raise ArithmeticError(f"key off the orbit, or of an element longer than {n:,} letters: "
-                              f"no memoised point in {n} descents")
-    for key, x in reversed(passed):
-        up = GroupElement(None)
-        up._word = x + rep._word
-        up._up = rep
-        _REPS[key] = rep = up
-    return rep
+            rep = _linked(key, x, rep)
+            while passed:
+                key, x = passed.pop()
+                rep = _linked(key, x, rep)
+            return rep
+        passed.append((key, x))
+        key = up
+    n = len(_PEEL_STEPS)
+    raise ArithmeticError(f"key off the orbit, or of an element longer than {n:,} letters: "
+                          f"no memoised point in {n} descents")
 
 
 def word_coset_rep(word: str, p: ParabolicId) -> "GroupElement":

@@ -9,7 +9,9 @@ of ints (a, b, c, d) standing for a + b*sqrt2 + c*phi + d*sqrt2*phi.
 Sign computation is exact and uses integers only: the sign of x + y*sqrt5,
 with x and y in Z[sqrt2], is decided by the signs of x, y and the norm
 x^2 - 5y^2, each element of Z[sqrt2] by comparing squares (nested norms),
-and b + d*phi by one (``phi_sign``); no float or root approximation decides.
+and b + d*phi by one (``phi_sign``; ``PHI_POSITIVE`` is its test for a
+positive sign as one expression, which compiled kernels inline); no float
+or root approximation decides.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ __all__ = [
     "iq_neg",
     "iq_sign",
     "phi_sign",
+    "PHI_POSITIVE",
     "IQ_ZERO",
     "IQ_ONE",
     "IQ_TWO",
@@ -97,3 +100,10 @@ def iq_sign(x) -> int:
 def phi_sign(b: int, d: int) -> int:
     """Sign of b + d*phi for integers b, d: 2(b + d phi) = (2b + d) + d sqrt5."""
     return _sign_surd(2 * b + d, d, 5)
+
+
+# ``phi_sign(b, d) > 0`` as the source of one expression in the ints q = 2b
+# + d and d, for compiled kernels (``coxeter``'s least-descent step): q + d
+# sqrt5 > 0 iff q and d are not both <= 0 and, where their signs differ,
+# q^2 > 5 d^2 iff q > 0 (``_sign_surd`` with n = 5)
+PHI_POSITIVE = "(q > 0 or d > 0) and (q >= 0 and d >= 0 or (q * q > 5 * d * d) == (q > 0))"

@@ -488,7 +488,9 @@ def test_compiled_kernels_are_the_generic_products_on_graded_ints(m, key, x, nam
     """The generator products, orbit points, forms 2B(a_x, -), reflected
     keys and ``translate_key``, each reading only on-grade ints, equal the
     ``iq_mul`` products on any graded input, large ints included; so does
-    the sign of a descent test."""
+    the sign of a descent test.  Each compiled least-descent step gives the
+    first generator of its tuple whose form 2B(a_x, -) is positive, by
+    ``iq_sign`` of the generic product, and that generator's reflected key."""
     gen = coxeter._GEN_MATS[x]
     assert coxeter._mat_mul_gen_right(m, x) == mat_mul(m, gen)
     assert coxeter._mat_mul_gen_left(m, x) == mat_mul(gen, m)
@@ -498,6 +500,46 @@ def test_compiled_kernels_are_the_generic_products_on_graded_ints(m, key, x, nam
     assert phi_sign(*coxeter._twob(key, x)) == iq_sign(beta)
     assert coxeter._reflect(key, x) == mat_vec(gen, key)
     assert translate_key(GroupElement(m), key) == mat_vec(m, key)
+    for gens, descent in [("rst", coxeter._least_descent),
+                          *((p.gens, coxeter._DESCENTS[p]) for p in (D8, D10, D4, CAY))]:
+        first = next((y for y in gens if iq_sign(generic_twob(key, y)) > 0), None)
+        want = None if first is None else (first, mat_vec(coxeter._GEN_MATS[first], key))
+        assert descent(key) == want
+
+
+DESCENT_R = coxeter._descent_kernel(("r",))
+
+
+def descends_by_r(b, d):
+    """Whether the compiled one-letter step over r descends off a key whose
+    form 2B(a_r, -) is sqrt2 (b + d phi): 2B(a_r, v) = sqrt2 ((2 p_0 - p_2) +
+    (2 p_1 - p_3) phi) for the key's ints p."""
+    key = ("Q", 0, 0, -b, -d, 0, 0)
+    assert coxeter._twob(key, "r") == (b, d)
+    return DESCENT_R(key) is not None
+
+
+def test_inline_sign_test_is_phi_sign_on_small_ints():
+    """The step's integer test of b + d phi > 0 agrees with ``phi_sign`` on
+    every (b, d) in [-60, 60]^2, zero included."""
+    for b in range(-60, 61):
+        for d in range(-60, 61):
+            assert descends_by_r(b, d) == (phi_sign(b, d) > 0), (b, d)
+
+
+def test_inline_sign_test_near_zero_on_fibonacci_pairs():
+    """F(n) phi - F(n+1) = (-1)^(n+1) phi^-n, nearest to 0 among ints of its
+    size: the step descends off (-F(n+1), F(n)) exactly for odd n, and off
+    the negated pair exactly for even n, as ``phi_sign`` says, for n <= 60."""
+    fib = [0, 1]
+    while len(fib) < 62:
+        fib.append(fib[-1] + fib[-2])
+    for n in range(1, 61):
+        b, d = -fib[n + 1], fib[n]
+        for sign in (1, -1):
+            want = sign * (-1) ** (n + 1) > 0
+            assert phi_sign(sign * b, sign * d) == (1 if want else -1)
+            assert descends_by_r(sign * b, sign * d) == want, (n, sign)
 
 
 @given(graded_mats, st.sampled_from([D8, D10, D4]),
@@ -837,6 +879,19 @@ def test_malformed_keys_raise_before_the_peel(monkeypatch):
             coxeter.coset_rep(bad)
     assert len(key_point(key)) == 13
     assert calls == [] and coxeter._REPS == known
+
+
+@pytest.mark.parametrize("center, radius, mode, size", [
+    (fix_vertex(D8), 10, "pentagon-subcomplex", 16737), (fix_vertex(D10), 6, "d10-orbit", 1161)])
+def test_ball_makes_one_descent_per_new_representative(monkeypatch, center, radius, mode, size):
+    """A ball's peels make exactly one descent per point the memo gains:
+    the one-descent link and the long peel each descend once per
+    representative they memoise."""
+    monkeypatch.setattr(coxeter, "_REPS", base_points())
+    before = len(coxeter._REPS)
+    calls = counted_descents(monkeypatch)
+    assert len(build_ball(center, radius, mode)) == size
+    assert len(calls) == len(coxeter._REPS) - before > size // 2
 
 
 def test_word_coset_rep_is_the_word_walk():
