@@ -31,7 +31,7 @@ g*P (full-Y) are g times the P-orbits of the other two base points: one
 ``coxeter.orbit_plan`` per P, run by ``orbit_keys``.  Every mode yields
 keys, deduplicated (``vertex_key``; ``key_vertex`` goes back), and checks
 that the vertex belongs to its universe.  ``neighbors`` peels each
-distinct key once to its minimal representative (``coxeter.coset_rep``).
+distinct key once to its minimal representative (``key_vertex``).
 
 A ball is a keyed BFS that walks orbits.  The center's stabiliser P (the
 parabolic of a fixed vertex (P, e), else the trivial group) preserves
@@ -42,20 +42,24 @@ reflection per element of P), and only that key is expanded at the next
 depth.  The radius-10 pentagon ball expands 917 of its 7,285 inner
 vertices.  A coset is peeled only the first time its key is met, so each
 vertex but the center is peeled exactly once and the frontier is never
-expanded.  All but 105 of the radius-10 pentagon ball's 16,736 new keys
-take one descent onto a memoised point, so each vertex but the center
-costs one descent.  The ball's dict is the slab's only index.  It holds
-the key tuples the walk built, which the peel memoises the
-representatives under, so the index costs no new tuples.
+expanded.  A level is peeled in one ``coxeter.coset_reps`` call, the
+package's one peel loop, after the walk has found all of its keys, and
+its vertices are made from its keys' parabolics and the representatives
+the call returns.  Levels are peeled in order, so all but 105 of the
+radius-10 pentagon ball's 16,736 new keys take one descent onto a point
+already memoised, and each vertex but the center costs one descent.
+The ball's dict is the slab's only index.  It holds the key tuples the
+walk built, which the peel memoises the representatives under, so the
+index costs no new tuples.
 Vertex order is BFS depth with canonical-word tie-break inside each level,
 then the parabolic's name, which makes slab dumps reproducible and
 independent of which vertex of an orbit was expanded.  A level is sorted
-as (word, key, vertex) tuples, a key starting with its parabolic's name;
-a peeled representative carries its word, so the sort peels nothing
-more.  Its matrix is built only when read: by the walk at the vertices it
-expands, which builds the matrices of their words' suffixes too, or by a
-search.  So no other vertex of an expanded orbit and
-none of the outer level builds one (2,926 of 16,737 in the radius-10
+as (word, key, representative) tuples, a key starting with its
+parabolic's name; a peeled representative carries its word, so the sort
+peels nothing more.  Its matrix is built only when read: by the walk at
+the vertices it expands, which builds the matrices of their words'
+suffixes too, or by a search.  So no other vertex of an expanded orbit
+and none of the outer level builds one (2,926 of 16,737 in the radius-10
 pentagon ball).  A ball keeps one ``Vertex`` per coset, its depth and the
 key index; its adjacency is derived on first use from the neighbor keys
 of every vertex.
@@ -79,6 +83,7 @@ from .coxeter import (
     ParabolicId,
     coset_key,
     coset_rep,
+    coset_reps,
     identity,
     key_orbit,
     min_coset_rep,
@@ -139,6 +144,10 @@ class Vertex(namedtuple("Vertex", "parabolic rep")):
 
     def label(self) -> str:
         return f"{self.parabolic.name}:{self.word() or 'e'}"
+
+
+# a Vertex from its two fields, without the named tuple's Python-level __new__
+_vertex = tuple.__new__
 
 
 def make_vertex(parabolic: ParabolicId, g: GroupElement) -> Vertex:
@@ -322,10 +331,10 @@ def build_ball(center: Vertex, radius: int, mode: str) -> GraphSlab:
         if len(vertices) + len(found) > MAX_BALL_VERTICES:
             raise ResourceLimitExceeded(
                 f"ball exceeds {MAX_BALL_VERTICES} vertices at depth {d}")
-        level = list(map(key_vertex, found))
-        level = sorted(zip(map(Vertex.word, level), found, level))
+        reps = coset_reps(found)
         walk = []
-        for _, key, v in level:
+        for _, key, rep in sorted(zip([rep._word for rep in reps], found, reps)):
+            v = _vertex(Vertex, (PARABOLIC_BY_NAME[key[0]], rep))
             index[key] = len(vertices)
             vertices.append(v)
             depth.append(d)
@@ -339,8 +348,8 @@ def graph_distance(u: Vertex, v: Vertex, mode: str) -> int:
 
     Every mode's graph is infinite and connected, so the two searches always
     meet.  Each side keeps the keys it has reached; a completed level is
-    peeled to become the next frontier, so the keys met in the final
-    expansion are never peeled.
+    peeled in one ``coset_reps`` call to become the next frontier, so the
+    keys met in the final expansion are never peeled.
     """
     _check_mode(mode, u, v)
     if u == v:
@@ -365,7 +374,8 @@ def graph_distance(u: Vertex, v: Vertex, mode: str) -> int:
                 if key not in dist:
                     dist[key] = r + 1
                     nxt.append(key)
-        nxt = [(key_vertex(key), key) for key in nxt]
+        nxt = [(_vertex(Vertex, (PARABOLIC_BY_NAME[key[0]], rep)), key)
+               for key, rep in zip(nxt, coset_reps(nxt))]
         if front is front_a:
             front_a = nxt
         else:

@@ -66,8 +66,9 @@ function per generator tuple (``_descent_kernel``): ``rst`` for cosets,
 each maximal parabolic's pair for double cosets.  Representatives are
 memoised by point, so a coset costs one peeled letter per suffix not seen
 before, and a ball builds the matrices of the vertices it expands and
-their suffixes only.  Most keys a ball meets take one descent onto a
-memoised point, and ``coset_rep`` links those in place.
+their suffixes only.  ``coset_reps`` is the one peel loop: it takes a
+batch of keys (a ball passes a whole level, ``coset_rep`` one key), and
+most keys a ball meets take one descent onto a memoised point.
 
 The minimal representative of a double coset P*g*Q is peeled the same way:
 left descents in P only, off the point of g*Q (Deodhar's lemma), and
@@ -112,6 +113,7 @@ __all__ = [
     "min_coset_rep",
     "coset_key",
     "coset_rep",
+    "coset_reps",
     "word_coset_rep",
     "translate_key",
     "orbit_plan",
@@ -373,7 +375,7 @@ def _descent_kernel(gens):
     return _compile(name, [*lines, "    return None"])
 
 
-# the step of ``coset_rep``, over all of W's generators (None only in the
+# the step of ``coset_reps``, over all of W's generators (None only in the
 # closed negated chamber), and of ``_peel``, per parabolic
 _least_descent = _descent_kernel(GENERATORS)
 _DESCENTS = {p: _descent_kernel(p.gens) for p in PARABOLIC_BY_NAME.values()}
@@ -390,59 +392,65 @@ def _peel(key: tuple, p: ParabolicId) -> tuple:
     return key
 
 
-def _linked(key: tuple, x: str, up: "GroupElement") -> "GroupElement":
-    """The representative x*up, memoised under ``key``: its word and a link
-    to ``up``, but no matrix (``GroupElement.mat`` builds it when read)."""
-    rep = _REPS[key] = GroupElement(None)
-    rep._word = x + up._word
-    rep._up = up
-    return rep
-
-
-def coset_rep(key: tuple) -> "GroupElement":
-    """The minimal representative of the coset with ``coset_key`` ``key``,
-    carrying its ShortLex-least word.
+def coset_reps(keys) -> list["GroupElement"]:
+    """The minimal representatives of the cosets with ``coset_key`` ``keys``,
+    in order, each the memoised object and carrying its ShortLex-least word:
+    the package's one peel loop (``coset_rep`` is one key of it).
 
     For g minimal in g*P, x is a left descent iff 2B(a_x, g u_P) > 0 (a
     negative root g^-1 a_x pairs positively with u_P unless it is a root of
     P, which minimality excludes), and s_x g is minimal in the coset of the
-    reflected point.  So least descents are peeled off the point until a
-    memoised one; each representative passed gets its word, x and its
-    suffix's, and a link to the suffix's representative, so its matrix is
-    built only when first read (``GroupElement``).  In a ball most keys
-    take one descent onto a memoised point and pass no other.  An orbit
-    meets the closed negated chamber only in its base point (Tits), so a
-    point there that is not memoised raises.  A point outside the cone of
+    reflected point.  So a key not memoised has its least descents peeled
+    off its point until a memoised one; each representative passed gets its
+    word, x and its suffix's, and a link to the suffix's representative, so
+    its matrix is built only when first read (``GroupElement``).  In a ball
+    most keys take one descent onto a memoised point and pass no other.  An
+    orbit meets the closed negated chamber only in its base point (Tits), so
+    a point there that is not memoised raises.  A point outside the cone of
     rho never reaches the chamber, so keys read off raw matrices go through
     ``_checked_rep``; any other key off the orbit, or of an element longer
     than 10,000 letters, raises after 10,000 descents (the r12 pentagon
     ball's reps have at most 48), and a key that is not a parabolic's name
-    and six ints raises ValueError before any descent.
+    and six ints raises ValueError before any descent.  Each key is checked
+    and bounded on its own, so the keys before one that raises stay
+    memoised.
     """
-    rep = _REPS.get(key)
-    if rep is not None:
-        return rep
-    if len(key) != 7 or key[0] not in _BASE_KEYS:
-        raise ValueError(f"not a coset key (a parabolic's name and 6 ints): {key!r}")
-    passed = []
-    for _ in _PEEL_STEPS:
-        step = _least_descent(key)
-        if step is None:
-            raise ArithmeticError("matrix is not in the reflection group "
-                                  "(its orbit point has no descent)")
-        x, up = step
-        rep = _REPS.get(up)
-        if rep is not None:
-            rep = _linked(key, x, rep)
-            while passed:
-                key, x = passed.pop()
-                rep = _linked(key, x, rep)
-            return rep
-        passed.append((key, x))
-        key = up
-    n = len(_PEEL_STEPS)
-    raise ArithmeticError(f"key off the orbit, or of an element longer than {n:,} letters: "
-                          f"no memoised point in {n} descents")
+    reps = _REPS
+    new = object.__new__  # a representative with no Python-level __init__ call
+    out = []
+    for key in keys:
+        rep = reps.get(key)
+        if rep is None:
+            if len(key) != 7 or key[0] not in _BASE_KEYS:
+                raise ValueError(f"not a coset key (a parabolic's name and 6 ints): {key!r}")
+            passed = []
+            for _ in _PEEL_STEPS:
+                step = _least_descent(key)
+                if step is None:
+                    raise ArithmeticError("matrix is not in the reflection group "
+                                          "(its orbit point has no descent)")
+                x, up = step
+                passed.append((key, x))
+                rep = reps.get(up)
+                if rep is not None:
+                    for key, x in reversed(passed):  # each linked to its suffix's rep
+                        up, rep = rep, new(GroupElement)
+                        rep._mat, rep._word, rep._up = None, x + up._word, up
+                        reps[key] = rep
+                    break
+                key = up
+            else:
+                n = len(_PEEL_STEPS)
+                raise ArithmeticError(f"key off the orbit, or of an element longer than {n:,} "
+                                      f"letters: no memoised point in {n} descents")
+        out.append(rep)
+    return out
+
+
+def coset_rep(key: tuple) -> "GroupElement":
+    """The minimal representative of the coset with ``coset_key`` ``key``:
+    ``coset_reps`` of the one key."""
+    return coset_reps((key,))[0]
 
 
 def word_coset_rep(word: str, p: ParabolicId) -> "GroupElement":
@@ -629,12 +637,12 @@ class GroupElement:
     Immutable; the canonical word is computed at most once and cached.
     Instances hash and compare by matrix, which is exact.
 
-    A representative made by ``coset_rep`` carries its word x + w and a
-    link ``_up`` to the representative of w, but no matrix: ``mat`` builds
-    it on first read as M_x times the linked one's, building that first if
-    it has none either, and drops the link.  The chain is walked by a loop,
-    not by recursion, as it can be as long as the peel bound of 10,000
-    letters.  Every other constructor is eager.
+    A representative made by the peel (``coset_reps``) carries its word
+    x + w and a link ``_up`` to the representative of w, but no matrix:
+    ``mat`` builds it on first read as M_x times the linked one's, building
+    that first if it has none either, and drops the link.  The chain is
+    walked by a loop, not by recursion, as it can be as long as the peel
+    bound of 10,000 letters.  Every other constructor is eager.
     """
 
     __slots__ = ("_mat", "_word", "_up")

@@ -30,6 +30,7 @@ from cox245.coxeter import (
     element_of_word,
     coset_key,
     coset_rep,
+    coset_reps,
     identity,
     parabolic_elements,
 )
@@ -266,16 +267,21 @@ def test_full_y_candidates_follow_the_word_walk():
 
 def test_ball_strips_each_coset_once(monkeypatch):
     """A coset already in the ball or the level is found by its key, so
-    only the center is never peeled."""
-    calls = []
+    only the center is never peeled: the ball passes each other key once to
+    the batch peel, in one call per level, and makes no single peel."""
+    batches, singles = [], []
 
-    def counted(key):
-        calls.append(key[0])
-        return coset_rep(key)
-    monkeypatch.setattr(complexgraph, "coset_rep", counted)
+    def counted(keys):
+        batches.append(list(keys))
+        return coset_reps(keys)
+    monkeypatch.setattr(complexgraph, "coset_reps", counted)
+    monkeypatch.setattr(complexgraph, "coset_rep", lambda key: singles.append(key) or coset_rep(key))
     slab = build_ball(C8, 6, "pentagon-subcomplex")
     assert len(slab) == 597
-    assert len(calls) <= 596
+    keys = [key for batch in batches for key in batch]
+    assert len(batches) == 6 and singles == []
+    assert len(keys) == len(set(keys)) == 596
+    assert vertex_key(C8) not in keys
 
 
 def test_ball_and_partners_make_no_matrix_descent_tests(monkeypatch):

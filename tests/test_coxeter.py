@@ -881,16 +881,91 @@ def test_malformed_keys_raise_before_the_peel(monkeypatch):
     assert calls == [] and coxeter._REPS == known
 
 
+def test_coset_reps_returns_the_memoised_reps_in_input_order():
+    """The batch peel returns, key by key in input order, the object the key
+    is memoised under; a repeated key gives the same object again."""
+    keys = [coset_key(element_of_word(w), p) for w in ("tsrst", "t", "", "rst", "tsrst")
+            for p in (D8, D10, CAY)]
+    reps = coxeter.coset_reps(keys)
+    assert len(reps) == len(keys)
+    assert all(rep is coxeter._REPS[key] for rep, key in zip(reps, keys))
+    assert all(a is b for a, b in zip(reps[:3], reps[-3:]))
+    assert all(rep is coxeter._IDENT for rep in reps[6:9])  # the base points
+    assert coxeter.coset_reps([]) == []
+
+
+def test_coset_reps_on_an_empty_memo_peels_as_one_key_peels(monkeypatch):
+    """From the base points alone, one batch of every coset key of the
+    elements of up to 7 letters (longest first, so a key passes points that
+    later keys of the batch meet memoised) gives each key the word a
+    one-key peel gives it, and the matrix peel's word of its stripped
+    representative."""
+    keys = [coset_key(element_of_word("".join(w)), p) for n in range(7, -1, -1)
+            for w in itertools.product("rst", repeat=n) for p in (D8, D10, D4, CAY)]
+    monkeypatch.setattr(coxeter, "_REPS", base_points())
+    batch = [rep._word for rep in coxeter.coset_reps(keys)]
+    monkeypatch.setattr(coxeter, "_REPS", base_points())
+    single = [coxeter.coset_rep(key)._word for key in keys]
+    assert batch == single
+    memo = {coxeter._IDENTITY_MAT: ""}
+    for key, word in dict(zip(keys, batch)).items():
+        g = element_of_word(word)
+        p = coxeter.PARABOLIC_BY_NAME[key[0]]
+        assert coset_key(g, p) == key
+        assert matrix_shortlex_word(stripped_coset_rep(g, p).mat, memo) == word
+
+
+def test_a_bad_key_in_a_batch_raises_as_alone(monkeypatch):
+    """A malformed key, a graded point of the closed negated chamber that is
+    not a base point, and a key off the orbit raise in a batch the error a
+    one-key peel raises, word for word; the keys before the bad one stay
+    memoised and the one after it is not peeled.  The off-orbit key still
+    makes exactly ``len(_PEEL_STEPS)`` descents of its own."""
+    good = [coset_key(element_of_word(w), D8) for w in ("t", "tst", "tsrst")]
+    later = coset_key(element_of_word("tsrsrst"), D8)
+    rst = coset_key(element_of_word("rst"), D8)
+    chamber = ("D8", *(2 * a for a in coset_key(identity(), D8)[1:]))
+    monkeypatch.setattr(coxeter, "_REPS", base_points())
+    calls = counted_descents(monkeypatch)
+    coxeter.coset_reps(good)
+    descents, memo = len(calls), dict(coxeter._REPS)
+    cases = [(("D6", *rst[1:]), ValueError, "not a coset key", 0),
+             (rst + (0,), ValueError, "not a coset key", 0),
+             (chamber, ArithmeticError, "has no descent", 1),  # the one step that finds none
+             (rst[:1] + (rst[1] + 1,) + rst[2:], ArithmeticError, "off the orbit",
+              len(coxeter._PEEL_STEPS))]
+    for bad, error, match, own in cases:
+        monkeypatch.setattr(coxeter, "_REPS", base_points())
+        with pytest.raises(error, match=match) as alone:
+            coxeter.coset_rep(bad)
+        assert coxeter._REPS == base_points()
+        del calls[:]
+        with pytest.raises(error) as batched:
+            coxeter.coset_reps([*good, bad, later])
+        assert str(batched.value) == str(alone.value)
+        assert all(key in coxeter._REPS for key in good) and later not in coxeter._REPS
+        assert coxeter._REPS == memo
+        assert len(calls) == descents + own
+
+
+# the vertices at each depth of a tiling's ball around a fixed vertex
+SPHERE_SIZES = {"pentagon-subcomplex": [1, 4, 12, 28, 64, 148, 340, 780, 1792, 4116, 9452],
+                "d10-orbit": [1, 5, 15, 40, 105, 275, 720]}
+
+
 @pytest.mark.parametrize("center, radius, mode, size", [
     (fix_vertex(D8), 10, "pentagon-subcomplex", 16737), (fix_vertex(D10), 6, "d10-orbit", 1161)])
 def test_ball_makes_one_descent_per_new_representative(monkeypatch, center, radius, mode, size):
     """A ball's peels make exactly one descent per point the memo gains:
     the one-descent link and the long peel each descend once per
-    representative they memoise."""
+    representative they memoise.  Its levels have the tiling's sphere
+    sizes."""
     monkeypatch.setattr(coxeter, "_REPS", base_points())
     before = len(coxeter._REPS)
     calls = counted_descents(monkeypatch)
-    assert len(build_ball(center, radius, mode)) == size
+    slab = build_ball(center, radius, mode)
+    assert len(slab) == size
+    assert [slab.depth.count(d) for d in range(radius + 1)] == SPHERE_SIZES[mode]
     assert len(calls) == len(coxeter._REPS) - before > size // 2
 
 
